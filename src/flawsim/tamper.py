@@ -153,15 +153,13 @@ def run_pipeline_equivalence(
 ) -> EquivalenceReport:
     """Stream doc through the interceptor and diff against the transform.
 
-    The consumer drains aggressively (after every character), the most
-    adversarial schedule for the hide/rewrite machinery.  Reports the
-    first diverging byte offset, or identity.
+    The consumer drains aggressively (UartSimulation.feed takes every line
+    the moment it is complete), the most adversarial schedule for the
+    hide/rewrite machinery.  Reports the first diverging byte offset, or
+    identity.
     """
     sim = UartSimulation(policy, rx_buffer_size=rx_buffer_size)
-    pieces = []
-    for ch in doc:
-        sim.feed_char(ch)
-        pieces.extend(sim.drain())
+    pieces = sim.feed(doc)
     pieces.append(sim.flush_residual())
     sim_output = "".join(pieces)
     ref_output = apply_policy(doc, policy)

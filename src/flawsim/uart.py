@@ -15,6 +15,17 @@ normal path once the value's delimiter shows up.  Because the consumer
 only ever dequeues complete lines, rewriting earlier cells of the
 line-in-progress (the move-command digit, for travel conversion) is safe.
 
+The ring counts the newlines published between tail and head, so the
+consumer answers "no complete line yet" without scanning.  A newline
+becomes visible only when the ISR stores it, or when the epilogue
+re-emits a delimiter it just hid (_finish_target takes the delimiter of
+a targeted value back and writes it again after the edited text, in the
+same step).  It stops being visible only when the consumer dequeues its
+line or _hide takes it back.  The other head rewinds, in
+_decide_on_first_digit, cover a value's sign, decimal point, letter and
+separating space - never a newline - so after every ISR-and-epilogue step
+``ring.newlines == ring.visible().count(b"\\n")``.
+
 All interceptor persistence lives in TrojanState, which serializes to 15
 bytes: the memory the stack-steal patch carved out.  There is no room for
 anything else, which is why the payload mode itself is not state (the two
@@ -37,11 +48,8 @@ class BufferFull(FlawsimError):
     pass
 
 
-class AccumulatorOverflow(FlawsimError):
-    """Numeric capture exceeded 32 bits; the interceptor goes dormant."""
-
-
-# parser states (low nibble of parser_state)
+# parser states (low nibble of parser_state; the high nibble counts the
+# decimals captured so far in ST_E_FRAC / ST_P_FRAC)
 ST_LINE_START = 0
 ST_G_NUM = 1
 ST_M_NUM = 2
@@ -74,68 +82,99 @@ EV_OVERFLOW = "accumulator_overflow"
 EV_DORMANT_M83 = "dormant_relative_extrusion"
 
 
-@dataclass
+def _walk_table(mid: int, tok: int) -> bytes:
+    """Next parser state, by character, while walking the tokens of a G1
+    or M73 line: a newline ends the line, ';' starts its comment, a space
+    ends a token."""
+    table = bytearray([mid]) * 256
+    table[0x0A] = ST_LINE_START
+    table[0x3B] = ST_SKIP
+    table[0x20] = tok
+    return bytes(table)
+
+
+_G1_NEXT = _walk_table(ST_G1_MID, ST_G1_TOK)
+_M73_NEXT = _walk_table(ST_M73_MID, ST_M73_TOK)
+
+# chr(byte).isdigit(), by byte: the ASCII digits and latin-1's superscripts
+# 0xB2, 0xB3 and 0xB9, which are folded as byte - 48 like the others
+_IS_DIGIT = bytes(chr(b).isdigit() for b in range(256))
+
+
+@dataclass(slots=True)
 class RingBufferState:
-    """Power-of-two circular buffer; empty iff head == tail (capacity size-1)."""
+    """Power-of-two circular buffer; empty iff head == tail (capacity size-1).
+
+    ``newlines`` counts the newlines published between tail and head (see
+    the module docstring for the three places that change it).  It is
+    worked out from the contents at construction; code that moves ``tail``
+    or ``head`` by hand must keep it in step (``flush_residual`` clears
+    it), or ``consumer_readline`` returns stale lines or misses real ones.
+    """
 
     size: int
     head: int = 0
     tail: int = 0
     root_addr: int = 0
     storage: bytearray = field(default=None)  # type: ignore[assignment]
+    newlines: int = field(init=False, repr=False, compare=False)
+    mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.size < 2 or self.size & (self.size - 1):
             raise ValueError("ring size must be a power of two")
         if self.storage is None:
             self.storage = bytearray(self.size)
-
-    @property
-    def mask(self) -> int:
-        return self.size - 1
-
-    def is_full(self) -> bool:
-        return ((self.head + 1) & self.mask) == self.tail
+        self.mask = self.size - 1
+        self.newlines = self.visible().count(b"\n")
 
     def free_space(self) -> int:
         return (self.tail - self.head - 1) & self.mask
 
     def visible(self) -> bytes:
-        out = bytearray()
-        i = self.tail
-        while i != self.head:
-            out.append(self.storage[i])
-            i = (i + 1) & self.mask
-        return bytes(out)
+        """The published bytes, tail to head."""
+        if self.tail <= self.head:
+            return bytes(self.storage[self.tail : self.head])
+        return bytes(self.storage[self.tail :] + self.storage[: self.head])
 
 
 def marlin_rx_isr(ring: RingBufferState, char: int | str) -> None:
     """Store one received character at head.  Raises BufferFull when the
     buffer cannot take another character (that character is dropped)."""
     byte = ord(char) if isinstance(char, str) else char
-    if ring.is_full():
+    head = ring.head
+    after = (head + 1) & ring.mask
+    if after == ring.tail:
         raise BufferFull(f"dropped {byte:#04x}")
-    ring.storage[ring.head] = byte
-    ring.head = (ring.head + 1) & ring.mask
+    ring.storage[head] = byte
+    ring.head = after
+    if byte == 0x0A:
+        ring.newlines += 1
 
 
 def consumer_readline(ring: RingBufferState) -> str:
     """Dequeue one complete newline-terminated line, or '' if none is
-    fully visible between tail and head."""
-    i = ring.tail
-    while i != ring.head:
-        if ring.storage[i] == 0x0A:
-            out = bytearray()
-            j = ring.tail
-            while True:
-                out.append(ring.storage[j])
-                j = (j + 1) & ring.mask
-                if j == ((i + 1) & ring.mask):
-                    break
-            ring.tail = (i + 1) & ring.mask
-            return out.decode("latin-1")
-        i = (i + 1) & ring.mask
-    return ""
+    fully visible between tail and head.
+
+    Relies on ``ring.newlines`` counting the newlines between tail and
+    head.  That holds because a newline becomes visible only when the ISR
+    stores it or the epilogue re-emits a delimiter it just hid, and every
+    such step counts it.  With none published it returns at once;
+    otherwise the first of them ends the line, found with one or (when the
+    line wraps past index 0) two slices.
+    """
+    if not ring.newlines:
+        return ""
+    storage, tail, head = ring.storage, ring.tail, ring.head
+    end = storage.find(0x0A, tail, head if tail < head else ring.size)
+    if end >= 0:
+        line = storage[tail : end + 1]
+    else:  # the line wraps past index 0
+        end = storage.find(0x0A, 0, head)
+        line = storage[tail:] + storage[: end + 1]
+    ring.tail = (end + 1) & ring.mask
+    ring.newlines -= 1
+    return line.decode("latin-1")
 
 
 @dataclass
@@ -181,67 +220,69 @@ class TrojanState:
             self.cmd_slot,
         )
 
-    def flag(self, bit: int) -> bool:
-        return bool(self.flags_window & bit)
-
-    def set_flag(self, bit: int, on: bool = True):
-        if on:
-            self.flags_window |= bit
-        else:
-            self.flags_window &= ~bit & 0xFF
-
-    @property
-    def state_id(self) -> int:
-        return self.parser_state & 0x0F
-
-    @property
-    def frac_count(self) -> int:
-        return self.parser_state >> 4
-
-    def set_state(self, state_id: int, frac: int = 0):
-        self.parser_state = (frac << 4) | state_id
-
 
 def _hide(ring: RingBufferState):
-    ring.head = (ring.head - 1) & ring.mask
+    ring.head = head = (ring.head - 1) & ring.mask
+    if ring.storage[head] == 0x0A:
+        ring.newlines -= 1
 
 
 def _emit(ring: RingBufferState, byte: int):
     ring.storage[ring.head] = byte
     ring.head = (ring.head + 1) & ring.mask
-
-
-def _accumulate(acc: int, digit: int) -> int:
-    acc = acc * 10 + digit
-    if acc > MAX_RAW:
-        raise AccumulatorOverflow(str(acc))
-    return acc
-
-
-def _state_after_delim(delim: int) -> int:
-    if delim == 0x0A:
-        return ST_LINE_START
-    if delim == 0x3B:  # ';'
-        return ST_SKIP
-    if delim == 0x20:
-        return ST_G1_TOK
-    return ST_G1_MID
+    if byte == 0x0A:
+        ring.newlines += 1
 
 
 def _go_dormant(trojan: TrojanState):
-    trojan.set_flag(F_DORMANT)
-    trojan.set_flag(F_HIDING, False)
-    trojan.set_flag(F_CONVERT, False)
+    trojan.flags_window = (trojan.flags_window | F_DORMANT) & ~(F_HIDING | F_CONVERT)
+
+
+def _fold_digit(trojan: TrojanState, digit: int, in_frac: bool) -> str | None:
+    """Fold one digit of a captured number (command number, E or P value)
+    into the accumulator.
+
+    Integer digits always fold.  Decimals fold up to the fourth (their
+    count is the high nibble of parser_state), the fifth only rounds half
+    up and later ones are dropped, so values are captured at 1e-4.  A
+    number past 32 bits sends the interceptor dormant for the session.
+    """
+    if in_frac:
+        frac = trojan.parser_state >> 4
+        if frac >= 4:
+            if frac == 4:
+                if digit >= 5:
+                    trojan.accumulator += 1
+                trojan.parser_state += 0x10
+            return None
+    acc = trojan.accumulator * 10 + digit
+    if acc > MAX_RAW:
+        _go_dormant(trojan)
+        return EV_OVERFLOW
+    trojan.accumulator = acc
+    if in_frac:
+        trojan.parser_state += 0x10
+    return None
+
+
+def _scaled_value(trojan: TrojanState) -> int | None:
+    """Close out value capture: accumulator scaled to 10^4, signed; None
+    when it no longer fits 32 bits."""
+    frac = trojan.parser_state >> 4
+    raw = trojan.accumulator
+    if frac < 4:
+        raw *= 10 ** (4 - frac)
+    if raw > MAX_RAW:
+        return None
+    return -raw if trojan.flags_window & F_NEG else raw
 
 
 def _pass_finish(trojan: TrojanState, delim: int):
     """A target token ended before any digit arrived: it was never hidden
     and is not eligible, so it simply stays as received."""
-    trojan.set_flag(F_PENDING, False)
-    trojan.set_flag(F_NEG, False)
-    trojan.set_flag(F_SIGN_SEEN, False)
+    trojan.flags_window &= ~(F_PENDING | F_NEG | F_SIGN_SEEN)
     trojan.accumulator = 0
-    trojan.set_state(_state_after_delim(delim))
+    trojan.parser_state = _G1_NEXT[delim]
 
 
 def _decide_on_first_digit(
@@ -252,65 +293,49 @@ def _decide_on_first_digit(
 
     Any sign or decimal point that already passed through is taken back
     here; until this moment nothing was hidden, so a token that never
-    produces a digit leaves no trace.
+    produces a digit leaves no trace.  The rewinds stay inside the current
+    line (digit, sign, point, letter and its space), so they never take
+    back a newline.
     """
-    visible_prefix = 1 + (1 if trojan.flag(F_SIGN_SEEN) else 0) + (1 if in_frac else 0)
-    trojan.set_flag(F_PENDING, False)
+    flags = trojan.flags_window & ~F_PENDING
+    visible_prefix = 1 + (1 if flags & F_SIGN_SEEN else 0) + (1 if in_frac else 0)
     if policy.mode is Mode.REDUCTION:
         ring.head = (ring.head - visible_prefix) & ring.mask
-        trojan.set_flag(F_HIDING)
+        trojan.flags_window = flags | F_HIDING
         trojan.accumulator = digit
-        trojan.set_state(ST_E_FRAC if in_frac else ST_E_INT, 1 if in_frac else 0)
+        trojan.parser_state = (0x10 | ST_E_FRAC) if in_frac else ST_E_INT
         return
-    if trojan.flag(F_WINDOW_ACTIVE):
+    if flags & F_WINDOW_ACTIVE:
         trojan.gcode_counter += 1
         if trojan.gcode_counter >= trojan.policy_param:
             trojan.gcode_counter = 0
             # unpublish the whole token so far plus the letter and its space
             ring.head = (ring.head - visible_prefix - 2) & ring.mask
-            ring.storage[trojan.cmd_slot] = ord("0")
-            trojan.set_flag(F_CONVERT)
-            trojan.set_flag(F_HIDING)
-            trojan.set_state(ST_E_FRAC if in_frac else ST_E_INT)
+            ring.storage[trojan.cmd_slot] = 0x30  # '0'
+            trojan.flags_window = flags | F_CONVERT | F_HIDING
+            trojan.parser_state = ST_E_FRAC if in_frac else ST_E_INT
             return
     # kept: the value stays exactly as received, later chars are ordinary
-    trojan.set_flag(F_NEG, False)
-    trojan.set_flag(F_SIGN_SEEN, False)
-    trojan.set_state(ST_G1_MID)
-
-
-def _scaled_value(trojan: TrojanState) -> int:
-    """Close out value capture: accumulator scaled to 10^4, signed."""
-    frac = trojan.frac_count
-    raw = trojan.accumulator
-    if frac < 4:
-        raw *= 10 ** (4 - frac)
-    if raw > MAX_RAW:
-        raise AccumulatorOverflow(str(raw))
-    return -raw if trojan.flag(F_NEG) else raw
+    trojan.flags_window = flags & ~(F_NEG | F_SIGN_SEEN)
+    trojan.parser_state = ST_G1_MID
 
 
 def _finish_target(trojan: TrojanState, ring: RingBufferState, delim: int) -> str | None:
     """The delimiter of a targeted extrusion value just arrived."""
-    event = None
-    if trojan.flag(F_CONVERT):
+    if trojan.flags_window & F_CONVERT:
         # Value discarded; the delimiter the ISR just stored already sits
         # exactly where the removed token began.  Nothing to write back.
-        trojan.set_flag(F_CONVERT, False)
-        trojan.set_flag(F_HIDING, False)
         event = EV_CONVERT
     else:
         _hide(ring)  # take back the delimiter; re-emitted after the value
-        try:
-            value = _scaled_value(trojan)
-        except AccumulatorOverflow:
+        value = _scaled_value(trojan)
+        if value is None:
             _go_dormant(trojan)
             _emit(ring, delim)
-            trojan.set_flag(F_NEG, False)
-            trojan.set_state(_state_after_delim(delim))
+            trojan.flags_window &= ~F_NEG
+            trojan.parser_state = _G1_NEXT[delim]
             return EV_OVERFLOW
-        percent = trojan.policy_param
-        edited = div_round_half_away(value * (100 - percent), 100)
+        edited = div_round_half_away(value * (100 - trojan.policy_param), 100)
         text = format_raw(edited)
         if ring.free_space() >= len(text) + 1:
             for ch in text:
@@ -319,33 +344,29 @@ def _finish_target(trojan: TrojanState, ring: RingBufferState, delim: int) -> st
         else:
             event = EV_EDIT_SKIPPED
         _emit(ring, delim)
-        trojan.set_flag(F_HIDING, False)
-    trojan.set_flag(F_NEG, False)
-    trojan.set_flag(F_SIGN_SEEN, False)
+    trojan.flags_window &= ~(F_CONVERT | F_HIDING | F_NEG | F_SIGN_SEEN)
     trojan.accumulator = 0
-    trojan.set_state(_state_after_delim(delim))
+    trojan.parser_state = _G1_NEXT[delim]
     return event
 
 
-def _finish_progress(trojan: TrojanState, policy: TamperPolicy, delim: int):
+def _finish_progress(trojan: TrojanState, policy: TamperPolicy, delim: int) -> str | None:
     """A progress-report percentage finished arriving; update the window."""
-    try:
-        value = _scaled_value(trojan)
-    except AccumulatorOverflow:
+    value = _scaled_value(trojan)
+    trojan.parser_state = ST_LINE_START if delim == 0x0A else ST_SKIP
+    if value is None:
         _go_dormant(trojan)
-        trojan.set_state(ST_SKIP if delim != 0x0A else ST_LINE_START)
         return EV_OVERFLOW
-    if not trojan.flag(F_WINDOW_DONE):
+    flags = trojan.flags_window
+    if not flags & F_WINDOW_DONE:
         if value >= policy.window_hi * SCALE:
-            trojan.set_flag(F_WINDOW_ACTIVE, False)
-            trojan.set_flag(F_WINDOW_DONE)
+            flags = (flags & ~F_WINDOW_ACTIVE) | F_WINDOW_DONE
         elif value >= policy.window_lo * SCALE:
-            trojan.set_flag(F_WINDOW_ACTIVE)
+            flags |= F_WINDOW_ACTIVE
         else:
-            trojan.set_flag(F_WINDOW_ACTIVE, False)
-    trojan.set_flag(F_NEG, False)
+            flags &= ~F_WINDOW_ACTIVE
+    trojan.flags_window = flags & ~F_NEG
     trojan.accumulator = 0
-    trojan.set_state(ST_LINE_START if delim == 0x0A else ST_SKIP)
     return None
 
 
@@ -356,219 +377,129 @@ def trojan_epilogue(trojan: TrojanState, ring: RingBufferState, policy: TamperPo
     pair models one uninterruptible ISR execution.  Returns an event tag
     for the simulation driver (None for the common pass-through case).
     """
-    if policy.mode is Mode.OFF or trojan.flag(F_DORMANT):
+    if policy.mode is Mode.OFF or trojan.flags_window & F_DORMANT:
         return None
 
     byte = ring.storage[(ring.head - 1) & ring.mask]
-    ch = chr(byte)
-    state = trojan.state_id
-    newline = byte == 0x0A
+    state = trojan.parser_state & 0x0F
 
-    if state == ST_LINE_START:
-        if ch == "G":
-            trojan.accumulator = 0
-            trojan.set_state(ST_G_NUM)
-        elif ch == "M":
-            trojan.accumulator = 0
-            trojan.set_state(ST_M_NUM)
-        elif ch in ("\n", "\r", " "):
-            pass
-        else:
-            trojan.set_state(ST_SKIP)
-        return None
-
-    if state == ST_G_NUM:
-        if ch.isdigit():
-            try:
-                trojan.accumulator = _accumulate(trojan.accumulator, byte - 48)
-            except AccumulatorOverflow:
-                _go_dormant(trojan)
-                return EV_OVERFLOW
-            trojan.cmd_slot = (ring.head - 1) & ring.mask
-        else:
-            number = trojan.accumulator
-            trojan.accumulator = 0
-            if newline:
-                trojan.set_state(ST_LINE_START)
-            elif number == 1:
-                if ch == " ":
-                    trojan.set_state(ST_G1_TOK)
-                elif ch == ";":
-                    trojan.set_state(ST_SKIP)
-                else:
-                    trojan.set_state(ST_G1_MID)
-            else:
-                trojan.set_state(ST_SKIP)
-        return None
-
-    if state == ST_M_NUM:
-        if ch.isdigit():
-            try:
-                trojan.accumulator = _accumulate(trojan.accumulator, byte - 48)
-            except AccumulatorOverflow:
-                _go_dormant(trojan)
-                return EV_OVERFLOW
-            return None
-        number = trojan.accumulator
-        trojan.accumulator = 0
-        if policy.mode is Mode.RELOCATION and number == 83:
-            # Relative extrusion would break the conservation property;
-            # the interceptor quietly stands down for the session.
-            _go_dormant(trojan)
-            return EV_DORMANT_M83
-        if policy.mode is Mode.RELOCATION and number == 73 and not newline:
-            if ch == " ":
-                trojan.set_state(ST_M73_TOK)
-            elif ch == ";":
-                trojan.set_state(ST_SKIP)
-            else:
-                trojan.set_state(ST_M73_MID)
-        else:
-            trojan.set_state(ST_LINE_START if newline else ST_SKIP)
-        return None
-
-    if state in (ST_G1_MID, ST_G1_TOK):
-        if newline:
-            trojan.set_state(ST_LINE_START)
-            return None
-        if ch == ";":
-            trojan.set_state(ST_SKIP)
-            return None
-        if ch == "E" and state == ST_G1_TOK:
+    # most characters sit inside G1 lines or comments: test those first
+    if state == ST_G1_MID or state == ST_G1_TOK:
+        if byte == 0x45 and state == ST_G1_TOK:  # 'E'
             # A target might be starting; nothing is committed (or hidden)
             # until a digit proves the value well-formed.
             trojan.accumulator = 0
-            trojan.set_flag(F_PENDING)
-            trojan.set_flag(F_NEG, False)
-            trojan.set_flag(F_SIGN_SEEN, False)
-            trojan.set_state(ST_E_SIGN)
-            return None
-        trojan.set_state(ST_G1_TOK if ch == " " else ST_G1_MID)
+            trojan.flags_window = (trojan.flags_window | F_PENDING) & ~(F_NEG | F_SIGN_SEEN)
+            trojan.parser_state = ST_E_SIGN
+        else:
+            trojan.parser_state = _G1_NEXT[byte]
+        return None
+
+    if state == ST_SKIP:
+        if byte == 0x0A:
+            trojan.parser_state = ST_LINE_START
+        return None
+
+    digit = _IS_DIGIT[byte]
+    if state == ST_LINE_START:
+        if byte == 0x47 or byte == 0x4D:  # 'G', 'M'
+            trojan.accumulator = 0
+            trojan.parser_state = ST_G_NUM if byte == 0x47 else ST_M_NUM
+        elif byte != 0x0A and byte != 0x0D and byte != 0x20:
+            trojan.parser_state = ST_SKIP
+        return None
+
+    if state == ST_G_NUM:
+        if digit:
+            event = _fold_digit(trojan, byte - 48, False)
+            if event is None:
+                trojan.cmd_slot = (ring.head - 1) & ring.mask
+            return event
+        number = trojan.accumulator
+        trojan.accumulator = 0
+        if number == 1:
+            trojan.parser_state = _G1_NEXT[byte]
+        else:
+            trojan.parser_state = ST_LINE_START if byte == 0x0A else ST_SKIP
+        return None
+
+    if state == ST_M_NUM:
+        if digit:
+            return _fold_digit(trojan, byte - 48, False)
+        number = trojan.accumulator
+        trojan.accumulator = 0
+        if policy.mode is Mode.RELOCATION:
+            if number == 83:
+                # Relative extrusion would break the conservation property;
+                # the interceptor quietly stands down for the session.
+                _go_dormant(trojan)
+                return EV_DORMANT_M83
+            if number == 73:
+                trojan.parser_state = _M73_NEXT[byte]
+                return None
+        trojan.parser_state = ST_LINE_START if byte == 0x0A else ST_SKIP
         return None
 
     if state == ST_E_SIGN:  # pending by construction: no digit yet
-        if ch in "+-":
-            trojan.set_flag(F_NEG, ch == "-")
-            trojan.set_flag(F_SIGN_SEEN)
-            trojan.set_state(ST_E_INT)
-            return None
-        if ch.isdigit():
-            _decide_on_first_digit(trojan, ring, policy, byte - 48, in_frac=False)
-            return None
-        if ch == ".":
-            trojan.set_state(ST_E_FRAC, frac=0)
-            return None
-        _pass_finish(trojan, byte)
-        return None
-
-    if state == ST_E_INT:
-        if ch.isdigit():
-            if trojan.flag(F_PENDING):
-                _decide_on_first_digit(trojan, ring, policy, byte - 48, in_frac=False)
-                return None
-            if not trojan.flag(F_CONVERT):
-                try:
-                    trojan.accumulator = _accumulate(trojan.accumulator, byte - 48)
-                except AccumulatorOverflow:
-                    _go_dormant(trojan)
-                    return EV_OVERFLOW
-            _hide(ring)
-            return None
-        if ch == ".":
-            if not trojan.flag(F_PENDING):
-                _hide(ring)
-            trojan.set_state(ST_E_FRAC, frac=0)
-            return None
-        if trojan.flag(F_PENDING):
-            _pass_finish(trojan, byte)
-            return None
-        return _finish_target(trojan, ring, byte)
-
-    if state == ST_E_FRAC:
-        if ch.isdigit():
-            if trojan.flag(F_PENDING):
-                _decide_on_first_digit(trojan, ring, policy, byte - 48, in_frac=True)
-                return None
-            if not trojan.flag(F_CONVERT):
-                frac = trojan.frac_count
-                if frac < 4:
-                    try:
-                        trojan.accumulator = _accumulate(trojan.accumulator, byte - 48)
-                    except AccumulatorOverflow:
-                        _go_dormant(trojan)
-                        return EV_OVERFLOW
-                    trojan.set_state(ST_E_FRAC, frac + 1)
-                elif frac == 4:
-                    if byte - 48 >= 5:
-                        trojan.accumulator += 1
-                    trojan.set_state(ST_E_FRAC, 5)
-            _hide(ring)
-            return None
-        if trojan.flag(F_PENDING):
-            _pass_finish(trojan, byte)
-            return None
-        return _finish_target(trojan, ring, byte)
-
-    if state in (ST_M73_MID, ST_M73_TOK):
-        if newline:
-            trojan.set_state(ST_LINE_START)
-        elif ch == ";":
-            trojan.set_state(ST_SKIP)
-        elif ch == "P" and state == ST_M73_TOK:
-            trojan.accumulator = 0
-            trojan.set_state(ST_P_SIGN)
+        if byte == 0x2B or byte == 0x2D:  # '+', '-'
+            flags = trojan.flags_window | F_SIGN_SEEN
+            trojan.flags_window = (flags | F_NEG) if byte == 0x2D else (flags & ~F_NEG)
+            trojan.parser_state = ST_E_INT
+        elif digit:
+            _decide_on_first_digit(trojan, ring, policy, byte - 48, False)
+        elif byte == 0x2E:  # '.'
+            trojan.parser_state = ST_E_FRAC
         else:
-            trojan.set_state(ST_M73_TOK if ch == " " else ST_M73_MID)
+            _pass_finish(trojan, byte)
         return None
 
-    if state == ST_P_SIGN:
-        if ch in "+-":
-            trojan.set_flag(F_NEG, ch == "-")
-            trojan.set_state(ST_P_INT)
+    if state == ST_E_INT or state == ST_E_FRAC:
+        in_frac = state == ST_E_FRAC
+        flags = trojan.flags_window
+        if digit:
+            if flags & F_PENDING:
+                _decide_on_first_digit(trojan, ring, policy, byte - 48, in_frac)
+                return None
+            if not flags & F_CONVERT:
+                event = _fold_digit(trojan, byte - 48, in_frac)
+                if event is not None:
+                    return event
+            _hide(ring)
             return None
-        if ch.isdigit():
-            trojan.accumulator = byte - 48
-            trojan.set_state(ST_P_INT)
+        if byte == 0x2E and not in_frac:
+            if not flags & F_PENDING:
+                _hide(ring)
+            trojan.parser_state = ST_E_FRAC
             return None
-        if ch == ".":
-            trojan.set_state(ST_P_FRAC, frac=0)
+        if flags & F_PENDING:
+            _pass_finish(trojan, byte)
             return None
-        return _finish_progress(trojan, policy, byte)
+        return _finish_target(trojan, ring, byte)
 
-    if state == ST_P_INT:
-        if ch.isdigit():
-            try:
-                trojan.accumulator = _accumulate(trojan.accumulator, byte - 48)
-            except AccumulatorOverflow:
-                _go_dormant(trojan)
-                return EV_OVERFLOW
-            return None
-        if ch == ".":
-            trojan.set_state(ST_P_FRAC, frac=0)
-            return None
-        return _finish_progress(trojan, policy, byte)
+    if state == ST_M73_MID or state == ST_M73_TOK:
+        if byte == 0x50 and state == ST_M73_TOK:  # 'P'
+            trojan.accumulator = 0
+            trojan.parser_state = ST_P_SIGN
+        else:
+            trojan.parser_state = _M73_NEXT[byte]
+        return None
 
-    if state == ST_P_FRAC:
-        if ch.isdigit():
-            frac = trojan.frac_count
-            if frac < 4:
-                try:
-                    trojan.accumulator = _accumulate(trojan.accumulator, byte - 48)
-                except AccumulatorOverflow:
-                    _go_dormant(trojan)
-                    return EV_OVERFLOW
-                trojan.set_state(ST_P_FRAC, frac + 1)
-            elif frac == 4:
-                if byte - 48 >= 5:
-                    trojan.accumulator += 1
-                trojan.set_state(ST_P_FRAC, 5)
-            return None
-        return _finish_progress(trojan, policy, byte)
-
-    # ST_SKIP
-    if newline:
-        trojan.set_state(ST_LINE_START)
-    return None
+    # ST_P_SIGN, ST_P_INT, ST_P_FRAC: a progress percentage, never hidden
+    if state == ST_P_SIGN and (byte == 0x2B or byte == 0x2D):
+        if byte == 0x2D:
+            trojan.flags_window |= F_NEG
+        else:
+            trojan.flags_window &= ~F_NEG
+        trojan.parser_state = ST_P_INT
+        return None
+    if digit:
+        if state == ST_P_SIGN:
+            trojan.parser_state = ST_P_INT
+        return _fold_digit(trojan, byte - 48, state == ST_P_FRAC)
+    if byte == 0x2E and state != ST_P_FRAC:
+        trojan.parser_state = ST_P_FRAC
+        return None
+    return _finish_progress(trojan, policy, byte)
 
 
 @dataclass
@@ -580,6 +511,16 @@ class SimStats:
     edits_skipped: int = 0
     overflows: int = 0
     dormant_events: int = 0
+
+
+# the SimStats counters each interceptor event adds one to
+_EVENT_COUNTERS = {
+    EV_EDIT: ("edits",),
+    EV_CONVERT: ("conversions",),
+    EV_EDIT_SKIPPED: ("edits_skipped",),
+    EV_OVERFLOW: ("overflows", "dormant_events"),
+    EV_DORMANT_M83: ("dormant_events",),
+}
 
 
 class UartSimulation:
@@ -608,24 +549,17 @@ class UartSimulation:
         self.trace = trace
 
     def feed_char(self, char: int | str) -> None:
-        self.stats.chars_in += 1
+        stats = self.stats
+        stats.chars_in += 1
         try:
             marlin_rx_isr(self.ring, char)
         except BufferFull:
-            self.stats.dropped += 1
+            stats.dropped += 1
             return
         event = trojan_epilogue(self.trojan, self.ring, self.policy)
-        if event == EV_EDIT:
-            self.stats.edits += 1
-        elif event == EV_CONVERT:
-            self.stats.conversions += 1
-        elif event == EV_EDIT_SKIPPED:
-            self.stats.edits_skipped += 1
-        elif event == EV_OVERFLOW:
-            self.stats.overflows += 1
-            self.stats.dormant_events += 1
-        elif event == EV_DORMANT_M83:
-            self.stats.dormant_events += 1
+        if event is not None:
+            for name in _EVENT_COUNTERS[event]:
+                setattr(stats, name, getattr(stats, name) + 1)
         if self.trace is not None:
             self.trace.append(
                 {
@@ -640,23 +574,26 @@ class UartSimulation:
         return consumer_readline(self.ring)
 
     def drain(self) -> list[str]:
+        """Dequeue every complete line."""
+        ring = self.ring
         lines = []
-        while True:
-            line = self.read_line()
-            if not line:
-                return lines
-            lines.append(line)
+        while ring.newlines:
+            lines.append(consumer_readline(ring))
+        return lines
 
     def feed(self, text: str) -> list[str]:
         """Feed a whole document, draining complete lines as they form."""
         out = []
+        ring = self.ring
         for ch in text:
             self.feed_char(ch)
-            out.extend(self.drain())
+            if ring.newlines:
+                out += self.drain()
         return out
 
     def flush_residual(self) -> str:
         """Visible but line-incomplete bytes left at end of stream."""
         rest = self.ring.visible().decode("latin-1")
         self.ring.tail = self.ring.head
+        self.ring.newlines = 0
         return rest

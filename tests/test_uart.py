@@ -1,7 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from test_fuzz_equivalence import random_document
 
+from flawsim import uart
 from flawsim.avr import RingBufferInfo
 from flawsim.policy import TamperPolicy
 from flawsim.tamper import apply_policy
@@ -68,6 +70,24 @@ def test_readline_across_wrap():
     for ch in "ab\n":
         marlin_rx_isr(ring, ch)
     assert consumer_readline(ring) == "ab\n"
+
+
+def test_visible_across_wrap():
+    ring = RingBufferState(8, head=5, tail=5)
+    for ch in "ab\ncd":
+        marlin_rx_isr(ring, ch)
+    assert ring.head < ring.tail
+    assert ring.visible() == b"ab\ncd"
+    assert ring.newlines == 1
+
+
+def test_prefilled_ring_yields_its_lines():
+    storage = bytearray(b"\nxy" + bytes(3) + b"ab")
+    ring = RingBufferState(8, head=3, tail=6, storage=storage)
+    assert ring.newlines == 1
+    assert consumer_readline(ring) == "ab\n"
+    assert consumer_readline(ring) == ""
+    assert ring.visible() == b"xy"
 
 
 # --- state budget -------------------------------------------------------------
@@ -226,6 +246,66 @@ def test_consumer_atomicity_exhaustive_schedules():
                     seen.append(line)
         seen.extend(sim.drain())
         assert seen == expected, f"schedule {schedule:#x}"
+
+
+# --- newline count ---------------------------------------------------------------
+
+COUNT_POLICIES = [OFF, TamperPolicy.reduction(Fraction(3, 10)), TamperPolicy.relocation(2)]
+
+
+def test_newline_count_matches_visible_bytes(gcode_corpus, monkeypatch):
+    # The consumer trusts ring.newlines; after every ISR-and-epilogue step
+    # it must equal the newlines actually published.  Two schedules: every
+    # line taken at once, and a slow reader that lets lines pile up (and
+    # the ring overflow now and then).  The head rewinds that commit a
+    # value must never take back a newline, since they leave the count.
+    decide = uart._decide_on_first_digit
+    taken_back = []
+
+    def recording_decide(trojan, ring, policy, digit, in_frac):
+        head = ring.head
+        decide(trojan, ring, policy, digit, in_frac)
+        rewound = (head - ring.head) & ring.mask
+        taken_back.append(bytes(ring.storage[(ring.head + i) & ring.mask] for i in range(rewound)))
+
+    monkeypatch.setattr(uart, "_decide_on_first_digit", recording_decide)
+    docs = [random_document(seed) for seed in range(40)] + list(gcode_corpus.values())
+    for doc in docs:
+        for policy in COUNT_POLICIES:
+            for slow in (False, True):
+                sim = UartSimulation(policy)
+                for i, ch in enumerate(doc):
+                    sim.feed_char(ch)
+                    assert sim.ring.newlines == sim.ring.visible().count(b"\n")
+                    if not slow:
+                        sim.drain()
+                    elif i % 16 == 0:
+                        sim.read_line()
+    assert len(taken_back) > 1000
+    assert all(b"\n" not in cells for cells in taken_back)
+
+
+def test_lines_straddling_index_zero(gcode_corpus, monkeypatch):
+    # A 64-byte ring wraps every few lines: the consumer's two-slice path
+    # must reassemble them byte-identically, with nothing dropped.
+    readline = uart.consumer_readline
+    wrapped = []
+
+    def recording_readline(ring):
+        tail = ring.tail
+        line = readline(ring)
+        wrapped.append(0 < ring.tail < tail)
+        return line
+
+    monkeypatch.setattr(uart, "consumer_readline", recording_readline)
+    for name, doc in gcode_corpus.items():
+        for policy in (TamperPolicy.reduction(Fraction(3, 10)), TamperPolicy.relocation(2)):
+            sim = UartSimulation(policy, rx_buffer_size=64)
+            out = sim.feed(doc)
+            out.append(sim.flush_residual())
+            assert "".join(out) == apply_policy(doc, policy), name
+            assert sim.stats.dropped == 0, name
+    assert sum(wrapped) > 100
 
 
 # --- failure modes ---------------------------------------------------------------
