@@ -42,7 +42,7 @@ class ZeroReferenceTotal(FlawsimError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SegmentRecord:
     index: int
     kind: str  # G0 / G1
@@ -123,7 +123,7 @@ class AuditReport:
 
 _MOVE_NUMBERS = (0, 1)
 _TRAVEL_EPS = 1e-9
-_MOVE_PREFIX = re.compile(r" *G(?:0|1|92)(?!\d)")
+_MOVE_PREFIX = re.compile(r" *G(?:0|1|92)(?![0-9])")
 
 
 def _looks_like_move(line: ParsedLine) -> bool:

@@ -1,23 +1,31 @@
 """Signed fixed-point values at scale 10^4.
 
 This is the arithmetic both tampering paths share: the in-stream state
-machine accumulates digits exactly the way parse() does, so a value that
-round-trips here round-trips there.  Rounding is half away from zero
-everywhere (deterministic and sign-symmetric).
+machine accumulates digits to the same raw value parse() computes, so a
+value that round-trips here round-trips there.  Rounding is half away
+from zero everywhere (deterministic and sign-symmetric).
 
 parse() honours at most five fractional digits: the fifth digit decides
 the final rounding and anything after it is ignored.  For finite decimal
-inputs that is exactly half-away-from-zero at four decimals.
+inputs that is exactly half-away-from-zero at four decimals.  Digits are
+ASCII 0-9 only, as in the firmware's NUMERIC().
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import FlawsimError
 
 SCALE = 10_000
 MAX_RAW = 2**31 - 1  # accumulator must fit 4 signed bytes
+_MAX_INT_DIGITS = len(str(MAX_RAW // SCALE))
+
+# Sign, integer digits, fraction digits: at least one ASCII digit, at most
+# one point.  Python's \d would also take every Unicode decimal digit.
+VALUE_PATTERN = r"([-+]?)(?=\.?[0-9])([0-9]*)(?:\.([0-9]*))?"
+_LITERAL_RE = re.compile(VALUE_PATTERN)
 
 
 class FixedPointOverflow(FlawsimError):
@@ -39,6 +47,27 @@ def div_round_half_away(numerator: int, denominator: int) -> int:
     return sign * q
 
 
+def raw_from_digits(sign: str, int_digits: str, frac_digits: str) -> int:
+    """Raw value of a literal already split by VALUE_PATTERN (an absent
+    group given as "").
+
+    The fifth fraction digit rounds half away from zero; later digits are
+    ignored.  Raises FixedPointOverflow past MAX_RAW.
+    """
+    if len(int_digits) > _MAX_INT_DIGITS:
+        # leading zeros are legal; anything longer cannot fit (and int()
+        # refuses strings past sys.get_int_max_str_digits())
+        int_digits = int_digits.lstrip("0")
+        if len(int_digits) > _MAX_INT_DIGITS:
+            raise FixedPointOverflow("value exceeds the 32-bit budget")
+    raw = int(int_digits + (frac_digits + "0000")[:4])
+    if len(frac_digits) > 4 and frac_digits[4] >= "5":
+        raw += 1
+    if raw > MAX_RAW:
+        raise FixedPointOverflow("value exceeds the 32-bit budget")
+    return -raw if sign == "-" else raw
+
+
 @dataclass(frozen=True, order=True)
 class FixedPoint:
     raw: int  # value * 10^4
@@ -54,47 +83,10 @@ class FixedPoint:
     @classmethod
     def parse(cls, text: str) -> "FixedPoint":
         """Parse a plain decimal literal ('2', '-1.5', '4.1234', '.5')."""
-        s = text.strip()
-        if not s:
-            raise FixedPointSyntax("empty numeric field")
-        sign = 1
-        i = 0
-        if s[0] in "+-":
-            sign = -1 if s[0] == "-" else 1
-            i = 1
-        acc = 0
-        frac = -1  # -1: integer part; 0..4: fraction digits seen; 5: done
-        seen_digit = False
-        for ch in s[i:]:
-            if ch == ".":
-                if frac >= 0:
-                    raise FixedPointSyntax(f"two decimal points in {text!r}")
-                frac = 0
-            elif ch.isdigit():
-                seen_digit = True
-                d = ord(ch) - 48
-                if frac < 0:
-                    acc = acc * 10 + d
-                elif frac < 4:
-                    acc = acc * 10 + d
-                    frac += 1
-                elif frac == 4:
-                    acc += 1 if d >= 5 else 0
-                    frac = 5
-                # extra digits past the rounding digit are ignored
-                if acc > MAX_RAW:
-                    raise FixedPointOverflow(f"{text!r} exceeds the 32-bit budget")
-            else:
-                raise FixedPointSyntax(f"bad character {ch!r} in {text!r}")
-        if not seen_digit:
-            raise FixedPointSyntax(f"no digits in {text!r}")
-        if frac < 0:
-            frac = 0
-        if frac < 4:
-            acc *= 10 ** (4 - frac)
-        if acc > MAX_RAW:
-            raise FixedPointOverflow(f"{text!r} exceeds the 32-bit budget")
-        return cls(sign * acc)
+        m = _LITERAL_RE.fullmatch(text.strip())
+        if m is None:
+            raise FixedPointSyntax(f"not a decimal literal: {text!r}")
+        return cls(raw_from_digits(*m.groups("")))
 
     def to_text(self) -> str:
         """Minimal-digit rendering: trailing zeros trimmed, <=4 decimals."""

@@ -5,7 +5,9 @@ understood, so unedited lines re-serialize byte-for-byte and edits are
 local string surgery.  The grammar is the strict slicer dialect the
 streaming interceptor also speaks: one command per line, parameters as
 LETTER immediately followed by a decimal value, tokens separated by runs
-of spaces, ';' starts a comment that runs to end of line.
+of spaces, ';' starts a comment that runs to end of line.  Digits are
+ASCII 0-9 only, as in the firmware's NUMERIC(); any other digit (Python's
+\\d would take every Unicode decimal digit) makes the region malformed.
 
 Lines that are not commands (blank, comment-only) or whose parameter
 region does not fit the grammar are classified OTHER and passed through
@@ -17,13 +19,18 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .fixedpoint import FixedPoint, FixedPointOverflow, FixedPointSyntax
+from .fixedpoint import VALUE_PATTERN, FixedPoint, FixedPointOverflow, raw_from_digits
 
-_CMD_RE = re.compile(r"^(?P<lead> *)(?P<letter>[A-Z])(?P<number>\d+)")
-_PARAM_RE = re.compile(r"(?P<ws> +)(?P<letter>[A-Z])(?P<value>[-+]?(?:\d+\.?\d*|\.\d+))")
+_CMD = r" *([A-Z])([0-9]+)"
+_PARAM = r" +([A-Z])" + VALUE_PATTERN
+_CMD_RE = re.compile(_CMD)
+_PARAM_RE = re.compile(_PARAM)
+# A well-formed command: parameters, then only whitespace (\s matches
+# exactly the characters str.isspace accepts).
+_LINE_RE = re.compile(rf"{_CMD}(?:{_PARAM})*\s*")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Param:
     letter: str
     value: FixedPoint
@@ -32,7 +39,7 @@ class Param:
     value_end: int  # one past the last value character
 
 
-@dataclass
+@dataclass(slots=True)
 class ParsedLine:
     """One source line: body text (no newline) plus its line terminator."""
 
@@ -48,11 +55,6 @@ class ParsedLine:
     @property
     def is_command(self) -> bool:
         return self.letter is not None
-
-    def command(self) -> str | None:
-        if self.letter is None:
-            return None
-        return f"{self.letter}{self.number}"
 
     def param(self, letter: str) -> Param | None:
         for p in self.params:
@@ -85,52 +87,34 @@ def split_lines(doc: str) -> list[tuple[str, str]]:
 
 
 def parse_line(body: str, eol: str = "\n") -> ParsedLine:
-    line = ParsedLine(body, eol)
     comment = body.find(";")
-    code = body if comment < 0 else body[:comment]
-    if comment >= 0:
-        line.comment_start = comment
-    m = _CMD_RE.match(code)
-    if not m:
-        return line
-    pos = m.end()
-    params: list[Param] = []
-    while pos < len(code):
-        pm = _PARAM_RE.match(code, pos)
-        if not pm:
-            if code[pos:].strip() == "":
-                break
-            line.malformed = True
-            return line  # malformed parameter region: treat as OTHER
-        try:
-            value = FixedPoint.parse(pm.group("value"))
-        except (FixedPointSyntax, FixedPointOverflow):
-            line.malformed = True
-            return line
-        params.append(
+    if comment < 0:
+        code, comment_start = body, None
+    else:
+        code, comment_start = body[:comment], comment
+    m = _LINE_RE.fullmatch(code)
+    if m is None:
+        malformed = _CMD_RE.match(code) is not None
+        return ParsedLine(body, eol, comment_start=comment_start, malformed=malformed)
+    try:
+        params = [
             Param(
-                letter=pm.group("letter"),
-                value=value,
-                ws_start=pm.start("ws"),
-                value_start=pm.start("value"),
-                value_end=pm.end("value"),
+                letter,
+                FixedPoint(raw_from_digits(sign, int_digits, frac_digits)),
+                pm.start(),
+                pm.start(2),
+                pm.end(),
             )
-        )
-        pos = pm.end()
-    line.letter = m.group("letter")
-    line.number = int(m.group("number"))
-    line.number_span = (m.start("number"), m.end("number"))
-    line.params = params
-    return line
+            for pm in _PARAM_RE.finditer(code, m.end(2))
+            for letter, sign, int_digits, frac_digits in (pm.groups(""),)
+        ]
+    except FixedPointOverflow:
+        return ParsedLine(body, eol, comment_start=comment_start, malformed=True)
+    return ParsedLine(body, eol, m[1], int(m[2]), m.span(2), params, comment_start)
 
 
 def parse_document(doc: str) -> list[ParsedLine]:
     return [parse_line(body, eol) for body, eol in split_lines(doc)]
-
-
-def replace_param_value(line: ParsedLine, param: Param, new_text: str) -> str:
-    """Body text with one parameter's value text swapped out."""
-    return line.body[: param.value_start] + new_text + line.body[param.value_end :]
 
 
 def drop_param_convert_travel(line: ParsedLine, param: Param) -> str:

@@ -72,8 +72,10 @@ def test_account_insensitive_to_comments_and_blank_lines():
 
 
 def test_account_parse_error_on_bad_move():
-    with pytest.raises(ParseError):
-        account("G1 E4 X@3\n")
+    # "\u0663" is an Arabic-Indic three: a digit to \d, not to the grammar
+    for doc in ("G1 E4 X@3\n", "G1 X1 E\u0663\n"):
+        with pytest.raises(ParseError):
+            account(doc)
 
 
 def test_account_ignores_non_move_commands():

@@ -50,7 +50,9 @@ def test_parse_matches_decimal_oracle():
 
 
 def test_parse_syntax_errors():
-    for bad in ("", "  ", "1.2.3", "abc", "--4", "1e3", "."):
+    # superscript two, Arabic-Indic three and fullwidth one are digits to
+    # isdigit() or \d, not to the firmware's NUMERIC()
+    for bad in ("", "  ", "1.2.3", "abc", "--4", "1e3", ".", "\xb2", "\u0663", "1.\u0663", "\uff11"):
         with pytest.raises(FixedPointSyntax):
             FixedPoint.parse(bad)
 
@@ -58,7 +60,10 @@ def test_parse_syntax_errors():
 def test_parse_overflow():
     with pytest.raises(FixedPointOverflow):
         FixedPoint.parse("9999999999")
+    with pytest.raises(FixedPointOverflow):
+        FixedPoint.parse("9" * 5000)  # past int()'s digit limit: still an overflow
     FixedPoint.parse("214748.3647")  # == MAX_RAW exactly
+    assert FixedPoint.parse("0" * 5000 + "1.5").raw == 15_000  # leading zeros fit
 
 
 def test_format_trims_trailing_zeros():

@@ -26,7 +26,7 @@ def test_unedited_lines_reserialize_byte_for_byte(gcode_corpus):
 
 def test_parse_line_structure():
     line = parse_line("G1 X2.5 Y-3 E4.1234 ; shell", "\n")
-    assert line.command() == "G1"
+    assert (line.letter, line.number) == ("G", 1)
     assert [p.letter for p in line.params] == ["X", "Y", "E"]
     assert line.param("E").value.raw == 41_234
     assert line.body[line.comment_start :] == "; shell"
@@ -36,6 +36,75 @@ def test_parse_line_malformed_params():
     line = parse_line("G1 E4 X@3")
     assert not line.is_command
     assert line.malformed
+
+
+NINES = "9" * 5000  # int() refuses strings this long; the parser must not raise
+
+
+def cmd(params, number_span=(1, 2), comment_start=None):
+    return ("G", 1, number_span, params, comment_start, False)
+
+
+def other(comment_start=None, malformed=False):
+    return (None, None, None, [], comment_start, malformed)
+
+
+EDGE_CASES = [
+    # values
+    ("G1 E0000000000000001.5", cmd([("E", 15_000, 2, 4, 22)])),
+    ("G1 E" + NINES, other(malformed=True)),
+    ("G1 X214748.3647", cmd([("X", 2_147_483_647, 2, 4, 15)])),
+    ("G1 X-214748.3647", cmd([("X", -2_147_483_647, 2, 4, 16)])),
+    ("G1 X214748.36475", other(malformed=True)),
+    ("G1 E0.41235", cmd([("E", 4_124, 2, 4, 11)])),
+    ("G1 E-0.00005", cmd([("E", -1, 2, 4, 12)])),
+    ("G1 E1.0000049", cmd([("E", 10_000, 2, 4, 13)])),
+    ("G1 E-0", cmd([("E", 0, 2, 4, 6)])),
+    ("G1 E+.5", cmd([("E", 5_000, 2, 4, 7)])),
+    ("G1 E5.", cmd([("E", 50_000, 2, 4, 6)])),
+    ("G1 E.", other(malformed=True)),
+    ("G1 E-", other(malformed=True)),
+    # trailing whitespace is anything str.isspace() accepts
+    ("G1 X1\t", cmd([("X", 10_000, 2, 4, 5)])),
+    ("G1 X1\r", cmd([("X", 10_000, 2, 4, 5)])),
+    ("G1 X1\xa0", cmd([("X", 10_000, 2, 4, 5)])),
+    ("G1 X1\t Y2", other(malformed=True)),
+    # token shapes
+    ("G1X5", other(malformed=True)),
+    ("G1 X1.2.3", other(malformed=True)),
+    ("G1 E5 *12", other(malformed=True)),
+    ("G1 x1", other(malformed=True)),
+    ("   G1 X1", cmd([("X", 10_000, 5, 7, 8)], number_span=(4, 5))),
+    ("G1  X1  E2", cmd([("X", 10_000, 2, 5, 6), ("E", 20_000, 6, 9, 10)])),
+    ("G1 X1 X2", cmd([("X", 10_000, 2, 4, 5), ("X", 20_000, 5, 7, 8)])),
+    ("M73", ("M", 73, (1, 3), [], None, False)),
+    # comments and empty lines
+    ("", other()),
+    ("; layer 2", other(comment_start=0)),
+    ("  ;G1 X1", other(comment_start=2)),
+    ("G1 X1;E5", cmd([("X", 10_000, 2, 4, 5)], comment_start=5)),
+    ("G1 X;1", other(comment_start=4, malformed=True)),
+    # ASCII digits only: other Unicode digits are not digits here
+    ("G1 E\u0663", other(malformed=True)),
+    ("G1 E\xb2", other(malformed=True)),
+    ("G1 X1 E5\u0663", other(malformed=True)),
+    ("G\u0661 X1 E5", other()),
+]
+
+
+@pytest.mark.parametrize(
+    "body, expected", [pytest.param(b, e, id=ascii(b)[:32]) for b, e in EDGE_CASES]
+)
+def test_parse_line_edge_table(body, expected):
+    line = parse_line(body)
+    params = [(p.letter, p.value.raw, p.ws_start, p.value_start, p.value_end) for p in line.params]
+    got = (line.letter, line.number, line.number_span, params, line.comment_start, line.malformed)
+    assert got == expected
+    assert line.text() == body + "\n"
+
+
+def test_param_returns_first_duplicate():
+    assert parse_line("G1 X1 X2").param("X").value.raw == 10_000
 
 
 # --- reduction -------------------------------------------------------------------
@@ -71,6 +140,14 @@ def test_reduction_total_within_one_ulp_per_edited_line():
         exact = account(doc).total_extrusion.raw * Fraction(den - num, den)
         got = account(reduced).total_extrusion.raw
         assert abs(got - exact) <= len(lines)
+
+
+def test_reduction_leaves_non_ascii_digit_lines_alone():
+    # "\u0663" and "\u0661" are Arabic-Indic digits: int() and \d accept
+    # them, the firmware does not.  "E\u0663" makes its line malformed and
+    # "G\u0661" is no command, so both pass through untouched.
+    doc = "G1 X1 E4\nG1 X2 E\u0663\nG\u0661 X3 E5\n"
+    assert transform_reduction(doc, Fraction(1, 2)) == "G1 X1 E2\nG1 X2 E\u0663\nG\u0661 X3 E5\n"
 
 
 def test_reduction_preserves_non_target_bytes():
