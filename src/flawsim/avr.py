@@ -11,11 +11,12 @@ addresses in the encoding and are converted to byte addresses here.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import FlawsimError
-from .memory import FlashImage
+from .memory import AddressOutOfRange, FlashImage
 
 SPL_IO_ADDR = 0x3D
 SPH_IO_ADDR = 0x3E
@@ -232,24 +233,26 @@ def format_insn(insn: DecodedInsn) -> str:
 
 # --- stack-steal pattern ---------------------------------------------------
 
-_OUT_SPH_R29 = enc_out(SPH_IO_ADDR, 29)
-_OUT_SPL_R28 = enc_out(SPL_IO_ADDR, 28)
+# ldi r28, <any>; ldi r29, <any>; out SPH, r29; out SPL, r28 as flash bytes
+# (little-endian words): each ldi is 0xE<hi><reg-16><lo>.
+_SP_INIT_RE = re.compile(
+    rb"[\xc0-\xcf][\xe0-\xef][\xd0-\xdf][\xe0-\xef]"
+    + re.escape(words_to_bytes(enc_out(SPH_IO_ADDR, 29), enc_out(SPL_IO_ADDR, 28)))
+)
 
 
-def _match_sp_init(image: FlashImage, offset: int) -> SpInitSite | None:
-    w0 = image.read_word(offset)
-    if (w0 & 0xF0F0) != 0xE0C0:  # ldi r28, <any>
-        return None
-    w1 = image.read_word(offset + 2)
-    if (w1 & 0xF0F0) != 0xE0D0:  # ldi r29, <any>
-        return None
-    if image.read_word(offset + 4) != _OUT_SPH_R29:
-        return None
-    if image.read_word(offset + 6) != _OUT_SPL_R28:
-        return None
-    spl = ((w0 >> 4) & 0xF0) | (w0 & 0x0F)
-    sph = ((w1 >> 4) & 0xF0) | (w1 & 0x0F)
-    return SpInitSite(offset, spl, sph)
+def _sp_init_sites(data: bytes, start: int, end: int):
+    """Yield every stack-pointer-init sequence lying wholly inside
+    data[start:end] at an even offset, lowest first."""
+    search = _SP_INIT_RE.search
+    m = search(data, start, end)
+    while m is not None:
+        offset = m.start()
+        if offset % 2 == 0:  # an odd hit straddles two instruction words
+            spl = ((data[offset + 1] & 0x0F) << 4) | (data[offset] & 0x0F)
+            sph = ((data[offset + 3] & 0x0F) << 4) | (data[offset + 2] & 0x0F)
+            yield SpInitSite(offset, spl, sph)
+        m = search(data, offset + 1, end)
 
 
 def find_sp_init(image: FlashImage, start: int = 0, end: int | None = None) -> SpInitSite:
@@ -257,14 +260,21 @@ def find_sp_init(image: FlashImage, start: int = 0, end: int | None = None) -> S
 
     The two LDI immediates are wildcards (compilers vary them by RAM
     size); the register/port shape is exact.  Lowest even offset wins.
+    A window that starts below 0, or runs past the end of flash with no
+    sequence before it, raises AddressOutOfRange.
     """
+    size = image.layout.flash_size
     if end is None:
-        end = image.layout.flash_size
+        end = size
     lo = start + (start % 2)
-    for offset in range(lo, end - 7, 2):
-        site = _match_sp_init(image, offset)
-        if site is not None:
-            return site
+    if lo + 8 > end:
+        raise PatternNotFound("no stack-pointer init sequence found")
+    if lo < 0:
+        raise AddressOutOfRange(f"scan window starts at {lo:#x}, below flash")
+    for site in _sp_init_sites(image.data, lo, end):
+        return site
+    if end > size:
+        raise AddressOutOfRange(f"scan window ends at {end:#x}, past flash of {size:#x} bytes")
     raise PatternNotFound("no stack-pointer init sequence found")
 
 

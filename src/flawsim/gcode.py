@@ -11,7 +11,9 @@ ASCII 0-9 only, as in the firmware's NUMERIC(); any other digit (Python's
 
 Lines that are not commands (blank, comment-only) or whose parameter
 region does not fit the grammar are classified OTHER and passed through
-untouched.
+untouched.  So are command lines whose number or a parameter value
+overflows the 32-bit budget (a command number past 2**31 - 1 also
+overflows the streaming interceptor's accumulator).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .fixedpoint import VALUE_PATTERN, FixedPoint, FixedPointOverflow, raw_from_digits
+from .fixedpoint import MAX_RAW, VALUE_PATTERN, FixedPoint, FixedPointOverflow, raw_from_digits
 
 _CMD = r" *([A-Z])([0-9]+)"
 _PARAM = r" +([A-Z])" + VALUE_PATTERN
@@ -97,6 +99,14 @@ def parse_line(body: str, eol: str = "\n") -> ParsedLine:
         malformed = _CMD_RE.match(code) is not None
         return ParsedLine(body, eol, comment_start=comment_start, malformed=malformed)
     try:
+        number = int(m[2])
+    except ValueError:
+        # int() refuses 4,300+ digits, leading zeros included; eleven
+        # significant digits are already past MAX_RAW
+        number = int(m[2].lstrip("0")[:11] or "0")
+    if number > MAX_RAW:  # the stream's 32-bit accumulator overflows here too
+        return ParsedLine(body, eol, comment_start=comment_start, malformed=True)
+    try:
         params = [
             Param(
                 letter,
@@ -110,7 +120,7 @@ def parse_line(body: str, eol: str = "\n") -> ParsedLine:
         ]
     except FixedPointOverflow:
         return ParsedLine(body, eol, comment_start=comment_start, malformed=True)
-    return ParsedLine(body, eol, m[1], int(m[2]), m.span(2), params, comment_start)
+    return ParsedLine(body, eol, m[1], number, m.span(2), params, comment_start)
 
 
 def parse_document(doc: str) -> list[ParsedLine]:

@@ -144,17 +144,6 @@ class FlashImage:
         )
 
 
-def diff_images(a: FlashImage, b: FlashImage, limit: int = 64) -> list[tuple[int, int, int]]:
-    """Byte-level diff [(addr, a_byte, b_byte), ...], truncated at limit."""
-    out = []
-    for addr, (x, y) in enumerate(zip(a.data, b.data)):
-        if x != y:
-            out.append((addr, x, y))
-            if len(out) >= limit:
-                break
-    return out
-
-
 # --- Intel HEX ----------------------------------------------------------
 
 _REC_DATA = 0x00

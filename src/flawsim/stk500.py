@@ -23,9 +23,6 @@ request/response; independent sessions share nothing.
 
 from __future__ import annotations
 
-import socket
-import socketserver
-import threading
 from dataclasses import dataclass, field
 
 from . import avr
@@ -85,15 +82,24 @@ class Stk500Frame:
         return frame_encode(self.body, self.sequence)
 
 
+def _xor(data: bytes) -> int:
+    """XOR of every byte of data: the bytes as one integer, folded in halves."""
+    x = int.from_bytes(data, "little")
+    # halving a power-of-two byte width keeps each fold's low bits exact,
+    # so no step needs a mask: the bits above them are never read
+    shift = 4 << (len(data) - 1).bit_length()
+    while shift >= 8:
+        x ^= x >> shift
+        shift >>= 1
+    return x & 0xFF
+
+
 def frame_encode(body: bytes, sequence: int = 0) -> bytes:
     if len(body) > 0xFFFF:
         raise ValueError("body exceeds 65535 bytes")
     head = bytes([MESSAGE_START, sequence & 0xFF, len(body) >> 8, len(body) & 0xFF, TOKEN])
     payload = head + bytes(body)
-    checksum = 0
-    for b in payload:
-        checksum ^= b
-    return payload + bytes([checksum])
+    return payload + bytes([_xor(payload)])
 
 
 def frame_decode(data: bytes) -> Stk500Frame:
@@ -104,40 +110,56 @@ def frame_decode(data: bytes) -> Stk500Frame:
     return frame
 
 
-def _decode_prefix(data: bytes) -> tuple[Stk500Frame, int]:
+def _frame_length(data: bytes) -> int:
+    """Length of the frame at the start of data, from its checked header."""
     if len(data) < 6:
         raise Truncated("frame header incomplete")
     if data[0] != MESSAGE_START:
         raise BadStart(f"expected {MESSAGE_START:#04x}, got {data[0]:#04x}")
-    size = (data[2] << 8) | data[3]
     if data[4] != TOKEN:
         raise BadToken(f"expected {TOKEN:#04x}, got {data[4]:#04x}")
-    total = 6 + size
+    return 6 + ((data[2] << 8) | data[3])
+
+
+def _decode_prefix(data: bytes) -> tuple[Stk500Frame, int]:
+    total = _frame_length(data)
     if len(data) < total:
         raise Truncated(f"need {total} bytes, have {len(data)}")
-    checksum = 0
-    for b in data[: total - 1]:
-        checksum ^= b
-    if checksum != data[total - 1]:
-        raise ChecksumMismatch(f"computed {checksum:#04x}, frame says {data[total - 1]:#04x}")
+    # the XOR of a frame including its checksum byte is 0
+    residue = _xor(data if len(data) == total else data[:total])
+    if residue:
+        stated = data[total - 1]
+        raise ChecksumMismatch(f"computed {residue ^ stated:#04x}, frame says {stated:#04x}")
     return Stk500Frame(sequence=data[1], body=bytes(data[5 : total - 1])), total
 
 
 class FrameReader:
-    """Incremental reassembly over an arbitrarily-chunked byte stream."""
+    """Incremental reassembly over an arbitrarily-chunked byte stream.
+
+    A frame is decoded once all of it is buffered.  BadStart and BadToken
+    raise from the feed that brings the buffered frame to 6 bytes;
+    ChecksumMismatch raises from the feed that completes it.  The bad bytes
+    stay buffered, so every later feed raises the same error.
+    """
 
     def __init__(self):
         self._buf = bytearray()
+        self._total = 0  # length of the buffered frame once its header is checked
 
     def feed(self, data: bytes) -> list[Stk500Frame]:
-        self._buf += data
+        buf = self._buf
+        buf += data
         frames = []
         while True:
-            try:
-                frame, used = _decode_prefix(bytes(self._buf))
-            except Truncated:
+            if not self._total:
+                if len(buf) < 6:
+                    return frames
+                self._total = _frame_length(buf)
+            if len(buf) < self._total:
                 return frames
-            del self._buf[:used]
+            frame, used = _decode_prefix(buf)
+            del buf[:used]
+            self._total = 0
             frames.append(frame)
 
 
@@ -225,11 +247,8 @@ class BootSession:
         lo = max(0, page_start - 7)
         lo += lo % 2
         hi = min(self.layout.boot_start, page_end + 7)
-        for offset in range(lo, hi - 7, 2):
-            if not self._received.covers(offset, offset + 8):
-                continue
-            site = avr._match_sp_init(self.image, offset)
-            if site is None:
+        for site in avr._sp_init_sites(self.image.data, lo, hi):
+            if not self._received.covers(site.offset, site.offset + 8):
                 continue
             try:
                 self.image = apply_stack_steal(self.image, site, self.steal_n)
@@ -326,45 +345,6 @@ class PipeTransport:
         return out
 
 
-class SocketTransport:
-    def __init__(self, sock: socket.socket):
-        self.sock = sock
-
-    def write(self, data: bytes):
-        self.sock.sendall(data)
-
-    def read(self, n: int) -> bytes:
-        return self.sock.recv(n)
-
-
-class Stk500TcpServer(socketserver.ThreadingTCPServer):
-    """Optional TCP front end; binds only where explicitly asked."""
-
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, address: tuple[str, int], session_factory):
-        self.session_factory = session_factory
-        super().__init__(address, _TcpHandler)
-
-    def serve_in_background(self) -> threading.Thread:
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
-        thread.start()
-        return thread
-
-
-class _TcpHandler(socketserver.BaseRequestHandler):
-    def handle(self):
-        session = self.server.session_factory()
-        reader = FrameReader()
-        while True:
-            data = self.request.recv(4096)
-            if not data:
-                return
-            for frame in reader.feed(data):
-                self.request.sendall(serve(session, frame).encode())
-
-
 # --- programmer client ------------------------------------------------------
 
 
@@ -429,12 +409,10 @@ def used_span(firmware: FlashImage, page_size: int | None = None) -> tuple[int, 
     if page_size is None:
         page_size = firmware.layout.page_size
     data = firmware.data
-    first = next((i for i, b in enumerate(data) if b != 0xFF), None)
-    if first is None:
+    last = len(data.rstrip(b"\xff")) - 1
+    if last < 0:
         return (0, 0)
-    last = len(data) - 1
-    while data[last] == 0xFF:
-        last -= 1
+    first = len(data) - len(data.lstrip(b"\xff"))
     start = (first // page_size) * page_size
     end = ((last // page_size) + 1) * page_size
     return start, end
@@ -471,7 +449,9 @@ def program_and_verify(
     stored = session.image.read(start, end - start)
     mismatches = [
         (start + i, readback[i], stored[i])
-        for i in range(len(readback))
+        for page in range(0, len(readback), page_size)
+        if readback[page : page + page_size] != stored[page : page + page_size]
+        for i in range(page, min(page + page_size, len(readback)))
         if readback[i] != stored[i]
     ]
     return VerifyOutcome(

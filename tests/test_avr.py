@@ -28,7 +28,7 @@ from flawsim.avr import (
     revert_stack_steal,
     words_to_bytes,
 )
-from flawsim.memory import FlashImage, MemoryLayout
+from flawsim.memory import AddressOutOfRange, FlashImage, MemoryLayout
 
 LAYOUT = MemoryLayout()
 
@@ -165,6 +165,95 @@ def test_find_sp_init_lowest_offset_wins():
     site = find_sp_init(img)
     assert site.offset == min(brute_force_sites(img)) == 0x2000
     assert site.spl_immediate == 0x55
+
+
+SMALL = MemoryLayout(flash_size=4096, boot_section_size=512, page_size=64)
+
+
+def sp_init_bytes(spl: int = 0, sph: int = 0) -> bytes:
+    return words_to_bytes(enc_ldi(28, spl), enc_ldi(29, sph), enc_out(0x3E, 29), enc_out(0x3D, 28))
+
+
+def naive_find_sp_init(img: FlashImage, start: int, end: int):
+    """First (offset, spl, sph) in [start, end), one even offset at a time."""
+    data = img.data
+    for off in range(start + start % 2, end - 7, 2):
+        w = [data[off + i] | (data[off + i + 1] << 8) for i in (0, 2, 4, 6)]
+        if (
+            (w[0] & 0xF0F0) == 0xE0C0
+            and (w[1] & 0xF0F0) == 0xE0D0
+            and w[2] == enc_out(0x3E, 29)
+            and w[3] == enc_out(0x3D, 28)
+        ):
+            spl = ((w[0] >> 4) & 0xF0) | (w[0] & 0x0F)
+            sph = ((w[1] >> 4) & 0xF0) | (w[1] & 0x0F)
+            return off, spl, sph
+    return None
+
+
+def random_sp_image(rng: random.Random) -> tuple[FlashImage, list[int]]:
+    """Random bytes with sp-init sequences planted at even offsets, the
+    same bytes at odd offsets (decoys), and near misses."""
+    img = FlashImage(SMALL, bytearray(rng.randbytes(SMALL.flash_size)))
+    planted = []
+    for _ in range(rng.randrange(0, 4)):
+        off = rng.randrange(0, SMALL.flash_size - 8, 2)
+        img.write(off, sp_init_bytes(rng.randrange(256), rng.randrange(256)))
+        planted.append(off)
+    for _ in range(rng.randrange(0, 6)):
+        off = rng.randrange(1, SMALL.flash_size - 8, 2)
+        img.write(off, sp_init_bytes(rng.randrange(256), rng.randrange(256)))
+    for _ in range(rng.randrange(0, 6)):  # one byte off the shape
+        near = bytearray(sp_init_bytes())
+        near[rng.randrange(8)] ^= 1 << rng.randrange(4, 8)
+        img.write(rng.randrange(0, SMALL.flash_size - 8, 2), bytes(near))
+    return img, planted
+
+
+def test_find_sp_init_matches_naive_scan_on_random_images():
+    rng = random.Random(21)
+    size = SMALL.flash_size
+    checked = found = 0
+    for _ in range(150):
+        img, planted = random_sp_image(rng)
+        windows = [(0, size), (1, size), (0, None)]
+        for off in planted:  # edges that cut a planted sequence
+            windows += [(off + rng.randrange(1, 8), size), (0, off + rng.randrange(1, 8)), (off, off + 8)]
+        windows += [tuple(sorted(rng.randrange(size + 1) for _ in range(2))) for _ in range(4)]
+        for start, end in windows:
+            expected = naive_find_sp_init(img, start, size if end is None else end)
+            try:
+                site = find_sp_init(img, start, end)
+            except PatternNotFound:
+                assert expected is None, (start, end)
+            else:
+                assert (site.offset, site.spl_immediate, site.sph_immediate) == expected, (start, end)
+                found += 1
+            checked += 1
+    assert found > checked // 4
+
+
+def test_find_sp_init_ignores_odd_offset_sequences():
+    img = FlashImage(SMALL)
+    img.write(0x101, sp_init_bytes())
+    with pytest.raises(PatternNotFound):
+        find_sp_init(img)
+    img.write(0x200, sp_init_bytes())
+    assert find_sp_init(img).offset == 0x200
+    assert find_sp_init(img, 0x101).offset == 0x200  # an odd start rounds up
+
+
+@pytest.mark.parametrize("start, end", [(-2, 64), (-7, 4096), (0, 4096 + 8), (4000, 5000), (4098, 4200)])
+def test_find_sp_init_out_of_range_window_raises(start, end):
+    img = FlashImage(SMALL)
+    with pytest.raises(AddressOutOfRange):
+        find_sp_init(img, start, end)
+
+
+def test_find_sp_init_site_before_flash_end_wins_over_range_error():
+    img = FlashImage(SMALL)
+    img.write(0x100, sp_init_bytes())
+    assert find_sp_init(img, 0, SMALL.flash_size + 64).offset == 0x100
 
 
 def test_apply_stack_steal_patches_single_word():

@@ -78,6 +78,11 @@ EDGE_CASES = [
     ("G1  X1  E2", cmd([("X", 10_000, 2, 5, 6), ("E", 20_000, 6, 9, 10)])),
     ("G1 X1 X2", cmd([("X", 10_000, 2, 4, 5), ("X", 20_000, 5, 7, 8)])),
     ("M73", ("M", 73, (1, 3), [], None, False)),
+    # command numbers: leading zeros are legal, past 2**31 - 1 is malformed
+    ("G" + "0" * 5000 + "1", ("G", 1, (1, 5002), [], None, False)),
+    ("G2147483647", ("G", 2_147_483_647, (1, 11), [], None, False)),
+    ("G2147483648 X1", other(malformed=True)),
+    ("G" + "1" * 5000, other(malformed=True)),
     # comments and empty lines
     ("", other()),
     ("; layer 2", other(comment_start=0)),
