@@ -17,7 +17,7 @@ import statistics
 from dataclasses import dataclass, field
 
 from .errors import FlawsimError
-from .fixedpoint import FixedPoint
+from .fixedpoint import SCALE, FixedPoint
 from .gcode import ParsedLine, parse_document
 
 RELOCATION_SIGNATURE = "RelocationSignature"
@@ -121,9 +121,11 @@ class AuditReport:
         return "\n".join(rows) + "\n"
 
 
-_MOVE_NUMBERS = (0, 1)
+_MOVE_KINDS = ("G0", "G1")  # by command number
+_MOVE_NUMBERS = (0, 1, 92)  # 92 sets positions, it records no segment
 _TRAVEL_EPS = 1e-9
-_MOVE_PREFIX = re.compile(r" *G(?:0|1|92)(?![0-9])")
+# leading zeros are legal in a command number: G01 is G1, G010 is G10
+_MOVE_PREFIX = re.compile(r" *G0*(?:0|1|92)(?![0-9])")
 
 
 def _looks_like_move(line: ParsedLine) -> bool:
@@ -138,7 +140,7 @@ def account(doc: str) -> AuditReport:
     grammar; non-move noise (comments, status commands) is skipped.
     """
     x = y = z = 0.0
-    e_logical = FixedPoint(0)
+    e_logical = 0  # raw, as every extrusion figure below
     relative_e = False
     segments: list[SegmentRecord] = []
     total_raw = 0
@@ -153,54 +155,53 @@ def account(doc: str) -> AuditReport:
             elif line.number == 83:
                 relative_e = True
             continue
-        if line.letter != "G":
+        if line.letter != "G" or line.number not in _MOVE_NUMBERS:
             continue
-        if line.number == 92:
-            px, py, pz = line.param("X"), line.param("Y"), line.param("Z")
-            if px is not None:
-                x = float(px.value)
-            if py is not None:
-                y = float(py.value)
-            if pz is not None:
-                z = float(pz.value)
-            pe = line.param("E")
-            if pe is not None:
-                e_logical = pe.value
-            continue
-        if line.number not in _MOVE_NUMBERS:
-            continue
+        # the first of duplicate letters wins, as with ParsedLine.param
+        px = py = pz = pe = None
+        for p in reversed(line.params):
+            letter = p.letter
+            if letter == "X":
+                px = p.raw
+            elif letter == "Y":
+                py = p.raw
+            elif letter == "Z":
+                pz = p.raw
+            elif letter == "E":
+                pe = p.raw
         start = (x, y, z)
-        px, py, pz = line.param("X"), line.param("Y"), line.param("Z")
         if px is not None:
-            x = float(px.value)
+            x = px / SCALE
         if py is not None:
-            y = float(py.value)
+            y = py / SCALE
         if pz is not None:
-            z = float(pz.value)
+            z = pz / SCALE
+        if line.number == 92:
+            if pe is not None:
+                e_logical = pe
+            continue
         end = (x, y, z)
         travel = math.dist(start, end)
-        pe = line.param("E")
         if pe is None:
-            delta_e = FixedPoint(0)
+            delta = 0
         elif relative_e:
-            delta_e = pe.value
+            delta = pe
         else:
-            delta_e = pe.value - e_logical
-            e_logical = pe.value
-        flow = float(delta_e) / travel if travel > _TRAVEL_EPS else None
+            delta = pe - e_logical
+            e_logical = pe
         segments.append(
             SegmentRecord(
                 index=len(segments),
-                kind=f"G{line.number}",
+                kind=_MOVE_KINDS[line.number],
                 start=start,
                 end=end,
                 travel=travel,
-                delta_e=delta_e,
-                flow=flow,
+                delta_e=FixedPoint(delta),
+                flow=delta / SCALE / travel if travel > _TRAVEL_EPS else None,
             )
         )
-        if delta_e.raw > 0:
-            total_raw += delta_e.raw
+        if delta > 0:
+            total_raw += delta
     return AuditReport(total_extrusion=FixedPoint(total_raw), segments=segments)
 
 

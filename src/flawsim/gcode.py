@@ -9,11 +9,15 @@ of spaces, ';' starts a comment that runs to end of line.  Digits are
 ASCII 0-9 only, as in the firmware's NUMERIC(); any other digit (Python's
 \\d would take every Unicode decimal digit) makes the region malformed.
 
+A command line is checked and decoded in one walk: the command, then
+each parameter, each starting exactly where the last one ended, then
+nothing but whitespace (anything str.isspace accepts) up to the comment.
 Lines that are not commands (blank, comment-only) or whose parameter
 region does not fit the grammar are classified OTHER and passed through
 untouched.  So are command lines whose number or a parameter value
 overflows the 32-bit budget (a command number past 2**31 - 1 also
-overflows the streaming interceptor's accumulator).
+overflows the streaming interceptor's accumulator).  Parameter values
+stay raw fixed-point integers; ``Param.value`` wraps one on demand.
 """
 
 from __future__ import annotations
@@ -23,22 +27,21 @@ from dataclasses import dataclass, field
 
 from .fixedpoint import MAX_RAW, VALUE_PATTERN, FixedPoint, FixedPointOverflow, raw_from_digits
 
-_CMD = r" *([A-Z])([0-9]+)"
-_PARAM = r" +([A-Z])" + VALUE_PATTERN
-_CMD_RE = re.compile(_CMD)
-_PARAM_RE = re.compile(_PARAM)
-# A well-formed command: parameters, then only whitespace (\s matches
-# exactly the characters str.isspace accepts).
-_LINE_RE = re.compile(rf"{_CMD}(?:{_PARAM})*\s*")
+_CMD_RE = re.compile(r" *([A-Z])([0-9]+)")
+_PARAM_RE = re.compile(r" +([A-Z])" + VALUE_PATTERN)
 
 
 @dataclass(slots=True)
 class Param:
     letter: str
-    value: FixedPoint
+    raw: int  # value * 10^4
     ws_start: int  # offset of the separating spaces before the letter
     value_start: int  # offset of the first value character
     value_end: int  # one past the last value character
+
+    @property
+    def value(self) -> FixedPoint:
+        return FixedPoint(self.raw)
 
 
 @dataclass(slots=True)
@@ -70,21 +73,11 @@ class ParsedLine:
 
 def split_lines(doc: str) -> list[tuple[str, str]]:
     """Split into (body, terminator) pairs, preserving LF/CRLF/ragged EOF."""
-    out = []
-    start = 0
-    n = len(doc)
-    while start < n:
-        nl = doc.find("\n", start)
-        if nl < 0:
-            out.append((doc[start:], ""))
-            break
-        body_end = nl
-        eol = "\n"
-        if body_end > start and doc[body_end - 1] == "\r":
-            body_end -= 1
-            eol = "\r\n"
-        out.append((doc[start:body_end], eol))
-        start = nl + 1
+    bodies = doc.split("\n")
+    last = bodies.pop()  # text after the final newline: a ragged EOF or ""
+    out = [(body[:-1], "\r\n") if body[-1:] == "\r" else (body, "\n") for body in bodies]
+    if last:
+        out.append((last, ""))
     return out
 
 
@@ -94,10 +87,25 @@ def parse_line(body: str, eol: str = "\n") -> ParsedLine:
         code, comment_start = body, None
     else:
         code, comment_start = body[:comment], comment
-    m = _LINE_RE.fullmatch(code)
+    m = _CMD_RE.match(code)
     if m is None:
-        malformed = _CMD_RE.match(code) is not None
-        return ParsedLine(body, eol, comment_start=comment_start, malformed=malformed)
+        return ParsedLine(body, eol, comment_start=comment_start)
+    pos = m.end()
+    params = []
+    try:
+        for pm in _PARAM_RE.finditer(code, pos):
+            start, end = pm.span()
+            if start != pos:
+                break  # a gap: the rest is not whitespace, checked below
+            letter, sign, int_digits, frac_digits = pm.groups("")
+            params.append(
+                Param(letter, raw_from_digits(sign, int_digits, frac_digits), start, pm.start(2), end)
+            )
+            pos = end
+    except FixedPointOverflow:
+        return ParsedLine(body, eol, comment_start=comment_start, malformed=True)
+    if pos < len(code) and not code[pos:].isspace():
+        return ParsedLine(body, eol, comment_start=comment_start, malformed=True)
     try:
         number = int(m[2])
     except ValueError:
@@ -105,20 +113,6 @@ def parse_line(body: str, eol: str = "\n") -> ParsedLine:
         # significant digits are already past MAX_RAW
         number = int(m[2].lstrip("0")[:11] or "0")
     if number > MAX_RAW:  # the stream's 32-bit accumulator overflows here too
-        return ParsedLine(body, eol, comment_start=comment_start, malformed=True)
-    try:
-        params = [
-            Param(
-                letter,
-                FixedPoint(raw_from_digits(sign, int_digits, frac_digits)),
-                pm.start(),
-                pm.start(2),
-                pm.end(),
-            )
-            for pm in _PARAM_RE.finditer(code, m.end(2))
-            for letter, sign, int_digits, frac_digits in (pm.groups(""),)
-        ]
-    except FixedPointOverflow:
         return ParsedLine(body, eol, comment_start=comment_start, malformed=True)
     return ParsedLine(body, eol, m[1], number, m.span(2), params, comment_start)
 

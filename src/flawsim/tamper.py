@@ -21,23 +21,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FlawsimError
-from .gcode import ParsedLine, drop_param_convert_travel, parse_document
+from .fixedpoint import div_round_half_away, format_raw
+from .gcode import drop_param_convert_travel, parse_document
 from .policy import Mode, TamperPolicy
-from .uart import UartSimulation
+from .uart import F_WINDOW_ACTIVE, F_WINDOW_DONE, UartSimulation, update_window
 
 
 class RelativeExtrusionDetected(FlawsimError):
     """Relative extrusion mode seen before the window closed; conversions
     would no longer conserve total material, so the transform refuses."""
-
-
-def _scale_params(line: ParsedLine, letter: str, numerator: int, denominator: int) -> str:
-    body = line.body
-    # right to left so earlier spans stay valid
-    for param in reversed([p for p in line.params if p.letter == letter]):
-        new_text = param.value.scale_by(numerator, denominator).to_text()
-        body = body[: param.value_start] + new_text + body[param.value_end :]
-    return body
 
 
 def transform_reduction(doc: str, fraction) -> str:
@@ -54,32 +46,15 @@ def transform_reduction(doc: str, fraction) -> str:
     denominator = frac.denominator
     out = []
     for line in parse_document(doc):
-        if line.letter == "G" and line.number == 1 and line.param("E") is not None:
-            out.append(_scale_params(line, "E", numerator, denominator) + line.eol)
-        else:
-            out.append(line.text())
+        body = line.body
+        if line.letter == "G" and line.number == 1:
+            # right to left so earlier spans stay valid
+            for p in reversed(line.params):
+                if p.letter == "E":
+                    scaled = format_raw(div_round_half_away(p.raw * numerator, denominator))
+                    body = body[: p.value_start] + scaled + body[p.value_end :]
+        out.append(body + line.eol)
     return "".join(out)
-
-
-class _Window:
-    """Progress-window tracker fed by M73 P percentages."""
-
-    def __init__(self, lo: int, hi: int):
-        self.lo_raw = lo * 10_000
-        self.hi_raw = hi * 10_000
-        self.active = False
-        self.done = False
-
-    def update(self, percent_raw: int):
-        if self.done:
-            return
-        if percent_raw >= self.hi_raw:
-            self.active = False
-            self.done = True
-        elif percent_raw >= self.lo_raw:
-            self.active = True
-        else:
-            self.active = False
 
 
 def transform_relocation(doc: str, n: int, window_lo: int = 25, window_hi: int = 75) -> str:
@@ -93,16 +68,16 @@ def transform_relocation(doc: str, n: int, window_lo: int = 25, window_hi: int =
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    window = _Window(window_lo, window_hi)
+    window = 0  # F_WINDOW_* flags, as in the interceptor
     counter = 0
     out = []
     for line in parse_document(doc):
         if line.letter == "M" and line.number == 73:
             p = line.param("P")
             if p is not None:
-                window.update(p.value.raw)
+                window = update_window(window, p.raw, window_lo, window_hi)
         elif line.letter == "M" and line.number == 83:
-            if not window.done:
+            if not window & F_WINDOW_DONE:
                 raise RelativeExtrusionDetected(
                     "relative extrusion before the window closed"
                 )
@@ -110,7 +85,7 @@ def transform_relocation(doc: str, n: int, window_lo: int = 25, window_hi: int =
             line.letter == "G"
             and line.number == 1
             and line.param("E") is not None
-            and window.active
+            and window & F_WINDOW_ACTIVE
         ):
             counter += 1
             if counter >= n:

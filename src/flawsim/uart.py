@@ -96,9 +96,9 @@ def _walk_table(mid: int, tok: int) -> bytes:
 _G1_NEXT = _walk_table(ST_G1_MID, ST_G1_TOK)
 _M73_NEXT = _walk_table(ST_M73_MID, ST_M73_TOK)
 
-# chr(byte).isdigit(), by byte: the ASCII digits and latin-1's superscripts
-# 0xB2, 0xB3 and 0xB9, which are folded as byte - 48 like the others
-_IS_DIGIT = bytes(chr(b).isdigit() for b in range(256))
+# ASCII 0-9 only, as in the firmware's NUMERIC() and the g-code parser
+# (chr(byte).isdigit() would also take latin-1's superscripts 2, 3 and 1)
+_IS_DIGIT = bytes(48 <= b <= 57 for b in range(256))
 
 
 @dataclass(slots=True)
@@ -350,6 +350,20 @@ def _finish_target(trojan: TrojanState, ring: RingBufferState, delim: int) -> st
     return event
 
 
+def update_window(flags: int, percent_raw: int, lo: int, hi: int) -> int:
+    """Window flags after a progress report of percent_raw / 10^4 percent,
+    for the window [lo, hi) in whole percents.  The window opens at lo and
+    closes for good at hi; a report below lo before then closes it again.
+    The stream and the whole-file transform both track it here."""
+    if flags & F_WINDOW_DONE:
+        return flags
+    if percent_raw >= hi * SCALE:
+        return (flags & ~F_WINDOW_ACTIVE) | F_WINDOW_DONE
+    if percent_raw >= lo * SCALE:
+        return flags | F_WINDOW_ACTIVE
+    return flags & ~F_WINDOW_ACTIVE
+
+
 def _finish_progress(trojan: TrojanState, policy: TamperPolicy, delim: int) -> str | None:
     """A progress-report percentage finished arriving; update the window."""
     value = _scaled_value(trojan)
@@ -357,14 +371,7 @@ def _finish_progress(trojan: TrojanState, policy: TamperPolicy, delim: int) -> s
     if value is None:
         _go_dormant(trojan)
         return EV_OVERFLOW
-    flags = trojan.flags_window
-    if not flags & F_WINDOW_DONE:
-        if value >= policy.window_hi * SCALE:
-            flags = (flags & ~F_WINDOW_ACTIVE) | F_WINDOW_DONE
-        elif value >= policy.window_lo * SCALE:
-            flags |= F_WINDOW_ACTIVE
-        else:
-            flags &= ~F_WINDOW_ACTIVE
+    flags = update_window(trojan.flags_window, value, policy.window_lo, policy.window_hi)
     trojan.flags_window = flags & ~F_NEG
     trojan.accumulator = 0
     return None

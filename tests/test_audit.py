@@ -73,9 +73,11 @@ def test_account_insensitive_to_comments_and_blank_lines():
 
 def test_account_parse_error_on_bad_move():
     # "\u0663" is an Arabic-Indic three: a digit to \d, not to the grammar
-    for doc in ("G1 E4 X@3\n", "G1 X1 E\u0663\n"):
+    for doc in ("G1 E4 X@3\n", "G1 X1 E\u0663\n", "G01 X1 E5 *12\n", "G092 E5 *1\n", "G00 X1 E\n"):
         with pytest.raises(ParseError):
             account(doc)
+    # G010 is G10, not a move: its malformed tail is skipped like any noise
+    assert account("G010 X1 *1\nG1 X1 E5\n").total_extrusion.raw == 50_000
 
 
 def test_account_ignores_non_move_commands():

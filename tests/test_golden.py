@@ -146,3 +146,39 @@ def test_outputs_match_pinned_digests(name, gcode_corpus):
         sha256(apply_policy(doc, TamperPolicy.relocation(2))),
     )
     assert got == DIGESTS[name]
+
+
+# Small documents for the accounting edge cases the corpus does not reach.
+# name: (document, account(doc).to_csv() digest, total extrusion)
+ACCOUNTING = {
+    "duplicate_params": (
+        "G1 X1 X5 Y2 E3 E9\nG1 X2 E4 E1\nG0 X3 X4 Y1 Y7\nG92 E1 E6\nG1 X6 Z0.3 Z9 E2\n",
+        "095ba34bef5ed8915f3885b40c39b0aff000e468ff23a472544e0a930898f528",
+        "5",
+    ),
+    "g92_axes": (
+        "G1 X10 Y10 Z0.2 E5\nG92 X0 Y0 Z0 E0\nG1 X3 Y4 E1.5\nG92 X1 Y1 Z1 E10\n"
+        "G1 X1 Y1 Z2 E10.5\nG92 E-2 X7\nG1 X8 E-1\nG92 Y-3.25\nG1 Y0 E0\n",
+        "224c3b34938192827d3d0e3879efe97a088e39aa69346e50743c8673fa65d11c",
+        "9",
+    ),
+    "extrusion_modes": (
+        "M83\nG1 X1 E0.5\nG1 X2 E-0.25\nG1 X3 E0.75\nM82\nG92 E0\nG1 X4 E1\n"
+        "G1 X5 E1.5\nM83\nG1 X6 E0.125\nM82\nG1 X7 E3\n",
+        "81d338e01c86d083746149e20b5d1c1d7ea15a5ba5cab9312e2173cf2809d0c8",
+        "4.375",
+    ),
+    "retract_travel_g0": (
+        "G1 X5 E2\nG1 E1.2\nG1 E2\nG0 X8 E2.5\nG1 X8 E3\nG0 X9 Y9\nG01 X10 Y9 E2.00005\n"
+        "G1 X10 Y9\nG00 X0.00001 E-0.5\nG1 X3 Y4 E-1\n",
+        "326d9720cc54c555b9518aec3bf71771d5a53cd5fa4760c10a4a834ef52ed642",
+        "3.8",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACCOUNTING))
+def test_accounting_matches_pinned_digests(name):
+    doc, digest, total = ACCOUNTING[name]
+    report = account(doc)
+    assert (sha256(report.to_csv()), report.total_extrusion.to_text()) == (digest, total)

@@ -1,9 +1,12 @@
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from flawsim import fixtures
 from flawsim.audit import account
+from flawsim.fixedpoint import FixedPoint, FixedPointOverflow
 from flawsim.gcode import parse_document, parse_line
 from flawsim.policy import TamperPolicy
 from flawsim.tamper import (
@@ -110,6 +113,83 @@ def test_parse_line_edge_table(body, expected):
 
 def test_param_returns_first_duplicate():
     assert parse_line("G1 X1 X2").param("X").value.raw == 10_000
+
+
+# The grammar as one regex over the code part of a line, checked with
+# fullmatch, and each value decoded by FixedPoint.parse: the reference the
+# one-walk parser is cross-checked against.
+_ORACLE_VALUE = r"[-+]?(?=\.?[0-9])[0-9]*(?:\.[0-9]*)?"
+_ORACLE_LINE = re.compile(rf" *([A-Z])([0-9]+)((?: +[A-Z]{_ORACLE_VALUE})*)\s*")
+_ORACLE_PARAM = re.compile(rf" +([A-Z])({_ORACLE_VALUE})")
+_ORACLE_CMD = re.compile(r" *[A-Z][0-9]")
+
+
+def oracle_parse(body):
+    comment = body.find(";")
+    comment_start = None if comment < 0 else comment
+    code = body if comment < 0 else body[:comment]
+    m = _ORACLE_LINE.fullmatch(code)
+    if m is None:
+        return other(comment_start, malformed=_ORACLE_CMD.match(code) is not None)
+    digits = m[2].lstrip("0") or "0"
+    if len(digits) > 10 or int(digits) > 2**31 - 1:
+        return other(comment_start, malformed=True)
+    params = []
+    for pm in _ORACLE_PARAM.finditer(code, m.start(3), m.end(3)):
+        try:
+            raw = FixedPoint.parse(pm[2]).raw
+        except FixedPointOverflow:
+            return other(comment_start, malformed=True)
+        params.append((pm[1], raw, pm.start(), pm.start(2), pm.end()))
+    return (m[1], int(digits), m.span(2), params, comment_start, False)
+
+
+_NUMBERS = ["1", "1", "0", "01", "092", "73", "2147483647", "2147483648", "0000000000002147483647", ""]
+_SEPARATORS = [" "] * 4 + ["  ", "\t ", " \t", "", "\t", "\xa0"]
+_LETTERS = "XYZEFPx*"
+_SIGNS = [""] * 6 + ["-", "+", "--"]
+_INTS = ["", "0", "00", "5", "12", "214748", "214749", "0000214748", "2147483647", "\xb2"]
+_FRACS = ["", "", ".", ".5", ".3647", ".3648", ".36475", ".36474", ".00005", ".1.2"]
+_TAILS = ["", "", "", " ", "\t", "\xa0", "\r", "\x0b", "\x1c", "\x85", " \r", " *12", "*12", " ; wall", ";E5", "\t;x"]
+
+
+def random_value_text(rng):
+    if rng.random() < 0.4:
+        int_part = str(rng.randrange(10 ** rng.randrange(1, 8)))
+    else:
+        int_part = rng.choice(_INTS)
+    if rng.random() < 0.3:
+        frac = "." + str(rng.randrange(10 ** rng.randrange(1, 7)))
+    else:
+        frac = rng.choice(_FRACS)
+    return rng.choice(_SIGNS) + int_part + frac
+
+
+def random_command_line(rng):
+    # a noisy line draws separators and letters from the odd shapes too
+    noisy = rng.random() < 0.4
+    parts = [" " * rng.choice((0, 0, 0, 1, 3)), rng.choice("GGGGMMTg"), rng.choice(_NUMBERS)]
+    for _ in range(rng.randrange(6)):
+        separator = rng.choice(_SEPARATORS if noisy else (" ", " ", "  "))
+        letter = rng.choice(_LETTERS if noisy else "XYZEEF")
+        parts += (separator, letter, random_value_text(rng))
+    parts.append(rng.choice(_TAILS))
+    return "".join(parts)
+
+
+def test_parse_line_matches_one_regex_oracle():
+    rng = random.Random(20211)
+    outcomes = {"command": 0, "malformed": 0, "other": 0}
+    for _ in range(8000):
+        body = random_command_line(rng)
+        line = parse_line(body, "\r\n")
+        params = [(p.letter, p.value.raw, p.ws_start, p.value_start, p.value_end) for p in line.params]
+        got = (line.letter, line.number, line.number_span, params, line.comment_start, line.malformed)
+        assert got == oracle_parse(body), ascii(body)
+        assert line.text() == body + "\r\n"
+        outcomes["command" if line.is_command else "malformed" if line.malformed else "other"] += 1
+    # the generator reaches every outcome often enough to mean something
+    assert min(outcomes.values()) >= 300, outcomes
 
 
 # --- reduction -------------------------------------------------------------------
@@ -284,6 +364,20 @@ def test_equivalence_valueless_tokens_pass_untouched(doc):
         report = run_pipeline_equivalence(doc, policy)
         assert report.identical, report.describe()
         assert report.sim_output == doc
+
+
+@pytest.mark.parametrize("doc", [
+    "G1 E\xb2\n",
+    "G1 X1 E\xb3\nG1 X2 E5\n",
+    "G\xb9 X1 E5\n",
+    "M73 P\xb2\nM73 P30\nG1 X1 E5\nG1 X2 E6\nM73 P80\n",
+])
+def test_equivalence_latin1_superscripts_are_not_digits(doc):
+    # superscript two, three and one are digits to str.isdigit(), not to
+    # the firmware's NUMERIC(): neither path may fold them as byte - 48
+    for policy in (TamperPolicy.reduction(Fraction(1, 2)), TamperPolicy.relocation(2)):
+        report = run_pipeline_equivalence(doc, policy)
+        assert report.identical, report.describe()
 
 
 def test_degenerate_token_does_not_shift_relocation_phase():
