@@ -17,7 +17,7 @@ import statistics
 from dataclasses import dataclass, field
 
 from .errors import FlawsimError
-from .fixedpoint import SCALE, FixedPoint
+from .fixedpoint import MAX_RAW, SCALE, FixedPoint, format_raw
 from .gcode import ParsedLine, parse_document
 
 RELOCATION_SIGNATURE = "RelocationSignature"
@@ -29,8 +29,8 @@ DEFAULT_DENSITY_G_CM3 = 1.24  # PLA
 
 
 class ParseError(FlawsimError):
-    def __init__(self, line_no: int, body: str):
-        super().__init__(f"line {line_no}: cannot parse {body!r}")
+    def __init__(self, line_no: int, body: str, problem: str = "cannot parse"):
+        super().__init__(f"line {line_no}: {problem} {body!r}")
         self.line_no = line_no
 
 
@@ -49,8 +49,12 @@ class SegmentRecord:
     start: tuple[float, float, float]
     end: tuple[float, float, float]
     travel: float  # mm
-    delta_e: FixedPoint  # mm of filament
+    delta_raw: int  # mm of filament * 10^4, the raw value behind delta_e
     flow: float | None  # delta_e / travel, None when travel is ~zero
+
+    @property
+    def delta_e(self) -> FixedPoint:
+        return FixedPoint(self.delta_raw)
 
     def to_dict(self) -> dict:
         return {
@@ -59,7 +63,7 @@ class SegmentRecord:
             "start": list(self.start),
             "end": list(self.end),
             "travel": round(self.travel, 6),
-            "delta_e": self.delta_e.to_text(),
+            "delta_e": format_raw(self.delta_raw),
             "flow": None if self.flow is None else round(self.flow, 6),
         }
 
@@ -80,9 +84,6 @@ class AuditReport:
     segments: list[SegmentRecord]
     anomalies: list[Anomaly] = field(default_factory=list)
     comparison: dict | None = None
-
-    def extruding_segments(self) -> list[SegmentRecord]:
-        return [s for s in self.segments if s.delta_e.raw > 0]
 
     def mass_grams(
         self,
@@ -116,7 +117,7 @@ class AuditReport:
                 f"{s.index},{s.kind},"
                 f"{s.start[0]:.4f},{s.start[1]:.4f},{s.start[2]:.4f},"
                 f"{s.end[0]:.4f},{s.end[1]:.4f},{s.end[2]:.4f},"
-                f"{s.travel:.6f},{s.delta_e.to_text()},{flow}"
+                f"{s.travel:.6f},{format_raw(s.delta_raw)},{flow}"
             )
         return "\n".join(rows) + "\n"
 
@@ -137,7 +138,9 @@ def account(doc: str) -> AuditReport:
 
     Extrusion deltas honour absolute/relative mode (M82/M83) and G92
     re-zeroing.  Raises ParseError for a move line that does not fit the
-    grammar; non-move noise (comments, status commands) is skipped.
+    grammar, or whose extrusion delta or the running total of deposited
+    filament leaves the 32-bit budget; non-move noise (comments, status
+    commands) is skipped.
     """
     x = y = z = 0.0
     e_logical = 0  # raw, as every extrusion figure below
@@ -145,7 +148,7 @@ def account(doc: str) -> AuditReport:
     segments: list[SegmentRecord] = []
     total_raw = 0
     for line_no, line in enumerate(parse_document(doc), 1):
-        if not line.is_command:
+        if line.letter is None:
             if _looks_like_move(line):
                 raise ParseError(line_no, line.body)
             continue
@@ -159,16 +162,15 @@ def account(doc: str) -> AuditReport:
             continue
         # the first of duplicate letters wins, as with ParsedLine.param
         px = py = pz = pe = None
-        for p in reversed(line.params):
-            letter = p.letter
+        for letter, raw, _, _, _ in reversed(line.params):
             if letter == "X":
-                px = p.raw
+                px = raw
             elif letter == "Y":
-                py = p.raw
+                py = raw
             elif letter == "Z":
-                pz = p.raw
+                pz = raw
             elif letter == "E":
-                pe = p.raw
+                pe = raw
         start = (x, y, z)
         if px is not None:
             x = px / SCALE
@@ -189,19 +191,32 @@ def account(doc: str) -> AuditReport:
         else:
             delta = pe - e_logical
             e_logical = pe
+            # both ends fit the budget, their difference need not
+            if not -MAX_RAW <= delta <= MAX_RAW:
+                raise ParseError(
+                    line_no,
+                    line.body,
+                    f"extrusion delta {format_raw(delta)} exceeds the 32-bit budget in",
+                )
         segments.append(
             SegmentRecord(
-                index=len(segments),
-                kind=_MOVE_KINDS[line.number],
-                start=start,
-                end=end,
-                travel=travel,
-                delta_e=FixedPoint(delta),
-                flow=delta / SCALE / travel if travel > _TRAVEL_EPS else None,
+                len(segments),
+                _MOVE_KINDS[line.number],
+                start,
+                end,
+                travel,
+                delta,
+                delta / SCALE / travel if travel > _TRAVEL_EPS else None,
             )
         )
         if delta > 0:
             total_raw += delta
+            if total_raw > MAX_RAW:
+                raise ParseError(
+                    line_no,
+                    line.body,
+                    f"deposited total {format_raw(total_raw)} exceeds the 32-bit budget at",
+                )
     return AuditReport(total_extrusion=FixedPoint(total_raw), segments=segments)
 
 
@@ -212,7 +227,7 @@ def detect_relocation(
     >= threshold x the median flow (the catch-up signature), plus any
     unexplained flow outliers.  Needs >= 8 extruding segments for the
     median to mean anything."""
-    extruding = [s for s in report.segments if s.delta_e.raw > 0 and s.flow is not None]
+    extruding = [s for s in report.segments if s.delta_raw > 0 and s.flow is not None]
     if len(extruding) < 8:
         raise InsufficientData(f"{len(extruding)} extruding segments; need >= 8")
     median_flow = statistics.median(s.flow for s in extruding)
@@ -221,13 +236,13 @@ def detect_relocation(
     anomalies: list[Anomaly] = []
     flagged_successors = set()
     for seg in report.segments:
-        if seg.delta_e.raw > 0 or seg.travel <= _TRAVEL_EPS:
+        if seg.delta_raw > 0 or seg.travel <= _TRAVEL_EPS:
             continue
         nxt_i = seg.index + 1
         if nxt_i >= len(report.segments):
             continue
         nxt = report.segments[nxt_i]
-        if nxt.delta_e.raw > 0 and nxt.flow is not None and nxt.flow >= threshold * median_flow:
+        if nxt.delta_raw > 0 and nxt.flow is not None and nxt.flow >= threshold * median_flow:
             anomalies.append(Anomaly(seg.index, RELOCATION_SIGNATURE, nxt.flow / median_flow))
             flagged_successors.add(nxt_i)
     for seg in extruding:

@@ -26,6 +26,7 @@ _MAX_INT_DIGITS = len(str(MAX_RAW // SCALE))
 # one point.  Python's \d would also take every Unicode decimal digit.
 VALUE_PATTERN = r"([-+]?)(?=\.?[0-9])([0-9]*)(?:\.([0-9]*))?"
 _LITERAL_RE = re.compile(VALUE_PATTERN)
+_FRAC_PAD = ("0000", "000", "00", "0", "")  # by number of fraction digits
 
 
 class FixedPointOverflow(FlawsimError):
@@ -60,9 +61,13 @@ def raw_from_digits(sign: str, int_digits: str, frac_digits: str) -> int:
         int_digits = int_digits.lstrip("0")
         if len(int_digits) > _MAX_INT_DIGITS:
             raise FixedPointOverflow("value exceeds the 32-bit budget")
-    raw = int(int_digits + (frac_digits + "0000")[:4])
-    if len(frac_digits) > 4 and frac_digits[4] >= "5":
-        raw += 1
+    n_frac = len(frac_digits)
+    if n_frac < 5:
+        raw = int(int_digits + frac_digits + _FRAC_PAD[n_frac])
+    else:
+        raw = int(int_digits + frac_digits[:4])
+        if frac_digits[4] >= "5":
+            raw += 1
     if raw > MAX_RAW:
         raise FixedPointOverflow("value exceeds the 32-bit budget")
     return -raw if sign == "-" else raw
@@ -77,10 +82,6 @@ class FixedPoint:
             raise FixedPointOverflow(f"raw magnitude {self.raw} exceeds 32-bit budget")
 
     @classmethod
-    def from_units(cls, units: int) -> "FixedPoint":
-        return cls(units * SCALE)
-
-    @classmethod
     def parse(cls, text: str) -> "FixedPoint":
         """Parse a plain decimal literal ('2', '-1.5', '4.1234', '.5')."""
         m = _LITERAL_RE.fullmatch(text.strip())
@@ -92,26 +93,11 @@ class FixedPoint:
         """Minimal-digit rendering: trailing zeros trimmed, <=4 decimals."""
         return format_raw(self.raw)
 
-    def scale_by(self, numerator: int, denominator: int) -> "FixedPoint":
-        return FixedPoint(div_round_half_away(self.raw * numerator, denominator))
-
-    def __add__(self, other: "FixedPoint") -> "FixedPoint":
-        return FixedPoint(self.raw + other.raw)
-
-    def __sub__(self, other: "FixedPoint") -> "FixedPoint":
-        return FixedPoint(self.raw - other.raw)
-
-    def __neg__(self) -> "FixedPoint":
-        return FixedPoint(-self.raw)
-
     def __float__(self) -> float:
         return self.raw / SCALE
 
     def __str__(self) -> str:
         return self.to_text()
-
-
-ZERO = FixedPoint(0)
 
 
 def format_raw(raw: int) -> str:

@@ -16,8 +16,12 @@ Lines that are not commands (blank, comment-only) or whose parameter
 region does not fit the grammar are classified OTHER and passed through
 untouched.  So are command lines whose number or a parameter value
 overflows the 32-bit budget (a command number past 2**31 - 1 also
-overflows the streaming interceptor's accumulator).  Parameter values
-stay raw fixed-point integers; ``Param.value`` wraps one on demand.
+overflows the streaming interceptor's accumulator).
+
+A parameter is a plain tuple ``(letter, raw, ws_start, value_start,
+value_end)``: the letter, the value as a raw fixed-point integer (value *
+10^4), the offset of the separating spaces before the letter, the offset
+of the first value character and one past the last.
 """
 
 from __future__ import annotations
@@ -25,23 +29,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .fixedpoint import MAX_RAW, VALUE_PATTERN, FixedPoint, FixedPointOverflow, raw_from_digits
+from .fixedpoint import MAX_RAW, VALUE_PATTERN, FixedPointOverflow, raw_from_digits
 
 _CMD_RE = re.compile(r" *([A-Z])([0-9]+)")
-_PARAM_RE = re.compile(r" +([A-Z])" + VALUE_PATTERN)
-
-
-@dataclass(slots=True)
-class Param:
-    letter: str
-    raw: int  # value * 10^4
-    ws_start: int  # offset of the separating spaces before the letter
-    value_start: int  # offset of the first value character
-    value_end: int  # one past the last value character
-
-    @property
-    def value(self) -> FixedPoint:
-        return FixedPoint(self.raw)
+# separator and letter, letter, value, then the value's sign, integer and
+# fraction digits
+_PARAM_RE = re.compile(r"( +([A-Z]))(" + VALUE_PATTERN + ")")
 
 
 @dataclass(slots=True)
@@ -53,7 +46,7 @@ class ParsedLine:
     letter: str | None = None
     number: int | None = None
     number_span: tuple[int, int] | None = None
-    params: list[Param] = field(default_factory=list)
+    params: list[tuple[str, int, int, int, int]] = field(default_factory=list)
     comment_start: int | None = None
     malformed: bool = False  # looked like a command but params did not parse
 
@@ -61,9 +54,9 @@ class ParsedLine:
     def is_command(self) -> bool:
         return self.letter is not None
 
-    def param(self, letter: str) -> Param | None:
+    def param(self, letter: str) -> tuple[str, int, int, int, int] | None:
         for p in self.params:
-            if p.letter == letter:
+            if p[0] == letter:
                 return p
         return None
 
@@ -93,14 +86,15 @@ def parse_line(body: str, eol: str = "\n") -> ParsedLine:
     pos = m.end()
     params = []
     try:
-        for pm in _PARAM_RE.finditer(code, pos):
-            start, end = pm.span()
-            if start != pos:
-                break  # a gap: the rest is not whitespace, checked below
-            letter, sign, int_digits, frac_digits = pm.groups("")
-            params.append(
-                Param(letter, raw_from_digits(sign, int_digits, frac_digits), start, pm.start(2), end)
-            )
+        # Spans are counted on from pos, as if each match started where the
+        # last one ended.  After a gap they run short of the last match,
+        # whose final character is never a space, so the tail check below
+        # fails: a gap is malformed, as it must be.
+        for head, letter, value, sign, int_digits, frac_digits in _PARAM_RE.findall(code, pos):
+            value_start = pos + len(head)
+            end = value_start + len(value)
+            raw = raw_from_digits(sign, int_digits, frac_digits)
+            params.append((letter, raw, pos, value_start, end))
             pos = end
     except FixedPointOverflow:
         return ParsedLine(body, eol, comment_start=comment_start, malformed=True)
@@ -121,11 +115,12 @@ def parse_document(doc: str) -> list[ParsedLine]:
     return [parse_line(body, eol) for body, eol in split_lines(doc)]
 
 
-def drop_param_convert_travel(line: ParsedLine, param: Param) -> str:
+def drop_param_convert_travel(line: ParsedLine, param: tuple) -> str:
     """Body text converted to a travel move: command number's last digit
     becomes 0 and the parameter is removed along with exactly one
     separating space (the same surgery the in-stream editor performs)."""
     _, num_end = line.number_span
     body = line.body
-    letter_pos = param.value_start - 1
-    return body[: num_end - 1] + "0" + body[num_end : letter_pos - 1] + body[param.value_end :]
+    _, _, _, value_start, value_end = param
+    letter_pos = value_start - 1
+    return body[: num_end - 1] + "0" + body[num_end : letter_pos - 1] + body[value_end :]

@@ -78,9 +78,6 @@ class MemoryLayout:
     def boot_start(self) -> int:
         return self.flash_size - self.boot_section_size
 
-    def in_flash(self, addr: int) -> bool:
-        return 0 <= addr < self.flash_size
-
     def in_app_region(self, addr: int) -> bool:
         return 0 <= addr < self.boot_start
 

@@ -49,10 +49,10 @@ def transform_reduction(doc: str, fraction) -> str:
         body = line.body
         if line.letter == "G" and line.number == 1:
             # right to left so earlier spans stay valid
-            for p in reversed(line.params):
-                if p.letter == "E":
-                    scaled = format_raw(div_round_half_away(p.raw * numerator, denominator))
-                    body = body[: p.value_start] + scaled + body[p.value_end :]
+            for letter, raw, _, value_start, value_end in reversed(line.params):
+                if letter == "E":
+                    scaled = format_raw(div_round_half_away(raw * numerator, denominator))
+                    body = body[:value_start] + scaled + body[value_end:]
         out.append(body + line.eol)
     return "".join(out)
 
@@ -75,23 +75,20 @@ def transform_relocation(doc: str, n: int, window_lo: int = 25, window_hi: int =
         if line.letter == "M" and line.number == 73:
             p = line.param("P")
             if p is not None:
-                window = update_window(window, p.raw, window_lo, window_hi)
+                window = update_window(window, p[1], window_lo, window_hi)
         elif line.letter == "M" and line.number == 83:
             if not window & F_WINDOW_DONE:
                 raise RelativeExtrusionDetected(
                     "relative extrusion before the window closed"
                 )
-        elif (
-            line.letter == "G"
-            and line.number == 1
-            and line.param("E") is not None
-            and window & F_WINDOW_ACTIVE
-        ):
-            counter += 1
-            if counter >= n:
-                counter = 0
-                out.append(drop_param_convert_travel(line, line.param("E")) + line.eol)
-                continue
+        elif line.letter == "G" and line.number == 1 and window & F_WINDOW_ACTIVE:
+            e = line.param("E")
+            if e is not None:
+                counter += 1
+                if counter >= n:
+                    counter = 0
+                    out.append(drop_param_convert_travel(line, e) + line.eol)
+                    continue
         out.append(line.text())
     return "".join(out)
 

@@ -80,6 +80,30 @@ def test_account_parse_error_on_bad_move():
     assert account("G010 X1 *1\nG1 X1 E5\n").total_extrusion.raw == 50_000
 
 
+def test_account_delta_past_budget_names_its_line():
+    # each end fits the 32-bit budget, the delta between them does not
+    with pytest.raises(ParseError, match=r"^line 2: extrusion delta -400000 exceeds") as err:
+        account("G1 X1 E200000\nG1 X2 E-200000\n")
+    assert err.value.line_no == 2
+    # exactly at the budget is still a delta
+    report = account("G1 X1 E0\nG1 X2 E214748.3647\n")
+    assert report.segments[1].delta_raw == 2**31 - 1
+
+
+def test_account_total_past_budget_names_its_line():
+    # every delta fits; the running total crosses the budget on line 4
+    doc = "G1 X0 E0\nG1 X1 E200000\nG1 X0 E0\nG1 X1 E200000\n"
+    with pytest.raises(ParseError, match=r"^line 4: deposited total 400000 exceeds") as err:
+        account(doc)
+    assert err.value.line_no == 4
+    assert account(doc[: doc.index("G1 X1 E200000") + 14]).total_extrusion.raw == 2_000_000_000
+    # the budget itself is still a total; one step past it is not
+    at_budget = "G1 X1 E214748.3647\nG92 E0\n"
+    assert account(at_budget).total_extrusion.raw == 2**31 - 1
+    with pytest.raises(ParseError, match=r"^line 3: deposited total 214748.3648 exceeds"):
+        account(at_budget + "G1 X2 E0.0001\n")
+
+
 def test_account_ignores_non_move_commands():
     report = account("M104 S200\nM73 P10\nT0\nG28 W\nG1 X5 E1\n")
     assert len(report.segments) == 1

@@ -148,6 +148,13 @@ def test_parse_error_exits_three(tmp_path, capsys):
     assert main(["audit", str(bad_gcode)]) == 3
 
 
+def test_audit_extrusion_overflow_exits_three_with_line(tmp_path, capsys):
+    doc = tmp_path / "overflow.gcode"
+    doc.write_text("G1 X1 E200000\nG1 X2 E-200000\n")
+    assert main(["audit", str(doc)]) == 3
+    assert "line 2:" in capsys.readouterr().err
+
+
 def test_layout_env_var(tmp_path, capsys, monkeypatch):
     layout_json = tmp_path / "layout.json"
     layout_json.write_text(json.dumps({"flash_size": 0x8000, "boot_section_size": 0x1000}))

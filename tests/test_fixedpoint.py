@@ -1,5 +1,5 @@
 import random
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_DOWN, ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
 import pytest
@@ -49,6 +49,56 @@ def test_parse_matches_decimal_oracle():
         assert FixedPoint.parse(text).raw == oracle_parse(text), text
 
 
+def decoder_oracle(text: str) -> int | None:
+    """Raw value per the documented rule, by Decimal: fraction digits past
+    the fifth dropped, then half away from zero at 1e-4 (Decimal's
+    ROUND_HALF_UP rounds ties away from zero).  None past MAX_RAW."""
+    d = Decimal(text).quantize(Decimal("1e-5"), rounding=ROUND_DOWN)
+    raw = int(d.quantize(Decimal("1e-4"), rounding=ROUND_HALF_UP).scaleb(4))
+    return None if abs(raw) > MAX_RAW else raw
+
+
+_EDGE_LITERALS = [
+    "214748.3647", "-214748.3647", "+214748.3647", "214748.36474", "-214748.36474",
+    "214748.36475", "-214748.36475", "214748.3648", "214749", "0000214748.3647",
+    ".5", "5.", "-.5", "+5.", "0", "-0", "+0", ".00005", "-.00005", "0.00004999",
+]
+
+
+def random_literal(rng) -> str:
+    sign = rng.choice(("", "", "-", "+"))
+    if rng.random() < 0.1:
+        int_part = ""  # bare fraction: ".5"
+    else:
+        int_part = str(rng.randrange(10 ** rng.randrange(1, 7)))
+        if rng.random() < 0.2:
+            int_part = "0" * rng.randrange(1, 6) + int_part  # leading zeros
+    n_frac = rng.randrange(0, 9)
+    frac = "".join(str(rng.randrange(10)) for _ in range(n_frac))
+    if n_frac >= 5 and rng.random() < 0.4:
+        frac = frac[:4] + "5" + "0" * (n_frac - 5)  # an exact tie on the fifth digit
+    if not frac:
+        if not int_part:
+            int_part = str(rng.randrange(10))
+        return sign + int_part + ("." if rng.random() < 0.3 else "")  # "5."
+    return sign + int_part + "." + frac
+
+
+def test_decoder_matches_decimal_oracle_with_ties_and_edges():
+    rng = random.Random(606)
+    literals = _EDGE_LITERALS + [random_literal(rng) for _ in range(4000)]
+    fraction_lengths = set()
+    for text in literals:
+        expect = decoder_oracle(text)
+        if expect is None:
+            with pytest.raises(FixedPointOverflow):
+                FixedPoint.parse(text)
+        else:
+            assert FixedPoint.parse(text).raw == expect, text
+        fraction_lengths.add(len(text.partition(".")[2]))
+    assert fraction_lengths == set(range(9))
+
+
 def test_parse_syntax_errors():
     # superscript two, Arabic-Indic three and fullwidth one are digits to
     # isdigit() or \d, not to the firmware's NUMERIC()
@@ -84,12 +134,13 @@ def test_format_parse_round_trip():
 
 def test_scale_by_half_away_from_zero():
     # 4.1234 * 0.9 = 3.71106 -> 3.7111
-    assert FixedPoint(41_234).scale_by(9, 10).raw == 37_111
-    assert FixedPoint(-41_234).scale_by(9, 10).raw == -37_111  # sign-symmetric
-    assert FixedPoint(40_000).scale_by(1, 2).raw == 20_000
+    # (the scaling transform_reduction applies to a raw value)
+    assert div_round_half_away(41_234 * 9, 10) == 37_111
+    assert div_round_half_away(-41_234 * 9, 10) == -37_111  # sign-symmetric
+    assert div_round_half_away(40_000 * 1, 2) == 20_000
     # exact tie: 0.0001 * 0.5 = 0.00005 -> away from zero
-    assert FixedPoint(1).scale_by(1, 2).raw == 1
-    assert FixedPoint(-1).scale_by(1, 2).raw == -1
+    assert div_round_half_away(1 * 1, 2) == 1
+    assert div_round_half_away(-1 * 1, 2) == -1
 
 
 def test_scale_matches_fraction_oracle():
@@ -101,7 +152,7 @@ def test_scale_matches_fraction_oracle():
         expect = int(exact) + (
             (1 if exact > 0 else -1) if abs(exact - int(exact)) >= Fraction(1, 2) else 0
         )
-        assert FixedPoint(raw).scale_by(num, 100).raw == expect
+        assert div_round_half_away(raw * num, 100) == expect
 
 
 def test_div_round_half_away():
@@ -114,8 +165,10 @@ def test_div_round_half_away():
 
 def test_arithmetic_and_compare():
     a, b = FixedPoint.parse("2.5"), FixedPoint.parse("1.25")
-    assert (a - b).raw == 12_500
-    assert (a + b).to_text() == "3.75"
-    assert -a == FixedPoint(-25_000)
+    assert FixedPoint(a.raw - b.raw) == FixedPoint(12_500)
+    assert FixedPoint(a.raw + b.raw).to_text() == "3.75"
     assert b < a
     assert float(b) == 1.25
+    assert str(FixedPoint(-25_000)) == "-2.5"
+    with pytest.raises(FixedPointOverflow):
+        FixedPoint(MAX_RAW + 1)

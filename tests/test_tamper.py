@@ -30,8 +30,8 @@ def test_unedited_lines_reserialize_byte_for_byte(gcode_corpus):
 def test_parse_line_structure():
     line = parse_line("G1 X2.5 Y-3 E4.1234 ; shell", "\n")
     assert (line.letter, line.number) == ("G", 1)
-    assert [p.letter for p in line.params] == ["X", "Y", "E"]
-    assert line.param("E").value.raw == 41_234
+    assert [p[0] for p in line.params] == ["X", "Y", "E"]
+    assert line.param("E") == ("E", 41_234, 11, 13, 19)
     assert line.body[line.comment_start :] == "; shell"
 
 
@@ -105,14 +105,13 @@ EDGE_CASES = [
 )
 def test_parse_line_edge_table(body, expected):
     line = parse_line(body)
-    params = [(p.letter, p.value.raw, p.ws_start, p.value_start, p.value_end) for p in line.params]
-    got = (line.letter, line.number, line.number_span, params, line.comment_start, line.malformed)
+    got = (line.letter, line.number, line.number_span, list(line.params), line.comment_start, line.malformed)
     assert got == expected
     assert line.text() == body + "\n"
 
 
 def test_param_returns_first_duplicate():
-    assert parse_line("G1 X1 X2").param("X").value.raw == 10_000
+    assert parse_line("G1 X1 X2").param("X") == ("X", 10_000, 2, 4, 5)
 
 
 # The grammar as one regex over the code part of a line, checked with
@@ -183,8 +182,7 @@ def test_parse_line_matches_one_regex_oracle():
     for _ in range(8000):
         body = random_command_line(rng)
         line = parse_line(body, "\r\n")
-        params = [(p.letter, p.value.raw, p.ws_start, p.value_start, p.value_end) for p in line.params]
-        got = (line.letter, line.number, line.number_span, params, line.comment_start, line.malformed)
+        got = (line.letter, line.number, line.number_span, list(line.params), line.comment_start, line.malformed)
         assert got == oracle_parse(body), ascii(body)
         assert line.text() == body + "\r\n"
         outcomes["command" if line.is_command else "malformed" if line.malformed else "other"] += 1
