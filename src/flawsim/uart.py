@@ -26,6 +26,23 @@ _decide_on_first_digit, cover a value's sign, decimal point, letter and
 separating space - never a newline - so after every ISR-and-epilogue step
 ``ring.newlines == ring.visible().count(b"\\n")``.
 
+The wire carries bytes: UartSimulation sends the UTF-8 encoding of its
+text, as a host writing to the port does, and the consumer decodes each
+line as UTF-8.  Only a full ring can cut a multibyte character (the ISR
+drops bytes, and SimStats.dropped counts them); the consumer then shows
+U+FFFD in its place.  The interceptor's grammar is ASCII, so bytes past
+0x7F only ever end a token or sit in a comment.
+
+marlin_rx_isr, trojan_epilogue and consumer_readline are the
+single-character model, kept public so tests can replay any schedule
+through them.  UartSimulation runs the same steps as one producer loop
+over the wire bytes, and calls the epilogue only when the pair (parser
+state, byte) can change something.  The pairs it skips are derived from
+the walk tables at import (_PASS_THROUGH): a comment byte other than its
+newline, and a byte that keeps a G1 or M73 line mid-token.  For those the
+epilogue reads only F_DORMANT and the walk table, and leaves the parser
+state as it was, so not calling it is exact.
+
 All interceptor persistence lives in TrojanState, which serializes to 15
 bytes: the memory the stack-steal patch carved out.  There is no room for
 anything else, which is why the payload mode itself is not state (the two
@@ -95,6 +112,20 @@ def _walk_table(mid: int, tok: int) -> bytes:
 
 _G1_NEXT = _walk_table(ST_G1_MID, ST_G1_TOK)
 _M73_NEXT = _walk_table(ST_M73_MID, ST_M73_TOK)
+
+
+def _pass_through_rows() -> tuple[bytes, ...]:
+    """By parser state, 1 for each byte after which the epilogue returns
+    None and changes nothing: a comment byte other than the newline that
+    ends it, or a byte that keeps a G1 or M73 line mid-token."""
+    rows = [bytes(256)] * 256
+    rows[ST_SKIP] = bytes(byte != 0x0A for byte in range(256))
+    rows[ST_G1_MID] = bytes(state == ST_G1_MID for state in _G1_NEXT)
+    rows[ST_M73_MID] = bytes(state == ST_M73_MID for state in _M73_NEXT)
+    return tuple(rows)
+
+
+_PASS_THROUGH = _pass_through_rows()
 
 # ASCII 0-9 only, as in the firmware's NUMERIC() and the g-code parser
 # (chr(byte).isdigit() would also take latin-1's superscripts 2, 3 and 1)
@@ -174,7 +205,7 @@ def consumer_readline(ring: RingBufferState) -> str:
         line = storage[tail:] + storage[: end + 1]
     ring.tail = (end + 1) & ring.mask
     ring.newlines -= 1
-    return line.decode("latin-1")
+    return line.decode("utf-8", errors="replace")
 
 
 @dataclass
@@ -530,12 +561,26 @@ _EVENT_COUNTERS = {
 }
 
 
+# characters feed encodes per call of the producer loop
+_FEED_SLICE = 4096
+
+
 class UartSimulation:
     """Wires the ring buffer, the interceptor and a line consumer together.
 
-    Single-threaded by contract: feed_char / read_line must not be called
-    concurrently.  An optional trace list records one entry per delivered
-    character (the debugger's-eye view of the interception).
+    ``feed`` and ``feed_char`` run one producer loop over the UTF-8 bytes
+    of their text.  Per byte it does what ``marlin_rx_isr`` does (store at
+    head unless the ring is full; a dropped byte is counted and nothing
+    else runs for it), calls ``trojan_epilogue`` unless the pair (parser
+    state, byte) is pass-through (see the module docstring), counts the
+    returned event, and appends a trace entry when a trace is attached.
+    ``feed`` then dequeues every complete line; ``feed_char`` leaves that
+    to the caller.  With the policy off or the interceptor dormant the
+    epilogue would return at once, so it is not called at all.
+
+    Single-threaded by contract: feed / feed_char / read_line must not be
+    called concurrently.  An optional trace list records one entry per
+    stored byte (the debugger's-eye view of the interception).
     """
 
     def __init__(
@@ -555,27 +600,47 @@ class UartSimulation:
         self.stats = SimStats()
         self.trace = trace
 
+    def _produce(self, data: bytes, out: list[str] | None) -> None:
+        """One ISR-and-epilogue step per wire byte; with ``out``, every
+        complete line is dequeued into it after each step."""
+        ring, trojan, policy, stats = self.ring, self.trojan, self.policy, self.stats
+        storage, mask, tail, trace = ring.storage, ring.mask, ring.tail, self.trace
+        epilogue, readline, pass_through = trojan_epilogue, consumer_readline, _PASS_THROUGH
+        live = policy.mode is not Mode.OFF and not trojan.flags_window & F_DORMANT
+        stats.chars_in += len(data)
+        for byte in data:
+            head = ring.head
+            after = (head + 1) & mask
+            if after == tail:
+                stats.dropped += 1
+                continue
+            storage[head] = byte
+            ring.head = after
+            if byte == 0x0A:
+                ring.newlines += 1
+            if live and not pass_through[trojan.parser_state][byte]:
+                event = epilogue(trojan, ring, policy)
+                if event is not None:
+                    for name in _EVENT_COUNTERS[event]:
+                        setattr(stats, name, getattr(stats, name) + 1)
+                    live = not trojan.flags_window & F_DORMANT
+            if trace is not None:
+                trace.append(
+                    {
+                        "char": chr(byte),
+                        "head": ring.head,
+                        "tail": ring.tail,
+                        "parser_state": trojan.parser_state,
+                    }
+                )
+            if out is not None:
+                while ring.newlines:
+                    out.append(readline(ring))
+                    tail = ring.tail
+
     def feed_char(self, char: int | str) -> None:
-        stats = self.stats
-        stats.chars_in += 1
-        try:
-            marlin_rx_isr(self.ring, char)
-        except BufferFull:
-            stats.dropped += 1
-            return
-        event = trojan_epilogue(self.trojan, self.ring, self.policy)
-        if event is not None:
-            for name in _EVENT_COUNTERS[event]:
-                setattr(stats, name, getattr(stats, name) + 1)
-        if self.trace is not None:
-            self.trace.append(
-                {
-                    "char": char if isinstance(char, str) else chr(char),
-                    "head": self.ring.head,
-                    "tail": self.ring.tail,
-                    "parser_state": self.trojan.parser_state,
-                }
-            )
+        """Deliver one character (its UTF-8 bytes) or one byte."""
+        self._produce(char.encode() if isinstance(char, str) else bytes((char,)), None)
 
     def read_line(self) -> str:
         return consumer_readline(self.ring)
@@ -589,18 +654,20 @@ class UartSimulation:
         return lines
 
     def feed(self, text: str) -> list[str]:
-        """Feed a whole document, draining complete lines as they form."""
-        out = []
-        ring = self.ring
-        for ch in text:
-            self.feed_char(ch)
-            if ring.newlines:
-                out += self.drain()
+        """Feed a whole document, draining complete lines as they form
+        (lines already complete, say from ``feed_char``, come first).
+
+        The text is encoded a slice at a time, so a long document is never
+        held twice; a slice of a str never splits a character.
+        """
+        out = self.drain()
+        for start in range(0, len(text), _FEED_SLICE):
+            self._produce(text[start : start + _FEED_SLICE].encode(), out)
         return out
 
     def flush_residual(self) -> str:
         """Visible but line-incomplete bytes left at end of stream."""
-        rest = self.ring.visible().decode("latin-1")
+        rest = self.ring.visible().decode("utf-8", errors="replace")
         self.ring.tail = self.ring.head
         self.ring.newlines = 0
         return rest

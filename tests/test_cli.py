@@ -130,6 +130,16 @@ def test_pipeline_relocation_conserves_material(capsys, tmp_path, gcode_file):
     assert sum(1 for ln in printed.splitlines() if ln.startswith("G0") and "Z" not in ln) > 0
 
 
+def test_pipeline_streams_non_ascii_comments(capsys, tmp_path):
+    doc = tmp_path / "utf8.gcode"
+    doc.write_bytes("G21 ; café €\nG1 X1 E2\nG1 X2 E4\n".encode())
+    out = tmp_path / "printed.gcode"
+    code, text = run(capsys, "pipeline", doc, APP_HEX, "--reduce", "0.5", "-o", out)
+    assert code == 0
+    assert "material reduction: 50.00%" in text
+    assert out.read_bytes().decode() == "G21 ; café €\nG1 X1 E1\nG1 X2 E2\n"
+
+
 def test_usage_errors_exit_one(capsys, tmp_path, gcode_file):
     assert main(["tamper", "missing-out.gcode"]) == 1
     assert main(["scan"]) == 1

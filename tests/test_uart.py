@@ -5,11 +5,14 @@ from test_fuzz_equivalence import random_document
 
 from flawsim import uart
 from flawsim.avr import RingBufferInfo
+from flawsim.fixedpoint import MAX_RAW
 from flawsim.policy import TamperPolicy
-from flawsim.tamper import apply_policy
+from flawsim.tamper import apply_policy, run_pipeline_equivalence
 from flawsim.uart import (
+    F_DORMANT,
     BufferFull,
     RingBufferState,
+    SimStats,
     TrojanState,
     UartSimulation,
     consumer_readline,
@@ -346,3 +349,139 @@ def test_trace_records_per_char_events():
     sim.feed("G1 E4\n")
     assert [t["char"] for t in trace] == list("G1 E4\n")
     assert all({"char", "head", "tail", "parser_state"} <= set(t) for t in trace)
+
+
+# --- the producer loop against the single-character model ----------------------
+
+# a 200-character comment (of 3-byte characters) that no ring here can hold
+# before its newline: the line-only consumer never frees the ring again
+OVERFLOW_DOC = "G1 X1 E1\n;" + "\u20ac" * 67 + "\nG1 X2 E2\nG1 X3 E3\n"
+
+# dormant for the rest of the session: by overflow under reduction, by M83
+# under relocation
+DORMANT_DOC = "G1 X1 E2\nM83\nM73 P30\nG1 E99999999999999\nG1 X2 E4\nG1 X3 E5\n"
+
+NON_ASCII_DOC = (
+    "; caf\u00e9 \u20ac \u00b2 \U0001f5a8\nM73 P30 ; \u00fcber\nG1 X1 E5 ; \u00e9\n"
+    "G1 X2 E6\nG1 X3 E7 ;\u00bd\nM73 P80\n;\u00e9nde"
+)
+
+# the SimStats counters a replay adds one to, by event tag
+REPLAY_COUNTERS = {
+    uart.EV_EDIT: ("edits",),
+    uart.EV_CONVERT: ("conversions",),
+    uart.EV_EDIT_SKIPPED: ("edits_skipped",),
+    uart.EV_OVERFLOW: ("overflows", "dormant_events"),
+    uart.EV_DORMANT_M83: ("dormant_events",),
+}
+
+
+def replay_full_schedule(doc: str, policy: TamperPolicy, size: int):
+    """The wire bytes through the public single-character functions, the
+    consumer called after every byte (perfbench's ``full`` schedule)."""
+    data = doc.encode()
+    ring = RingBufferState(size)
+    trojan = TrojanState.for_policy(policy)
+    stats = SimStats(chars_in=len(data))
+    lines = []
+    for byte in data:
+        try:
+            marlin_rx_isr(ring, byte)
+        except BufferFull:
+            stats.dropped += 1
+            continue
+        event = trojan_epilogue(trojan, ring, policy)
+        for name in REPLAY_COUNTERS.get(event, ()):
+            setattr(stats, name, getattr(stats, name) + 1)
+        line = consumer_readline(ring)
+        while line:
+            lines.append(line)
+            line = consumer_readline(ring)
+    return lines, stats, trojan, ring
+
+
+def test_feed_matches_single_character_replay(gcode_corpus):
+    docs = [random_document(seed) for seed in range(40)] + list(gcode_corpus.values())
+    # longer than one of feed's slices: the whole corpus, and non-ASCII text
+    docs += ["".join(gcode_corpus.values()), NON_ASCII_DOC * 50, OVERFLOW_DOC, DORMANT_DOC]
+    for doc in docs:
+        for policy in COUNT_POLICIES:
+            for size in (128, 64):
+                sim = UartSimulation(policy, rx_buffer_size=size)
+                lines = sim.feed(doc)
+                ref_lines, ref_stats, ref_trojan, ref_ring = replay_full_schedule(doc, policy, size)
+                where = f"{doc[:20]!r} / {policy.mode.value} / ring {size}"
+                assert lines == ref_lines, where
+                assert sim.stats == ref_stats, where
+                assert sim.trojan.to_bytes() == ref_trojan.to_bytes(), where
+                ring = sim.ring
+                assert (ring.head, ring.tail, ring.newlines) == (
+                    ref_ring.head, ref_ring.tail, ref_ring.newlines), where
+                assert ring.visible() == ref_ring.visible(), where
+    sim = UartSimulation(OFF)
+    sim.feed(OVERFLOW_DOC)
+    assert sim.stats.dropped > 0  # the overflow case really overflowed
+    for policy in COUNT_POLICIES[1:]:
+        sim = UartSimulation(policy)
+        sim.feed(DORMANT_DOC)
+        assert sim.stats.dormant_events == 1
+
+
+def test_pass_through_pairs_leave_everything_unchanged():
+    # Every (parser state, byte) pair the producer loop does not hand to
+    # the epilogue must be one where the epilogue returns None and changes
+    # nothing, whatever the rest of the state holds.
+    pairs = [(state, byte) for state, row in enumerate(uart._PASS_THROUGH)
+             for byte in range(256) if row[byte]]
+    assert len(uart._PASS_THROUGH) == 256 and pairs
+    flag_sets = [f for f in range(256) if not f & F_DORMANT]
+    others = [  # accumulator, gcode_counter, cmd_slot, policy
+        (0, 0, 0, TamperPolicy.reduction(Fraction(3, 10))),
+        (1, 1, 127, TamperPolicy.relocation(2)),
+        (123_456, 254, 63, TamperPolicy.relocation(3)),
+        (MAX_RAW, 255, 255, HALF),
+    ]
+    for state, byte in pairs:
+        storage = bytearray(range(128))
+        storage[99] = byte
+        ring = RingBufferState(128, head=100, tail=3, storage=storage)
+        before = (bytes(ring.storage), ring.head, ring.tail, ring.newlines)
+        for flags in flag_sets:
+            for acc, counter, slot, policy in others:
+                trojan = TrojanState(parser_state=state, accumulator=acc, flags_window=flags,
+                                     gcode_counter=counter, cmd_slot=slot,
+                                     policy_param=policy.param_byte())
+                blob = trojan.to_bytes()
+                assert trojan_epilogue(trojan, ring, policy) is None, (state, byte, flags)
+                assert trojan.to_bytes() == blob, (state, byte, flags)
+                assert (bytes(ring.storage), ring.head, ring.tail, ring.newlines) == before, (
+                    state, byte, flags)
+
+
+def test_feed_takes_complete_lines_first():
+    sim = UartSimulation(OFF, rx_buffer_size=8)
+    for ch in "ab\ncdef":
+        sim.feed_char(ch)
+    assert sim.ring.free_space() == 0  # full, with one complete line
+    assert sim.feed("g\n") == ["ab\n", "cdefg\n"]
+    assert sim.stats.dropped == 0
+
+
+# --- the wire carries UTF-8 -------------------------------------------------------
+
+
+def test_non_ascii_comments_stream_like_the_transform():
+    for policy in (HALF, TamperPolicy.relocation(2)):
+        report = run_pipeline_equivalence(NON_ASCII_DOC, policy)
+        assert report.identical, report.describe()
+        assert "\u20ac" in report.sim_output and "\u00e9nde" in report.sim_output
+    sim = UartSimulation(OFF)
+    sim.feed(NON_ASCII_DOC)
+    assert sim.stats.chars_in == len(NON_ASCII_DOC.encode())
+
+
+def test_ring_overflow_cuts_a_multibyte_character_visibly():
+    sim = UartSimulation(OFF, rx_buffer_size=8)
+    sim.feed("ab\u20ac\u20ac\u20ac")  # 11 bytes into 7 cells: the second euro is cut
+    assert sim.stats.dropped == 4
+    assert sim.flush_residual() == "ab\u20ac\ufffd"
