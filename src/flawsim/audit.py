@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from .errors import FlawsimError
 from .fixedpoint import MAX_RAW, SCALE, FixedPoint, format_raw
-from .gcode import ParsedLine, parse_document
+from .gcode import ParsedLine, iter_lines
 
 RELOCATION_SIGNATURE = "RelocationSignature"
 FLOW_OUTLIER = "FlowOutlier"
@@ -147,7 +147,7 @@ def account(doc: str) -> AuditReport:
     relative_e = False
     segments: list[SegmentRecord] = []
     total_raw = 0
-    for line_no, line in enumerate(parse_document(doc), 1):
+    for line_no, line in enumerate(iter_lines(doc), 1):
         if line.letter is None:
             if _looks_like_move(line):
                 raise ParseError(line_no, line.body)

@@ -66,8 +66,20 @@ def _add_policy_flags(parser: _Parser):
                         metavar=("LO", "HI"), help="relocation progress window (default 25 75)")
 
 
-def _read_doc(path: str) -> str:
-    return Path(path).read_bytes().decode()  # bytes: line endings kept verbatim
+class NotText(FlawsimError):
+    """An input file holds bytes that are not UTF-8 text."""
+
+
+def _read_text(path: str) -> str:
+    """The file decoded as UTF-8, line endings kept verbatim."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise NotText(
+            f"line {line_no}: byte {data[exc.start]:#04x} is not UTF-8 text in {path}"
+        ) from None
 
 
 def _out(args, text: str):
@@ -79,14 +91,14 @@ def _out(args, text: str):
 
 def cmd_tamper(args) -> int:
     policy = _policy_from_args(args)
-    doc = _read_doc(args.input)
+    doc = _read_text(args.input)
     result = tamper.apply_policy(doc, policy)
     Path(args.output).write_bytes(result.encode())
     return EXIT_OK
 
 
 def cmd_audit(args) -> int:
-    doc = _read_doc(args.input)
+    doc = _read_text(args.input)
     report = audit_mod.account(doc)
     code = EXIT_OK
     if args.detect:
@@ -95,7 +107,7 @@ def cmd_audit(args) -> int:
             code = EXIT_TAMPER
     lines = []
     if args.reference:
-        ref_report = audit_mod.account(_read_doc(args.reference))
+        ref_report = audit_mod.account(_read_text(args.reference))
         percent = audit_mod.compare(ref_report, report)
         lines.append(f"reduction: {percent:.1f}%")
     if args.csv:
@@ -120,7 +132,7 @@ def cmd_audit(args) -> int:
 
 def cmd_flash_sim(args) -> int:
     layout = load_layout(args.layout)
-    firmware = memory.load_ihex(Path(args.firmware).read_text(), layout)
+    firmware = memory.load_ihex(_read_text(args.firmware), layout)
     session = fixtures.build_session(trojan=args.trojan, layout=layout, steal_n=args.steal)
     transcript: list | None = [] if args.transcript else None
     outcome = stk500.program_and_verify(firmware, session, transcript=transcript)
@@ -142,7 +154,7 @@ def cmd_flash_sim(args) -> int:
 
 def cmd_scan(args) -> int:
     layout = load_layout(args.layout)
-    image = memory.load_ihex(Path(args.image).read_text(), layout)
+    image = memory.load_ihex(_read_text(args.image), layout)
     if args.find_sp:
         try:
             site = avr.find_sp_init(image)
@@ -191,8 +203,8 @@ def cmd_scan(args) -> int:
 def cmd_pipeline(args) -> int:
     layout = load_layout(args.layout)
     policy = _policy_from_args(args)
-    doc = _read_doc(args.gcode)
-    firmware = memory.load_ihex(Path(args.firmware).read_text(), layout)
+    doc = _read_text(args.gcode)
+    firmware = memory.load_ihex(_read_text(args.firmware), layout)
     session = fixtures.build_session(trojan=True, layout=layout)
     outcome = stk500.program_and_verify(firmware, session)
     print(f"install verified by naive tool: {outcome.verified} "
@@ -286,7 +298,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (memory.IntelHexError, audit_mod.ParseError) as exc:
+    except (memory.IntelHexError, audit_mod.ParseError, NotText) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (FileNotFoundError, ValueError) as exc:  # bad flag values, bad layout JSON

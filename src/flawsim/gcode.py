@@ -22,11 +22,18 @@ A parameter is a plain tuple ``(letter, raw, ws_start, value_start,
 value_end)``: the letter, the value as a raw fixed-point integer (value *
 10^4), the offset of the separating spaces before the letter, the offset
 of the first value character and one past the last.
+
+The hot callers (audit.account and the transforms in tamper.py) stream
+the document through iter_lines and drop each parsed line before taking
+the next, so a pass keeps no parsed document alive for the cyclic garbage
+collector to walk.  parse_document builds the whole list for callers that
+index it.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .fixedpoint import MAX_RAW, VALUE_PATTERN, FixedPointOverflow, raw_from_digits
@@ -62,16 +69,6 @@ class ParsedLine:
 
     def text(self) -> str:
         return self.body + self.eol
-
-
-def split_lines(doc: str) -> list[tuple[str, str]]:
-    """Split into (body, terminator) pairs, preserving LF/CRLF/ragged EOF."""
-    bodies = doc.split("\n")
-    last = bodies.pop()  # text after the final newline: a ragged EOF or ""
-    out = [(body[:-1], "\r\n") if body[-1:] == "\r" else (body, "\n") for body in bodies]
-    if last:
-        out.append((last, ""))
-    return out
 
 
 def parse_line(body: str, eol: str = "\n") -> ParsedLine:
@@ -111,8 +108,27 @@ def parse_line(body: str, eol: str = "\n") -> ParsedLine:
     return ParsedLine(body, eol, m[1], number, m.span(2), params, comment_start)
 
 
+def iter_lines(doc: str) -> Iterator[ParsedLine]:
+    """Parse doc one line at a time, keeping LF, CRLF and a ragged end.
+
+    Each line is parsed only when the caller asks for the next one, so a
+    caller that lets each line go before taking the next never holds more
+    than one ParsedLine (the document's split bodies are plain strings,
+    which the cyclic garbage collector does not track).
+    """
+    bodies = doc.split("\n")
+    last = bodies.pop()  # text after the final newline: a ragged end or ""
+    for body in bodies:
+        if body[-1:] == "\r":
+            yield parse_line(body[:-1], "\r\n")
+        else:
+            yield parse_line(body, "\n")
+    if last:
+        yield parse_line(last, "")
+
+
 def parse_document(doc: str) -> list[ParsedLine]:
-    return [parse_line(body, eol) for body, eol in split_lines(doc)]
+    return list(iter_lines(doc))
 
 
 def drop_param_convert_travel(line: ParsedLine, param: tuple) -> str:

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from .errors import FlawsimError
 from .fixedpoint import div_round_half_away, format_raw
-from .gcode import drop_param_convert_travel, parse_document
+from .gcode import drop_param_convert_travel, iter_lines
 from .policy import Mode, TamperPolicy
 from .uart import F_WINDOW_ACTIVE, F_WINDOW_DONE, UartSimulation, update_window
 
@@ -45,7 +45,7 @@ def transform_reduction(doc: str, fraction) -> str:
     numerator = frac.denominator - frac.numerator
     denominator = frac.denominator
     out = []
-    for line in parse_document(doc):
+    for line in iter_lines(doc):
         body = line.body
         if line.letter == "G" and line.number == 1:
             # right to left so earlier spans stay valid
@@ -71,7 +71,7 @@ def transform_relocation(doc: str, n: int, window_lo: int = 25, window_hi: int =
     window = 0  # F_WINDOW_* flags, as in the interceptor
     counter = 0
     out = []
-    for line in parse_document(doc):
+    for line in iter_lines(doc):
         if line.letter == "M" and line.number == 73:
             p = line.param("P")
             if p is not None:

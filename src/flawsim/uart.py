@@ -37,11 +37,13 @@ marlin_rx_isr, trojan_epilogue and consumer_readline are the
 single-character model, kept public so tests can replay any schedule
 through them.  UartSimulation runs the same steps as one producer loop
 over the wire bytes, and calls the epilogue only when the pair (parser
-state, byte) can change something.  The pairs it skips are derived from
-the walk tables at import (_PASS_THROUGH): a comment byte other than its
-newline, and a byte that keeps a G1 or M73 line mid-token.  For those the
-epilogue reads only F_DORMANT and the walk table, and leaves the parser
-state as it was, so not calling it is exact.
+state, byte) can change more than the parser state.  The step table
+_STEP, derived from the walk tables at import, gives the next parser
+state for every other pair: a byte other than 'G' or 'M' at line start,
+any byte in a comment, and any byte in a G1 or M73 line except the 'E'
+(in M73 the 'P') right after a space.  For those the epilogue returns
+None and changes nothing but the parser state, which it sets to exactly
+the table's entry, so stepping the table instead is exact.
 
 All interceptor persistence lives in TrojanState, which serializes to 15
 bytes: the memory the stack-steal patch carved out.  There is no room for
@@ -114,18 +116,28 @@ _G1_NEXT = _walk_table(ST_G1_MID, ST_G1_TOK)
 _M73_NEXT = _walk_table(ST_M73_MID, ST_M73_TOK)
 
 
-def _pass_through_rows() -> tuple[bytes, ...]:
-    """By parser state, 1 for each byte after which the epilogue returns
-    None and changes nothing: a comment byte other than the newline that
-    ends it, or a byte that keeps a G1 or M73 line mid-token."""
-    rows = [bytes(256)] * 256
-    rows[ST_SKIP] = bytes(byte != 0x0A for byte in range(256))
-    rows[ST_G1_MID] = bytes(state == ST_G1_MID for state in _G1_NEXT)
-    rows[ST_M73_MID] = bytes(state == ST_M73_MID for state in _M73_NEXT)
+_CALL = 0xFF  # in _STEP: the epilogue must run for this pair
+
+
+def _step_rows() -> tuple[bytes, ...]:
+    """By parser state and byte, the next parser state where that is all
+    the epilogue would change (it returns None and touches nothing else),
+    or _CALL where it must run; the module docstring lists the pairs."""
+    rows = [bytes([_CALL]) * 256] * 256
+    rows[ST_LINE_START] = bytes(
+        _CALL if byte in b"GM" else ST_LINE_START if byte in b"\n\r " else ST_SKIP
+        for byte in range(256)
+    )
+    rows[ST_SKIP] = bytes(ST_LINE_START if byte == 0x0A else ST_SKIP for byte in range(256))
+    rows[ST_G1_MID] = _G1_NEXT
+    rows[ST_M73_MID] = _M73_NEXT
+    # after a space the target letter may start a value: the epilogue runs
+    rows[ST_G1_TOK] = _G1_NEXT[:0x45] + bytes([_CALL]) + _G1_NEXT[0x46:]  # 'E'
+    rows[ST_M73_TOK] = _M73_NEXT[:0x50] + bytes([_CALL]) + _M73_NEXT[0x51:]  # 'P'
     return tuple(rows)
 
 
-_PASS_THROUGH = _pass_through_rows()
+_STEP = _step_rows()
 
 # ASCII 0-9 only, as in the firmware's NUMERIC() and the g-code parser
 # (chr(byte).isdigit() would also take latin-1's superscripts 2, 3 and 1)
@@ -571,9 +583,11 @@ class UartSimulation:
     ``feed`` and ``feed_char`` run one producer loop over the UTF-8 bytes
     of their text.  Per byte it does what ``marlin_rx_isr`` does (store at
     head unless the ring is full; a dropped byte is counted and nothing
-    else runs for it), calls ``trojan_epilogue`` unless the pair (parser
-    state, byte) is pass-through (see the module docstring), counts the
-    returned event, and appends a trace entry when a trace is attached.
+    else runs for it), then looks the pair (parser state, byte) up in the
+    step table (see the module docstring): it sets the parser state from
+    the table, or, where the table says the epilogue must run, calls
+    ``trojan_epilogue`` and counts the returned event.  It appends a trace
+    entry when a trace is attached.
     ``feed`` then dequeues every complete line; ``feed_char`` leaves that
     to the caller.  With the policy off or the interceptor dormant the
     epilogue would return at once, so it is not called at all.
@@ -605,7 +619,7 @@ class UartSimulation:
         complete line is dequeued into it after each step."""
         ring, trojan, policy, stats = self.ring, self.trojan, self.policy, self.stats
         storage, mask, tail, trace = ring.storage, ring.mask, ring.tail, self.trace
-        epilogue, readline, pass_through = trojan_epilogue, consumer_readline, _PASS_THROUGH
+        epilogue, readline, step = trojan_epilogue, consumer_readline, _STEP
         live = policy.mode is not Mode.OFF and not trojan.flags_window & F_DORMANT
         stats.chars_in += len(data)
         for byte in data:
@@ -618,12 +632,16 @@ class UartSimulation:
             ring.head = after
             if byte == 0x0A:
                 ring.newlines += 1
-            if live and not pass_through[trojan.parser_state][byte]:
-                event = epilogue(trojan, ring, policy)
-                if event is not None:
-                    for name in _EVENT_COUNTERS[event]:
-                        setattr(stats, name, getattr(stats, name) + 1)
-                    live = not trojan.flags_window & F_DORMANT
+            if live:
+                state = step[trojan.parser_state][byte]
+                if state != _CALL:
+                    trojan.parser_state = state
+                else:
+                    event = epilogue(trojan, ring, policy)
+                    if event is not None:
+                        for name in _EVENT_COUNTERS[event]:
+                            setattr(stats, name, getattr(stats, name) + 1)
+                        live = not trojan.flags_window & F_DORMANT
             if trace is not None:
                 trace.append(
                     {

@@ -158,6 +158,27 @@ def test_parse_error_exits_three(tmp_path, capsys):
     assert main(["audit", str(bad_gcode)]) == 3
 
 
+def test_input_that_is_not_utf8_exits_three_with_line(tmp_path, capsys):
+    doc = tmp_path / "latin1.gcode"
+    doc.write_bytes(b"G1 X1 E2\nG21 ; 200\xb0C\n")
+    out = tmp_path / "out.gcode"
+    for argv in (
+        ["audit", doc],
+        ["tamper", doc, out, "--reduce", "0.5"],
+        ["pipeline", doc, APP_HEX, "--reduce", "0.3"],
+    ):
+        assert main([str(a) for a in argv]) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: line 2: byte 0xb0"), (argv, err)
+    image = tmp_path / "binary.hex"
+    image.write_bytes(b"\x7fELF\x02\x01\x01\x00\xff\xfe")
+    for argv in (["flash-sim", image], ["scan", image, "--find-sp"]):
+        assert main([str(a) for a in argv]) == 3, argv
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: line 1: byte 0xff"), (argv, err)
+    assert not out.exists()
+
+
 def test_audit_extrusion_overflow_exits_three_with_line(tmp_path, capsys):
     doc = tmp_path / "overflow.gcode"
     doc.write_text("G1 X1 E200000\nG1 X2 E-200000\n")

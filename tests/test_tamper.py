@@ -7,7 +7,7 @@ import pytest
 from flawsim import fixtures
 from flawsim.audit import account
 from flawsim.fixedpoint import FixedPoint, FixedPointOverflow
-from flawsim.gcode import parse_document, parse_line
+from flawsim.gcode import iter_lines, parse_document, parse_line
 from flawsim.policy import TamperPolicy
 from flawsim.tamper import (
     RelativeExtrusionDetected,
@@ -25,6 +25,28 @@ THREE_MOVES = "G1 X1 Y2 E3\nG1 X2 Y3 E4\nG1 X3 Y4 E5\n"
 def test_unedited_lines_reserialize_byte_for_byte(gcode_corpus):
     for name, doc in gcode_corpus.items():
         assert "".join(line.text() for line in parse_document(doc)) == doc, name
+
+
+def naive_split(doc):
+    """(body, terminator) pairs by str.split: CRLF and LF end a line, a
+    lone CR is body text, and text after the last newline is a line with
+    no terminator."""
+    *ended, last = doc.split("\n")
+    pairs = [(body[:-1], "\r\n") if body.endswith("\r") else (body, "\n") for body in ended]
+    return pairs + [(last, "")] if last else pairs
+
+
+def test_iter_lines_parses_one_line_at_a_time(gcode_corpus):
+    edges = ["", "\n", "a", "a\r", "a\r\n", "\r", "\r\n\r\n", "x\ry\n",
+             "G1 X1 E2\r\nG1 X2 E3", "G1 X1 E2\r\nG1 X2 E3\r"]
+    for doc in edges + list(gcode_corpus.values()):
+        lines = iter_lines(doc)
+        assert iter(lines) is lines  # a generator, not a list
+        expected = [parse_line(body, eol) for body, eol in naive_split(doc)]
+        got = list(lines)
+        assert got == expected, repr(doc[:40])
+        assert "".join(line.text() for line in got) == doc, repr(doc[:40])
+        assert parse_document(doc) == expected, repr(doc[:40])
 
 
 def test_parse_line_structure():

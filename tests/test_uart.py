@@ -10,6 +10,9 @@ from flawsim.policy import TamperPolicy
 from flawsim.tamper import apply_policy, run_pipeline_equivalence
 from flawsim.uart import (
     F_DORMANT,
+    ST_G1_MID,
+    ST_M73_MID,
+    ST_SKIP,
     BufferFull,
     RingBufferState,
     SimStats,
@@ -428,12 +431,20 @@ def test_feed_matches_single_character_replay(gcode_corpus):
 
 
 def test_pass_through_pairs_leave_everything_unchanged():
-    # Every (parser state, byte) pair the producer loop does not hand to
-    # the epilogue must be one where the epilogue returns None and changes
-    # nothing, whatever the rest of the state holds.
-    pairs = [(state, byte) for state, row in enumerate(uart._PASS_THROUGH)
-             for byte in range(256) if row[byte]]
-    assert len(uart._PASS_THROUGH) == 256 and pairs
+    # Every (parser state, byte) pair the producer loop steps through _STEP
+    # instead of handing to the epilogue must be one where the epilogue
+    # returns None and changes nothing but the parser state, which it sets
+    # to the table's entry, whatever the rest of the state holds.
+    assert len(uart._STEP) == 256 and {len(row) for row in uart._STEP} == {256}
+    pairs = [(state, byte, step) for state, row in enumerate(uart._STEP)
+             for byte, step in enumerate(row) if step != uart._CALL]
+    # still stepped: the pairs that left everything, the parser state
+    # included, as it was (a comment byte other than its newline, a byte
+    # that keeps a G1 or M73 line mid-token)
+    unchanged = {(ST_SKIP, byte) for byte in range(256) if byte != 0x0A}
+    for mid, walk in ((ST_G1_MID, uart._G1_NEXT), (ST_M73_MID, uart._M73_NEXT)):
+        unchanged |= {(mid, byte) for byte in range(256) if walk[byte] == mid}
+    assert unchanged < {(state, byte) for state, byte, _ in pairs}
     flag_sets = [f for f in range(256) if not f & F_DORMANT]
     others = [  # accumulator, gcode_counter, cmd_slot, policy
         (0, 0, 0, TamperPolicy.reduction(Fraction(3, 10))),
@@ -441,7 +452,7 @@ def test_pass_through_pairs_leave_everything_unchanged():
         (123_456, 254, 63, TamperPolicy.relocation(3)),
         (MAX_RAW, 255, 255, HALF),
     ]
-    for state, byte in pairs:
+    for state, byte, step in pairs:
         storage = bytearray(range(128))
         storage[99] = byte
         ring = RingBufferState(128, head=100, tail=3, storage=storage)
@@ -453,6 +464,8 @@ def test_pass_through_pairs_leave_everything_unchanged():
                                      policy_param=policy.param_byte())
                 blob = trojan.to_bytes()
                 assert trojan_epilogue(trojan, ring, policy) is None, (state, byte, flags)
+                assert trojan.parser_state == step, (state, byte, flags)
+                trojan.parser_state = state  # every other field must be as it was
                 assert trojan.to_bytes() == blob, (state, byte, flags)
                 assert (bytes(ring.storage), ring.head, ring.tail, ring.newlines) == before, (
                     state, byte, flags)
