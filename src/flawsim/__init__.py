@@ -9,73 +9,18 @@ path under a 15-byte state budget, and the defensive side - deposition
 accounting, anomaly detection and static bootloader audits.
 """
 
-from .audit import AuditReport, account, compare, detect_relocation
-from .avr import (
-    DecodedInsn,
-    Finding,
-    RingBufferInfo,
-    SpInitSite,
-    apply_stack_steal,
-    audit_bootloader,
-    decode,
-    find_ring_buffer,
-    find_sp_init,
-    revert_stack_steal,
-)
-from .fixedpoint import FixedPoint
-from .memory import FlashImage, MemoryLayout, dump_ihex, load_ihex
-from .policy import Mode, TamperPolicy
-from .stk500 import BootSession, Stk500Frame, VerifyOutcome, program_and_verify, serve
-from .tamper import (
-    run_pipeline_equivalence,
-    transform_reduction,
-    transform_relocation,
-)
-from .uart import (
-    RingBufferState,
-    TrojanState,
-    UartSimulation,
-    consumer_readline,
-    marlin_rx_isr,
-    trojan_epilogue,
-)
+from .avr import find_ring_buffer
+from .memory import dump_ihex
+from .policy import TamperPolicy
+from .stk500 import program_and_verify
+from .uart import UartSimulation
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuditReport",
-    "BootSession",
-    "DecodedInsn",
-    "Finding",
-    "FixedPoint",
-    "FlashImage",
-    "MemoryLayout",
-    "Mode",
-    "RingBufferInfo",
-    "RingBufferState",
-    "SpInitSite",
-    "Stk500Frame",
     "TamperPolicy",
-    "TrojanState",
     "UartSimulation",
-    "VerifyOutcome",
-    "account",
-    "apply_stack_steal",
-    "audit_bootloader",
-    "compare",
-    "consumer_readline",
-    "decode",
-    "detect_relocation",
     "dump_ihex",
     "find_ring_buffer",
-    "find_sp_init",
-    "load_ihex",
-    "marlin_rx_isr",
     "program_and_verify",
-    "revert_stack_steal",
-    "run_pipeline_equivalence",
-    "serve",
-    "transform_reduction",
-    "transform_relocation",
-    "trojan_epilogue",
 ]

