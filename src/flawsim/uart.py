@@ -42,10 +42,13 @@ that changes.  At line start CR, LF and space stay there and any byte but
 to line start and any other byte stays; in a G1 or M73 line a newline
 ends the line, ';' starts its comment, a space ends a token and any other
 byte stays in the token.  'G' or 'M' at line start, the 'E' (in M73 the
-'P') right after a space and every byte of a command number or captured
-value are marked _CALL: the epilogue steps the table and hands only those
-pairs to _act.  UartSimulation's producer loop does the same over the
-wire bytes, calling _act directly.
+'P') right after a space, and every byte that arrives while a command
+number or value is captured (its delimiter included) are marked _CALL:
+the epilogue steps the table and hands only those pairs to _act.
+UartSimulation's producer loop does the same over the wire bytes,
+calling _act directly.  E values and P percentages share one capture,
+the states ST_V_INT and ST_V_FRAC; F_PROGRESS marks a percentage, which
+is read and never hidden.
 
 All interceptor persistence lives in TrojanState, which serializes to 15
 bytes: the memory the stack-steal patch carved out.  There is no room for
@@ -70,27 +73,23 @@ class BufferFull(FlawsimError):
 
 
 # parser states (low nibble of parser_state; the high nibble counts the
-# decimals captured so far in ST_E_FRAC / ST_P_FRAC)
+# decimals captured so far in ST_V_FRAC)
 ST_LINE_START = 0
 ST_G_NUM = 1
 ST_M_NUM = 2
 ST_G1_MID = 3  # inside a G1 line, mid-token
 ST_G1_TOK = 4  # inside a G1 line, previous char was a space
-ST_E_SIGN = 5
-ST_E_INT = 6
-ST_E_FRAC = 7
+ST_V_INT = 6  # a captured value (G1 E or M73 P), before its point
+ST_V_FRAC = 7  # a captured value, after its point
 ST_M73_MID = 8
 ST_M73_TOK = 9
-ST_P_SIGN = 10
-ST_P_INT = 11
-ST_P_FRAC = 12
 ST_SKIP = 13
 
 # flag bits (flags_window)
 F_WINDOW_ACTIVE = 0x01
 F_WINDOW_DONE = 0x02
 F_DORMANT = 0x04
-F_HIDING = 0x08
+F_PROGRESS = 0x08  # the value is an M73 P percentage: read, never hidden
 F_NEG = 0x10
 F_CONVERT = 0x20
 F_PENDING = 0x40  # saw the target letter; no digit yet, nothing committed
@@ -280,7 +279,7 @@ def _emit(ring: RingBufferState, byte: int):
 
 
 def _go_dormant(trojan: TrojanState):
-    trojan.flags_window = (trojan.flags_window | F_DORMANT) & ~(F_HIDING | F_CONVERT)
+    trojan.flags_window = (trojan.flags_window | F_DORMANT) & ~F_CONVERT
 
 
 def _fold_digit(trojan: TrojanState, digit: int, in_frac: bool) -> str | None:
@@ -290,17 +289,17 @@ def _fold_digit(trojan: TrojanState, digit: int, in_frac: bool) -> str | None:
     Integer digits always fold.  Decimals fold up to the fourth (their
     count is the high nibble of parser_state), the fifth only rounds half
     up and later ones are dropped, so values are captured at 1e-4.  A
-    number past 32 bits sends the interceptor dormant for the session.
+    digit or a rounding that takes the number past 32 bits sends the
+    interceptor dormant for the session.
     """
+    acc = trojan.accumulator
     if in_frac:
         frac = trojan.parser_state >> 4
-        if frac >= 4:
-            if frac == 4:
-                if digit >= 5:
-                    trojan.accumulator += 1
-                trojan.parser_state += 0x10
+        if frac > 4:
             return None
-    acc = trojan.accumulator * 10 + digit
+        acc = acc + (digit >= 5) if frac == 4 else acc * 10 + digit
+    else:
+        acc = acc * 10 + digit
     if acc > MAX_RAW:
         _go_dormant(trojan)
         return EV_OVERFLOW
@@ -323,18 +322,21 @@ def _scaled_value(trojan: TrojanState) -> int | None:
 
 
 def _pass_finish(trojan: TrojanState, delim: int):
-    """A target token ended before any digit arrived: it was never hidden
-    and is not eligible, so it simply stays as received."""
-    trojan.flags_window &= ~(F_PENDING | F_NEG | F_SIGN_SEEN)
+    """A value token ended before any digit arrived: it was never hidden
+    and is not eligible, so it simply stays as received.  A progress
+    token's line is skipped, leaving the window as it was."""
+    flags = trojan.flags_window
+    trojan.flags_window = flags & ~(F_PENDING | F_NEG | F_SIGN_SEEN | F_PROGRESS)
     trojan.accumulator = 0
-    trojan.parser_state = _G1_NEXT[delim]
+    trojan.parser_state = (_STEP[ST_SKIP] if flags & F_PROGRESS else _G1_NEXT)[delim]
 
 
 def _decide_on_first_digit(
     trojan: TrojanState, ring: RingBufferState, policy: TamperPolicy, digit: int, in_frac: bool
 ):
     """The first digit makes the token a well-formed value: commit to an
-    edit (reduction), a conversion or a verbatim pass (relocation).
+    edit (reduction), a conversion or a verbatim pass (relocation), or
+    read on (a progress percentage).
 
     Any sign or decimal point that already passed through is taken back
     here; until this moment nothing was hidden, so a token that never
@@ -344,11 +346,12 @@ def _decide_on_first_digit(
     """
     flags = trojan.flags_window & ~F_PENDING
     visible_prefix = 1 + (1 if flags & F_SIGN_SEEN else 0) + (1 if in_frac else 0)
-    if policy.mode is Mode.REDUCTION:
-        ring.head = (ring.head - visible_prefix) & ring.mask
-        trojan.flags_window = flags | F_HIDING
+    if flags & F_PROGRESS or policy.mode is Mode.REDUCTION:
+        if not flags & F_PROGRESS:
+            ring.head = (ring.head - visible_prefix) & ring.mask
+        trojan.flags_window = flags
         trojan.accumulator = digit
-        trojan.parser_state = (0x10 | ST_E_FRAC) if in_frac else ST_E_INT
+        trojan.parser_state = (0x10 | ST_V_FRAC) if in_frac else ST_V_INT
         return
     if flags & F_WINDOW_ACTIVE:
         trojan.gcode_counter += 1
@@ -357,8 +360,8 @@ def _decide_on_first_digit(
             # unpublish the whole token so far plus the letter and its space
             ring.head = (ring.head - visible_prefix - 2) & ring.mask
             ring.storage[trojan.cmd_slot] = 0x30  # '0'
-            trojan.flags_window = flags | F_CONVERT | F_HIDING
-            trojan.parser_state = ST_E_FRAC if in_frac else ST_E_INT
+            trojan.flags_window = flags | F_CONVERT
+            trojan.parser_state = ST_V_FRAC if in_frac else ST_V_INT
             return
     # kept: the value stays exactly as received, later chars are ordinary
     trojan.flags_window = flags & ~(F_NEG | F_SIGN_SEEN)
@@ -389,7 +392,7 @@ def _finish_target(trojan: TrojanState, ring: RingBufferState, delim: int) -> st
         else:
             event = EV_EDIT_SKIPPED
         _emit(ring, delim)
-    trojan.flags_window &= ~(F_CONVERT | F_HIDING | F_NEG | F_SIGN_SEEN)
+    trojan.flags_window &= ~(F_CONVERT | F_NEG | F_SIGN_SEEN)
     trojan.accumulator = 0
     trojan.parser_state = _G1_NEXT[delim]
     return event
@@ -410,14 +413,15 @@ def update_window(flags: int, percent_raw: int, lo: int, hi: int) -> int:
 
 
 def _finish_progress(trojan: TrojanState, policy: TamperPolicy, delim: int) -> str | None:
-    """A progress-report percentage finished arriving; update the window."""
+    """A progress-report percentage finished arriving; update the window
+    and skip the rest of the line."""
     value = _scaled_value(trojan)
     trojan.parser_state = _STEP[ST_SKIP][delim]
     if value is None:
         _go_dormant(trojan)
         return EV_OVERFLOW
     flags = update_window(trojan.flags_window, value, policy.window_lo, policy.window_hi)
-    trojan.flags_window = flags & ~F_NEG
+    trojan.flags_window = flags & ~(F_PROGRESS | F_NEG | F_SIGN_SEEN)
     trojan.accumulator = 0
     return None
 
@@ -443,16 +447,48 @@ def _act(trojan: TrojanState, ring: RingBufferState, policy: TamperPolicy, byte:
     """The epilogue's work for a pair (parser state, byte) that _STEP
     marks _CALL: every other pair only steps the table."""
     state = trojan.parser_state & 0x0F
+    digit = _IS_DIGIT[byte]
 
-    if state == ST_G1_TOK:  # 'E'
-        # A target might be starting; nothing is committed (or hidden)
-        # until a digit proves the value well-formed.
+    if state == ST_V_INT or state == ST_V_FRAC:
+        # one capture for E values and P percentages: a value under F_PENDING
+        # has no digit yet, one under F_PROGRESS is read and never hidden
+        in_frac = state == ST_V_FRAC
+        flags = trojan.flags_window
+        if digit:
+            if flags & F_PENDING:
+                _decide_on_first_digit(trojan, ring, policy, byte - 48, in_frac)
+                return None
+            if not flags & F_CONVERT:
+                event = _fold_digit(trojan, byte - 48, in_frac)
+                if event is not None:
+                    return event
+            if not flags & F_PROGRESS:
+                _hide(ring)
+            return None
+        if byte == 0x2E and not in_frac:  # '.'
+            if not flags & (F_PENDING | F_PROGRESS):
+                _hide(ring)
+            trojan.parser_state = ST_V_FRAC
+            return None
+        if flags & F_PENDING:
+            if (byte == 0x2B or byte == 0x2D) and not in_frac and not flags & F_SIGN_SEEN:
+                trojan.flags_window = flags | F_SIGN_SEEN | (F_NEG if byte == 0x2D else 0)
+            else:
+                _pass_finish(trojan, byte)
+            return None
+        if flags & F_PROGRESS:
+            return _finish_progress(trojan, policy, byte)
+        return _finish_target(trojan, ring, byte)
+
+    if state == ST_G1_TOK or state == ST_M73_TOK:  # 'E', 'P'
+        # A value might be starting; nothing is committed (or hidden)
+        # until a digit proves it well-formed.
+        flags = (trojan.flags_window | F_PENDING) & ~(F_NEG | F_SIGN_SEEN)
+        trojan.flags_window = (flags | F_PROGRESS) if state == ST_M73_TOK else flags
         trojan.accumulator = 0
-        trojan.flags_window = (trojan.flags_window | F_PENDING) & ~(F_NEG | F_SIGN_SEEN)
-        trojan.parser_state = ST_E_SIGN
+        trojan.parser_state = ST_V_INT
         return None
 
-    digit = _IS_DIGIT[byte]
     if state == ST_LINE_START:  # 'G', 'M'
         trojan.accumulator = 0
         trojan.parser_state = ST_G_NUM if byte == 0x47 else ST_M_NUM
@@ -469,80 +505,22 @@ def _act(trojan: TrojanState, ring: RingBufferState, policy: TamperPolicy, byte:
         trojan.parser_state = (_G1_NEXT if number == 1 else _STEP[ST_SKIP])[byte]
         return None
 
-    if state == ST_M_NUM:
-        if digit:
-            return _fold_digit(trojan, byte - 48, False)
-        number = trojan.accumulator
-        trojan.accumulator = 0
-        if policy.mode is Mode.RELOCATION:
-            if number == 83:
-                # Relative extrusion would break the conservation property;
-                # the interceptor quietly stands down for the session.
-                _go_dormant(trojan)
-                return EV_DORMANT_M83
-            if number == 73:
-                trojan.parser_state = _M73_NEXT[byte]
-                return None
-        trojan.parser_state = _STEP[ST_SKIP][byte]
-        return None
-
-    if state == ST_E_SIGN:  # pending by construction: no digit yet
-        if byte == 0x2B or byte == 0x2D:  # '+', '-'
-            flags = trojan.flags_window | F_SIGN_SEEN
-            trojan.flags_window = (flags | F_NEG) if byte == 0x2D else (flags & ~F_NEG)
-            trojan.parser_state = ST_E_INT
-        elif digit:
-            _decide_on_first_digit(trojan, ring, policy, byte - 48, False)
-        elif byte == 0x2E:  # '.'
-            trojan.parser_state = ST_E_FRAC
-        else:
-            _pass_finish(trojan, byte)
-        return None
-
-    if state == ST_E_INT or state == ST_E_FRAC:
-        in_frac = state == ST_E_FRAC
-        flags = trojan.flags_window
-        if digit:
-            if flags & F_PENDING:
-                _decide_on_first_digit(trojan, ring, policy, byte - 48, in_frac)
-                return None
-            if not flags & F_CONVERT:
-                event = _fold_digit(trojan, byte - 48, in_frac)
-                if event is not None:
-                    return event
-            _hide(ring)
-            return None
-        if byte == 0x2E and not in_frac:
-            if not flags & F_PENDING:
-                _hide(ring)
-            trojan.parser_state = ST_E_FRAC
-            return None
-        if flags & F_PENDING:
-            _pass_finish(trojan, byte)
-            return None
-        return _finish_target(trojan, ring, byte)
-
-    if state == ST_M73_TOK:  # 'P'
-        trojan.accumulator = 0
-        trojan.parser_state = ST_P_SIGN
-        return None
-
-    # ST_P_SIGN, ST_P_INT, ST_P_FRAC: a progress percentage, never hidden
-    if state == ST_P_SIGN and (byte == 0x2B or byte == 0x2D):
-        if byte == 0x2D:
-            trojan.flags_window |= F_NEG
-        else:
-            trojan.flags_window &= ~F_NEG
-        trojan.parser_state = ST_P_INT
-        return None
+    # ST_M_NUM
     if digit:
-        if state == ST_P_SIGN:
-            trojan.parser_state = ST_P_INT
-        return _fold_digit(trojan, byte - 48, state == ST_P_FRAC)
-    if byte == 0x2E and state != ST_P_FRAC:
-        trojan.parser_state = ST_P_FRAC
-        return None
-    return _finish_progress(trojan, policy, byte)
+        return _fold_digit(trojan, byte - 48, False)
+    number = trojan.accumulator
+    trojan.accumulator = 0
+    if policy.mode is Mode.RELOCATION:
+        if number == 83:
+            # Relative extrusion would break the conservation property;
+            # the interceptor quietly stands down for the session.
+            _go_dormant(trojan)
+            return EV_DORMANT_M83
+        if number == 73:
+            trojan.parser_state = _M73_NEXT[byte]
+            return None
+    trojan.parser_state = _STEP[ST_SKIP][byte]
+    return None
 
 
 @dataclass

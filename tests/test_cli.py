@@ -202,6 +202,23 @@ def test_layout_env_var(tmp_path, capsys, monkeypatch):
     assert json.loads(text)["offset"] == 0x1000
 
 
+@pytest.mark.parametrize("fields, named", [
+    ({"boot_sectio_size": 4096}, "'boot_sectio_size'"),
+    ([1, 2], "JSON object"),
+    ({"flash_size": "big"}, "'flash_size'"),
+], ids=["unknown field", "not an object", "not an integer"])
+def test_malformed_layout_exits_one_naming_the_field(tmp_path, capsys, monkeypatch, fields, named):
+    layout_json = tmp_path / "bad.json"
+    layout_json.write_text(json.dumps(fields))
+    assert main(["scan", APP_HEX, "--find-sp", "--layout", str(layout_json)]) == 1
+    by_flag = capsys.readouterr().err
+    monkeypatch.setenv("FLAWSIM_LAYOUT", str(layout_json))
+    assert main(["scan", APP_HEX, "--find-sp"]) == 1
+    by_env = capsys.readouterr().err
+    for err in (by_flag, by_env):
+        assert err.startswith("error: ") and named in err, err
+
+
 def test_determinism_identical_runs(capsys, tmp_path, gcode_file):
     results = []
     for i in range(2):

@@ -72,8 +72,15 @@ def random_document(seed: int) -> str:
         if roll < 0.75:
             lines.append(random_move(rng))
         elif roll < 0.85:
-            percent = min(100, percent + rng.randrange(0, 30))
-            marker = f"M73 P{percent}"
+            pick = rng.random()
+            if pick < 0.1:  # no digit: the line is skipped, the window left alone
+                value = rng.choice(["", "-", "+", ".", "x", "²", "+-5"])
+            elif pick < 0.3:  # signed, decimal, zero-padded
+                value = random_value(rng)
+            else:
+                percent = min(100, percent + rng.randrange(0, 30))
+                value = str(percent)
+            marker = f"M73 P{value}"
             if rng.random() < 0.3:
                 marker += f" R{rng.randrange(60)}"
             lines.append(marker)

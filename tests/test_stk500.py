@@ -354,13 +354,30 @@ def test_spoofing_stops_after_site_is_overwritten():
 
 def test_reinstall_reads_back_the_stored_bytes():
     # the session patches once; a second install overwrites the patched
-    # word with the clean one, and the read-back must show the stored
-    # bytes rather than spoof a patch that is no longer there
-    session = fixtures.build_session(trojan=True)
-    first = program_and_verify(fixtures.build_app_image(spl=0x80), session)
-    assert first.verified and first.stored_differs
-    second = program_and_verify(fixtures.build_app_image(spl=0x80), session)
-    assert (second.verified, second.stored_differs, second.mismatches) == (True, False, [])
+    # word, with the clean one or with exactly the word it was patched to,
+    # and the read-back must show the stored bytes rather than spoof a
+    # patch that is no longer there
+    for second_spl in (0x80, 0x80 - 15):
+        session = fixtures.build_session(trojan=True)
+        first = program_and_verify(fixtures.build_app_image(spl=0x80), session)
+        assert first.verified and first.stored_differs
+        second = program_and_verify(fixtures.build_app_image(spl=second_spl), session)
+        assert (second.verified, second.stored_differs, second.mismatches) == (True, False, []), (
+            second_spl)
+
+
+def test_scan_ignores_preloaded_bytes_the_session_never_received():
+    # a preloaded image holds the sp-init sequence at 0x1FC; the upload
+    # covers only the page at 0x200, which repeats the sequence's second
+    # half, so the match spans four stale bytes and must not be patched
+    image = FlashImage(LAYOUT)
+    image.write(0x1FC, sp_init_words())
+    session = BootSession(image=image, trojan_enabled=True)
+    roundtrip(session, bytes([CMD_LOAD_ADDRESS]) + (0x200).to_bytes(4, "big"))
+    page = sp_init_words()[4:] + b"\xff" * 252
+    assert roundtrip(session, bytes([CMD_PROGRAM_FLASH, 1, 0]) + page)[1] == STATUS_CMD_OK
+    assert session.sp_site is None
+    assert session.image.read_word(0x1FC) == 0xEFCF
 
 
 def test_transcript_capture():

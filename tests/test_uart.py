@@ -203,6 +203,16 @@ def test_relocation_window_reactivation_blocked_after_done():
     assert out.splitlines()[6] == "G1 E4"
 
 
+def test_progress_token_without_digit_leaves_the_window_alone():
+    # the line is skipped as the transform skips it: the window stays open
+    # and the second move is converted, on both paths
+    for token in ("x", "\u00b2", "", "-", "+", ".", "+-5"):
+        doc = f"M73 P30\nM73 P{token}\nG1 X1 E5\nG1 X2 E6\n"
+        report = run_pipeline_equivalence(doc, TamperPolicy.relocation(2))
+        assert report.identical, (token, report.describe())
+        assert report.sim_output.endswith("G1 X1 E5\nG0 X2\n"), token
+
+
 # --- hiding contract -----------------------------------------------------------
 
 
@@ -325,6 +335,26 @@ def test_accumulator_overflow_goes_dormant_for_session():
     sim.feed("G1 E99999999999999\n")
     assert sim.stats.overflows == 1
     assert "".join(sim.feed("G1 E4\n")) == "G1 E4\n"  # untouched: dormant
+
+
+def test_every_overflow_route_goes_dormant_within_budget():
+    # a digit past 32 bits, a value that overflows only when scaled at its
+    # delimiter, and a fifth decimal that rounds past MAX_RAW; the text the
+    # overflowing line keeps is not pinned here
+    tail = "G1 X2 E5\nG1 X3 E6\nG1 X4 E7\n"
+    for value in ("99999999999", "214749", "214748.36475"):
+        for head, policy in (
+            (f"G1 X1 E{value}\n", HALF),
+            (f"M73 P10\nM73 P{value}\n", TamperPolicy.relocation(2, 0, 100)),
+        ):
+            sim = UartSimulation(policy)
+            lines = []
+            for ch in head + tail:
+                sim.feed_char(ch)
+                assert len(sim.trojan.to_bytes()) == 15, (head, ch)
+                lines += sim.drain()
+            assert sim.stats.overflows == 1, head
+            assert "".join(lines[-3:]) == tail, head  # dormant: passed unedited
 
 
 def test_edit_skipped_when_no_room_to_rewrite():
