@@ -24,8 +24,8 @@ RELOCATION_SIGNATURE = "RelocationSignature"
 FLOW_OUTLIER = "FlowOutlier"
 
 DEFAULT_FLOW_THRESHOLD = 1.8  # x median; below the 2x of 1-in-2 relocation
-DEFAULT_FILAMENT_DIAMETER_MM = 2.85
-DEFAULT_DENSITY_G_CM3 = 1.24  # PLA
+FILAMENT_DIAMETER_MM = 2.85
+DENSITY_G_CM3 = 1.24  # PLA
 
 
 class ParseError(FlawsimError):
@@ -49,12 +49,8 @@ class SegmentRecord:
     start: tuple[float, float, float]
     end: tuple[float, float, float]
     travel: float  # mm
-    delta_raw: int  # mm of filament * 10^4, the raw value behind delta_e
-    flow: float | None  # delta_e / travel, None when travel is ~zero
-
-    @property
-    def delta_e(self) -> FixedPoint:
-        return FixedPoint(self.delta_raw)
+    delta_raw: int  # mm of filament * 10^4
+    flow: float | None  # filament / travel, None when travel is ~zero
 
     def to_dict(self) -> dict:
         return {
@@ -85,15 +81,11 @@ class AuditReport:
     anomalies: list[Anomaly] = field(default_factory=list)
     comparison: dict | None = None
 
-    def mass_grams(
-        self,
-        filament_diameter_mm: float = DEFAULT_FILAMENT_DIAMETER_MM,
-        density_g_cm3: float = DEFAULT_DENSITY_G_CM3,
-    ) -> float:
-        """Optional conversion of the length proxy to grams."""
-        area_mm2 = math.pi * (filament_diameter_mm / 2) ** 2
+    def mass_grams(self) -> float:
+        """The length proxy converted to grams of 2.85 mm PLA filament."""
+        area_mm2 = math.pi * (FILAMENT_DIAMETER_MM / 2) ** 2
         volume_cm3 = float(self.total_extrusion) * area_mm2 / 1000.0
-        return volume_cm3 * density_g_cm3
+        return volume_cm3 * DENSITY_G_CM3
 
     def to_dict(self) -> dict:
         out = {

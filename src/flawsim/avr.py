@@ -1,16 +1,16 @@
 """Minimal AVR instruction decode plus every binary pattern operation:
-stack-pointer-init patching and reversal, serial ring-buffer discovery by
-control-flow walk, and the defensive bootloader audit.
+stack-pointer-init patching, serial ring-buffer discovery by control-flow
+walk, and the defensive bootloader audit.
 
-Only the handful of encodings the tooling needs are decoded; everything
-else is classified OTHER16/OTHER32 so walkers still advance correctly.
+Only the handful of encodings the tooling needs are decoded.  They include
+all four 32-bit ones (LDS, STS, JMP, CALL), so everything else is a
+16-bit OTHER16 and walkers still advance correctly.
 Instruction words are little-endian in flash.  Jump/call targets are word
 addresses in the encoding and are converted to byte addresses here.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -65,7 +65,6 @@ class Kind(Enum):
     CLI = "cli"
     RETI = "reti"
     OTHER16 = "other16"
-    OTHER32 = "other32"
 
 
 @dataclass(frozen=True)
@@ -96,7 +95,7 @@ class RingBufferInfo:
     root_addr: int
 
 
-# --- encoders (used by fixtures and by the patch/revert operations) ------
+# --- encoders (used by fixtures and by the patch) -------------------------
 
 
 def enc_ldi(reg: int, value: int) -> int:
@@ -146,28 +145,6 @@ def words_to_bytes(*words: int) -> bytes:
     for w in words:
         out += bytes([w & 0xFF, (w >> 8) & 0xFF])
     return bytes(out)
-
-
-def encode_insn(insn: DecodedInsn) -> bytes:
-    """Re-encode a decoded instruction; inverse of decode for known kinds."""
-    k = insn.kind
-    if k is Kind.LDI:
-        return words_to_bytes(enc_ldi(insn.reg, insn.value))
-    if k is Kind.OUT:
-        return words_to_bytes(enc_out(insn.io_addr, insn.reg))
-    if k is Kind.LDS:
-        return words_to_bytes(*enc_lds(insn.reg, insn.mem_addr))
-    if k is Kind.STS:
-        return words_to_bytes(*enc_sts(insn.mem_addr, insn.reg))
-    if k is Kind.JMP:
-        return words_to_bytes(*enc_jmp(insn.target))
-    if k is Kind.CALL:
-        return words_to_bytes(*enc_call(insn.target))
-    if k is Kind.CLI:
-        return words_to_bytes(CLI_WORD)
-    if k is Kind.RETI:
-        return words_to_bytes(RETI_WORD)
-    raise ValueError(f"cannot re-encode {k}")
 
 
 # --- decode ---------------------------------------------------------------
@@ -278,22 +255,6 @@ def find_sp_init(image: FlashImage, start: int = 0, end: int | None = None) -> S
     raise PatternNotFound("no stack-pointer init sequence found")
 
 
-def _shift_spl(image: FlashImage, site: SpInitSite, delta: int) -> FlashImage:
-    word = image.read_word(site.offset)
-    if (word & 0xF0F0) != 0xE0C0:
-        raise PatternNotFound(f"no ldi r28 at {site.offset:#x}; stale site?")
-    current = ((word >> 4) & 0xF0) | (word & 0x0F)
-    updated = current + delta
-    if not 0 <= updated <= 0xFF:
-        raise UnderflowWouldBorrow(
-            f"SPL immediate {current:#04x} {'+' if delta > 0 else '-'} "
-            f"{abs(delta)} would borrow into SPH"
-        )
-    patched = image.copy()
-    patched.write_word(site.offset, enc_ldi(28, updated))
-    return patched
-
-
 def apply_stack_steal(image: FlashImage, site: SpInitSite, n: int = DEFAULT_STEAL_BYTES) -> FlashImage:
     """Lower the initial SPL immediate by n, freeing n bytes above the stack.
 
@@ -302,14 +263,15 @@ def apply_stack_steal(image: FlashImage, site: SpInitSite, n: int = DEFAULT_STEA
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    return _shift_spl(image, site, -n)
-
-
-def revert_stack_steal(image: FlashImage, site: SpInitSite, n: int = DEFAULT_STEAL_BYTES) -> FlashImage:
-    """Exact inverse of apply_stack_steal."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return _shift_spl(image, site, n)
+    word = image.read_word(site.offset)
+    if (word & 0xF0F0) != 0xE0C0:
+        raise PatternNotFound(f"no ldi r28 at {site.offset:#x}; stale site?")
+    current = ((word >> 4) & 0xF0) | (word & 0x0F)
+    if current < n:
+        raise UnderflowWouldBorrow(f"SPL immediate {current:#04x} - {n} would borrow into SPH")
+    patched = image.copy()
+    patched.write_word(site.offset, enc_ldi(28, current - n))
+    return patched
 
 
 # --- ring-buffer discovery -------------------------------------------------
@@ -378,20 +340,8 @@ class Finding:
     related_offset: int
     snippet: str
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "offset": self.offset,
-            "related_offset": self.related_offset,
-            "snippet": self.snippet,
-        }
 
-
-def findings_to_json(findings: list[Finding]) -> str:
-    return json.dumps([f.to_dict() for f in findings], indent=2)
-
-
-def audit_bootloader(image: FlashImage, mcucr_io_addr: int = MCUCR_IO_ADDR) -> list[Finding]:
+def audit_bootloader(image: FlashImage) -> list[Finding]:
     """Statically audit the boot region for takeover signatures.
 
     IvselTakeover: consecutive stores to MCUCR where the first written
@@ -421,7 +371,7 @@ def audit_bootloader(image: FlashImage, mcucr_io_addr: int = MCUCR_IO_ADDR) -> l
     for idx, insn in enumerate(insns):
         if insn.kind is Kind.LDI:
             reg_imm[insn.reg] = insn.value
-        elif insn.kind is Kind.OUT and insn.io_addr == mcucr_io_addr:
+        elif insn.kind is Kind.OUT and insn.io_addr == MCUCR_IO_ADDR:
             if insn.reg in reg_imm:
                 mcucr_writes.append((idx, insn.byte_offset, reg_imm[insn.reg]))
         if (
@@ -447,8 +397,8 @@ def audit_bootloader(image: FlashImage, mcucr_io_addr: int = MCUCR_IO_ADDR) -> l
                     IVSEL_TAKEOVER,
                     off1,
                     off2,
-                    f"out 0x{mcucr_io_addr:02x}, #0x{val1:02X} ; "
-                    f"out 0x{mcucr_io_addr:02x}, #0x{val2:02X}",
+                    f"out 0x{MCUCR_IO_ADDR:02x}, #0x{val1:02X} ; "
+                    f"out 0x{MCUCR_IO_ADDR:02x}, #0x{val2:02X}",
                 )
             )
 

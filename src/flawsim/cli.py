@@ -172,13 +172,8 @@ def cmd_scan(args) -> int:
         except avr.PatternNotFound:
             print("stack-pointer init sequence: not found")
             return EXIT_OK
-        result = {
-            "offset": site.offset,
-            "spl_immediate": site.spl_immediate,
-            "sph_immediate": site.sph_immediate,
-        }
         if args.json:
-            print(json.dumps(result))
+            print(json.dumps(dataclasses.asdict(site)))
         else:
             print(f"sp-init at {site.offset:#07x}: SPL={site.spl_immediate:#04x} "
                   f"SPH={site.sph_immediate:#04x}")
@@ -189,20 +184,15 @@ def cmd_scan(args) -> int:
         except avr.DormantAbort as exc:
             print(f"ring buffer: dormant abort ({exc})")
             return EXIT_OK
-        result = {
-            "head_addr": info.head_addr,
-            "tail_addr": info.tail_addr,
-            "root_addr": info.root_addr,
-        }
         if args.json:
-            print(json.dumps(result))
+            print(json.dumps(dataclasses.asdict(info)))
         else:
             print(f"ring buffer: head @{info.head_addr:#06x} tail @{info.tail_addr:#06x} "
                   f"root @{info.root_addr:#06x}")
         return EXIT_OK
     findings = avr.audit_bootloader(image)
     if args.json:
-        print(avr.findings_to_json(findings))
+        print(json.dumps([dataclasses.asdict(f) for f in findings], indent=2))
     else:
         if not findings:
             print("bootloader audit: clean")
@@ -294,7 +284,7 @@ def build_parser() -> _Parser:
     p.add_argument("firmware")
     _add_policy_flags(p)
     p.add_argument("--rx-vector", type=int, default=avr.DEFAULT_RX_VECTOR_INDEX)
-    p.add_argument("--trace", help="write per-character JSONL trace")
+    p.add_argument("--trace", help="write a JSONL trace, one entry per stored byte")
     p.add_argument("-o", "--output", help="write the intercepted stream")
     p.add_argument("--layout")
     p.set_defaults(func=cmd_pipeline)

@@ -30,7 +30,6 @@ from .stk500 import BootSession
 DEFAULT_LAYOUT = MemoryLayout()
 
 # Addresses mirrored by the synthetic application firmware.
-APP_STARTUP_OFFSET = 0x39DC
 APP_SP_INIT_OFFSET = 0x39E0
 APP_RX_ISR_OFFSET = 0x1076E
 RX_HEAD_ADDR = 0x0324
@@ -51,7 +50,6 @@ def build_app_image(
     sph: int = 0x21,
     head_addr: int = RX_HEAD_ADDR,
     tail_addr: int = RX_TAIL_ADDR,
-    isr_preamble_words: int = 6,
 ) -> FlashImage:
     """A printer-firmware-shaped application image.
 
@@ -75,8 +73,7 @@ def build_app_image(
             enc_rjmp(-1),  # spin
         ),
     )
-    isr = [_PUSH_R18, _PUSH_R30]
-    isr += [_EOR_R1_R1] * max(0, isr_preamble_words - len(isr))
+    isr = [_PUSH_R18, _PUSH_R30] + [_EOR_R1_R1] * 4
     isr += [*enc_lds(18, head_addr), *enc_lds(30, tail_addr)]
     isr += [*enc_sts(tail_addr, 30), RETI_WORD]
     image.write(isr_offset, words_to_bytes(*isr))

@@ -57,10 +57,6 @@ class ParsedLine:
     comment_start: int | None = None
     malformed: bool = False  # looked like a command but params did not parse
 
-    @property
-    def is_command(self) -> bool:
-        return self.letter is not None
-
     def param(self, letter: str) -> tuple[str, int, int, int, int] | None:
         for p in self.params:
             if p[0] == letter:

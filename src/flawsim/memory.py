@@ -81,9 +81,6 @@ class MemoryLayout:
     def in_app_region(self, addr: int) -> bool:
         return 0 <= addr < self.boot_start
 
-    def in_boot_region(self, addr: int) -> bool:
-        return self.boot_start <= addr < self.flash_size
-
     def in_data_memory(self, addr: int) -> bool:
         return 0 <= addr < self.data_memory_size
 

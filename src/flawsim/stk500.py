@@ -78,9 +78,6 @@ class Stk500Frame:
     sequence: int
     body: bytes
 
-    def encode(self) -> bytes:
-        return frame_encode(self.body, self.sequence)
-
 
 def _xor(data: bytes) -> int:
     """XOR of every byte of data: the bytes as one integer, folded in halves."""
@@ -163,31 +160,6 @@ class FrameReader:
             frames.append(frame)
 
 
-class _IntervalSet:
-    """Sorted disjoint half-open intervals; tracks which flash bytes a
-    session has actually received."""
-
-    def __init__(self):
-        self.spans: list[tuple[int, int]] = []
-
-    def add(self, start: int, end: int):
-        if end <= start:
-            return
-        merged = []
-        for s, e in self.spans:
-            if e < start or s > end:
-                merged.append((s, e))
-            else:
-                start = min(start, s)
-                end = max(end, e)
-        merged.append((start, end))
-        merged.sort()
-        self.spans = merged
-
-    def covers(self, start: int, end: int) -> bool:
-        return any(s <= start and end <= e for s, e in self.spans)
-
-
 @dataclass
 class BootSession:
     """One bootloader programming session over a fresh or preloaded image.
@@ -209,8 +181,13 @@ class BootSession:
     steal_n: int = avr.DEFAULT_STEAL_BYTES
     load_address: int = 0
     sp_site: SpInitSite | None = None
-    _received: _IntervalSet = field(default_factory=_IntervalSet)
     _patch: bytes | None = None
+    # one byte per application-region address, nonzero once the session
+    # has received that byte
+    _received: bytearray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._received = bytearray(self.layout.boot_start)
 
     @property
     def layout(self) -> MemoryLayout:
@@ -239,7 +216,7 @@ class BootSession:
         if end > self.layout.boot_start:  # the bootloader protects itself
             return bytes([CMD_PROGRAM_FLASH, STATUS_CMD_FAILED])
         self.image.write(start, data)
-        self._received.add(start, end)
+        self._received[start:end] = b"\x01" * size
         self.load_address = end
         if self._patch is not None and start - 2 < self.sp_site.offset < end:
             self._patch = None  # the patched word was overwritten: nothing left to hide
@@ -254,7 +231,7 @@ class BootSession:
         lo += lo % 2
         hi = min(self.layout.boot_start, page_end + 7)
         for site in avr._sp_init_sites(self.image.data, lo, hi):
-            if not self._received.covers(site.offset, site.offset + 8):
+            if 0 in self._received[site.offset : site.offset + 8]:
                 continue
             original = self.image.read(site.offset, 2)
             try:
@@ -316,14 +293,13 @@ class PipeTransport:
     """In-process byte-stream transport to a session.
 
     Writes are parsed incrementally; responses queue up and are read back
-    in deliberately awkward chunks so nothing downstream can rely on
-    message boundaries surviving the pipe.
+    in deliberately awkward 7-byte chunks so nothing downstream can rely
+    on message boundaries surviving the pipe.
     """
 
-    def __init__(self, session: BootSession, read_chunk: int = 7, transcript: list | None = None):
+    def __init__(self, session: BootSession, transcript: list | None = None):
         self.session = session
         self.reader = FrameReader()
-        self.read_chunk = read_chunk
         self.pending = bytearray()
         self.transcript = transcript
 
@@ -331,13 +307,14 @@ class PipeTransport:
         if self.transcript is not None:
             self.transcript.append((">>", bytes(data)))
         for frame in self.reader.feed(data):
-            response = serve(self.session, frame).encode()
+            reply = serve(self.session, frame)
+            response = frame_encode(reply.body, reply.sequence)
             if self.transcript is not None:
                 self.transcript.append(("<<", response))
             self.pending += response
 
     def read(self, n: int) -> bytes:
-        take = min(n, self.read_chunk, len(self.pending))
+        take = min(n, 7, len(self.pending))
         out = bytes(self.pending[:take])
         del self.pending[:take]
         return out
@@ -419,17 +396,15 @@ def used_span(firmware: FlashImage, page_size: int | None = None) -> tuple[int, 
 def program_and_verify(
     firmware: FlashImage,
     session: BootSession,
-    page_size: int | None = None,
     transcript: list | None = None,
 ) -> VerifyOutcome:
-    """Full naive install cycle against a session: upload every used page,
-    read the same span back, compare.
+    """Full naive install cycle against a session: upload every used page
+    (pages of session.layout.page_size), read the same span back, compare.
 
     verified: read-back equals the uploaded bytes (the tool's view).
     stored_differs: read-back differs from the session's actual flash.
     """
-    if page_size is None:
-        page_size = session.layout.page_size
+    page_size = session.layout.page_size
     start, end = used_span(firmware, page_size)
     if end > session.layout.boot_start:
         raise ProtocolError("firmware does not fit in the application region")

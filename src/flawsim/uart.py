@@ -37,18 +37,19 @@ marlin_rx_isr, trojan_epilogue and consumer_readline are the
 single-character model, kept public so tests can replay any schedule
 through them.  The line walk is written once, as the step table _STEP:
 by parser state and byte, the next parser state wherever that is all
-that changes.  At line start CR, LF and space stay there and any byte but
-'G' or 'M' skips the line; in a skipped line or comment a newline returns
-to line start and any other byte stays; in a G1 or M73 line a newline
-ends the line, ';' starts its comment, a space ends a token and any other
-byte stays in the token.  'G' or 'M' at line start, the 'E' (in M73 the
-'P') right after a space, and every byte that arrives while a command
-number or value is captured (its delimiter included) are marked _CALL:
-the epilogue steps the table and hands only those pairs to _act.
-UartSimulation's producer loop does the same over the wire bytes,
-calling _act directly.  E values and P percentages share one capture,
-the states ST_V_INT and ST_V_FRAC; F_PROGRESS marks a percentage, which
-is read and never hidden.
+that changes.  At line start LF and space stay there, and any byte but
+'G' or 'M' skips the line: a CR too, since the transform sees no command
+in a line that starts with one.  In a skipped line or comment a newline
+returns to line start and any other byte stays; in a G1 or M73 line a
+newline ends the line, ';' starts its comment, a space ends a token and
+any other byte stays in the token.  'G' or 'M' at line start, the 'E'
+(in M73 the 'P') right after a space, and every byte that arrives while
+a command number or value is captured (its delimiter included) are
+marked _CALL: the epilogue steps the table and hands only those pairs
+to _act.  UartSimulation's producer loop does the same over the wire
+bytes, calling _act directly.  E values and P percentages share one
+capture, the states ST_V_INT and ST_V_FRAC; F_PROGRESS marks a
+percentage, which is read and never hidden.
 
 All interceptor persistence lives in TrojanState, which serializes to 15
 bytes: the memory the stack-steal patch carved out.  There is no room for
@@ -102,21 +103,6 @@ EV_OVERFLOW = "accumulator_overflow"
 EV_DORMANT_M83 = "dormant_relative_extrusion"
 
 
-def _walk_table(mid: int, tok: int) -> bytes:
-    """Next parser state, by character, while walking the tokens of a G1
-    or M73 line: a newline ends the line, ';' starts its comment, a space
-    ends a token."""
-    table = bytearray([mid]) * 256
-    table[0x0A] = ST_LINE_START
-    table[0x3B] = ST_SKIP
-    table[0x20] = tok
-    return bytes(table)
-
-
-_G1_NEXT = _walk_table(ST_G1_MID, ST_G1_TOK)
-_M73_NEXT = _walk_table(ST_M73_MID, ST_M73_TOK)
-
-
 _CALL = 0xFF  # in _STEP: _act must run for this pair
 
 
@@ -126,15 +112,20 @@ def _step_rows() -> tuple[bytes, ...]:
     the pairs."""
     rows = [bytes([_CALL]) * 256] * 256
     rows[ST_LINE_START] = bytes(
-        _CALL if byte in b"GM" else ST_LINE_START if byte in b"\n\r " else ST_SKIP
+        _CALL if byte in b"GM" else ST_LINE_START if byte in b"\n " else ST_SKIP
         for byte in range(256)
     )
     rows[ST_SKIP] = bytes(ST_LINE_START if byte == 0x0A else ST_SKIP for byte in range(256))
-    rows[ST_G1_MID] = _G1_NEXT
-    rows[ST_M73_MID] = _M73_NEXT
-    # after a space the target letter may start a value: the epilogue runs
-    rows[ST_G1_TOK] = _G1_NEXT[:0x45] + bytes([_CALL]) + _G1_NEXT[0x46:]  # 'E'
-    rows[ST_M73_TOK] = _M73_NEXT[:0x50] + bytes([_CALL]) + _M73_NEXT[0x51:]  # 'P'
+    for mid, tok, target in ((ST_G1_MID, ST_G1_TOK, 0x45), (ST_M73_MID, ST_M73_TOK, 0x50)):
+        walk = bytearray([mid]) * 256
+        walk[0x0A] = ST_LINE_START
+        walk[0x3B] = ST_SKIP  # ';'
+        walk[0x20] = tok
+        rows[mid] = bytes(walk)
+        # after a space the target letter ('E', in M73 'P') may start a
+        # value: the epilogue runs
+        walk[target] = _CALL
+        rows[tok] = bytes(walk)
     return tuple(rows)
 
 
@@ -328,7 +319,7 @@ def _pass_finish(trojan: TrojanState, delim: int):
     flags = trojan.flags_window
     trojan.flags_window = flags & ~(F_PENDING | F_NEG | F_SIGN_SEEN | F_PROGRESS)
     trojan.accumulator = 0
-    trojan.parser_state = (_STEP[ST_SKIP] if flags & F_PROGRESS else _G1_NEXT)[delim]
+    trojan.parser_state = _STEP[ST_SKIP if flags & F_PROGRESS else ST_G1_MID][delim]
 
 
 def _decide_on_first_digit(
@@ -381,7 +372,7 @@ def _finish_target(trojan: TrojanState, ring: RingBufferState, delim: int) -> st
             _go_dormant(trojan)
             _emit(ring, delim)
             trojan.flags_window &= ~F_NEG
-            trojan.parser_state = _G1_NEXT[delim]
+            trojan.parser_state = _STEP[ST_G1_MID][delim]
             return EV_OVERFLOW
         edited = div_round_half_away(value * (100 - trojan.policy_param), 100)
         text = format_raw(edited)
@@ -394,7 +385,7 @@ def _finish_target(trojan: TrojanState, ring: RingBufferState, delim: int) -> st
         _emit(ring, delim)
     trojan.flags_window &= ~(F_CONVERT | F_NEG | F_SIGN_SEEN)
     trojan.accumulator = 0
-    trojan.parser_state = _G1_NEXT[delim]
+    trojan.parser_state = _STEP[ST_G1_MID][delim]
     return event
 
 
@@ -502,7 +493,7 @@ def _act(trojan: TrojanState, ring: RingBufferState, policy: TamperPolicy, byte:
             return event
         number = trojan.accumulator
         trojan.accumulator = 0
-        trojan.parser_state = (_G1_NEXT if number == 1 else _STEP[ST_SKIP])[byte]
+        trojan.parser_state = _STEP[ST_G1_MID if number == 1 else ST_SKIP][byte]
         return None
 
     # ST_M_NUM
@@ -517,7 +508,7 @@ def _act(trojan: TrojanState, ring: RingBufferState, policy: TamperPolicy, byte:
             _go_dormant(trojan)
             return EV_DORMANT_M83
         if number == 73:
-            trojan.parser_state = _M73_NEXT[byte]
+            trojan.parser_state = _STEP[ST_M73_MID][byte]
             return None
     trojan.parser_state = _STEP[ST_SKIP][byte]
     return None
@@ -562,7 +553,7 @@ class UartSimulation:
     leaves that to the caller.  With the policy off or the interceptor
     dormant the epilogue would return at once, so the loop skips it.
 
-    Single-threaded by contract: feed / feed_char / read_line must not be
+    Single-threaded by contract: feed / feed_char / drain must not be
     called concurrently.  An optional trace list records one entry per
     stored byte (the debugger's-eye view of the interception).
     """
@@ -629,9 +620,6 @@ class UartSimulation:
     def feed_char(self, char: int | str) -> None:
         """Deliver one character (its UTF-8 bytes) or one byte."""
         self._produce(char.encode() if isinstance(char, str) else bytes((char,)), None)
-
-    def read_line(self) -> str:
-        return consumer_readline(self.ring)
 
     def drain(self) -> list[str]:
         """Dequeue every complete line."""

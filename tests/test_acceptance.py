@@ -208,11 +208,11 @@ def test_criterion_9_relocation_detection(gcode_corpus):
                 if s.kind == "G0"
                 and s.travel > 0
                 and s.index + 1 < len(report.segments)
-                and report.segments[s.index + 1].delta_e.raw > 0
+                and report.segments[s.index + 1].delta_raw > 0
             ]
             # drop layer-change travels that exist in the clean doc too
             clean_travels = {
-                s.index for s in account(control).segments if s.delta_e.raw <= 0
+                s.index for s in account(control).segments if s.delta_raw <= 0
             }
             injected = [i for i in converted if i not in clean_travels]
             flagged = {a.index for a in anomalies if a.kind == "RelocationSignature"}

@@ -25,7 +25,7 @@ TAMPERED_THREE = "G1 X1 Y2 E3\nG0 X2 Y3\nG1 X3 Y4 E5\n"
 
 def test_account_three_move_sequence_after_tamper():
     report = account(TAMPERED_THREE)
-    assert [s.delta_e.raw for s in report.segments] == [30_000, 0, 20_000]
+    assert [s.delta_raw for s in report.segments] == [30_000, 0, 20_000]
     assert report.total_extrusion.raw == 50_000
 
 
@@ -39,20 +39,20 @@ def test_account_g92_mid_stream_no_negative_spike():
     # hand-computed: 2.5 deposited, re-zero, then 1.5 more
     doc = "G1 X10 E2.5\nG92 E0\nG1 X20 E1\nG1 X30 E1.5\n"
     report = account(doc)
-    assert [s.delta_e.raw for s in report.segments] == [25_000, 10_000, 5_000]
+    assert [s.delta_raw for s in report.segments] == [25_000, 10_000, 5_000]
     assert report.total_extrusion.raw == 40_000
 
 
 def test_account_relative_extrusion_mode():
     doc = "M83\nG1 X10 E0.5\nG1 X20 E0.5\nM82\nG92 E7\nG1 X30 E7.25\n"
     report = account(doc)
-    assert [s.delta_e.raw for s in report.segments] == [5_000, 5_000, 2_500]
+    assert [s.delta_raw for s in report.segments] == [5_000, 5_000, 2_500]
 
 
 def test_account_retraction_not_counted_in_total():
     doc = "G1 X10 E2\nG1 E1.5\nG1 X20 E3\n"
     report = account(doc)
-    assert [s.delta_e.raw for s in report.segments] == [20_000, -5_000, 15_000]
+    assert [s.delta_raw for s in report.segments] == [20_000, -5_000, 15_000]
     assert report.total_extrusion.raw == 35_000  # positive deltas only
 
 
@@ -61,7 +61,7 @@ def test_account_travel_and_flow():
     report = account(doc)
     assert math.isclose(report.segments[0].travel, 5.0)
     assert math.isclose(report.segments[0].flow, 0.2 / 1)
-    assert report.segments[1].flow is None or report.segments[1].delta_e.raw == 0
+    assert report.segments[1].flow is None or report.segments[1].delta_raw == 0
     assert math.isclose(report.segments[1].travel, 10.0)
 
 
@@ -139,8 +139,8 @@ def test_detect_flags_relocated_catch_up_segments():
     relocation_flags = [a for a in anomalies if a.kind == RELOCATION_SIGNATURE]
     conversions = sum(
         1 for i, s in enumerate(report.segments)
-        if s.kind == "G0" and s.delta_e.raw == 0 and i + 1 < len(report.segments)
-        and report.segments[i + 1].delta_e.raw > 0
+        if s.kind == "G0" and s.delta_raw == 0 and i + 1 < len(report.segments)
+        and report.segments[i + 1].delta_raw > 0
     )
     # uniform segments: every surviving extruder move doubles its flow
     assert len(relocation_flags) >= 0.95 * conversions

@@ -103,6 +103,20 @@ def test_scan_audit_boot_exit_codes(capsys):
     assert "clean" in text
 
 
+def test_scan_audit_boot_json(capsys):
+    code, text = run(capsys, "scan", BOOT_TROJAN_HEX, "--audit-boot", "--json")
+    assert code == 2
+    assert json.loads(text) == [
+        {"kind": "IvselTakeover", "offset": 0x3E082, "related_offset": 0x3E086,
+         "snippet": "out 0x35, #0x01 ; out 0x35, #0x02"},
+        {"kind": "IsrTrampoline", "offset": 0x3E0A2, "related_offset": 0x3E0A6,
+         "snippet": "call 0x50 ; cli"},
+    ]
+    code, text = run(capsys, "scan", BOOT_CLEAN_HEX, "--audit-boot", "--json")
+    assert code == 0
+    assert json.loads(text) == []
+
+
 def test_pipeline_end_to_end(capsys, tmp_path, gcode_file):
     out = tmp_path / "printed.gcode"
     trace = tmp_path / "trace.jsonl"

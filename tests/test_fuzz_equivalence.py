@@ -70,7 +70,10 @@ def random_document(seed: int) -> str:
     for _ in range(rng.randrange(10, 60)):
         roll = rng.random()
         if roll < 0.75:
-            lines.append(random_move(rng))
+            move = random_move(rng)
+            if rng.random() < 0.04:  # a CR at line start: no command, skipped
+                move = rng.choice(["\r", "  \r"]) + move
+            lines.append(move)
         elif roll < 0.85:
             pick = rng.random()
             if pick < 0.1:  # no digit: the line is skipped, the window left alone

@@ -38,7 +38,7 @@ def test_layout_validation():
     layout = MemoryLayout()
     assert layout.boot_start == 256 * 1024 - 8192
     assert layout.in_app_region(0x39E0)
-    assert layout.in_boot_region(layout.boot_start)
+    assert not layout.in_app_region(layout.boot_start)
 
 
 def test_image_reads_never_wrap():

@@ -260,8 +260,8 @@ def test_page_size_independence():
     fw = firmware_with_pattern(offset=0x1FE)  # straddles 128 and 256 edges
     stored = {}
     for page_size in (64, 128, 256):
-        session = fixtures.build_session(trojan=True)
-        outcome = program_and_verify(fw, session, page_size=page_size)
+        session = fixtures.build_session(trojan=True, layout=MemoryLayout(page_size=page_size))
+        outcome = program_and_verify(fw, session)
         assert outcome.verified
         stored[page_size] = bytes(session.image.data)
     assert stored[64] == stored[128] == stored[256]
@@ -311,8 +311,9 @@ def test_mismatches_match_naive_comparison(page_size):
     assert (start, end) == (0x1000, 0x1600 + page_size)
     flips = {start: 0x01, end - 1: 0x80, 0x1000 + 2 * page_size - 1: 0xFF}
     flips.update({rng.randrange(start, end): rng.randrange(1, 256) for _ in range(30)})
-    session = MisreportingSession(image=FlashImage(LAYOUT), trojan_enabled=True, flips=flips)
-    outcome = program_and_verify(fw, session, page_size=page_size)
+    layout = MemoryLayout(page_size=page_size)
+    session = MisreportingSession(image=FlashImage(layout), trojan_enabled=True, flips=flips)
+    outcome = program_and_verify(fw, session)
     assert session.sp_site is not None
 
     client = ProgrammerClient(PipeTransport(session))

@@ -59,7 +59,7 @@ def test_parse_line_structure():
 
 def test_parse_line_malformed_params():
     line = parse_line("G1 E4 X@3")
-    assert not line.is_command
+    assert line.letter is None
     assert line.malformed
 
 
@@ -207,7 +207,7 @@ def test_parse_line_matches_one_regex_oracle():
         got = (line.letter, line.number, line.number_span, list(line.params), line.comment_start, line.malformed)
         assert got == oracle_parse(body), ascii(body)
         assert line.text() == body + "\r\n"
-        outcomes["command" if line.is_command else "malformed" if line.malformed else "other"] += 1
+        outcomes["command" if line.letter is not None else "malformed" if line.malformed else "other"] += 1
     # the generator reaches every outcome often enough to mean something
     assert min(outcomes.values()) >= 300, outcomes
 
@@ -273,7 +273,7 @@ def test_relocation_conserves_three_move_example():
     out = transform_relocation(doc, 2)
     assert "G0 X2 Y3\n" in out
     report = account(out)
-    deposits = [s.delta_e.raw for s in report.segments]
+    deposits = [s.delta_raw for s in report.segments]
     assert deposits == [30_000, 0, 20_000]  # 3mm, 0mm, 2mm caught up
     assert report.total_extrusion.raw == 50_000  # total stays 5mm
     assert account(doc).total_extrusion.raw == 50_000
@@ -398,6 +398,20 @@ def test_equivalence_latin1_superscripts_are_not_digits(doc):
     for policy in (TamperPolicy.reduction(Fraction(1, 2)), TamperPolicy.relocation(2)):
         report = run_pipeline_equivalence(doc, policy)
         assert report.identical, report.describe()
+
+
+@pytest.mark.parametrize("doc", [
+    "\rG1 X1 E5\n",
+    "  \rG1 X1 E5\n",
+    "M73 P30\nG1 X0 E1\n\rG1 X1 E5\nG1 X2 E6\n",
+])
+def test_equivalence_line_start_cr_skips_the_line(doc):
+    # the transform sees no command in a line whose first byte after any
+    # spaces is a CR: the stream must neither edit it nor count it
+    for policy in (TamperPolicy.reduction(Fraction(1, 2)), TamperPolicy.relocation(2)):
+        report = run_pipeline_equivalence(doc, policy)
+        assert report.identical, report.describe()
+        assert "\rG1 X1 E5\n" in report.sim_output
 
 
 def test_degenerate_token_does_not_shift_relocation_phase():

@@ -299,7 +299,7 @@ def test_newline_count_matches_visible_bytes(gcode_corpus, monkeypatch):
                     if not slow:
                         sim.drain()
                     elif i % 16 == 0:
-                        sim.read_line()
+                        uart.consumer_readline(sim.ring)
     assert len(taken_back) > 1000
     assert all(b"\n" not in cells for cells in taken_back)
 
@@ -470,7 +470,7 @@ def walk_rule(state, byte):
     if state == ST_LINE_START:
         if byte in b"GM":
             return uart._CALL
-        return ST_LINE_START if byte in b"\r\n " else ST_SKIP
+        return ST_LINE_START if byte in b"\n " else ST_SKIP
     if state == ST_SKIP:
         return ST_LINE_START if byte == 0x0A else ST_SKIP
     for mid, tok, target in ((ST_G1_MID, ST_G1_TOK, ord("E")), (ST_M73_MID, ST_M73_TOK, ord("P"))):
@@ -503,8 +503,8 @@ def test_pass_through_pairs_leave_everything_unchanged():
     # included, as it was (a comment byte other than its newline, a byte
     # that keeps a G1 or M73 line mid-token)
     unchanged = {(ST_SKIP, byte) for byte in range(256) if byte != 0x0A}
-    for mid, walk in ((ST_G1_MID, uart._G1_NEXT), (ST_M73_MID, uart._M73_NEXT)):
-        unchanged |= {(mid, byte) for byte in range(256) if walk[byte] == mid}
+    for mid in (ST_G1_MID, ST_M73_MID):
+        unchanged |= {(mid, byte) for byte in range(256) if uart._STEP[mid][byte] == mid}
     assert unchanged < {(state, byte) for state, byte, _ in pairs}
     flag_sets = [f for f in range(256) if not f & F_DORMANT]
     others = [  # accumulator, gcode_counter, cmd_slot, policy
