@@ -15,16 +15,14 @@ normal path once the value's delimiter shows up.  Because the consumer
 only ever dequeues complete lines, rewriting earlier cells of the
 line-in-progress (the move-command digit, for travel conversion) is safe.
 
-The ring counts the newlines published between tail and head, so the
-consumer answers "no complete line yet" without scanning.  A newline
-becomes visible only when the ISR stores it, or when the epilogue
-re-emits a delimiter it just hid (_finish_target takes the delimiter of
-a targeted value back and writes it again after the edited text, in the
-same step).  It stops being visible only when the consumer dequeues its
-line or _hide takes it back.  The other head rewinds, in
-_decide_on_first_digit, cover a value's sign, decimal point, letter and
-separating space - never a newline - so after every ISR-and-epilogue step
-``ring.newlines == ring.visible().count(b"\\n")``.
+A line completes only on the step that stores its newline, so the
+producer loop dequeues one line after that step and none after any
+other.  The epilogue takes back only the byte the ISR just stored (a
+hidden digit or point, or the delimiter of a targeted value, which
+_finish_target writes again after the edited text in the same step), and
+the rewinds in _decide_on_first_digit cover a value's sign, point, letter
+and space; so no step publishes a newline it did not store, and none
+takes one back.
 
 The wire carries bytes: UartSimulation sends the UTF-8 encoding of its
 text, as a host writing to the port does, and the consumer decodes each
@@ -138,21 +136,13 @@ _IS_DIGIT = bytes(48 <= b <= 57 for b in range(256))
 
 @dataclass(slots=True)
 class RingBufferState:
-    """Power-of-two circular buffer; empty iff head == tail (capacity size-1).
-
-    ``newlines`` counts the newlines published between tail and head (see
-    the module docstring for the three places that change it).  It is
-    worked out from the contents at construction; code that moves ``tail``
-    or ``head`` by hand must keep it in step (``flush_residual`` clears
-    it), or ``consumer_readline`` returns stale lines or misses real ones.
-    """
+    """Power-of-two circular buffer; empty iff head == tail (capacity size-1)."""
 
     size: int
     head: int = 0
     tail: int = 0
     root_addr: int = 0
     storage: bytearray = field(default=None)  # type: ignore[assignment]
-    newlines: int = field(init=False, repr=False, compare=False)
     mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -161,7 +151,6 @@ class RingBufferState:
         if self.storage is None:
             self.storage = bytearray(self.size)
         self.mask = self.size - 1
-        self.newlines = self.visible().count(b"\n")
 
     def free_space(self) -> int:
         return (self.tail - self.head - 1) & self.mask
@@ -183,32 +172,26 @@ def marlin_rx_isr(ring: RingBufferState, char: int | str) -> None:
         raise BufferFull(f"dropped {byte:#04x}")
     ring.storage[head] = byte
     ring.head = after
-    if byte == 0x0A:
-        ring.newlines += 1
 
 
 def consumer_readline(ring: RingBufferState) -> str:
     """Dequeue one complete newline-terminated line, or '' if none is
     fully visible between tail and head.
 
-    Relies on ``ring.newlines`` counting the newlines between tail and
-    head.  That holds because a newline becomes visible only when the ISR
-    stores it or the epilogue re-emits a delimiter it just hid, and every
-    such step counts it.  With none published it returns at once;
-    otherwise the first of them ends the line, found with one or (when the
-    line wraps past index 0) two slices.
+    The first newline after tail ends the line, found with one slice or,
+    when the published span wraps past index 0, two.
     """
-    if not ring.newlines:
-        return ""
     storage, tail, head = ring.storage, ring.tail, ring.head
+    if tail == head:
+        return ""
     end = storage.find(0x0A, tail, head if tail < head else ring.size)
     if end >= 0:
         line = storage[tail : end + 1]
-    else:  # the line wraps past index 0
-        end = storage.find(0x0A, 0, head)
+    elif tail > head and (end := storage.find(0x0A, 0, head)) >= 0:
         line = storage[tail:] + storage[: end + 1]
+    else:
+        return ""
     ring.tail = (end + 1) & ring.mask
-    ring.newlines -= 1
     return line.decode("utf-8", errors="replace")
 
 
@@ -257,16 +240,12 @@ class TrojanState:
 
 
 def _hide(ring: RingBufferState):
-    ring.head = head = (ring.head - 1) & ring.mask
-    if ring.storage[head] == 0x0A:
-        ring.newlines -= 1
+    ring.head = (ring.head - 1) & ring.mask
 
 
 def _emit(ring: RingBufferState, byte: int):
     ring.storage[ring.head] = byte
     ring.head = (ring.head + 1) & ring.mask
-    if byte == 0x0A:
-        ring.newlines += 1
 
 
 def _go_dormant(trojan: TrojanState):
@@ -313,13 +292,13 @@ def _scaled_value(trojan: TrojanState) -> int | None:
 
 
 def _pass_finish(trojan: TrojanState, delim: int):
-    """A value token ended before any digit arrived: it was never hidden
-    and is not eligible, so it simply stays as received.  A progress
-    token's line is skipped, leaving the window as it was."""
-    flags = trojan.flags_window
-    trojan.flags_window = flags & ~(F_PENDING | F_NEG | F_SIGN_SEEN | F_PROGRESS)
+    """A value token ended before any digit arrived: it was never hidden,
+    so it stays as received.  The token makes its line malformed, which
+    the transform leaves alone, so the rest of the line is skipped: no
+    later E is edited and a progress token leaves the window as it was."""
+    trojan.flags_window &= ~(F_PENDING | F_NEG | F_SIGN_SEEN | F_PROGRESS)
     trojan.accumulator = 0
-    trojan.parser_state = _STEP[ST_SKIP if flags & F_PROGRESS else ST_G1_MID][delim]
+    trojan.parser_state = _STEP[ST_SKIP][delim]
 
 
 def _decide_on_first_digit(
@@ -576,8 +555,9 @@ class UartSimulation:
         self.trace = trace
 
     def _produce(self, data: bytes, out: list[str] | None) -> None:
-        """One ISR-and-epilogue step per wire byte; with ``out``, every
-        complete line is dequeued into it after each step."""
+        """One ISR-and-epilogue step per wire byte; with ``out``, the line
+        a stored newline completes is dequeued into it after its step
+        (the module docstring says why that is the only one)."""
         ring, trojan, policy, stats = self.ring, self.trojan, self.policy, self.stats
         storage, mask, tail, trace = ring.storage, ring.mask, ring.tail, self.trace
         act, readline, step = _act, consumer_readline, _STEP
@@ -591,8 +571,6 @@ class UartSimulation:
                 continue
             storage[head] = byte
             ring.head = after
-            if byte == 0x0A:
-                ring.newlines += 1
             if live:
                 state = step[trojan.parser_state][byte]
                 if state != _CALL:
@@ -612,10 +590,9 @@ class UartSimulation:
                         "parser_state": trojan.parser_state,
                     }
                 )
-            if out is not None:
-                while ring.newlines:
-                    out.append(readline(ring))
-                    tail = ring.tail
+            if byte == 0x0A and out is not None:
+                out.append(readline(ring))
+                tail = ring.tail
 
     def feed_char(self, char: int | str) -> None:
         """Deliver one character (its UTF-8 bytes) or one byte."""
@@ -623,10 +600,9 @@ class UartSimulation:
 
     def drain(self) -> list[str]:
         """Dequeue every complete line."""
-        ring = self.ring
         lines = []
-        while ring.newlines:
-            lines.append(consumer_readline(ring))
+        while line := consumer_readline(self.ring):
+            lines.append(line)
         return lines
 
     def feed(self, text: str) -> list[str]:
@@ -645,5 +621,4 @@ class UartSimulation:
         """Visible but line-incomplete bytes left at end of stream."""
         rest = self.ring.visible().decode("utf-8", errors="replace")
         self.ring.tail = self.ring.head
-        self.ring.newlines = 0
         return rest

@@ -46,8 +46,10 @@ def random_move(rng: random.Random) -> str:
         if rng.random() < 0.6:
             parts.append(f"{letter}{random_value(rng)}")
     if parts[0] == "G1" and rng.random() < 0.8:
-        if rng.random() < 0.05:
+        if rng.random() < 0.08:
             parts.append("E" + rng.choice(["-", "+", "."]))  # valueless: opaque
+            if rng.random() < 0.5:  # the line stays opaque to a later E
+                parts.append(f"E{random_value(rng)}")
         else:
             parts.append(f"E{random_value(rng)}")
     if rng.random() < 0.3:

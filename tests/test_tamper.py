@@ -376,10 +376,14 @@ def test_equivalence_degenerate_double_extrusion_param():
     "G1 E. X5\n",
     "G1 E+ F100\n",
     "G1 X1 E;c\n",
+    "G1 E E5\n",
+    "G1 E- E5\n",
+    "G1 E. X1 E5\n",
 ])
 def test_equivalence_valueless_tokens_pass_untouched(doc):
     # a target letter with no digits never becomes a value: both paths
-    # leave the line byte-identical and do not count it as eligible
+    # leave the line byte-identical, an E value after it included, and do
+    # not count it as eligible
     for policy in (TamperPolicy.reduction(Fraction(1, 2)), TamperPolicy.relocation(2)):
         report = run_pipeline_equivalence(doc, policy)
         assert report.identical, report.describe()
@@ -412,6 +416,15 @@ def test_equivalence_line_start_cr_skips_the_line(doc):
         report = run_pipeline_equivalence(doc, policy)
         assert report.identical, report.describe()
         assert "\rG1 X1 E5\n" in report.sim_output
+
+
+def test_equivalence_digitless_e_line_is_not_counted_for_relocation():
+    # the malformed line is neither converted nor counted, so the second
+    # well-formed move after it converts
+    doc = "M73 P30\nG1 E E5\nG1 X1 E6\nG1 X2 E7\n"
+    report = run_pipeline_equivalence(doc, TamperPolicy.relocation(2))
+    assert report.identical, report.describe()
+    assert report.sim_output == "M73 P30\nG1 E E5\nG1 X1 E6\nG0 X2\n"
 
 
 def test_degenerate_token_does_not_shift_relocation_phase():

@@ -85,18 +85,41 @@ def test_visible_across_wrap():
     ring = RingBufferState(8, head=5, tail=5)
     for ch in "ab\ncd":
         marlin_rx_isr(ring, ch)
-    assert ring.head < ring.tail
+    assert (ring.head, ring.tail) == (2, 5)
+    assert bytes(ring.storage) == b"cd" + bytes(3) + b"ab\n"
     assert ring.visible() == b"ab\ncd"
-    assert ring.newlines == 1
 
 
 def test_prefilled_ring_yields_its_lines():
     storage = bytearray(b"\nxy" + bytes(3) + b"ab")
     ring = RingBufferState(8, head=3, tail=6, storage=storage)
-    assert ring.newlines == 1
+    assert ring.visible() == b"ab\nxy"
     assert consumer_readline(ring) == "ab\n"
+    assert (ring.head, ring.tail) == (3, 1)
     assert consumer_readline(ring) == ""
     assert ring.visible() == b"xy"
+
+
+def test_readline_on_an_empty_ring_answers_nothing():
+    for tail in (0, 5, 7):
+        ring = RingBufferState(8, head=tail, tail=tail, storage=bytearray(b"\n" * 8))
+        assert consumer_readline(ring) == ""
+        assert (ring.head, ring.tail) == (tail, tail)
+
+
+def test_readline_without_a_newline_leaves_the_ring_unchanged():
+    # published spans with no newline, one slice and wrapped past index 0;
+    # the newline cells outside them are stale, and the consumer must not see them
+    for head, tail in ((5, 1), (2, 5), (0, 1), (7, 0)):
+        storage = bytearray(b"\n" * 8)
+        i = tail
+        while i != head:
+            storage[i] = ord("x")
+            i = (i + 1) % 8
+        ring = RingBufferState(8, head=head, tail=tail, storage=storage)
+        before = (bytes(ring.storage), ring.head, ring.tail)
+        assert consumer_readline(ring) == "", (head, tail)
+        assert (bytes(ring.storage), ring.head, ring.tail) == before, (head, tail)
 
 
 # --- state budget -------------------------------------------------------------
@@ -267,17 +290,26 @@ def test_consumer_atomicity_exhaustive_schedules():
         assert seen == expected, f"schedule {schedule:#x}"
 
 
-# --- newline count ---------------------------------------------------------------
+# --- line completion -------------------------------------------------------------
 
 COUNT_POLICIES = [OFF, TamperPolicy.reduction(Fraction(3, 10)), TamperPolicy.relocation(2)]
 
 
-def test_newline_count_matches_visible_bytes(gcode_corpus, monkeypatch):
-    # The consumer trusts ring.newlines; after every ISR-and-epilogue step
-    # it must equal the newlines actually published.  Two schedules: every
-    # line taken at once, and a slow reader that lets lines pile up (and
-    # the ring overflow now and then).  The head rewinds that commit a
-    # value must never take back a newline, since they leave the count.
+def published_line_ends(ring: RingBufferState) -> set[int]:
+    """The storage slots of the published newline bytes, tail to head."""
+    count = (ring.head - ring.tail) & ring.mask
+    slots = ((ring.tail + i) & ring.mask for i in range(count))
+    return {slot for slot in slots if ring.storage[slot] == 0x0A}
+
+
+def test_a_line_completes_only_on_the_step_that_stores_its_newline(gcode_corpus, monkeypatch):
+    # The producer loop dequeues one line after the step that stores a
+    # newline and none after any other.  So an ISR-and-epilogue step must
+    # leave every published newline in its slot, and publish one more, in
+    # the slot before head, exactly when it stores a newline.  Two
+    # schedules: every line taken at once, and a slow reader that lets
+    # lines pile up (and the ring overflow now and then).  The head
+    # rewinds that commit a value must never take back a newline.
     decide = uart._decide_on_first_digit
     taken_back = []
 
@@ -293,13 +325,19 @@ def test_newline_count_matches_visible_bytes(gcode_corpus, monkeypatch):
         for policy in COUNT_POLICIES:
             for slow in (False, True):
                 sim = UartSimulation(policy)
+                ring = sim.ring
                 for i, ch in enumerate(doc):
+                    before = published_line_ends(ring)
+                    dropped = sim.stats.dropped
                     sim.feed_char(ch)
-                    assert sim.ring.newlines == sim.ring.visible().count(b"\n")
+                    stored = ch == "\n" and sim.stats.dropped == dropped
+                    if stored:
+                        before.add((ring.head - 1) & ring.mask)
+                    assert published_line_ends(ring) == before, (doc[:20], i)
                     if not slow:
-                        sim.drain()
+                        assert len(sim.drain()) == stored, (doc[:20], i)
                     elif i % 16 == 0:
-                        uart.consumer_readline(sim.ring)
+                        uart.consumer_readline(ring)
     assert len(taken_back) > 1000
     assert all(b"\n" not in cells for cells in taken_back)
 
@@ -451,8 +489,8 @@ def test_feed_matches_single_character_replay(gcode_corpus):
                 assert sim.stats == ref_stats, where
                 assert sim.trojan.to_bytes() == ref_trojan.to_bytes(), where
                 ring = sim.ring
-                assert (ring.head, ring.tail, ring.newlines) == (
-                    ref_ring.head, ref_ring.tail, ref_ring.newlines), where
+                assert (ring.head, ring.tail) == (ref_ring.head, ref_ring.tail), where
+                assert ring.storage == ref_ring.storage, where
                 assert ring.visible() == ref_ring.visible(), where
     sim = UartSimulation(OFF)
     sim.feed(OVERFLOW_DOC)
@@ -517,7 +555,7 @@ def test_pass_through_pairs_leave_everything_unchanged():
         storage = bytearray(range(128))
         storage[99] = byte
         ring = RingBufferState(128, head=100, tail=3, storage=storage)
-        before = (bytes(ring.storage), ring.head, ring.tail, ring.newlines)
+        before = (bytes(ring.storage), ring.head, ring.tail)
         for flags in flag_sets:
             for acc, counter, slot, policy in others:
                 trojan = TrojanState(parser_state=state, accumulator=acc, flags_window=flags,
@@ -528,7 +566,7 @@ def test_pass_through_pairs_leave_everything_unchanged():
                 assert trojan.parser_state == step, (state, byte, flags)
                 trojan.parser_state = state  # every other field must be as it was
                 assert trojan.to_bytes() == blob, (state, byte, flags)
-                assert (bytes(ring.storage), ring.head, ring.tail, ring.newlines) == before, (
+                assert (bytes(ring.storage), ring.head, ring.tail) == before, (
                     state, byte, flags)
 
 
