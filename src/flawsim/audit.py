@@ -6,6 +6,14 @@ relocation detector looks for the attack's hydraulic signature: a travel
 move that deposits nothing, immediately followed by an extruding move
 whose flow (filament per mm of travel) is far above the document median,
 because the absolute extrusion axis makes the next move catch up.
+
+A report holds its segments column-wise in a read-only ``Segments``
+sequence, about 68 bytes per move: the command number (0 or 1) in a
+bytearray, the start and end x, y and z in one ``array('d')`` (six
+values per move), the travel in an ``array('d')`` and the extrusion
+delta in an ``array('q')``.  Indexing or iterating builds a fresh
+``SegmentRecord`` per access, so mutating a row changes nothing in the
+report.
 """
 
 from __future__ import annotations
@@ -14,6 +22,8 @@ import json
 import math
 import re
 import statistics
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .errors import FlawsimError
@@ -64,6 +74,40 @@ class SegmentRecord:
         }
 
 
+class Segments(Sequence):
+    """The moves of one document, one column per field (see the module
+    docstring); rows are built on access and never stored."""
+
+    __slots__ = ("commands", "coords", "travels", "deltas")
+
+    def __init__(self, commands: bytearray, coords: array, travels: array, deltas: array):
+        self.commands = commands
+        self.coords = coords
+        self.travels = travels
+        self.deltas = deltas
+
+    def __len__(self) -> int:
+        return len(self.deltas)
+
+    def __getitem__(self, index: int) -> SegmentRecord:
+        n = len(self.deltas)
+        i = index + n if index < 0 else index
+        if not 0 <= i < n:
+            raise IndexError("segment index out of range")
+        sx, sy, sz, ex, ey, ez = self.coords[6 * i : 6 * i + 6]
+        travel = self.travels[i]
+        delta = self.deltas[i]
+        return SegmentRecord(
+            i,
+            _MOVE_KINDS[self.commands[i]],
+            (sx, sy, sz),
+            (ex, ey, ez),
+            travel,
+            delta,
+            delta / SCALE / travel if travel > _TRAVEL_EPS else None,
+        )
+
+
 @dataclass(frozen=True)
 class Anomaly:
     index: int  # segment index the finding anchors to
@@ -77,7 +121,7 @@ class Anomaly:
 @dataclass
 class AuditReport:
     total_extrusion: FixedPoint
-    segments: list[SegmentRecord]
+    segments: Segments
     anomalies: list[Anomaly] = field(default_factory=list)
     comparison: dict | None = None
 
@@ -117,31 +161,35 @@ class AuditReport:
 _MOVE_KINDS = ("G0", "G1")  # by command number
 _MOVE_NUMBERS = (0, 1, 92)  # 92 sets positions, it records no segment
 _TRAVEL_EPS = 1e-9
-# leading zeros are legal in a command number: G01 is G1, G010 is G10
-_MOVE_PREFIX = re.compile(r" *G0*(?:0|1|92)(?![0-9])")
+# the commands account acts on: moves, G92 and the M82/M83 mode switches.
+# Leading zeros are legal in a command number: G01 is G1, G010 is G10
+_ACCOUNTED_PREFIX = re.compile(r" *(?:G0*(?:0|1|92)|M0*8[23])(?![0-9])")
 
 
-def _looks_like_move(line: ParsedLine) -> bool:
-    return line.malformed and _MOVE_PREFIX.match(line.body) is not None
+def _looks_accounted(line: ParsedLine) -> bool:
+    return line.malformed and _ACCOUNTED_PREFIX.match(line.body) is not None
 
 
 def account(doc: str) -> AuditReport:
     """Walk a document and record one segment per linear move.
 
     Extrusion deltas honour absolute/relative mode (M82/M83) and G92
-    re-zeroing.  Raises ParseError for a move line that does not fit the
-    grammar, or whose extrusion delta or the running total of deposited
-    filament leaves the 32-bit budget; non-move noise (comments, status
-    commands) is skipped.
+    re-zeroing.  Raises ParseError for a move or mode-switch line that
+    does not fit the grammar, or for a move whose extrusion delta or the
+    running total of deposited filament leaves the 32-bit budget;
+    non-move noise (comments, status commands) is skipped.
     """
     x = y = z = 0.0
     e_logical = 0  # raw, as every extrusion figure below
     relative_e = False
-    segments: list[SegmentRecord] = []
+    commands = bytearray()
+    coords = array("d")
+    travels = array("d")
+    deltas = array("q")
     total_raw = 0
     for line_no, line in enumerate(iter_lines(doc), 1):
         if line.letter is None:
-            if _looks_like_move(line):
+            if _looks_accounted(line):
                 raise ParseError(line_no, line.body)
             continue
         if line.letter == "M":
@@ -163,7 +211,7 @@ def account(doc: str) -> AuditReport:
                 pz = raw
             elif letter == "E":
                 pe = raw
-        start = (x, y, z)
+        sx, sy, sz = x, y, z
         if px is not None:
             x = px / SCALE
         if py is not None:
@@ -174,8 +222,8 @@ def account(doc: str) -> AuditReport:
             if pe is not None:
                 e_logical = pe
             continue
-        end = (x, y, z)
-        travel = math.dist(start, end)
+        # the same value as math.dist((sx, sy, sz), (x, y, z)), with no tuples
+        travel = math.hypot(sx - x, sy - y, sz - z)
         if pe is None:
             delta = 0
         elif relative_e:
@@ -190,17 +238,10 @@ def account(doc: str) -> AuditReport:
                     line.body,
                     f"extrusion delta {format_raw(delta)} exceeds the 32-bit budget in",
                 )
-        segments.append(
-            SegmentRecord(
-                len(segments),
-                _MOVE_KINDS[line.number],
-                start,
-                end,
-                travel,
-                delta,
-                delta / SCALE / travel if travel > _TRAVEL_EPS else None,
-            )
-        )
+        commands.append(line.number)
+        coords.extend((sx, sy, sz, x, y, z))
+        travels.append(travel)
+        deltas.append(delta)
         if delta > 0:
             total_raw += delta
             if total_raw > MAX_RAW:
@@ -209,7 +250,7 @@ def account(doc: str) -> AuditReport:
                     line.body,
                     f"deposited total {format_raw(total_raw)} exceeds the 32-bit budget at",
                 )
-    return AuditReport(total_extrusion=FixedPoint(total_raw), segments=segments)
+    return AuditReport(FixedPoint(total_raw), Segments(commands, coords, travels, deltas))
 
 
 def detect_relocation(
@@ -219,30 +260,30 @@ def detect_relocation(
     >= threshold x the median flow (the catch-up signature), plus any
     unexplained flow outliers.  Needs >= 8 extruding segments for the
     median to mean anything."""
-    extruding = [s for s in report.segments if s.delta_raw > 0 and s.flow is not None]
-    if len(extruding) < 8:
-        raise InsufficientData(f"{len(extruding)} extruding segments; need >= 8")
-    median_flow = statistics.median(s.flow for s in extruding)
+    travels = report.segments.travels
+    deltas = report.segments.deltas
+    # index -> flow of every extruding segment, by the expression a row uses
+    flows = {
+        i: delta / SCALE / travel
+        for i, (travel, delta) in enumerate(zip(travels, deltas))
+        if delta > 0 and travel > _TRAVEL_EPS
+    }
+    if len(flows) < 8:
+        raise InsufficientData(f"{len(flows)} extruding segments; need >= 8")
+    median_flow = statistics.median(flows.values())
     if median_flow <= 0:
         raise InsufficientData("median flow is not positive")
+    limit = threshold * median_flow
     anomalies: list[Anomaly] = []
-    flagged_successors = set()
-    for seg in report.segments:
-        if seg.delta_raw > 0 or seg.travel <= _TRAVEL_EPS:
+    for i, flow in flows.items():
+        if flow < limit:
             continue
-        nxt_i = seg.index + 1
-        if nxt_i >= len(report.segments):
-            continue
-        nxt = report.segments[nxt_i]
-        if nxt.delta_raw > 0 and nxt.flow is not None and nxt.flow >= threshold * median_flow:
-            anomalies.append(Anomaly(seg.index, RELOCATION_SIGNATURE, nxt.flow / median_flow))
-            flagged_successors.add(nxt_i)
-    for seg in extruding:
-        if seg.index in flagged_successors:
-            continue
-        if seg.flow >= threshold * median_flow:
-            anomalies.append(Anomaly(seg.index, FLOW_OUTLIER, seg.flow / median_flow))
-    anomalies.sort(key=lambda a: a.index)
+        # after a barren travel it is the catch-up, anchored to the travel;
+        # the indices rise, since a travel's index is never an extruder's
+        if i and deltas[i - 1] <= 0 and travels[i - 1] > _TRAVEL_EPS:
+            anomalies.append(Anomaly(i - 1, RELOCATION_SIGNATURE, flow / median_flow))
+        else:
+            anomalies.append(Anomaly(i, FLOW_OUTLIER, flow / median_flow))
     report.anomalies = anomalies
     return anomalies
 

@@ -1,4 +1,6 @@
 import math
+import statistics
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,8 +9,10 @@ from flawsim import fixtures
 from flawsim.audit import (
     FLOW_OUTLIER,
     RELOCATION_SIGNATURE,
+    Anomaly,
     InsufficientData,
     ParseError,
+    SegmentRecord,
     ZeroReferenceTotal,
     account,
     compare,
@@ -32,7 +36,8 @@ def test_account_three_move_sequence_after_tamper():
 def test_account_empty_document():
     report = account("")
     assert report.total_extrusion.raw == 0
-    assert report.segments == []
+    assert len(report.segments) == 0
+    assert list(report.segments) == []
 
 
 def test_account_g92_mid_stream_no_negative_spike():
@@ -80,6 +85,17 @@ def test_account_parse_error_on_bad_move():
     assert account("G010 X1 *1\nG1 X1 E5\n").total_extrusion.raw == 50_000
 
 
+def test_account_parse_error_on_bad_mode_switch():
+    # a mode switch changes every later delta, so a malformed one is not noise
+    for switch in ("M83 *12", "M83 E", "M82 S", "M083 *1"):
+        with pytest.raises(ParseError, match=r"^line 1: cannot parse") as err:
+            account(f"{switch}\nG1 X1 E1\nG1 X2 E1\n")
+        assert err.value.line_no == 1
+    assert account("M83\nG1 X1 E1\nG1 X2 E1\n").total_extrusion.raw == 20_000
+    # M820 and M8 are other commands: their malformed tails are noise
+    assert account("M820 *1\nM8 *1\nG1 X1 E5\n").total_extrusion.raw == 50_000
+
+
 def test_account_delta_past_budget_names_its_line():
     # each end fits the 32-bit budget, the delta between them does not
     with pytest.raises(ParseError, match=r"^line 2: extrusion delta -400000 exceeds") as err:
@@ -124,6 +140,35 @@ def test_report_serialization():
     assert len(csv.strip().splitlines()) == 4
 
 
+def test_segments_sequence_contract():
+    report = account(TAMPERED_THREE)
+    segments = report.segments
+    assert len(segments) == 3
+    assert segments[-1] == SegmentRecord(
+        2, "G1", (2.0, 3.0, 0.0), (3.0, 4.0, 0.0), math.sqrt(2), 20_000, 2 / math.sqrt(2)
+    )
+    assert segments[-3] == segments[0]
+    for index in (3, -4):
+        with pytest.raises(IndexError):
+            segments[index]
+    assert list(segments) == [segments[i] for i in range(len(segments))]
+    # rows are built on access: mutating one leaves the report alone
+    segments[0].delta_raw = 0
+    assert segments[0].delta_raw == 30_000
+
+
+def test_segments_footprint_per_move():
+    doc = fixtures.performance_document(2_000)
+    tracemalloc.start()
+    try:
+        report = account(doc)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # about 68 bytes of columns per move; a record per move took 377
+    assert retained / len(report.segments) < 100
+
+
 # --- detect_relocation ---------------------------------------------------------
 
 
@@ -165,6 +210,54 @@ def test_detect_legitimate_travel_not_flagged():
 def test_detect_insufficient_data():
     with pytest.raises(InsufficientData):
         detect_relocation(account("G1 X10 E1\nG1 X0 E2\n"))
+
+
+def reference_detect(segments: list[SegmentRecord], threshold: float) -> list[Anomaly]:
+    """The record-at-a-time detector the column one replaced."""
+    extruding = [s for s in segments if s.delta_raw > 0 and s.flow is not None]
+    if len(extruding) < 8:
+        raise InsufficientData(f"{len(extruding)} extruding segments; need >= 8")
+    median_flow = statistics.median(s.flow for s in extruding)
+    if median_flow <= 0:
+        raise InsufficientData("median flow is not positive")
+    anomalies = []
+    flagged_successors = set()
+    for seg in segments:
+        if seg.delta_raw > 0 or seg.travel <= 1e-9:
+            continue
+        nxt_i = seg.index + 1
+        if nxt_i >= len(segments):
+            continue
+        nxt = segments[nxt_i]
+        if nxt.delta_raw > 0 and nxt.flow is not None and nxt.flow >= threshold * median_flow:
+            anomalies.append(Anomaly(seg.index, RELOCATION_SIGNATURE, nxt.flow / median_flow))
+            flagged_successors.add(nxt_i)
+    for seg in extruding:
+        if seg.index in flagged_successors:
+            continue
+        if seg.flow >= threshold * median_flow:
+            anomalies.append(Anomaly(seg.index, FLOW_OUTLIER, seg.flow / median_flow))
+    anomalies.sort(key=lambda a: a.index)
+    return anomalies
+
+
+def test_detect_matches_the_record_reference(gcode_corpus):
+    docs = ["", "G1 X10 E1\nG1 X0 E2\n", "G0 X1\n" * 9]
+    for doc in gcode_corpus.values():
+        docs += [doc] + [transform_relocation(doc, n) for n in (2, 3, 4)]
+    for doc in docs:
+        report = account(doc)
+        for threshold in (1.2, 1.5, 1.8, 2.5):
+            try:
+                expected = reference_detect(list(report.segments), threshold)
+            except InsufficientData:
+                with pytest.raises(InsufficientData):
+                    detect_relocation(report, threshold)
+                continue
+            got = detect_relocation(report, threshold)
+            # dataclass equality: index, kind and the exact ratio
+            assert got == expected
+            assert report.anomalies == expected
 
 
 def test_detect_flow_outlier_kind():
