@@ -15,8 +15,7 @@ nothing but whitespace (anything str.isspace accepts) up to the comment.
 Lines that are not commands (blank, comment-only) or whose parameter
 region does not fit the grammar are classified OTHER and passed through
 untouched.  So are command lines whose number or a parameter value
-overflows the 32-bit budget (a command number past 2**31 - 1 also
-overflows the streaming interceptor's accumulator).
+overflows the 32-bit budget.
 
 A parameter is a plain tuple ``(letter, raw, ws_start, value_start,
 value_end)``: the letter, the value as a raw fixed-point integer (value *
@@ -99,7 +98,7 @@ def parse_line(body: str, eol: str = "\n") -> ParsedLine:
         # int() refuses 4,300+ digits, leading zeros included; eleven
         # significant digits are already past MAX_RAW
         number = int(m[2].lstrip("0")[:11] or "0")
-    if number > MAX_RAW:  # the stream's 32-bit accumulator overflows here too
+    if number > MAX_RAW:  # the same 32-bit budget as every value in the line
         return ParsedLine(body, eol, comment_start=comment_start, malformed=True)
     return ParsedLine(body, eol, m[1], number, m.span(2), params, comment_start)
 

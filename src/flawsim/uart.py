@@ -35,18 +35,26 @@ marlin_rx_isr, trojan_epilogue and consumer_readline are the
 single-character model, kept public so tests can replay any schedule
 through them.  The line walk is written once, as the step table _STEP:
 by parser state and byte, the next parser state wherever that is all
-that changes.  At line start LF and space stay there, and any byte but
-'G' or 'M' skips the line: a CR too, since the transform sees no command
-in a line that starts with one.  In a skipped line or comment a newline
-returns to line start and any other byte stays; in a G1 or M73 line a
-newline ends the line, ';' starts its comment, a space ends a token and
-any other byte stays in the token.  'G' or 'M' at line start, the 'E'
-(in M73 the 'P') right after a space, and every byte that arrives while
-a command number or value is captured (its delimiter included) are
-marked _CALL: the epilogue steps the table and hands only those pairs
-to _act.  UartSimulation's producer loop does the same over the wire
-bytes, calling _act directly.  E values and P percentages share one
-capture, the states ST_V_INT and ST_V_FRAC; F_PROGRESS marks a
+that changes.  At line start LF and space stay there, 'G' and 'M' start
+a command head, and any other byte skips the line: a CR too, since the
+transform sees no command in a line that starts with one.  Command heads
+are stepped too.  After the letter a '0' stays, and only the digits of
+G1, M73 and M83 lead on; any other byte skips the line (a newline
+returns to line start).  Once a head is complete, a space after G1
+starts the line's first token, and a space after M73 or any non-digit
+after M83 ends the head; any other byte after those heads skips the line
+in the same way.  In a skipped line or comment a newline returns to line
+start and any other byte stays; in a G1 or M73 line a newline ends the
+line, ';' starts its comment, a space ends a token and any other byte
+stays in the token.  Only these pairs are marked _CALL: G1's '1' (its
+slot is kept for a conversion), the space after M73 (only relocation
+reads progress), the byte that ends M83 (relocation goes dormant), the
+'E' (in M73 the 'P') right after a space, and every byte that arrives
+while a value is captured, its delimiter included.  The epilogue steps
+the table and hands only those pairs to _act.  UartSimulation's producer
+loop does the same over the wire bytes, calling _act directly.  E values
+and P percentages share one capture, the states ST_V_INT and ST_V_FRAC,
+and only they pass through the accumulator; F_PROGRESS marks a
 percentage, which is read and never hidden.
 
 All interceptor persistence lives in TrojanState, which serializes to 15
@@ -74,15 +82,20 @@ class BufferFull(FlawsimError):
 # parser states (low nibble of parser_state; the high nibble counts the
 # decimals captured so far in ST_V_FRAC)
 ST_LINE_START = 0
-ST_G_NUM = 1
-ST_M_NUM = 2
+ST_G_NUM = 1  # after 'G' and any leading zeros
+ST_M_NUM = 2  # after 'M' and any leading zeros
 ST_G1_MID = 3  # inside a G1 line, mid-token
 ST_G1_TOK = 4  # inside a G1 line, previous char was a space
+ST_G_ONE = 5  # after G1's '1'
 ST_V_INT = 6  # a captured value (G1 E or M73 P), before its point
 ST_V_FRAC = 7  # a captured value, after its point
 ST_M73_MID = 8
 ST_M73_TOK = 9
+ST_M_7 = 10
+ST_M_73 = 11
+ST_M_8 = 12
 ST_SKIP = 13
+ST_M_83 = 14
 
 # flag bits (flags_window)
 F_WINDOW_ACTIVE = 0x01
@@ -103,17 +116,34 @@ EV_DORMANT_M83 = "dormant_relative_extrusion"
 
 _CALL = 0xFF  # in _STEP: _act must run for this pair
 
+# ASCII 0-9 only, as in the firmware's NUMERIC() and the g-code parser
+# (chr(byte).isdigit() would also take latin-1's superscripts 2, 3 and 1)
+_IS_DIGIT = bytes(48 <= b <= 57 for b in range(256))
+
 
 def _step_rows() -> tuple[bytes, ...]:
     """By parser state and byte, the next parser state where that is all
     that changes, or _CALL where _act must run; the module docstring lists
     the pairs."""
     rows = [bytes([_CALL]) * 256] * 256
-    rows[ST_LINE_START] = bytes(
-        _CALL if byte in b"GM" else ST_LINE_START if byte in b"\n " else ST_SKIP
-        for byte in range(256)
-    )
-    rows[ST_SKIP] = bytes(ST_LINE_START if byte == 0x0A else ST_SKIP for byte in range(256))
+    skip = bytes(ST_LINE_START if byte == 0x0A else ST_SKIP for byte in range(256))
+    rows[ST_SKIP] = skip
+    # line start and command heads: every byte skips the line but those
+    # that lead on toward G1, M73 or M83
+    for state, moves in (
+        (ST_LINE_START, {0x0A: ST_LINE_START, 0x20: ST_LINE_START, 0x47: ST_G_NUM, 0x4D: ST_M_NUM}),
+        (ST_G_NUM, {0x30: ST_G_NUM, 0x31: _CALL}),  # G1's '1' records cmd_slot
+        (ST_G_ONE, {0x20: ST_G1_TOK}),
+        (ST_M_NUM, {0x30: ST_M_NUM, 0x37: ST_M_7, 0x38: ST_M_8}),
+        (ST_M_7, {0x33: ST_M_73}),
+        (ST_M_8, {0x33: ST_M_83}),
+        (ST_M_73, {0x20: _CALL}),
+        (ST_M_83, {byte: _CALL for byte in range(256) if not _IS_DIGIT[byte]}),
+    ):
+        row = bytearray(skip)
+        for byte, step in moves.items():
+            row[byte] = step
+        rows[state] = bytes(row)
     for mid, tok, target in ((ST_G1_MID, ST_G1_TOK, 0x45), (ST_M73_MID, ST_M73_TOK, 0x50)):
         walk = bytearray([mid]) * 256
         walk[0x0A] = ST_LINE_START
@@ -128,10 +158,6 @@ def _step_rows() -> tuple[bytes, ...]:
 
 
 _STEP = _step_rows()
-
-# ASCII 0-9 only, as in the firmware's NUMERIC() and the g-code parser
-# (chr(byte).isdigit() would also take latin-1's superscripts 2, 3 and 1)
-_IS_DIGIT = bytes(48 <= b <= 57 for b in range(256))
 
 
 @dataclass(slots=True)
@@ -253,8 +279,8 @@ def _go_dormant(trojan: TrojanState):
 
 
 def _fold_digit(trojan: TrojanState, digit: int, in_frac: bool) -> str | None:
-    """Fold one digit of a captured number (command number, E or P value)
-    into the accumulator.
+    """Fold one digit of a captured value (an E value or a P percentage)
+    into the accumulator; command numbers never reach it.
 
     Integer digits always fold.  Decimals fold up to the fourth (their
     count is the high nibble of parser_state), the fifth only rounds half
@@ -297,7 +323,6 @@ def _pass_finish(trojan: TrojanState, delim: int):
     the transform leaves alone, so the rest of the line is skipped: no
     later E is edited and a progress token leaves the window as it was."""
     trojan.flags_window &= ~(F_PENDING | F_NEG | F_SIGN_SEEN | F_PROGRESS)
-    trojan.accumulator = 0
     trojan.parser_state = _STEP[ST_SKIP][delim]
 
 
@@ -363,7 +388,6 @@ def _finish_target(trojan: TrojanState, ring: RingBufferState, delim: int) -> st
             event = EV_EDIT_SKIPPED
         _emit(ring, delim)
     trojan.flags_window &= ~(F_CONVERT | F_NEG | F_SIGN_SEEN)
-    trojan.accumulator = 0
     trojan.parser_state = _STEP[ST_G1_MID][delim]
     return event
 
@@ -392,7 +416,6 @@ def _finish_progress(trojan: TrojanState, policy: TamperPolicy, delim: int) -> s
         return EV_OVERFLOW
     flags = update_window(trojan.flags_window, value, policy.window_lo, policy.window_hi)
     trojan.flags_window = flags & ~(F_PROGRESS | F_NEG | F_SIGN_SEEN)
-    trojan.accumulator = 0
     return None
 
 
@@ -417,14 +440,13 @@ def _act(trojan: TrojanState, ring: RingBufferState, policy: TamperPolicy, byte:
     """The epilogue's work for a pair (parser state, byte) that _STEP
     marks _CALL: every other pair only steps the table."""
     state = trojan.parser_state & 0x0F
-    digit = _IS_DIGIT[byte]
 
     if state == ST_V_INT or state == ST_V_FRAC:
         # one capture for E values and P percentages: a value under F_PENDING
         # has no digit yet, one under F_PROGRESS is read and never hidden
         in_frac = state == ST_V_FRAC
         flags = trojan.flags_window
-        if digit:
+        if _IS_DIGIT[byte]:
             if flags & F_PENDING:
                 _decide_on_first_digit(trojan, ring, policy, byte - 48, in_frac)
                 return None
@@ -455,40 +477,25 @@ def _act(trojan: TrojanState, ring: RingBufferState, policy: TamperPolicy, byte:
         # until a digit proves it well-formed.
         flags = (trojan.flags_window | F_PENDING) & ~(F_NEG | F_SIGN_SEEN)
         trojan.flags_window = (flags | F_PROGRESS) if state == ST_M73_TOK else flags
-        trojan.accumulator = 0
         trojan.parser_state = ST_V_INT
         return None
 
-    if state == ST_LINE_START:  # 'G', 'M'
-        trojan.accumulator = 0
-        trojan.parser_state = ST_G_NUM if byte == 0x47 else ST_M_NUM
+    if state == ST_G_NUM:  # G1's '1': a conversion rewrites this slot
+        trojan.cmd_slot = (ring.head - 1) & ring.mask
+        trojan.parser_state = ST_G_ONE
         return None
 
-    if state == ST_G_NUM:
-        if digit:
-            event = _fold_digit(trojan, byte - 48, False)
-            if event is None:
-                trojan.cmd_slot = (ring.head - 1) & ring.mask
-            return event
-        number = trojan.accumulator
-        trojan.accumulator = 0
-        trojan.parser_state = _STEP[ST_G1_MID if number == 1 else ST_SKIP][byte]
+    relocation = policy.mode is Mode.RELOCATION
+    if state == ST_M_73:  # its space: only relocation tracks progress
+        trojan.parser_state = ST_M73_TOK if relocation else ST_SKIP
         return None
 
-    # ST_M_NUM
-    if digit:
-        return _fold_digit(trojan, byte - 48, False)
-    number = trojan.accumulator
-    trojan.accumulator = 0
-    if policy.mode is Mode.RELOCATION:
-        if number == 83:
-            # Relative extrusion would break the conservation property;
-            # the interceptor quietly stands down for the session.
-            _go_dormant(trojan)
-            return EV_DORMANT_M83
-        if number == 73:
-            trojan.parser_state = _STEP[ST_M73_MID][byte]
-            return None
+    # ST_M_83, the byte that ends the command
+    if relocation:
+        # Relative extrusion would break the conservation property;
+        # the interceptor quietly stands down for the session.
+        _go_dormant(trojan)
+        return EV_DORMANT_M83
     trojan.parser_state = _STEP[ST_SKIP][byte]
     return None
 

@@ -40,12 +40,24 @@ def random_value(rng: random.Random, allow_negative=True) -> str:
     return text
 
 
+def random_head(rng: random.Random, command: str) -> str:
+    """The command as written: now and then with a leading zero (G01 is
+    G1), or with a number past 2**31 - 1, which makes the line no command."""
+    roll = rng.random()
+    if roll < 0.06:
+        return command[0] + "0" + command[1:]
+    if roll < 0.09:
+        return command[0] + rng.choice(["2147483648", "99999999999", "4294967297"])
+    return command
+
+
 def random_move(rng: random.Random) -> str:
-    parts = [rng.choice(["G1", "G1", "G1", "G0"])]
+    command = rng.choice(["G1", "G1", "G1", "G0"])
+    parts = [random_head(rng, command)]
     for letter in "XYZ":
         if rng.random() < 0.6:
             parts.append(f"{letter}{random_value(rng)}")
-    if parts[0] == "G1" and rng.random() < 0.8:
+    if command == "G1" and rng.random() < 0.8:
         if rng.random() < 0.08:
             parts.append("E" + rng.choice(["-", "+", "."]))  # valueless: opaque
             if rng.random() < 0.5:  # the line stays opaque to a later E
@@ -54,6 +66,8 @@ def random_move(rng: random.Random) -> str:
             parts.append(f"E{random_value(rng)}")
     if rng.random() < 0.3:
         parts.append(f"F{rng.randrange(100, 9000)}")
+    if len(parts) > 1 and rng.random() < 0.05:  # glued head (G1X1): no command
+        parts[:2] = [parts[0] + parts[1]]
     sep = " " if rng.random() < 0.9 else "  "
     line = sep.join(parts)
     if rng.random() < 0.15:
@@ -85,7 +99,9 @@ def random_document(seed: int) -> str:
             else:
                 percent = min(100, percent + rng.randrange(0, 30))
                 value = str(percent)
-            marker = f"M73 P{value}"
+            marker = f"{random_head(rng, 'M73')} P{value}"
+            if rng.random() < 0.05:  # glued head (M73X): no command
+                marker = marker.replace(" ", "X ", 1)
             if rng.random() < 0.3:
                 marker += f" R{rng.randrange(60)}"
             lines.append(marker)

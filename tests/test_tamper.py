@@ -1,6 +1,8 @@
 import random
 import re
+import runpy
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,10 +13,12 @@ from flawsim.gcode import iter_lines, parse_document, parse_line
 from flawsim.policy import TamperPolicy
 from flawsim.tamper import (
     RelativeExtrusionDetected,
+    apply_policy,
     run_pipeline_equivalence,
     transform_reduction,
     transform_relocation,
 )
+from flawsim.uart import UartSimulation
 
 THREE_MOVES = "G1 X1 Y2 E3\nG1 X2 Y3 E4\nG1 X3 Y4 E5\n"
 
@@ -416,6 +420,34 @@ def test_equivalence_line_start_cr_skips_the_line(doc):
         report = run_pipeline_equivalence(doc, policy)
         assert report.identical, report.describe()
         assert "\rG1 X1 E5\n" in report.sim_output
+
+
+@pytest.mark.parametrize("doc, policy", [
+    ("G2147483648\nG1 X1 E5\n", TamperPolicy.reduction(Fraction(1, 2))),
+    ("G1G1 E5\n", TamperPolicy.reduction(Fraction(1, 2))),
+    ("G1M73 E5\n", TamperPolicy.reduction(Fraction(1, 2))),
+    ("G1X1 E5\n", TamperPolicy.reduction(Fraction(1, 2))),
+    ("G01X1 E5\n", TamperPolicy.reduction(Fraction(1, 2))),
+    ("G1\rG1 X2 E6\n", TamperPolicy.reduction(Fraction(1, 2))),
+    ("M73 P30\nM99999999999\nG1 X1 E5\nG1 X2 E6\n", TamperPolicy.relocation(2)),
+    ("M73 P30\nM73X P80\nG1 X1 E5\nG1 X2 E6\n", TamperPolicy.relocation(2)),
+])
+def test_equivalence_malformed_command_heads_skip_the_line(doc, policy):
+    # a command number past 2**31 - 1, or a head glued to the next byte, is
+    # no command to the transform: the stream skips that line too, and
+    # stays live for the lines after it
+    sim = UartSimulation(policy)
+    streamed = "".join(sim.feed(doc)) + sim.flush_residual()
+    assert streamed == apply_policy(doc, policy)
+    assert sim.stats.dormant_events == 0
+
+
+def test_divergence_search_reports_every_policy(capsys):
+    tool = runpy.run_path(str(Path(__file__).resolve().parents[1] / "tools" / "divergence_search.py"))
+    assert tool["main"](["--tokens", "1", "--examples", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [name for name, _, _ in tool["POLICIES"]]
+    assert all(f" of {len(tool['TOKENS'])} documents diverge, " in line for line in lines)
 
 
 def test_equivalence_digitless_e_line_is_not_counted_for_relocation():

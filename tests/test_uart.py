@@ -12,9 +12,16 @@ from flawsim.uart import (
     F_DORMANT,
     ST_G1_MID,
     ST_G1_TOK,
+    ST_G_NUM,
+    ST_G_ONE,
     ST_LINE_START,
     ST_M73_MID,
     ST_M73_TOK,
+    ST_M_7,
+    ST_M_8,
+    ST_M_73,
+    ST_M_83,
+    ST_M_NUM,
     ST_SKIP,
     BufferFull,
     RingBufferState,
@@ -501,16 +508,37 @@ def test_feed_matches_single_character_replay(gcode_corpus):
         assert sim.stats.dormant_events == 1
 
 
+# the command head read so far, by parser state
+HEADS = {ST_G_NUM: "G", ST_G_ONE: "G1", ST_M_NUM: "M", ST_M_7: "M7", ST_M_73: "M73",
+         ST_M_8: "M8", ST_M_83: "M83"}
+HEAD_STATES = {text: state for state, text in HEADS.items()}
+
+
 def walk_rule(state, byte):
     """The line walk as the uart module docstring states it, written out
     apart from _STEP: the next parser state, or _CALL where the
     interceptor must act."""
+    skip = ST_LINE_START if byte == 0x0A else ST_SKIP
     if state == ST_LINE_START:
-        if byte in b"GM":
-            return uart._CALL
-        return ST_LINE_START if byte in b"\n " else ST_SKIP
+        if byte in b"\n ":
+            return ST_LINE_START
+        return {ord("G"): ST_G_NUM, ord("M"): ST_M_NUM}.get(byte, skip)
     if state == ST_SKIP:
-        return ST_LINE_START if byte == 0x0A else ST_SKIP
+        return skip
+    if state in HEADS:
+        head, char = HEADS[state], chr(byte)
+        if char == "0" and len(head) == 1:
+            return state  # a leading zero
+        if char.isascii() and char.isdigit():
+            if head + char == "G1":
+                return uart._CALL  # G1's '1'
+            # every head text is on the way to G1, M73 or M83
+            return HEAD_STATES.get(head + char, skip)
+        if head == "G1" and char == " ":
+            return ST_G1_TOK
+        if (head == "M73" and char == " ") or head == "M83":
+            return uart._CALL
+        return skip
     for mid, tok, target in ((ST_G1_MID, ST_G1_TOK, ord("E")), (ST_M73_MID, ST_M73_TOK, ord("P"))):
         if state in (mid, tok):
             if byte == 0x0A:
@@ -522,7 +550,7 @@ def walk_rule(state, byte):
             if state == tok and byte == target:
                 return uart._CALL
             return mid
-    return uart._CALL  # a command number or a captured value
+    return uart._CALL  # a captured value
 
 
 def test_pass_through_pairs_leave_everything_unchanged():
@@ -538,9 +566,10 @@ def test_pass_through_pairs_leave_everything_unchanged():
     pairs = [(state, byte, step) for state, row in enumerate(uart._STEP)
              for byte, step in enumerate(row) if step != uart._CALL]
     # still stepped: the pairs that left everything, the parser state
-    # included, as it was (a comment byte other than its newline, a byte
-    # that keeps a G1 or M73 line mid-token)
+    # included, as it was (a comment byte other than its newline, a leading
+    # zero of a command number, a byte that keeps a G1 or M73 line mid-token)
     unchanged = {(ST_SKIP, byte) for byte in range(256) if byte != 0x0A}
+    unchanged |= {(ST_G_NUM, ord("0")), (ST_M_NUM, ord("0"))}
     for mid in (ST_G1_MID, ST_M73_MID):
         unchanged |= {(mid, byte) for byte in range(256) if uart._STEP[mid][byte] == mid}
     assert unchanged < {(state, byte) for state, byte, _ in pairs}
