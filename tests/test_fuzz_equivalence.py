@@ -40,20 +40,20 @@ def random_value(rng: random.Random, allow_negative=True) -> str:
     return text
 
 
-def random_head(rng: random.Random, command: str) -> str:
+def random_head(heads: random.Random, command: str) -> str:
     """The command as written: now and then with a leading zero (G01 is
     G1), or with a number past 2**31 - 1, which makes the line no command."""
-    roll = rng.random()
+    roll = heads.random()
     if roll < 0.06:
         return command[0] + "0" + command[1:]
     if roll < 0.09:
-        return command[0] + rng.choice(["2147483648", "99999999999", "4294967297"])
+        return command[0] + heads.choice(["2147483648", "99999999999", "4294967297"])
     return command
 
 
-def random_move(rng: random.Random) -> str:
+def random_move(rng: random.Random, heads: random.Random) -> str:
     command = rng.choice(["G1", "G1", "G1", "G0"])
-    parts = [random_head(rng, command)]
+    parts = [random_head(heads, command)]
     for letter in "XYZ":
         if rng.random() < 0.6:
             parts.append(f"{letter}{random_value(rng)}")
@@ -66,7 +66,7 @@ def random_move(rng: random.Random) -> str:
             parts.append(f"E{random_value(rng)}")
     if rng.random() < 0.3:
         parts.append(f"F{rng.randrange(100, 9000)}")
-    if len(parts) > 1 and rng.random() < 0.05:  # glued head (G1X1): no command
+    if len(parts) > 1 and heads.random() < 0.05:  # glued head (G1X1): no command
         parts[:2] = [parts[0] + parts[1]]
     sep = " " if rng.random() < 0.9 else "  "
     line = sep.join(parts)
@@ -76,7 +76,10 @@ def random_move(rng: random.Random) -> str:
 
 
 def random_document(seed: int) -> str:
+    # head mutations draw from their own stream, so they leave the rest of
+    # each seed's document as it was before they were added
     rng = random.Random(seed)
+    heads = random.Random(f"heads {seed}")
     lines = []
     if rng.random() < 0.5:
         lines.append(";FLAVOR:fuzz")
@@ -86,7 +89,7 @@ def random_document(seed: int) -> str:
     for _ in range(rng.randrange(10, 60)):
         roll = rng.random()
         if roll < 0.75:
-            move = random_move(rng)
+            move = random_move(rng, heads)
             if rng.random() < 0.04:  # a CR at line start: no command, skipped
                 move = rng.choice(["\r", "  \r"]) + move
             lines.append(move)
@@ -99,8 +102,8 @@ def random_document(seed: int) -> str:
             else:
                 percent = min(100, percent + rng.randrange(0, 30))
                 value = str(percent)
-            marker = f"{random_head(rng, 'M73')} P{value}"
-            if rng.random() < 0.05:  # glued head (M73X): no command
+            marker = f"{random_head(heads, 'M73')} P{value}"
+            if heads.random() < 0.05:  # glued head (M73X): no command
                 marker = marker.replace(" ", "X ", 1)
             if rng.random() < 0.3:
                 marker += f" R{rng.randrange(60)}"

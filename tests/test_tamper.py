@@ -442,12 +442,13 @@ def test_equivalence_malformed_command_heads_skip_the_line(doc, policy):
     assert sim.stats.dormant_events == 0
 
 
-def test_divergence_search_reports_every_policy(capsys):
+def test_divergence_search_reports_every_policy():
     tool = runpy.run_path(str(Path(__file__).resolve().parents[1] / "tools" / "divergence_search.py"))
-    assert tool["main"](["--tokens", "1", "--examples", "0"]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in lines] == [name for name, _, _ in tool["POLICIES"]]
-    assert all(f" of {len(tool['TOKENS'])} documents diverge, " in line for line in lines)
+    found = tool["search"](1)
+    assert len(found) == len(tool["POLICIES"])
+    for divergent, refused in found:
+        assert set(divergent) <= set(tool["TOKENS"])
+        assert 0 <= refused <= len(tool["TOKENS"]) - len(divergent)
 
 
 def test_equivalence_digitless_e_line_is_not_counted_for_relocation():

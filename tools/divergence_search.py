@@ -2,19 +2,19 @@
 """Bounded-exhaustive search for documents on which the streaming
 interceptor and the whole-file transform disagree.
 
-Every document of one to N tokens from a fixed alphabet is followed by
+Every document of one to three tokens from a fixed alphabet is followed by
 two well-formed moves, so state the document leaves behind shows in
 them, and run under three policies: reduction 1/2, relocation 2 and
 relocation 3 with window 0-100 (both relocations after ``M73 P30``, so
 their window is open).  A document the relocation transform refuses
 (relative extrusion before the window closed) is counted on its own, not
-as a divergence.  The script reports; it gates nothing.  Run from the
+as a divergence.  The script prints the count and the first few
+divergent documents per policy; it gates nothing.  Run from the
 repository root:
 
-    python tools/divergence_search.py --tokens 3 --examples 5
+    python tools/divergence_search.py
 """
 
-import argparse
 import itertools
 import sys
 from fractions import Fraction
@@ -32,6 +32,8 @@ TOKENS = [
     "G01", "G10", "G0", "G2147483648", "M073", "M730", "G1X1", "M83X", "\t",
 ]
 TAIL = "\nG1 X8 E8\nG1 X9 E9\n"
+MAX_TOKENS = 3
+EXAMPLES = 5
 POLICIES = [
     ("reduction 1/2", "", TamperPolicy.reduction(Fraction(1, 2))),
     ("relocation 2", "M73 P30\n", TamperPolicy.relocation(2)),
@@ -61,15 +63,11 @@ def search(max_tokens: int) -> list[tuple[list[str], int]]:
     return found
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--tokens", type=int, default=3, help="longest document, in tokens")
-    parser.add_argument("--examples", type=int, default=5, help="divergent documents shown per policy")
-    args = parser.parse_args(argv)
-    total = sum(len(TOKENS) ** n for n in range(1, args.tokens + 1))
-    for (name, head, policy), (divergent, refused) in zip(POLICIES, search(args.tokens)):
+def main() -> int:
+    total = sum(len(TOKENS) ** n for n in range(1, MAX_TOKENS + 1))
+    for (name, head, policy), (divergent, refused) in zip(POLICIES, search(MAX_TOKENS)):
         print(f"{name}: {len(divergent)} of {total} documents diverge, {refused} refused")
-        for doc in divergent[: args.examples]:
+        for doc in divergent[:EXAMPLES]:
             print(f"  {doc!r}: {run_pipeline_equivalence(head + doc + TAIL, policy).describe()}")
     return 0
 
