@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 import statistics
 from array import array
 from collections.abc import Sequence
@@ -28,7 +27,7 @@ from dataclasses import dataclass, field
 
 from .errors import FlawsimError
 from .fixedpoint import MAX_RAW, SCALE, FixedPoint, format_raw
-from .gcode import ParsedLine, iter_lines
+from .gcode import iter_lines
 
 RELOCATION_SIGNATURE = "RelocationSignature"
 FLOW_OUTLIER = "FlowOutlier"
@@ -161,13 +160,8 @@ class AuditReport:
 _MOVE_KINDS = ("G0", "G1")  # by command number
 _MOVE_NUMBERS = (0, 1, 92)  # 92 sets positions, it records no segment
 _TRAVEL_EPS = 1e-9
-# the commands account acts on: moves, G92 and the M82/M83 mode switches.
-# Leading zeros are legal in a command number: G01 is G1, G010 is G10
-_ACCOUNTED_PREFIX = re.compile(r" *(?:G0*(?:0|1|92)|M0*8[23])(?![0-9])")
-
-
-def _looks_accounted(line: ParsedLine) -> bool:
-    return line.malformed and _ACCOUNTED_PREFIX.match(line.body) is not None
+# the commands account acts on: moves, G92 and the M82/M83 mode switches
+_ACCOUNTED = {("G", 0), ("G", 1), ("G", 92), ("M", 82), ("M", 83)}
 
 
 def account(doc: str) -> AuditReport:
@@ -188,8 +182,8 @@ def account(doc: str) -> AuditReport:
     deltas = array("q")
     total_raw = 0
     for line_no, line in enumerate(iter_lines(doc), 1):
-        if line.letter is None:
-            if _looks_accounted(line):
+        if line.malformed:
+            if (line.letter, line.number) in _ACCOUNTED:
                 raise ParseError(line_no, line.body)
             continue
         if line.letter == "M":
@@ -200,9 +194,9 @@ def account(doc: str) -> AuditReport:
             continue
         if line.letter != "G" or line.number not in _MOVE_NUMBERS:
             continue
-        # the first of duplicate letters wins, as with ParsedLine.param
+        # the first of duplicate letters wins
         px = py = pz = pe = None
-        for letter, raw, _, _, _ in reversed(line.params):
+        for letter, raw in reversed(line.params):
             if letter == "X":
                 px = raw
             elif letter == "Y":

@@ -1,30 +1,46 @@
 """The two print-sabotage payloads as whole-file text transforms, plus the
 equivalence harness that checks the streaming interceptor against them.
 
-The transforms are the readable reference semantics; the interceptor in
-uart.py implements the same edits one character at a time under its
-15-byte state budget.  Both paths share the fixed-point arithmetic in
-fixedpoint.py, so on documents written in the canonical dialect their
-outputs are byte-identical - which is exactly what
-run_pipeline_equivalence asserts.
+The transforms are the readable reference for the interceptor in uart.py,
+which makes the same edits one byte at a time under its 15-byte state
+budget.  Both follow its token rule, which commits on a value's first
+digit and never looks ahead.  Lines end at LF only.  In a move (head
+`` *G0*1 ``) each ``E`` that follows a space in the code part, before any
+';', is a target as long as its value has a digit
+(fixedpoint.VALUE_PATTERN); an ``E`` with no digit ends the line's
+targets, and what follows a value does not matter (``G1 E5x``).  In a
+line headed `` *M0*73 `` the first `` P`` reports progress if its value
+has a digit; `` *M0*83`` not followed by a digit switches to relative
+extrusion.  A value the payload reads (a target under reduction, a
+percentage under relocation) past the 32-bit budget sends the
+interceptor dormant: from that value on, the document passes through
+unchanged.  audit.account, the defender, reads the strict grammar of
+gcode.py instead.
 
-Material reduction scales every extrusion value of every extruding move
-by (1 - fraction), unconditionally.  Material relocation converts every
-n-th extruding move inside the progress window to a travel move with the
-extrusion dropped; with absolute extrusion values the following move
-deposits the difference, so total material is conserved.
+Material reduction scales every target by (1 - fraction).  Material
+relocation converts the move holding every n-th target inside the
+progress window to travel, dropping that target; with absolute extrusion
+values the next target deposits the difference, so total material is
+conserved.
 """
 
 from __future__ import annotations
 
+import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FlawsimError
-from .fixedpoint import div_round_half_away, format_raw
-from .gcode import drop_param_convert_travel, iter_lines
+from .fixedpoint import VALUE_PATTERN, FixedPointOverflow, div_round_half_away, format_raw, raw_from_digits
 from .policy import Mode, TamperPolicy
 from .uart import F_WINDOW_ACTIVE, F_WINDOW_DONE, UartSimulation, update_window
+
+_VALUE = re.compile(VALUE_PATTERN)
+_CODE = re.compile(r"[^;\n]*")  # up to the line's ';' or its end
+# a move, whose command digit is group 1; a progress report or a switch to
+# relative extrusion, told apart by group 2
+_HEAD = re.compile(r"^ *(?:G0*(1) |M0*(73 |83(?![0-9])))", re.M)
 
 
 class RelativeExtrusionDetected(FlawsimError):
@@ -32,8 +48,21 @@ class RelativeExtrusionDetected(FlawsimError):
     would no longer conserve total material, so the transform refuses."""
 
 
+def _values(doc: str, start: int, token: str) -> Iterator[re.Match]:
+    """The value after each token (' E' or ' P') in the code part of the
+    line whose head ends with the space at doc[start], up to the first
+    token with no digit."""
+    end = _CODE.match(doc, start).end()
+    while (start := doc.find(token, start, end)) >= 0:
+        value = _VALUE.match(doc, start + 2)
+        if value is None:
+            return
+        yield value
+        start = value.end()
+
+
 def transform_reduction(doc: str, fraction) -> str:
-    """Scale the extrusion value of every extruding move by (1 - fraction).
+    """Scale every target of every move by (1 - fraction).
 
     Everything else - other parameters, other lines, comments, whitespace,
     line endings - is reproduced byte-for-byte.  Edited values are written
@@ -45,52 +74,60 @@ def transform_reduction(doc: str, fraction) -> str:
     numerator = frac.denominator - frac.numerator
     denominator = frac.denominator
     out = []
-    for line in iter_lines(doc):
-        body = line.body
-        if line.letter == "G" and line.number == 1:
-            # right to left so earlier spans stay valid
-            for letter, raw, _, value_start, value_end in reversed(line.params):
-                if letter == "E":
-                    scaled = format_raw(div_round_half_away(raw * numerator, denominator))
-                    body = body[:value_start] + scaled + body[value_end:]
-        out.append(body + line.eol)
-    return "".join(out)
+    done = 0  # doc[:done] is in out
+    for head in _HEAD.finditer(doc):
+        if head[1] is None:
+            continue  # progress and the extrusion mode do not matter here
+        for value in _values(doc, head.end() - 1, " E"):
+            try:
+                raw = raw_from_digits(*value.groups(""))
+            except FixedPointOverflow:
+                return "".join(out) + doc[done:]  # dormant
+            scaled = div_round_half_away(raw * numerator, denominator)
+            out += (doc[done : value.start()], format_raw(scaled))
+            done = value.end()
+    return "".join(out) + doc[done:]
 
 
 def transform_relocation(doc: str, n: int, window_lo: int = 25, window_hi: int = 75) -> str:
-    """Convert every n-th extruding move inside the window to a travel move.
-
-    Requires absolute extrusion: a relative-extrusion switch before the
-    window has closed raises RelativeExtrusionDetected.  The eligible-move
-    counter starts at the window and the n-th, 2n-th, ... eligible moves
-    are converted; feedrate and coordinates are preserved, only the
-    extrusion parameter (and one separating space) is dropped.
+    """Convert the move holding every n-th target inside the window to a
+    travel move: drop that target with its letter and space, and write 0
+    over the command digit.  Raises RelativeExtrusionDetected on a switch
+    to relative extrusion before the window has closed.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     window = 0  # F_WINDOW_* flags, as in the interceptor
     counter = 0
     out = []
-    for line in iter_lines(doc):
-        if line.letter == "M" and line.number == 73:
-            p = line.param("P")
-            if p is not None:
-                window = update_window(window, p[1], window_lo, window_hi)
-        elif line.letter == "M" and line.number == 83:
-            if not window & F_WINDOW_DONE:
-                raise RelativeExtrusionDetected(
-                    "relative extrusion before the window closed"
-                )
-        elif line.letter == "G" and line.number == 1 and window & F_WINDOW_ACTIVE:
-            e = line.param("E")
-            if e is not None:
+    done = 0  # doc[:done] is in out
+    for head in _HEAD.finditer(doc):
+        start = head.end() - 1
+        if head[1] is not None:
+            if not window & F_WINDOW_ACTIVE:
+                continue
+            slot = head.start(1)
+            for value in _values(doc, start, " E"):
                 counter += 1
-                if counter >= n:
-                    counter = 0
-                    out.append(drop_param_convert_travel(line, e) + line.eol)
+                if counter < n:
                     continue
-        out.append(line.text())
-    return "".join(out)
+                counter = 0
+                if done <= slot:  # the line's first conversion
+                    out += (doc[done:slot], "0")
+                    done = slot + 1
+                out.append(doc[done : value.start() - 2])
+                done = value.end()
+        elif head[2] == "73 ":
+            value = next(_values(doc, start, " P"), None)
+            if value is not None:
+                try:
+                    raw = raw_from_digits(*value.groups(""))
+                except FixedPointOverflow:
+                    break  # dormant
+                window = update_window(window, raw, window_lo, window_hi)
+        elif not window & F_WINDOW_DONE:
+            raise RelativeExtrusionDetected("relative extrusion before the window closed")
+    return "".join(out) + doc[done:]
 
 
 def apply_policy(doc: str, policy: TamperPolicy) -> str:

@@ -78,7 +78,7 @@ def test_account_insensitive_to_comments_and_blank_lines():
 
 def test_account_parse_error_on_bad_move():
     # "\u0663" is an Arabic-Indic three: a digit to \d, not to the grammar
-    for doc in ("G1 E4 X@3\n", "G1 X1 E\u0663\n", "G01 X1 E5 *12\n", "G092 E5 *1\n", "G00 X1 E\n"):
+    for doc in ("G1 E4 X@3\n", "G1 X1 E\u0663\n", "G01 X1 E5 *12\n", "G01 X1 *1\n", "G092 E5 *1\n", "G00 X1 E\n"):
         with pytest.raises(ParseError):
             account(doc)
     # G010 is G10, not a move: its malformed tail is skipped like any noise
@@ -87,7 +87,7 @@ def test_account_parse_error_on_bad_move():
 
 def test_account_parse_error_on_bad_mode_switch():
     # a mode switch changes every later delta, so a malformed one is not noise
-    for switch in ("M83 *12", "M83 E", "M82 S", "M083 *1"):
+    for switch in ("M83 *12", "M83 E", "M83X", "M82 S", "M083 *1"):
         with pytest.raises(ParseError, match=r"^line 1: cannot parse") as err:
             account(f"{switch}\nG1 X1 E1\nG1 X2 E1\n")
         assert err.value.line_no == 1

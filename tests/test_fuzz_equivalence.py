@@ -51,7 +51,27 @@ def random_head(heads: random.Random, command: str) -> str:
     return command
 
 
-def random_move(rng: random.Random, heads: random.Random) -> str:
+# what may follow a value: each makes the line malformed to the strict
+# grammar, and the payloads edit the value before it all the same
+VALUE_TAILS = ["x", "G1", "M73", " *12", " P", " E", "5.5.5"]
+
+
+def mutate_targets(tails: random.Random, parts: list[str]) -> None:
+    """Now and then mutate one E token of the move: give it a tail, put a
+    digitless token before it, or add a second E after it."""
+    for i, part in enumerate(parts[1:], 1):
+        if part[0] == "E" and tails.random() < 0.25:
+            roll = tails.random()
+            if roll < 0.5:
+                parts[i] += tails.choice(VALUE_TAILS)
+            elif roll < 0.75:
+                parts[i] = tails.choice(["P ", "*1 ", "X "]) + part
+            else:
+                parts.insert(i + 1, f"E{random_value(tails)}")
+            return
+
+
+def random_move(rng: random.Random, heads: random.Random, tails: random.Random) -> str:
     command = rng.choice(["G1", "G1", "G1", "G0"])
     parts = [random_head(heads, command)]
     for letter in "XYZ":
@@ -66,6 +86,7 @@ def random_move(rng: random.Random, heads: random.Random) -> str:
             parts.append(f"E{random_value(rng)}")
     if rng.random() < 0.3:
         parts.append(f"F{rng.randrange(100, 9000)}")
+    mutate_targets(tails, parts)
     if len(parts) > 1 and heads.random() < 0.05:  # glued head (G1X1): no command
         parts[:2] = [parts[0] + parts[1]]
     sep = " " if rng.random() < 0.9 else "  "
@@ -76,10 +97,11 @@ def random_move(rng: random.Random, heads: random.Random) -> str:
 
 
 def random_document(seed: int) -> str:
-    # head mutations draw from their own stream, so they leave the rest of
-    # each seed's document as it was before they were added
+    # head and tail mutations draw from their own streams, so they leave
+    # the rest of each seed's document as it was before they were added
     rng = random.Random(seed)
     heads = random.Random(f"heads {seed}")
+    tails = random.Random(f"tails {seed}")
     lines = []
     if rng.random() < 0.5:
         lines.append(";FLAVOR:fuzz")
@@ -89,10 +111,13 @@ def random_document(seed: int) -> str:
     for _ in range(rng.randrange(10, 60)):
         roll = rng.random()
         if roll < 0.75:
-            move = random_move(rng, heads)
+            move = random_move(rng, heads, tails)
             if rng.random() < 0.04:  # a CR at line start: no command, skipped
                 move = rng.choice(["\r", "  \r"]) + move
-            lines.append(move)
+            if lines and tails.random() < 0.03:  # a lone CR joins two lines
+                lines[-1] += "\r" + move
+            else:
+                lines.append(move)
         elif roll < 0.85:
             pick = rng.random()
             if pick < 0.1:  # no digit: the line is skipped, the window left alone
@@ -102,6 +127,8 @@ def random_document(seed: int) -> str:
             else:
                 percent = min(100, percent + rng.randrange(0, 30))
                 value = str(percent)
+            if tails.random() < 0.1:
+                value += tails.choice(VALUE_TAILS)
             marker = f"{random_head(heads, 'M73')} P{value}"
             if heads.random() < 0.05:  # glued head (M73X): no command
                 marker = marker.replace(" ", "X ", 1)

@@ -9,7 +9,8 @@ relocation 3 with window 0-100 (both relocations after ``M73 P30``, so
 their window is open).  A document the relocation transform refuses
 (relative extrusion before the window closed) is counted on its own, not
 as a divergence.  The script prints the count and the first few
-divergent documents per policy; it gates nothing.  Run from the
+divergent documents per policy.  The test suite runs search(3) and
+requires no divergent document under any policy.  Run from the
 repository root:
 
     python tools/divergence_search.py
