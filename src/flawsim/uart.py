@@ -33,35 +33,19 @@ U+FFFD in its place.  The interceptor's grammar is ASCII, so bytes past
 
 marlin_rx_isr, trojan_epilogue and consumer_readline are the
 single-character model, kept public so tests can replay any schedule
-through them.  The line walk is written once, as the step table _STEP:
-by parser state and byte, the next parser state wherever that is all
-that changes.  At line start LF and space stay there, 'G' and 'M' start
-a command head, and any other byte skips the line: a CR too, since the
-transform sees no command in a line that starts with one.  Command heads
-are stepped too.  After the letter a '0' stays, and only the digits of
-G1, M73 and M83 lead on; any other byte skips the line (a newline
-returns to line start).  Once a head is complete, a space after G1
-starts the line's first token, and a space after M73 or any non-digit
-after M83 ends the head; any other byte after those heads skips the line
-in the same way.  In a skipped line or comment a newline returns to line
-start and any other byte stays; in a G1 or M73 line a newline ends the
-line, ';' starts its comment, a space ends a token and any other byte
-stays in the token.  Only these pairs are marked _CALL: G1's '1' (its
-slot is kept for a conversion), the space after M73 (only relocation
-reads progress), the byte that ends M83 (relocation goes dormant), the
-'E' (in M73 the 'P') right after a space, and every byte that arrives
-while a value is captured, its delimiter included.  The epilogue steps
-the table and hands only those pairs to _act.  UartSimulation's producer
-loop does the same over the wire bytes, calling _act directly.  E values
-and P percentages share one capture, the states ST_V_INT and ST_V_FRAC,
-and only they pass through the accumulator; F_PROGRESS marks a
+through them.  The line walk is written once, as the grid _WALK; README's
+payload rule says what it reads.  The epilogue steps _STEP, the grid
+expanded to every byte, and hands only the pairs it marks _CALL to _act;
+UartSimulation's producer loop does the same over the wire bytes.  E
+values and P percentages share one capture, the states ST_V_INT and
+ST_V_FRAC, and only they pass through the accumulator; F_PROGRESS marks a
 percentage, which is read and never hidden.
 
 All interceptor persistence lives in TrojanState, which serializes to 15
 bytes: the memory the stack-steal patch carved out.  There is no room for
-anything else, which is why the payload mode itself is not state (the two
-payloads are separate builds) and why the eligible-move counter is one
-byte.
+anything else, which is why the policy's mode and window bounds are build
+constants, not state (the two payloads are separate builds), and why the
+eligible-move counter is one byte.
 """
 
 from __future__ import annotations
@@ -121,43 +105,34 @@ _CALL = 0xFF  # in _STEP: _act must run for this pair
 _IS_DIGIT = bytes(48 <= b <= 57 for b in range(256))
 
 
-def _step_rows() -> tuple[bytes, ...]:
-    """By parser state and byte, the next parser state where that is all
-    that changes, or _CALL where _act must run; the module docstring lists
-    the pairs."""
-    rows = [bytes([_CALL]) * 256] * 256
-    skip = bytes(ST_LINE_START if byte == 0x0A else ST_SKIP for byte in range(256))
-    rows[ST_SKIP] = skip
-    # line start and command heads: every byte skips the line but those
-    # that lead on toward G1, M73 or M83
-    for state, moves in (
-        (ST_LINE_START, {0x0A: ST_LINE_START, 0x20: ST_LINE_START, 0x47: ST_G_NUM, 0x4D: ST_M_NUM}),
-        (ST_G_NUM, {0x30: ST_G_NUM, 0x31: _CALL}),  # G1's '1' records cmd_slot
-        (ST_G_ONE, {0x20: ST_G1_TOK}),
-        (ST_M_NUM, {0x30: ST_M_NUM, 0x37: ST_M_7, 0x38: ST_M_8}),
-        (ST_M_7, {0x33: ST_M_73}),
-        (ST_M_8, {0x33: ST_M_83}),
-        (ST_M_73, {0x20: _CALL}),
-        (ST_M_83, {byte: _CALL for byte in range(256) if not _IS_DIGIT[byte]}),
-    ):
-        row = bytearray(skip)
-        for byte, step in moves.items():
-            row[byte] = step
-        rows[state] = bytes(row)
-    for mid, tok, target in ((ST_G1_MID, ST_G1_TOK, 0x45), (ST_M73_MID, ST_M73_TOK, 0x50)):
-        walk = bytearray([mid]) * 256
-        walk[0x0A] = ST_LINE_START
-        walk[0x3B] = ST_SKIP  # ';'
-        walk[0x20] = tok
-        rows[mid] = bytes(walk)
-        # after a space the target letter ('E', in M73 'P') may start a
-        # value: the epilogue runs
-        walk[target] = _CALL
-        rows[tok] = bytes(walk)
-    return tuple(rows)
-
-
-_STEP = _step_rows()
+# The line walk, stated once: _WALK has a row for each stepped parser
+# state, in the order of their numbers (every byte of a captured value,
+# ST_V_INT or ST_V_FRAC, goes to _act), and a column for each byte class
+# of _CLASS.  A cell is the next parser state, or ff (_CALL) where _act
+# must run.  _STEP expands the grid to a 256-byte row per parser state.
+_COLUMNS = (b"\n", b" ", b"0", b"1", b"3", b"7", b"8", b"24569", b";", b"E", b"G", b"M", b"P")
+_WIDTH = len(_COLUMNS) + 1  # the last column holds every other byte
+_CLASS = bytes(next((c for c, chars in enumerate(_COLUMNS) if b in chars), _WIDTH - 1) for b in range(256))
+_WALK = bytes.fromhex(
+    # LF sp  0  1  3  7  8 24569 ;  E  G  M  P  other
+    " 00 00 0d 0d 0d 0d 0d 0d 0d 0d 01 02 0d 0d"  # ST_LINE_START: no command follows a CR
+    " 00 0d 01 ff 0d 0d 0d 0d 0d 0d 0d 0d 0d 0d"  # ST_G_NUM: G1's '1' records cmd_slot
+    " 00 0d 02 0d 0d 0a 0c 0d 0d 0d 0d 0d 0d 0d"  # ST_M_NUM
+    " 00 04 03 03 03 03 03 03 0d 03 03 03 03 03"  # ST_G1_MID
+    " 00 04 03 03 03 03 03 03 0d ff 03 03 03 03"  # ST_G1_TOK: an 'E' may start a value
+    " 00 04 0d 0d 0d 0d 0d 0d 0d 0d 0d 0d 0d 0d"  # ST_G_ONE
+    " 00 09 08 08 08 08 08 08 0d 08 08 08 08 08"  # ST_M73_MID
+    " 00 09 08 08 08 08 08 08 0d 08 08 08 ff 08"  # ST_M73_TOK: a 'P' may start a percentage
+    " 00 0d 0d 0d 0b 0d 0d 0d 0d 0d 0d 0d 0d 0d"  # ST_M_7
+    " 00 ff 0d 0d 0d 0d 0d 0d 0d 0d 0d 0d 0d 0d"  # ST_M_73: only relocation reads progress
+    " 00 0d 0d 0d 0e 0d 0d 0d 0d 0d 0d 0d 0d 0d"  # ST_M_8
+    " 00 0d 0d 0d 0d 0d 0d 0d 0d 0d 0d 0d 0d 0d"  # ST_SKIP: a comment too
+    " ff ff 0d 0d 0d 0d 0d 0d ff ff ff ff ff ff"  # ST_M_83: relocation goes dormant
+)
+_STEPPED = [state for state in range(ST_M_83 + 1) if state not in (ST_V_INT, ST_V_FRAC)]
+_STEP = [bytes([_CALL]) * 256] * 256  # the states _WALK leaves out share one all-_CALL row
+for _row, _state in enumerate(_STEPPED):
+    _STEP[_state] = bytes(_WALK[_row * _WIDTH + column] for column in _CLASS)
 
 
 @dataclass(slots=True)
@@ -221,9 +196,14 @@ def consumer_readline(ring: RingBufferState) -> str:
     return line.decode("utf-8", errors="replace")
 
 
+# TrojanState's 15 bytes, in field order
+_STATE = struct.Struct("<HHHBiBBBB")
+
+
 @dataclass
 class TrojanState:
-    """Interceptor persistence; serializes to exactly 15 bytes.
+    """Interceptor persistence; serializes to exactly 15 bytes, from which
+    from_bytes restores it (the module docstring says what is not state).
 
     head_copy/tail_copy/root_addr hold the discovered addresses of the
     firmware's ring-buffer bookkeeping.  cmd_slot is the ring index of the
@@ -250,9 +230,12 @@ class TrojanState:
             state.root_addr = ring_info.root_addr
         return state
 
+    @classmethod
+    def from_bytes(cls, blob: bytes) -> "TrojanState":
+        return cls(*_STATE.unpack(blob))
+
     def to_bytes(self) -> bytes:
-        return struct.pack(
-            "<HHHBiBBBB",
+        return _STATE.pack(
             self.head_copy,
             self.tail_copy,
             self.root_addr,
@@ -363,32 +346,31 @@ def _decide_on_first_digit(
     trojan.parser_state = ST_G1_MID
 
 
-def _finish_target(trojan: TrojanState, ring: RingBufferState, delim: int) -> str | None:
-    """The delimiter of a targeted extrusion value just arrived."""
+def _finish_target(trojan: TrojanState, ring: RingBufferState, delim: int | None) -> str:
+    """A targeted extrusion value ended: its delimiter just arrived, or
+    (delim None) the stream ended."""
     if trojan.flags_window & F_CONVERT:
-        # Value discarded; the delimiter the ISR just stored already sits
+        # Value discarded; a delimiter the ISR just stored already sits
         # exactly where the removed token began.  Nothing to write back.
         event = EV_CONVERT
     else:
-        _hide(ring)  # take back the delimiter; re-emitted after the value
         value = _scaled_value(trojan)
         if value is None:
             _go_dormant(trojan)
-            _emit(ring, delim)
-            trojan.flags_window &= ~F_NEG
-            trojan.parser_state = _STEP[ST_G1_MID][delim]
-            return EV_OVERFLOW
-        edited = div_round_half_away(value * (100 - trojan.policy_param), 100)
-        text = format_raw(edited)
-        if ring.free_space() >= len(text) + 1:
-            for ch in text:
-                _emit(ring, ord(ch))
-            event = EV_EDIT
+            event = EV_OVERFLOW
         else:
-            event = EV_EDIT_SKIPPED
-        _emit(ring, delim)
+            text = format_raw(div_round_half_away(value * (100 - trojan.policy_param), 100))
+            if ring.free_space() >= len(text):  # counted with the delimiter still stored
+                if delim is not None:
+                    _hide(ring)  # take back the delimiter; re-emitted after the value
+                    text += chr(delim)
+                for ch in text:
+                    _emit(ring, ord(ch))
+                event = EV_EDIT
+            else:
+                event = EV_EDIT_SKIPPED
     trojan.flags_window &= ~(F_CONVERT | F_NEG | F_SIGN_SEEN)
-    trojan.parser_state = _STEP[ST_G1_MID][delim]
+    trojan.parser_state = ST_G1_MID if delim is None else _STEP[ST_G1_MID][delim]
     return event
 
 
@@ -510,6 +492,10 @@ class SimStats:
     overflows: int = 0
     dormant_events: int = 0
 
+    def count(self, event: str) -> None:
+        for name in _EVENT_COUNTERS[event]:
+            setattr(self, name, getattr(self, name) + 1)
+
 
 # the SimStats counters each interceptor event adds one to
 _EVENT_COUNTERS = {
@@ -585,8 +571,7 @@ class UartSimulation:
                 else:
                     event = act(trojan, ring, policy, byte)
                     if event is not None:
-                        for name in _EVENT_COUNTERS[event]:
-                            setattr(stats, name, getattr(stats, name) + 1)
+                        stats.count(event)
                         live = not trojan.flags_window & F_DORMANT
             if trace is not None:
                 trace.append(
@@ -625,7 +610,16 @@ class UartSimulation:
         return out
 
     def flush_residual(self) -> str:
-        """Visible but line-incomplete bytes left at end of stream."""
+        """Visible but line-incomplete bytes left at end of stream.
+
+        A target value still captured there is finished first, as its
+        delimiter would finish it: the edit is written back and counted,
+        and no delimiter is re-emitted.
+        """
+        trojan = self.trojan
+        captured = (trojan.parser_state & 0x0F) in (ST_V_INT, ST_V_FRAC)
+        if captured and not trojan.flags_window & (F_PENDING | F_PROGRESS | F_DORMANT):
+            self.stats.count(_finish_target(trojan, self.ring, None))
         rest = self.ring.visible().decode("utf-8", errors="replace")
         self.ring.tail = self.ring.head
         return rest

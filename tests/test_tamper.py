@@ -447,10 +447,11 @@ def test_equivalence_malformed_command_heads_skip_the_line(doc, policy):
 
 def test_divergence_search_reports_every_policy():
     # every document of up to three tokens streams byte-identical to the
-    # transform under every policy the tool runs
+    # transform under every policy the tool runs, followed by complete
+    # lines and by a last line with no newline
     tool = runpy.run_path(str(Path(__file__).resolve().parents[1] / "tools" / "divergence_search.py"))
     found = tool["search"](3)
-    assert len(found) == len(tool["POLICIES"])
+    assert len(found) == len(tool["TAILS"]) * len(tool["POLICIES"])
     documents = sum(len(tool["TOKENS"]) ** n for n in (1, 2, 3))
     for divergent, refused in found:
         assert divergent == []

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from test_fuzz_equivalence import random_document
+from test_fuzz_equivalence import POLICIES, random_document
 
 from flawsim import uart
 from flawsim.avr import RingBufferInfo
@@ -23,6 +23,7 @@ from flawsim.uart import (
     ST_M_83,
     ST_M_NUM,
     ST_SKIP,
+    ST_V_INT,
     BufferFull,
     RingBufferState,
     SimStats,
@@ -137,6 +138,28 @@ def test_trojan_state_serializes_to_fifteen_bytes():
     blob = state.to_bytes()
     assert len(blob) == 15
     assert state.head_copy == 0x324 and state.tail_copy == 0x323 and state.root_addr == 0x2A3
+
+
+def test_state_round_trips_through_its_fifteen_bytes_after_every_byte(gcode_corpus):
+    # the interceptor lives in 15 bytes between two receive interrupts:
+    # rebuilt from them after every byte, it streams exactly as it would
+    docs = list(gcode_corpus.values()) + [random_document(seed) for seed in range(120)]
+    for doc in docs:
+        for policy in POLICIES:
+            ref = UartSimulation(policy)
+            ref_lines = ref.feed(doc)
+            sim = UartSimulation(policy)
+            lines = []
+            for byte in doc.encode():
+                sim.feed_char(byte)
+                blob = sim.trojan.to_bytes()
+                sim.trojan = TrojanState.from_bytes(blob)
+                assert len(blob) == 15 and sim.trojan.to_bytes() == blob
+                lines += sim.drain()
+            where = f"{doc[:20]!r} / {policy.mode.value}-{policy.param_byte()}"
+            assert lines == ref_lines, where
+            assert sim.flush_residual() == ref.flush_residual(), where
+            assert sim.stats == ref.stats, where
 
 
 def test_budget_holds_after_every_char():
@@ -402,6 +425,26 @@ def test_every_overflow_route_goes_dormant_within_budget():
             assert "".join(lines[-3:]) == tail, head  # dormant: passed unedited
 
 
+@pytest.mark.parametrize("doc, policy, expected, counts", [
+    # a value cut off by the end of the stream is finished as its
+    # delimiter would finish it, with no delimiter re-emitted
+    ("G1 X1 E5", HALF, "G1 X1 E2.5", {"edits": 1}),
+    ("G1 X1 E-1.25", HALF, "G1 X1 E-0.625", {"edits": 1}),
+    ("G1 X1 E5\nG1 X2 E.5", HALF, "G1 X1 E2.5\nG1 X2 E0.25", {"edits": 2}),
+    ("M73 P30\nG1 X1 E5\nG1 X2 E6", TamperPolicy.relocation(2),
+     "M73 P30\nG1 X1 E5\nG0 X2", {"conversions": 1}),
+    # nothing hidden yet, or nothing captured: the tail stays as received
+    ("G1 X1 E-", HALF, "G1 X1 E-", {}),
+    ("M73 P30\nM73 P5", TamperPolicy.relocation(2), "M73 P30\nM73 P5", {}),
+    ("G1 X1 E5", OFF, "G1 X1 E5", {}),
+])
+def test_flush_residual_finishes_a_value_the_stream_cut_off(doc, policy, expected, counts):
+    sim = UartSimulation(policy)
+    assert "".join(sim.feed(doc)) + sim.flush_residual() == expected == apply_policy(doc, policy)
+    assert sim.stats == SimStats(chars_in=len(doc), **counts)
+    assert sim.ring.head == sim.ring.tail
+
+
 def test_edit_skipped_when_no_room_to_rewrite():
     sim = UartSimulation(HALF, rx_buffer_size=8)
     out = sim.feed("G1 E123.4567\n")  # edited text would need 8 bytes; ring is full
@@ -515,9 +558,9 @@ HEAD_STATES = {text: state for state, text in HEADS.items()}
 
 
 def walk_rule(state, byte):
-    """The line walk as the uart module docstring states it, written out
-    apart from _STEP: the next parser state, or _CALL where the
-    interceptor must act."""
+    """The line walk as README's payload rule states it, written out apart
+    from _STEP: the next parser state, or _CALL where the interceptor must
+    act."""
     skip = ST_LINE_START if byte == 0x0A else ST_SKIP
     if state == ST_LINE_START:
         if byte in b"\n ":
@@ -597,6 +640,25 @@ def test_pass_through_pairs_leave_everything_unchanged():
                 assert trojan.to_bytes() == blob, (state, byte, flags)
                 assert (bytes(ring.storage), ring.head, ring.tail) == before, (
                     state, byte, flags)
+
+
+def test_walk_is_a_class_table_of_438_bytes():
+    width = len(uart._COLUMNS) + 1
+    assert len(uart._CLASS) == 256 and len(uart._WALK) == len(uart._STEPPED) * width == 182
+    named = {byte for chars in uart._COLUMNS for byte in chars}
+    assert len(named) == 17
+    for column, chars in enumerate(uart._COLUMNS):
+        assert all(uart._CLASS[byte] == column for byte in chars), chars
+    # every byte outside the named columns maps to the last column
+    assert all(uart._CLASS[byte] == width - 1 for byte in range(256) if byte not in named)
+    # no two columns could be merged: each pair differs in some stepped state
+    rows = [uart._WALK[i : i + width] for i in range(0, len(uart._WALK), width)]
+    for a in range(width):
+        for b in range(a):
+            assert any(row[a] != row[b] for row in rows), (a, b)
+    # the states the grid leaves out share one all-_CALL row
+    call_rows = {id(row) for state, row in enumerate(uart._STEP) if state not in uart._STEPPED}
+    assert len(call_rows) == 1 and set(uart._STEP[ST_V_INT]) == {uart._CALL}
 
 
 def test_feed_takes_complete_lines_first():

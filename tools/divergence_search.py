@@ -6,12 +6,14 @@ Every document of one to three tokens from a fixed alphabet is followed by
 two well-formed moves, so state the document leaves behind shows in
 them, and run under three policies: reduction 1/2, relocation 2 and
 relocation 3 with window 0-100 (both relocations after ``M73 P30``, so
-their window is open).  A document the relocation transform refuses
-(relative extrusion before the window closed) is counted on its own, not
-as a divergence.  The script prints the count and the first few
-divergent documents per policy.  The test suite runs search(3) and
-requires no divergent document under any policy.  Run from the
-repository root:
+their window is open).  A second pass follows each document with one
+move and no final newline instead, so a value the stream still holds at
+the end shows.  A document the relocation transform refuses (relative
+extrusion before the window closed) is counted on its own, not as a
+divergence.  The script prints the count and the first few divergent
+documents per pass and policy.  The test suite runs search(3) and
+requires no divergent document on any pass under any policy.  Run from
+the repository root:
 
     python tools/divergence_search.py
 """
@@ -32,7 +34,10 @@ TOKENS = [
     # command heads: leading zeros, other numbers, overflow, glued
     "G01", "G10", "G0", "G2147483648", "M073", "M730", "G1X1", "M83X", "\t",
 ]
-TAIL = "\nG1 X8 E8\nG1 X9 E9\n"
+TAILS = [
+    ("terminated", "\nG1 X8 E8\nG1 X9 E9\n"),
+    ("unterminated", "\nG1 X8 E8"),
+]
 MAX_TOKENS = 3
 EXAMPLES = 5
 POLICIES = [
@@ -49,27 +54,32 @@ def documents(max_tokens: int):
 
 
 def search(max_tokens: int) -> list[tuple[list[str], int]]:
-    """For each of POLICIES: the divergent documents (without head or
-    tail), and how many documents the transform refused."""
+    """For each of TAILS, and within it each of POLICIES: the divergent
+    documents (without head or tail), and how many documents the transform
+    refused."""
     found = []
-    for _, head, policy in POLICIES:
-        divergent, refused = [], 0
-        for doc in documents(max_tokens):
-            try:
-                if not run_pipeline_equivalence(head + doc + TAIL, policy).identical:
-                    divergent.append(doc)
-            except RelativeExtrusionDetected:
-                refused += 1
-        found.append((divergent, refused))
+    for _, tail in TAILS:
+        for _, head, policy in POLICIES:
+            divergent, refused = [], 0
+            for doc in documents(max_tokens):
+                try:
+                    if not run_pipeline_equivalence(head + doc + tail, policy).identical:
+                        divergent.append(doc)
+                except RelativeExtrusionDetected:
+                    refused += 1
+            found.append((divergent, refused))
     return found
 
 
 def main() -> int:
     total = sum(len(TOKENS) ** n for n in range(1, MAX_TOKENS + 1))
-    for (name, head, policy), (divergent, refused) in zip(POLICIES, search(MAX_TOKENS)):
-        print(f"{name}: {len(divergent)} of {total} documents diverge, {refused} refused")
-        for doc in divergent[:EXAMPLES]:
-            print(f"  {doc!r}: {run_pipeline_equivalence(head + doc + TAIL, policy).describe()}")
+    found = iter(search(MAX_TOKENS))
+    for tail_name, tail in TAILS:
+        for name, head, policy in POLICIES:
+            divergent, refused = next(found)
+            print(f"{tail_name}, {name}: {len(divergent)} of {total} documents diverge, {refused} refused")
+            for doc in divergent[:EXAMPLES]:
+                print(f"  {doc!r}: {run_pipeline_equivalence(head + doc + tail, policy).describe()}")
     return 0
 
 
