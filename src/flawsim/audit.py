@@ -14,6 +14,17 @@ values per move), the travel in an ``array('d')`` and the extrusion
 delta in an ``array('q')``.  Indexing or iterating builds a fresh
 ``SegmentRecord`` per access, so mutating a row changes nothing in the
 report.
+
+account reads a document through gcode.accounted_lines.  It is one scan
+that visits only the lines account acts on (G0, G1, G92, M82, M83), so
+comments and other commands cost nothing in Python.  A visited line in
+the plain subset is decoded straight from its tokens: values with at
+most five integer digits and four decimals, as format_raw writes them.
+float() gives the same double as raw / SCALE there, and round() of the
+scaled value gives the same raw integer as the fixed-point decode (see
+the gcode module docstring).  Any other visited line goes through
+gcode.parse_line.  Lines are counted only to name the line of a
+ParseError.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ from dataclasses import dataclass, field
 
 from .errors import FlawsimError
 from .fixedpoint import MAX_RAW, SCALE, FixedPoint, format_raw
-from .gcode import iter_lines
+from .gcode import accounted_lines, line_at
 
 RELOCATION_SIGNATURE = "RelocationSignature"
 FLOW_OUTLIER = "FlowOutlier"
@@ -131,10 +142,13 @@ class AuditReport:
         return volume_cm3 * DENSITY_G_CM3
 
     def to_dict(self) -> dict:
+        return self._fields([s.to_dict() for s in self.segments])
+
+    def _fields(self, segments: list) -> dict:
         out = {
             "total_extrusion_mm": self.total_extrusion.to_text(),
             "mass_grams": round(self.mass_grams(), 4),
-            "segments": [s.to_dict() for s in self.segments],
+            "segments": segments,
             "anomalies": [a.to_dict() for a in self.anomalies],
         }
         if self.comparison is not None:
@@ -142,7 +156,19 @@ class AuditReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        """The text of json.dumps(self.to_dict(), indent=2), built with one
+        segment's dict alive at a time: the segments array is encoded row
+        by row, each row indented to its depth in the document."""
+        text = json.dumps(self._fields([]), indent=2)
+        if not self.segments:
+            return text
+        head, _, tail = text.partition('"segments": []')
+        parts = [head, '"segments": [\n    ']
+        for s in self.segments:
+            parts += (json.dumps(s.to_dict(), indent=2).replace("\n", "\n    "), ",\n    ")
+        parts[-1] = "\n  ]"
+        parts.append(tail)
+        return "".join(parts)
 
     def to_csv(self) -> str:
         rows = ["index,kind,start_x,start_y,start_z,end_x,end_y,end_z,travel,delta_e,flow"]
@@ -158,10 +184,13 @@ class AuditReport:
 
 
 _MOVE_KINDS = ("G0", "G1")  # by command number
-_MOVE_NUMBERS = (0, 1, 92)  # 92 sets positions, it records no segment
 _TRAVEL_EPS = 1e-9
-# the commands account acts on: moves, G92 and the M82/M83 mode switches
-_ACCOUNTED = {("G", 0), ("G", 1), ("G", 92), ("M", 82), ("M", 83)}
+
+
+def _parse_error(doc: str, start: int, problem: str = "cannot parse") -> ParseError:
+    """The error for the line of doc that starts at start; lines are only
+    counted here, once account has found a fault."""
+    return ParseError(doc.count("\n", 0, start) + 1, line_at(doc, start), problem)
 
 
 def account(doc: str) -> AuditReport:
@@ -181,38 +210,23 @@ def account(doc: str) -> AuditReport:
     travels = array("d")
     deltas = array("q")
     total_raw = 0
-    for line_no, line in enumerate(iter_lines(doc), 1):
-        if line.malformed:
-            if (line.letter, line.number) in _ACCOUNTED:
-                raise ParseError(line_no, line.body)
+    for start, number, px, py, pz, pe in accounted_lines(doc):
+        if number is None:
+            raise _parse_error(doc, start)
+        if number == 82:
+            relative_e = False
             continue
-        if line.letter == "M":
-            if line.number == 82:
-                relative_e = False
-            elif line.number == 83:
-                relative_e = True
+        if number == 83:
+            relative_e = True
             continue
-        if line.letter != "G" or line.number not in _MOVE_NUMBERS:
-            continue
-        # the first of duplicate letters wins
-        px = py = pz = pe = None
-        for letter, raw in reversed(line.params):
-            if letter == "X":
-                px = raw
-            elif letter == "Y":
-                py = raw
-            elif letter == "Z":
-                pz = raw
-            elif letter == "E":
-                pe = raw
         sx, sy, sz = x, y, z
         if px is not None:
-            x = px / SCALE
+            x = px
         if py is not None:
-            y = py / SCALE
+            y = py
         if pz is not None:
-            z = pz / SCALE
-        if line.number == 92:
+            z = pz
+        if number == 92:
             if pe is not None:
                 e_logical = pe
             continue
@@ -227,22 +241,18 @@ def account(doc: str) -> AuditReport:
             e_logical = pe
             # both ends fit the budget, their difference need not
             if not -MAX_RAW <= delta <= MAX_RAW:
-                raise ParseError(
-                    line_no,
-                    line.body,
-                    f"extrusion delta {format_raw(delta)} exceeds the 32-bit budget in",
+                raise _parse_error(
+                    doc, start, f"extrusion delta {format_raw(delta)} exceeds the 32-bit budget in"
                 )
-        commands.append(line.number)
+        commands.append(number)
         coords.extend((sx, sy, sz, x, y, z))
         travels.append(travel)
         deltas.append(delta)
         if delta > 0:
             total_raw += delta
             if total_raw > MAX_RAW:
-                raise ParseError(
-                    line_no,
-                    line.body,
-                    f"deposited total {format_raw(total_raw)} exceeds the 32-bit budget at",
+                raise _parse_error(
+                    doc, start, f"deposited total {format_raw(total_raw)} exceeds the 32-bit budget at"
                 )
     return AuditReport(FixedPoint(total_raw), Segments(commands, coords, travels, deltas))
 

@@ -9,24 +9,41 @@ would take every Unicode decimal digit) makes the region malformed.  The
 payload transforms in tamper.py do not use it: they follow the
 interceptor's token rule, which edits many lines this grammar refuses.
 
-A command line is checked and decoded in one walk: the command, then
-each parameter, each starting exactly where the last one ended, then
-nothing but whitespace (anything str.isspace accepts) up to the comment.
-A line with no command head (blank, comment-only) has no letter.  A
-command whose parameters do not fit the grammar or overflow the 32-bit
-budget is malformed: it keeps its letter and number, so the caller can
-tell which command it could not read.  A command number past the budget
-leaves the line malformed with no letter.
+A command line is checked by one anchored match of the grammar before
+any value is decoded: the command, then each parameter, each starting
+exactly where the last one ended, then nothing but whitespace (anything
+str.isspace accepts) up to the comment.  The check takes time linear in
+the line, however long its runs of spaces.  A line with no command head
+(blank, comment-only) has no letter.  A command whose parameters do not
+fit the grammar or overflow the 32-bit budget is malformed: it keeps its
+letter and number, so the caller can tell which command it could not
+read.  A command number past the budget leaves the line malformed with
+no letter.
 
 A parameter is a plain tuple ``(letter, raw)``: the letter and the value
 as a raw fixed-point integer (value * 10^4).
 
 Lines end at LF only, as on the wire; a CRLF line's CR stays in its body,
-where the grammar reads it as trailing whitespace.  audit.account streams
-the document through iter_lines and drops each parsed line before taking
-the next, so a pass keeps no parsed document alive for the cyclic garbage
-collector to walk.  parse_document builds the whole list for callers that
-index it.
+where the grammar reads it as trailing whitespace.  parse_document parses
+every line of a document.
+
+audit.account does not parse every line.  accounted_lines makes one
+multiline scan over the document that stops only at the heads account
+acts on: G0, G1, G92, M82 and M83, with any leading zeros.  Comments,
+M73 and every other command are passed over inside the regex engine.  A
+visited line is plain when its code part is ` +LETTER value` tokens, each
+value with at most five integer digits and at most four decimals, then
+nothing but whitespace.  That covers every number format_raw writes below
+100,000.  A plain line is decoded from its tokens, with the values
+parse_line would give: an E value as round(float(v) * SCALE), an X, Y or
+Z value as float(v) + 0.0.  Both are exact on this subset.  float(v) is
+the correctly rounded double of the decimal, and raw / SCALE is the
+correctly rounded double of the same rational.  Scaled, a value is
+below 10^9, so the product's error stays far below the 0.5 that round()
+would need to go wrong.  Such a value cannot overflow the 32-bit budget,
+and the + 0.0 turns the -0.0 of "-0" into raw / SCALE's 0.0.  Every
+other visited line goes through parse_line, which stays the one
+authority on malformed lines, overflow and fifth-decimal rounding.
 """
 
 from __future__ import annotations
@@ -35,12 +52,27 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .fixedpoint import MAX_RAW, VALUE_PATTERN, FixedPointOverflow, raw_from_digits
+from .fixedpoint import MAX_RAW, SCALE, VALUE_PATTERN, FixedPointOverflow, raw_from_digits
 
-_CMD_RE = re.compile(r" *([A-Z])([0-9]+)")
-# separator and letter, letter, value, then the value's sign, integer and
-# fraction digits
-_PARAM_RE = re.compile(r"( +([A-Z]))(" + VALUE_PATTERN + ")")
+# the command head, then the parameter region when it fits the grammar:
+# its tokens, then nothing but whitespace up to the comment
+_LINE_RE = re.compile(r" *([A-Z])([0-9]+)(?:((?: +[A-Z]" + VALUE_PATTERN + r")*)\s*(?:;|\Z))?")
+# letter, then the value's sign, integer and fraction digits
+_PARAM_RE = re.compile(r" +([A-Z])" + VALUE_PATTERN)
+
+# A plain value: at most five integer digits and four decimals, and no
+# digit after either run.
+_PLAIN_VALUE = r"[-+]?(?=\.?[0-9])[0-9]{0,5}(?![0-9])(?:\.[0-9]{0,4}(?![0-9]))?"
+# Searched in "\n" + doc: an LF (so the search jumps from line start to
+# line start), an accounted head (its G or M number), the longest run of
+# plain tokens, then the plain line's end, whitespace up to the comment,
+# which matches only when the tokens are the whole code part.
+_ACCOUNTED_RE = re.compile(
+    r"\n *(?:G0*([01]|92)|M0*(8[23]))(?![0-9])"
+    r"((?: +[A-Z]" + _PLAIN_VALUE + r")*)([^\S\n]*(?:;|$))?",
+    re.M,
+)
+_NUMBERS = {"0": 0, "1": 1, "92": 92, "82": 82, "83": 83}
 
 
 @dataclass(slots=True)
@@ -56,9 +88,7 @@ class ParsedLine:
 
 
 def parse_line(body: str) -> ParsedLine:
-    comment = body.find(";")
-    code = body if comment < 0 else body[:comment]
-    m = _CMD_RE.match(code)
+    m = _LINE_RE.match(body)
     if m is None:
         return ParsedLine(body)
     try:
@@ -69,37 +99,72 @@ def parse_line(body: str) -> ParsedLine:
         number = int(m[2].lstrip("0")[:11] or "0")
     if number > MAX_RAW:  # the same 32-bit budget as every value in the line
         return ParsedLine(body, malformed=True)
-    pos = m.end()
-    params = []
-    try:
-        # pos is counted on as if each match started where the last one
-        # ended.  After a gap it runs short of the last match, whose final
-        # character is never a space, so the tail check below fails: a gap
-        # is malformed, as it must be.
-        for head, letter, value, sign, int_digits, frac_digits in _PARAM_RE.findall(code, pos):
-            params.append((letter, raw_from_digits(sign, int_digits, frac_digits)))
-            pos += len(head) + len(value)
-    except FixedPointOverflow:
+    if m[3] is None:
         return ParsedLine(body, m[1], number, malformed=True)
-    if pos < len(code) and not code[pos:].isspace():
+    try:
+        params = [
+            (letter, raw_from_digits(sign, int_digits, frac_digits))
+            for letter, sign, int_digits, frac_digits in _PARAM_RE.findall(m[3])
+        ]
+    except FixedPointOverflow:
         return ParsedLine(body, m[1], number, malformed=True)
     return ParsedLine(body, m[1], number, params)
 
 
-def iter_lines(doc: str) -> Iterator[ParsedLine]:
-    """Parse doc one line at a time: a ragged end is a line, the empty
-    text after a final LF is none.
-
-    Each line is parsed only when the caller asks for the next one, so a
-    caller that lets each line go before taking the next never holds more
-    than one ParsedLine (the document's split bodies are plain strings,
-    which the cyclic garbage collector does not track).
-    """
+def parse_document(doc: str) -> list[ParsedLine]:
+    """Parse every line of doc: a ragged end is a line, the empty text
+    after a final LF is none."""
     bodies = doc.split("\n")
     if not bodies[-1]:
         bodies.pop()
-    return map(parse_line, bodies)
+    return list(map(parse_line, bodies))
 
 
-def parse_document(doc: str) -> list[ParsedLine]:
-    return list(iter_lines(doc))
+def line_at(doc: str, start: int) -> str:
+    """The body of the line of doc that starts at start."""
+    end = doc.find("\n", start)
+    return doc[start:] if end < 0 else doc[start:end]
+
+
+def accounted_lines(
+    doc: str,
+) -> Iterator[tuple[int, int | None, float | None, float | None, float | None, int | None]]:
+    """Yield (start, number, x, y, z, e) for each line of doc whose head
+    account acts on, in order (see the module docstring).
+
+    start is the line's offset in doc.  number is the command's: 0, 1 and
+    92 are G commands, 82 and 83 are M (no two share a number), and None
+    marks a line the grammar refuses.  x, y and z are coordinates, e is
+    the raw E value; each is the first of its letter's parameters, or
+    None when the line has none.
+    """
+    for m in _ACCOUNTED_RE.finditer("\n" + doc):
+        g_number, m_number, tokens, plain_end = m.groups()
+        x = y = z = e = None
+        if plain_end is not None:
+            for token in reversed(tokens.split()):
+                letter = token[0]
+                if letter == "X":
+                    x = float(token[1:]) + 0.0
+                elif letter == "Y":
+                    y = float(token[1:]) + 0.0
+                elif letter == "Z":
+                    z = float(token[1:]) + 0.0
+                elif letter == "E":
+                    e = round(float(token[1:]) * SCALE)
+            yield m.start(), _NUMBERS[g_number or m_number], x, y, z, e
+            continue
+        line = parse_line(line_at(doc, m.start()))
+        if line.malformed:
+            yield m.start(), None, None, None, None, None
+            continue
+        for letter, raw in reversed(line.params):
+            if letter == "X":
+                x = raw / SCALE
+            elif letter == "Y":
+                y = raw / SCALE
+            elif letter == "Z":
+                z = raw / SCALE
+            elif letter == "E":
+                e = raw
+        yield m.start(), line.number, x, y, z, e

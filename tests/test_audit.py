@@ -1,11 +1,15 @@
+import json
 import math
+import random
 import statistics
+import time
 import tracemalloc
+from array import array
 from fractions import Fraction
 
 import pytest
 
-from flawsim import fixtures
+from flawsim import fixtures, gcode
 from flawsim.audit import (
     FLOW_OUTLIER,
     RELOCATION_SIGNATURE,
@@ -19,7 +23,11 @@ from flawsim.audit import (
     detect_relocation,
     normalized_curve_csv,
 )
+from flawsim.fixedpoint import MAX_RAW, SCALE, format_raw, raw_from_digits
+from flawsim.gcode import parse_line
 from flawsim.tamper import transform_reduction, transform_relocation
+from test_fuzz_equivalence import random_document
+from test_tamper import random_command_line
 
 TAMPERED_THREE = "G1 X1 Y2 E3\nG0 X2 Y3\nG1 X3 Y4 E5\n"
 
@@ -140,6 +148,35 @@ def test_report_serialization():
     assert len(csv.strip().splitlines()) == 4
 
 
+def test_to_json_is_json_dumps_of_to_dict(gcode_corpus):
+    reference = account(gcode_corpus["clean_small.gcode"])
+    assert account("").to_json() == json.dumps(account("").to_dict(), indent=2)
+    flagged = 0
+    for name, doc in gcode_corpus.items():
+        for text in (doc, transform_relocation(doc, 2)):
+            report = account(text)
+            try:
+                flagged += bool(detect_relocation(report))
+            except InsufficientData:
+                pass
+            compare(reference, report)
+            assert report.to_json() == json.dumps(report.to_dict(), indent=2), name
+    assert flagged >= 10  # anomalies were written, not only empty lists
+
+
+def test_to_json_peak_stays_within_three_times_its_output():
+    report = account(fixtures.performance_document(10_000))
+    assert len(report.segments) >= 9_000
+    tracemalloc.start()
+    try:
+        text = report.to_json()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the text, the row strings it is joined from, and one row's dict
+    assert peak < 3 * len(text)
+
+
 def test_segments_sequence_contract():
     report = account(TAMPERED_THREE)
     segments = report.segments
@@ -167,6 +204,166 @@ def test_segments_footprint_per_move():
         tracemalloc.stop()
     # about 68 bytes of columns per move; a record per move took 377
     assert retained / len(report.segments) < 100
+
+
+# --- account's scan against a fold over every line ----------------------------
+
+ACCOUNTED = {("G", 0), ("G", 1), ("G", 92), ("M", 82), ("M", 83)}
+
+
+def oracle_account(doc):
+    """account as a fold over parse_line of every LF-split body: the
+    reference the scan and its plain decode are checked against."""
+    x = y = z = 0.0
+    e_logical = total = 0
+    relative = False
+    commands, coords, travels, deltas = bytearray(), array("d"), array("d"), array("q")
+    bodies = doc.split("\n")
+    if not bodies[-1]:
+        bodies.pop()
+    for line_no, body in enumerate(bodies, 1):
+        line = parse_line(body)
+        if (line.letter, line.number) not in ACCOUNTED:
+            continue
+        if line.malformed:
+            raise ParseError(line_no, body)
+        if line.letter == "M":
+            relative = line.number == 83
+            continue
+        values = dict(reversed(line.params))  # the first of duplicate letters
+        sx, sy, sz = x, y, z
+        x = values["X"] / SCALE if "X" in values else x
+        y = values["Y"] / SCALE if "Y" in values else y
+        z = values["Z"] / SCALE if "Z" in values else z
+        pe = values.get("E")
+        if line.number == 92:
+            e_logical = e_logical if pe is None else pe
+            continue
+        if pe is None:
+            delta = 0
+        elif relative:
+            delta = pe
+        else:
+            delta, e_logical = pe - e_logical, pe
+            if abs(delta) > MAX_RAW:
+                raise ParseError(
+                    line_no, body, f"extrusion delta {format_raw(delta)} exceeds the 32-bit budget in"
+                )
+        commands.append(line.number)
+        coords.extend((sx, sy, sz, x, y, z))
+        travels.append(math.hypot(sx - x, sy - y, sz - z))
+        deltas.append(delta)
+        total += max(delta, 0)
+        if total > MAX_RAW:
+            raise ParseError(
+                line_no, body, f"deposited total {format_raw(total)} exceeds the 32-bit budget at"
+            )
+    return bytes(commands), coords.tobytes(), travels.tobytes(), deltas.tolist(), total
+
+
+def account_outcome(doc):
+    try:
+        report = account(doc)
+    except ParseError as err:
+        return str(err)
+    seg = report.segments
+    return (bytes(seg.commands), seg.coords.tobytes(), seg.travels.tobytes(),
+            seg.deltas.tolist(), report.total_extrusion.raw)
+
+
+def oracle_outcome(doc):
+    try:
+        return oracle_account(doc)
+    except ParseError as err:
+        return str(err)
+
+
+def random_plain_value(rng):
+    digits = "".join(rng.choice("0123456789") for _ in range(rng.randrange(6)))
+    if rng.random() < 0.7:
+        digits += "." + "".join(rng.choice("0123456789") for _ in range(rng.choice((0, 1, 2, 4, 4, 5))))
+    if not digits.strip("."):
+        digits = rng.choice(("0", "-0", ".0", "00000"))
+    return rng.choice(("", "", "", "-", "+")) + digits
+
+
+def random_plain_move(rng):
+    head = rng.choice(("G1", "G1", "G0", "G01", "G92", " G1"))
+    tokens = "".join(
+        rng.choice((" ", " ", "  ")) + letter + random_plain_value(rng)
+        for letter in rng.sample("XYZEEF", rng.randrange(6))
+    )
+    return head + tokens + rng.choice(("", "", " ", "\t", " ; wall", ";E5"))
+
+
+def random_account_document(rng):
+    lines = []
+    for _ in range(rng.randrange(1, 9)):
+        roll = rng.random()
+        if roll < 0.5:
+            lines.append(random_plain_move(rng))
+        elif roll < 0.65:
+            lines.append(rng.choice(("M82", "M83", "M083", "G92 E0", "; layer", "", "M73 P5", "G28")))
+        else:
+            lines.append(random_command_line(rng))
+    end = rng.choice(("\n", "\n", "\r\n"))
+    return end.join(lines) + (end if rng.random() < 0.9 else "")
+
+
+def test_account_matches_a_fold_over_every_line(gcode_corpus):
+    docs = list(gcode_corpus.values()) + [random_document(seed) for seed in range(120)]
+    for doc in docs:
+        assert account_outcome(doc) == oracle_outcome(doc), repr(doc[:60])
+    rng = random.Random(20217)
+    outcomes = {"report": 0, "error": 0}
+    for _ in range(8000):
+        doc = random_account_document(rng)
+        got = account_outcome(doc)
+        assert got == oracle_outcome(doc), ascii(doc)
+        outcomes["error" if isinstance(got, str) else "report"] += 1
+    assert min(outcomes.values()) >= 2000, outcomes
+
+
+def test_plain_decode_is_raw_from_digits():
+    values = []
+    for sign in ("", "+", "-"):
+        for int_digits in ("", "0", "1", "9", "10", "99999", "00000"):
+            if int_digits:
+                values.append((sign, int_digits, ""))
+            values += [(sign, int_digits, f"{frac:04d}") for frac in range(10_000)]
+    doc = "".join(f"G92 X{s}{i}{'.' + f if f else ''} E{s}{i}{'.' + f if f else ''}\n" for s, i, f in values)
+    # every line is plain: the scan matched its end, so parse_line never saw it
+    assert all(m[4] is not None for m in gcode._ACCOUNTED_RE.finditer("\n" + doc))
+    lines = list(gcode.accounted_lines(doc))
+    assert len(lines) == len(values)
+    for (_, number, x, y, z, e), digits in zip(lines, values):
+        raw = raw_from_digits(*digits)
+        assert (number, y, z, e) == (92, None, None, raw), digits
+        assert x.hex() == (raw / SCALE).hex(), digits  # a -0.0 would show here
+
+
+LONG = 200_000
+LONG_LINES = [
+    pytest.param("G1" + " " * (LONG - 3) + "!", True, id="spaces-then-bang"),
+    pytest.param("G1" + " " * (LONG - 3) + "X", True, id="spaces-then-X"),
+    pytest.param("G1" + "\t " * (LONG // 2 - 1), False, id="tab-space-runs"),
+    pytest.param("G1" + " X" * (LONG // 2 - 1), True, id="space-X-runs"),
+]
+
+
+@pytest.mark.parametrize("body, malformed", LONG_LINES)
+def test_long_lines_parse_in_linear_time(body, malformed):
+    start = time.perf_counter()
+    line = parse_line(body)
+    assert time.perf_counter() - start < 2
+    assert (line.letter, line.number, line.params, line.malformed) == ("G", 1, [], malformed)
+    start = time.perf_counter()
+    if malformed:
+        with pytest.raises(ParseError, match=r"^line 1: cannot parse"):
+            account(body + "\n")
+    else:
+        assert len(account(body + "\n").segments) == 1
+    assert time.perf_counter() - start < 2
 
 
 # --- detect_relocation ---------------------------------------------------------
