@@ -17,13 +17,13 @@ report.
 
 account reads a document through gcode.accounted_lines.  It is one scan
 that visits only the lines account acts on (G0, G1, G92, M82, M83), so
-comments and other commands cost nothing in Python.  A visited line in
-the plain subset is decoded straight from its tokens: values with at
-most five integer digits and four decimals, as format_raw writes them.
-float() gives the same double as raw / SCALE there, and round() of the
-scaled value gives the same raw integer as the fixed-point decode (see
-the gcode module docstring).  Any other visited line goes through
-gcode.parse_line.  Lines are counted only to name the line of a
+comments and other commands cost nothing in Python.  Each visited line's
+tokens are read by the grammar of gcode.parse_line: plain values (at most
+five integer digits and four decimals, as format_raw writes them) are
+decoded with float(), any other value with the fixed-point decode, and
+each comes out as the double nearest raw / SCALE; an E value goes back
+to its raw integer by round(value * SCALE), exactly (see the gcode
+module docstring).  Lines are counted only to name the line of a
 ParseError.
 """
 
@@ -35,10 +35,11 @@ import statistics
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .errors import FlawsimError
 from .fixedpoint import MAX_RAW, SCALE, FixedPoint, format_raw
-from .gcode import accounted_lines, line_at
+from .gcode import accounted_lines
 
 RELOCATION_SIGNATURE = "RelocationSignature"
 FLOW_OUTLIER = "FlowOutlier"
@@ -156,16 +157,20 @@ class AuditReport:
         return out
 
     def to_json(self) -> str:
-        """The text of json.dumps(self.to_dict(), indent=2), built with one
-        segment's dict alive at a time: the segments array is encoded row
-        by row, each row indented to its depth in the document."""
+        """The text of json.dumps(self.to_dict(), indent=2), built with at
+        most _JSON_BATCH segment dicts alive at a time: the segments array
+        is encoded a batch of rows at a time, each batch indented to the
+        array's depth in the document."""
         text = json.dumps(self._fields([]), indent=2)
         if not self.segments:
             return text
         head, _, tail = text.partition('"segments": []')
-        parts = [head, '"segments": [\n    ']
-        for s in self.segments:
-            parts += (json.dumps(s.to_dict(), indent=2).replace("\n", "\n    "), ",\n    ")
+        parts = [head, '"segments": [']
+        encoder = json.JSONEncoder(indent=2)  # as json.dumps(batch, indent=2)
+        rows = (s.to_dict() for s in self.segments)
+        while batch := list(islice(rows, _JSON_BATCH)):
+            # "[" + the rows, each on a line of its own + "\n]"
+            parts += (encoder.encode(batch)[1:-2].replace("\n", "\n  "), ",")
         parts[-1] = "\n  ]"
         parts.append(tail)
         return "".join(parts)
@@ -184,13 +189,16 @@ class AuditReport:
 
 
 _MOVE_KINDS = ("G0", "G1")  # by command number
+_JSON_BATCH = 256  # segment rows per to_json encoder call
 _TRAVEL_EPS = 1e-9
 
 
 def _parse_error(doc: str, start: int, problem: str = "cannot parse") -> ParseError:
     """The error for the line of doc that starts at start; lines are only
     counted here, once account has found a fault."""
-    return ParseError(doc.count("\n", 0, start) + 1, line_at(doc, start), problem)
+    end = doc.find("\n", start)
+    body = doc[start:] if end < 0 else doc[start:end]
+    return ParseError(doc.count("\n", 0, start) + 1, body, problem)
 
 
 def account(doc: str) -> AuditReport:
@@ -210,7 +218,7 @@ def account(doc: str) -> AuditReport:
     travels = array("d")
     deltas = array("q")
     total_raw = 0
-    for start, number, px, py, pz, pe in accounted_lines(doc):
+    for start, number, values in accounted_lines(doc):
         if number is None:
             raise _parse_error(doc, start)
         if number == 82:
@@ -220,12 +228,12 @@ def account(doc: str) -> AuditReport:
             relative_e = True
             continue
         sx, sy, sz = x, y, z
-        if px is not None:
-            x = px
-        if py is not None:
-            y = py
-        if pz is not None:
-            z = pz
+        x = values.get("X", x)
+        y = values.get("Y", y)
+        z = values.get("Z", z)
+        pe = values.get("E")
+        if pe is not None:
+            pe = round(pe * SCALE)  # the raw value back, exactly (gcode docstring)
         if number == 92:
             if pe is not None:
                 e_logical = pe

@@ -30,20 +30,22 @@ every line of a document.
 audit.account does not parse every line.  accounted_lines makes one
 multiline scan over the document that stops only at the heads account
 acts on: G0, G1, G92, M82 and M83, with any leading zeros.  Comments,
-M73 and every other command are passed over inside the regex engine.  A
-visited line is plain when its code part is ` +LETTER value` tokens, each
-value with at most five integer digits and at most four decimals, then
-nothing but whitespace.  That covers every number format_raw writes below
-100,000.  A plain line is decoded from its tokens, with the values
-parse_line would give: an E value as round(float(v) * SCALE), an X, Y or
-Z value as float(v) + 0.0.  Both are exact on this subset.  float(v) is
-the correctly rounded double of the decimal, and raw / SCALE is the
-correctly rounded double of the same rational.  Scaled, a value is
-below 10^9, so the product's error stays far below the 0.5 that round()
-would need to go wrong.  Such a value cannot overflow the 32-bit budget,
-and the + 0.0 turns the -0.0 of "-0" into raw / SCALE's 0.0.  Every
-other visited line goes through parse_line, which stays the one
-authority on malformed lines, overflow and fifth-decimal rounding.
+M73 and every other command are passed over inside the regex engine.
+The scan reads a visited line's parameter region by the same grammar as
+parse_line, in two runs: the longest run of plain tokens, whose values
+have at most five integer digits and at most four decimals (every
+number format_raw writes below 100,000), then the rest of the tokens.
+A line the grammar refuses is malformed.
+
+Every value comes out as the double nearest raw / SCALE.  A plain value
+is float(v) + 0.0: with at most four decimals the decimal is exactly
+raw / SCALE, float() rounds it correctly, it cannot overflow the 32-bit
+budget, and the + 0.0 turns the -0.0 of "-0" into 0.0.  Any other value
+is raw_from_digits(...) / SCALE, so fifth-decimal rounding and the
+budget are decided as in parse_line; an overflow makes the line
+malformed.  account takes an E value back to its raw integer as
+round(value * SCALE): for any raw in the budget the product is within
+2^-21 of raw, far from the 0.5 that round() would need to go wrong.
 """
 
 from __future__ import annotations
@@ -54,22 +56,27 @@ from dataclasses import dataclass, field
 
 from .fixedpoint import MAX_RAW, SCALE, VALUE_PATTERN, FixedPointOverflow, raw_from_digits
 
+# a value, as VALUE_PATTERN with no groups of its own
+_VALUE = re.sub(r"\((?!\?)", "(?:", VALUE_PATTERN)
+# A plain value: at most five integer digits and four decimals, ending
+# where the grammar lets a value end (whitespace, ';' or the line's end).
+_PLAIN_VALUE = r"[-+]?(?=\.?[0-9])[0-9]{0,5}(?:\.[0-9]{0,4})?(?![^\s;])"
+
 # the command head, then the parameter region when it fits the grammar:
 # its tokens, then nothing but whitespace up to the comment
-_LINE_RE = re.compile(r" *([A-Z])([0-9]+)(?:((?: +[A-Z]" + VALUE_PATTERN + r")*)\s*(?:;|\Z))?")
+_LINE_RE = re.compile(r" *([A-Z])([0-9]+)(?:((?: +[A-Z]" + _VALUE + r")*)\s*(?:;|\Z))?")
 # letter, then the value's sign, integer and fraction digits
 _PARAM_RE = re.compile(r" +([A-Z])" + VALUE_PATTERN)
 
-# A plain value: at most five integer digits and four decimals, and no
-# digit after either run.
-_PLAIN_VALUE = r"[-+]?(?=\.?[0-9])[0-9]{0,5}(?![0-9])(?:\.[0-9]{0,4}(?![0-9]))?"
 # Searched in "\n" + doc: an LF (so the search jumps from line start to
-# line start), an accounted head (its G or M number), the longest run of
-# plain tokens, then the plain line's end, whitespace up to the comment,
-# which matches only when the tokens are the whole code part.
+# line start), an accounted head (its G or M number), then the parameter
+# region as _LINE_RE reads it, split in two: the longest run of plain
+# tokens, then the rest of the tokens.  The lookahead and backreference
+# make the plain run atomic, so a line is matched once, in linear time.
+# A region the grammar refuses leaves both token groups None.
 _ACCOUNTED_RE = re.compile(
     r"\n *(?:G0*([01]|92)|M0*(8[23]))(?![0-9])"
-    r"((?: +[A-Z]" + _PLAIN_VALUE + r")*)([^\S\n]*(?:;|$))?",
+    r"(?:(?=((?: +[A-Z]" + _PLAIN_VALUE + r")*))\3((?: +[A-Z]" + _VALUE + r")*)[^\S\n]*(?:;|$))?",
     re.M,
 )
 _NUMBERS = {"0": 0, "1": 1, "92": 92, "82": 82, "83": 83}
@@ -120,51 +127,29 @@ def parse_document(doc: str) -> list[ParsedLine]:
     return list(map(parse_line, bodies))
 
 
-def line_at(doc: str, start: int) -> str:
-    """The body of the line of doc that starts at start."""
-    end = doc.find("\n", start)
-    return doc[start:] if end < 0 else doc[start:end]
-
-
-def accounted_lines(
-    doc: str,
-) -> Iterator[tuple[int, int | None, float | None, float | None, float | None, int | None]]:
-    """Yield (start, number, x, y, z, e) for each line of doc whose head
+def accounted_lines(doc: str) -> Iterator[tuple[int, int | None, dict[str, float]]]:
+    """Yield (start, number, values) for each line of doc whose head
     account acts on, in order (see the module docstring).
 
     start is the line's offset in doc.  number is the command's: 0, 1 and
     92 are G commands, 82 and 83 are M (no two share a number), and None
-    marks a line the grammar refuses.  x, y and z are coordinates, e is
-    the raw E value; each is the first of its letter's parameters, or
-    None when the line has none.
+    marks a line the grammar refuses or a value past the 32-bit budget
+    (values is then empty).  values maps each parameter letter
+    to its first value in the line, as the double nearest raw / SCALE.
     """
     for m in _ACCOUNTED_RE.finditer("\n" + doc):
-        g_number, m_number, tokens, plain_end = m.groups()
-        x = y = z = e = None
-        if plain_end is not None:
-            for token in reversed(tokens.split()):
-                letter = token[0]
-                if letter == "X":
-                    x = float(token[1:]) + 0.0
-                elif letter == "Y":
-                    y = float(token[1:]) + 0.0
-                elif letter == "Z":
-                    z = float(token[1:]) + 0.0
-                elif letter == "E":
-                    e = round(float(token[1:]) * SCALE)
-            yield m.start(), _NUMBERS[g_number or m_number], x, y, z, e
+        g_number, m_number, plain, rest = m.groups()
+        if rest is None:
+            yield m.start(), None, {}
             continue
-        line = parse_line(line_at(doc, m.start()))
-        if line.malformed:
-            yield m.start(), None, None, None, None, None
-            continue
-        for letter, raw in reversed(line.params):
-            if letter == "X":
-                x = raw / SCALE
-            elif letter == "Y":
-                y = raw / SCALE
-            elif letter == "Z":
-                z = raw / SCALE
-            elif letter == "E":
-                e = raw
-        yield m.start(), line.number, x, y, z, e
+        # each letter's first value: a dict built from the reversed plain
+        # run keeps its first, and the rest of the line comes after the run
+        values = {token[0]: float(token[1:]) + 0.0 for token in reversed(plain.split())}
+        if rest:
+            try:
+                for letter, sign, int_digits, frac_digits in _PARAM_RE.findall(rest):
+                    values.setdefault(letter, raw_from_digits(sign, int_digits, frac_digits) / SCALE)
+            except FixedPointOverflow:
+                yield m.start(), None, {}
+                continue
+        yield m.start(), _NUMBERS[g_number or m_number], values

@@ -162,6 +162,10 @@ def test_to_json_is_json_dumps_of_to_dict(gcode_corpus):
             compare(reference, report)
             assert report.to_json() == json.dumps(report.to_dict(), indent=2), name
     assert flagged >= 10  # anomalies were written, not only empty lists
+    # segment arrays that end inside, at and just past a batch of rows
+    for moves in (1, 255, 256, 257, 700):
+        report = account("".join(f"G1 X{i} E{i / 8}\n" for i in range(moves)))
+        assert report.to_json() == json.dumps(report.to_dict(), indent=2), moves
 
 
 def test_to_json_peak_stays_within_three_times_its_output():
@@ -173,6 +177,7 @@ def test_to_json_peak_stays_within_three_times_its_output():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert text == json.dumps(report.to_dict(), indent=2)
     # the text, the row strings it is joined from, and one row's dict
     assert peak < 3 * len(text)
 
@@ -324,6 +329,24 @@ def test_account_matches_a_fold_over_every_line(gcode_corpus):
     assert min(outcomes.values()) >= 2000, outcomes
 
 
+def decoded_lines(values):
+    """accounted_lines over one G92 line per (sign, int, frac) value, and
+    for each line whether all its tokens were in the plain run."""
+    doc = "".join(f"G92 X{s}{i}{'.' + f if f else ''} E{s}{i}{'.' + f if f else ''}\n" for s, i, f in values)
+    plain = [m[4] == "" for m in gcode._ACCOUNTED_RE.finditer("\n" + doc)]
+    lines = list(gcode.accounted_lines(doc))
+    assert len(plain) == len(lines) == len(values)
+    return zip(lines, plain)
+
+
+def assert_decodes_to_raw(values, plain):
+    for ((_, number, decoded), was_plain), digits in zip(decoded_lines(values), values):
+        raw = raw_from_digits(*digits)
+        assert (number, was_plain, sorted(decoded)) == (92, plain, ["E", "X"]), digits
+        assert decoded["X"].hex() == (raw / SCALE).hex(), digits  # a -0.0 would show here
+        assert round(decoded["E"] * SCALE) == raw, digits  # as account reads E back
+
+
 def test_plain_decode_is_raw_from_digits():
     values = []
     for sign in ("", "+", "-"):
@@ -331,15 +354,19 @@ def test_plain_decode_is_raw_from_digits():
             if int_digits:
                 values.append((sign, int_digits, ""))
             values += [(sign, int_digits, f"{frac:04d}") for frac in range(10_000)]
-    doc = "".join(f"G92 X{s}{i}{'.' + f if f else ''} E{s}{i}{'.' + f if f else ''}\n" for s, i, f in values)
-    # every line is plain: the scan matched its end, so parse_line never saw it
-    assert all(m[4] is not None for m in gcode._ACCOUNTED_RE.finditer("\n" + doc))
-    lines = list(gcode.accounted_lines(doc))
-    assert len(lines) == len(values)
-    for (_, number, x, y, z, e), digits in zip(lines, values):
-        raw = raw_from_digits(*digits)
-        assert (number, y, z, e) == (92, None, None, raw), digits
-        assert x.hex() == (raw / SCALE).hex(), digits  # a -0.0 would show here
+    assert_decodes_to_raw(values, plain=True)
+
+
+def test_exact_decode_is_raw_from_digits():
+    # a fifth decimal (which rounds) or a sixth integer digit leaves the
+    # plain run; the value is decoded by raw_from_digits itself
+    values = []
+    for sign in ("", "+", "-"):
+        for int_digits in ("", "0", "7", "99999", "100000", "0000214747"):
+            values += [(sign, int_digits, f"{frac:05d}") for frac in range(0, 100_000, 7)]
+            values += [(sign, int_digits, f"{frac:04d}67") for frac in range(0, 10_000, 13)]
+        values += [(sign, "214748", "3647"), (sign, "214748", "36474"), (sign, "123456", "")]
+    assert_decodes_to_raw(values, plain=False)
 
 
 LONG = 200_000
@@ -348,6 +375,9 @@ LONG_LINES = [
     pytest.param("G1" + " " * (LONG - 3) + "X", True, id="spaces-then-X"),
     pytest.param("G1" + "\t " * (LONG // 2 - 1), False, id="tab-space-runs"),
     pytest.param("G1" + " X" * (LONG // 2 - 1), True, id="space-X-runs"),
+    # plain tokens, then one the grammar refuses: the scan must not retry
+    # each split of the run between plain tokens and the rest
+    pytest.param("G1" + " X1" * (LONG // 3 - 1) + "!", True, id="plain-tokens-then-bang"),
 ]
 
 
