@@ -49,9 +49,19 @@ FILAMENT_DIAMETER_MM = 2.85
 DENSITY_G_CM3 = 1.24  # PLA
 
 
+_QUOTED_CHARS = 60  # of a line's body, in a ParseError message
+
+
 class ParseError(FlawsimError):
+    """A line account cannot read, as ``line N: <problem> <body>``.  A
+    body longer than 60 characters is quoted up to its 60th, then an
+    ellipsis and the count of characters left out."""
+
     def __init__(self, line_no: int, body: str, problem: str = "cannot parse"):
-        super().__init__(f"line {line_no}: {problem} {body!r}")
+        quoted = repr(body[:_QUOTED_CHARS])
+        if len(body) > _QUOTED_CHARS:
+            quoted += f"\u2026 ({len(body) - _QUOTED_CHARS} more characters)"
+        super().__init__(f"line {line_no}: {problem} {quoted}")
         self.line_no = line_no
 
 

@@ -354,14 +354,23 @@ def audit_bootloader(image: FlashImage) -> list[Finding]:
 
     Empty list means clean.  Linear sweep; data embedded in code can in
     principle desync it, which is acceptable for fixture-scale audits.
+
+    The sweep starts no instruction past the last programmed (non-0xFF)
+    byte of the section, though it always starts the first.  Decoding is
+    still bounded by the end of flash, so a 32-bit instruction there reads
+    its erased second word, and one that runs past flash raises
+    OffsetOutOfRange.  Nothing past that point can be a finding: erased
+    words decode as OTHER16 and come after every MCUCR write and every
+    CALL, so they neither write MCUCR nor follow a CALL as its CLI.
     """
     layout = image.layout
     insns: list[DecodedInsn] = []
     offset = layout.boot_start
-    while offset <= layout.flash_size - 2:
+    programmed = len(image.data[offset:].rstrip(b"\xff"))
+    # at least one word, so an odd section start still raises OddOffset
+    stop = min(layout.flash_size - 1, offset + max(programmed, 1))
+    while offset < stop:
         insn = decode(image, offset)
-        if offset + insn.length > layout.flash_size:
-            break
         insns.append(insn)
         offset += insn.length
 

@@ -136,7 +136,8 @@ class FrameReader:
     A frame is decoded once all of it is buffered.  BadStart and BadToken
     raise from the feed that brings the buffered frame to 6 bytes;
     ChecksumMismatch raises from the feed that completes it.  The bad bytes
-    stay buffered, so every later feed raises the same error.
+    stay buffered, so every later feed, however short, raises the same
+    error.  A feed that leaves the buffered frame short returns at once.
     """
 
     def __init__(self):
@@ -146,6 +147,8 @@ class FrameReader:
     def feed(self, data: bytes) -> list[Stk500Frame]:
         buf = self._buf
         buf += data
+        if len(buf) < (self._total or 6):
+            return []
         frames = []
         while True:
             if not self._total:
@@ -314,9 +317,8 @@ class PipeTransport:
             self.pending += response
 
     def read(self, n: int) -> bytes:
-        take = min(n, 7, len(self.pending))
-        out = bytes(self.pending[:take])
-        del self.pending[:take]
+        out = bytes(self.pending[: 7 if n > 7 else n])
+        del self.pending[: len(out)]
         return out
 
 
@@ -346,11 +348,12 @@ class ProgrammerClient:
         seq = self.sequence
         self.sequence = (self.sequence + 1) & 0xFF
         self.transport.write(frame_encode(body, seq))
+        read, feed = self.transport.read, self.reader.feed
         while True:
-            chunk = self.transport.read(4096)
+            chunk = read(4096)
             if not chunk:
                 raise ProtocolError("transport closed mid-response")
-            frames = self.reader.feed(chunk)
+            frames = feed(chunk)
             if frames:
                 if len(frames) != 1 or frames[0].sequence != seq:
                     raise ProtocolError("response sequence mismatch")

@@ -104,6 +104,18 @@ def test_account_parse_error_on_bad_mode_switch():
     assert account("M820 *1\nM8 *1\nG1 X1 E5\n").total_extrusion.raw == 50_000
 
 
+def test_parse_error_quotes_a_bounded_part_of_a_long_line():
+    with pytest.raises(ParseError) as err:
+        account("G1" + " " * 100_000 + "!\n")
+    message = str(err.value)
+    assert len(message) < 200
+    assert message.startswith("line 1: cannot parse 'G1 ")
+    assert message.endswith("'\u2026 (99943 more characters)")
+    # a body of 60 characters or fewer is quoted whole
+    with pytest.raises(ParseError, match=r"^line 1: cannot parse 'G1 X1 E5 \*12'$"):
+        account("G1 X1 E5 *12\n")
+
+
 def test_account_delta_past_budget_names_its_line():
     # each end fits the 32-bit budget, the delta between them does not
     with pytest.raises(ParseError, match=r"^line 2: extrusion delta -400000 exceeds") as err:

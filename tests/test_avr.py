@@ -5,10 +5,14 @@ import pytest
 from flawsim import fixtures
 from flawsim.avr import (
     CLI_WORD,
+    IVCE_BIT,
+    IVSEL_BIT,
+    MCUCR_IO_ADDR,
     RETI_WORD,
     AddressImplausible,
     DecodedInsn,
     DormantAbort,
+    Finding,
     Kind,
     OddOffset,
     OffsetOutOfRange,
@@ -23,10 +27,12 @@ from flawsim.avr import (
     enc_lds,
     enc_out,
     enc_rjmp,
+    enc_sts,
     find_ring_buffer,
     find_sp_init,
     words_to_bytes,
 )
+from flawsim.errors import FlawsimError
 from flawsim.memory import AddressOutOfRange, FlashImage, MemoryLayout
 
 LAYOUT = MemoryLayout()
@@ -437,3 +443,140 @@ def test_audit_requires_ivce_then_ivsel_bits():
         ),
     )
     assert audit_bootloader(img) == []
+
+
+def full_sweep_audit(image: FlashImage) -> list[Finding]:
+    """The audit over every word of the boot section, erased or not: the
+    naive oracle for audit_bootloader's sweep, which starts no instruction
+    past the last programmed byte."""
+    layout = image.layout
+    insns = []
+    offset = layout.boot_start
+    while offset <= layout.flash_size - 2:
+        insn = decode(image, offset)
+        insns.append(insn)
+        offset += insn.length
+    findings = []
+    reg_imm = {}
+    writes = []
+    for idx, insn in enumerate(insns):
+        if insn.kind is Kind.LDI:
+            reg_imm[insn.reg] = insn.value
+        elif insn.kind is Kind.OUT and insn.io_addr == MCUCR_IO_ADDR and insn.reg in reg_imm:
+            writes.append((idx, insn.byte_offset, reg_imm[insn.reg]))
+        elif (
+            insn.kind is Kind.CLI
+            and idx > 0
+            and insns[idx - 1].kind is Kind.CALL
+            and layout.in_app_region(insns[idx - 1].target)
+        ):
+            call = insns[idx - 1]
+            snippet = f"call 0x{call.target:x} ; cli"
+            findings.append(Finding("IsrTrampoline", call.byte_offset, insn.byte_offset, snippet))
+    for (i1, off1, val1), (i2, off2, val2) in zip(writes, writes[1:]):
+        if i2 - i1 <= 16 and val1 & IVCE_BIT and val2 & IVSEL_BIT:
+            snippet = f"out 0x35, #0x{val1:02X} ; out 0x35, #0x{val2:02X}"
+            findings.append(Finding("IvselTakeover", off1, off2, snippet))
+    findings.sort(key=lambda f: f.offset)
+    return findings
+
+
+def audit_outcome(audit, image):
+    """The findings, or the type of the error the audit raised."""
+    try:
+        return audit(image)
+    except FlawsimError as exc:
+        return type(exc)
+
+
+def random_insn(rng, layout) -> list[int]:
+    reg = rng.choice((24, 25, rng.randrange(16, 32)))
+    target = rng.randrange(0, rng.choice((layout.flash_size, layout.boot_start + 1)), 2)
+    return rng.choice((
+        lambda: [enc_ldi(reg, rng.choice((0x01, 0x02, 0x03, 0x00, rng.randrange(256))))],
+        lambda: [enc_out(MCUCR_IO_ADDR, reg)],
+        lambda: [enc_out(rng.randrange(64), reg)],
+        lambda: list(enc_call(target)),
+        lambda: list(enc_jmp(target)),
+        lambda: list(enc_lds(reg, rng.randrange(0x10000))),
+        lambda: list(enc_sts(rng.randrange(0x10000), reg)),
+        lambda: [CLI_WORD],
+        lambda: [RETI_WORD],
+        lambda: [0x2411],
+        lambda: [0xFFFF],  # an erased word inside the code
+        lambda: [0xFF00 | rng.randrange(255)],  # a programmed low byte, erased high byte
+        lambda: [rng.randrange(0x10000)],
+    ))()
+
+
+def random_block(rng, layout) -> list[int]:
+    gap = [0xFFFF] * rng.choice((0, 0, 1, 2, rng.randrange(20)))
+    shape = rng.randrange(4)
+    if shape == 0:  # an MCUCR pair across an erased gap
+        first, second = rng.choice(((0x01, 0x02), (0x03, 0x03), (0x02, 0x01), (0x01, 0x00)))
+        return [
+            enc_ldi(24, first), enc_out(MCUCR_IO_ADDR, 24), *gap, enc_ldi(25, second), enc_out(MCUCR_IO_ADDR, 25)
+        ]
+    if shape == 1:  # a CALL/CLI pair across an erased gap
+        target = rng.choice((0x50, layout.boot_start + 0x10, rng.randrange(0, layout.flash_size, 2)))
+        return [*enc_call(target), *gap, CLI_WORD]
+    return [word for _ in range(rng.randrange(1, 12)) for word in random_insn(rng, layout)]
+
+
+def random_boot_region(rng, layout) -> bytes:
+    n = layout.boot_section_size // 2
+    words = [0xFFFF] * n
+    for _ in range(rng.choice((0, 1, 2, 3))):  # none: an erased section, unless the tail adds one
+        block = random_block(rng, layout)[:n]
+        at = rng.choice((0, n - len(block), rng.randrange(n - len(block) + 1)))  # start, last words, middle
+        words[at : at + len(block)] = block
+    tail = rng.randrange(6) if n >= 2 else None
+    if tail == 0:  # a CALL as the last programmed word, its second word erased
+        words[-2:] = [enc_call(0x50)[0], 0xFFFF]
+    elif tail == 1:  # a 32-bit instruction at flash_size - 2
+        words[-1] = rng.choice((enc_call(0x50)[0], enc_jmp(0)[0], enc_lds(24, 0)[0], enc_sts(0, 24)[0]))
+    elif tail == 2:  # a programmed last byte
+        words[-1] = rng.randrange(0xFF00)
+    odd_byte = rng.choice((b"\xff", bytes([rng.randrange(256)])))
+    return words_to_bytes(*words) + odd_byte * (layout.boot_section_size % 2)
+
+
+def test_audit_matches_full_sweep_on_random_boot_regions():
+    rng = random.Random(0xB007)
+    layouts = [
+        MemoryLayout(flash_size=2048, boot_section_size=256),
+        MemoryLayout(flash_size=1024, boot_section_size=64),
+        MemoryLayout(flash_size=1024, boot_section_size=63),  # an odd section start
+        MemoryLayout(flash_size=1024, boot_section_size=1),
+    ]
+    seen = {"IvselTakeover": 0, "IsrTrampoline": 0, "error": 0, "clean": 0}
+    for trial in range(2400):
+        layout = layouts[trial % 4] if trial % 50 else LAYOUT
+        image = FlashImage(layout)
+        image.write(layout.boot_start, random_boot_region(rng, layout))
+        expected = audit_outcome(full_sweep_audit, image)
+        assert audit_outcome(audit_bootloader, image) == expected, image.data[layout.boot_start :].hex()
+        if isinstance(expected, type):
+            seen["error"] += 1
+        else:
+            seen["clean"] += not expected
+            for kind in {f.kind for f in expected}:
+                seen[kind] += 1
+    assert min(seen.values()) >= 50, seen
+    for image in (fixtures.build_trojan_bootloader(), fixtures.build_clean_bootloader()):
+        assert audit_outcome(audit_bootloader, image) == audit_outcome(full_sweep_audit, image)
+
+
+def test_audit_sweep_reads_past_the_last_programmed_byte_to_the_end_of_flash():
+    end = LAYOUT.flash_size
+    pair = words_to_bytes(*enc_call(0x50), CLI_WORD)
+    # a CALL as the last programmed word reads its erased second word
+    img = image_with(LAYOUT.boot_start, pair)
+    img.write(end - 8, words_to_bytes(enc_call(0x50)[0]))
+    assert [f.offset for f in audit_bootloader(img)] == [LAYOUT.boot_start]
+    # a pair in the last 6 bytes of flash is found
+    (finding,) = audit_bootloader(image_with(end - 6, pair))
+    assert (finding.kind, finding.offset, finding.related_offset) == ("IsrTrampoline", end - 6, end - 2)
+    # a 32-bit instruction in the last word still runs past flash
+    with pytest.raises(OffsetOutOfRange):
+        audit_bootloader(image_with(end - 2, words_to_bytes(enc_call(0x50)[0])))

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import dataclass, field
 
@@ -5,7 +6,7 @@ import pytest
 
 from flawsim import fixtures
 from flawsim.avr import apply_stack_steal, enc_ldi, enc_out, find_sp_init, words_to_bytes
-from flawsim.memory import FlashImage, MemoryLayout
+from flawsim.memory import FlashImage, MemoryLayout, load_ihex
 from flawsim.stk500 import (
     CMD_LOAD_ADDRESS,
     CMD_PROGRAM_FLASH,
@@ -22,6 +23,7 @@ from flawsim.stk500 import (
     PipeTransport,
     ProgrammerClient,
     Stk500Frame,
+    VerifyOutcome,
     frame_decode,
     frame_encode,
     program_and_verify,
@@ -390,3 +392,57 @@ def test_transcript_capture():
     assert directions == {">>", "<<"}
     for _, raw in transcript:
         assert raw[0] == 0x1B
+
+
+# sha256 of the wire transcript of installing marlin_app.hex, one per page
+# size, recorded before the client's per-chunk path was reworked; a trojan
+# session's wire bytes equal a clean one's
+INSTALL_TRANSCRIPT_SHA256 = {
+    64: "f323076b08db6796dbd1e3b831762c5ab77ef1c50a1d46aa614a9b5886248cfe",
+    128: "7c2161f1fad0e1552ff0ab61d49ce233f98a57aa793984e45e78259a896a7a31",
+    256: "afb87f5e26a51108e2580820f50d5fcf91fe8a81bc303740dd362143142b6ee7",
+}
+
+
+@pytest.mark.parametrize("page_size", [64, 128, 256])
+@pytest.mark.parametrize("trojan", [True, False])
+def test_install_transcript_is_pinned(hex_fixtures, page_size, trojan):
+    layout = MemoryLayout(page_size=page_size)
+    firmware = load_ihex(hex_fixtures["marlin_app.hex"], layout)
+    transcript = []
+    outcome = program_and_verify(firmware, fixtures.build_session(trojan=trojan, layout=layout), transcript)
+    digest = hashlib.sha256(b"".join(direction.encode() + raw for direction, raw in transcript))
+    assert digest.hexdigest() == INSTALL_TRANSCRIPT_SHA256[page_size]
+    assert outcome == VerifyOutcome(
+        verified=True,
+        stored_differs=trojan,
+        mismatches=[(0x39E0, 0xCF, 0xC0)] if trojan else [],
+    )
+
+
+def test_pipe_transport_reads_at_most_seven_bytes():
+    transport = PipeTransport(fixtures.build_session(trojan=False))
+    transport.write(frame_encode(bytes([CMD_READ_FLASH, 0, 20])))
+    response = bytes(transport.pending)
+    assert len(response) == 29
+    got = b""
+    for n in (0, 1, 6, 7, 8, 4096, 3, 4096, 4096, 4096):
+        chunk = transport.read(n)
+        assert len(chunk) == min(n, 7, len(response) - len(got))
+        got += chunk
+    assert got == response and transport.read(4096) == b""
+
+
+@pytest.mark.parametrize(
+    "pos, error",
+    [(0, BadStart), (4, BadToken), (1, ChecksumMismatch), (-1, ChecksumMismatch)],
+)
+def test_frame_reader_keeps_raising_after_a_bad_frame(pos, error):
+    frame = bytearray(frame_encode(bytes(30), 1))
+    frame[pos] ^= 0x40
+    reader = FrameReader()
+    with pytest.raises(error):
+        reader.feed(frame)
+    for later in (b"\x1b", frame_encode(b"\x01", 2)[:3], frame_encode(b"\x01", 2), b"\x00"):
+        with pytest.raises(error):
+            reader.feed(later)
