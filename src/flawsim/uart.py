@@ -10,8 +10,9 @@ Hiding works by rewinding head: a character the interceptor wants to
 swallow is un-published immediately after the ISR stored it, so the next
 arrival overwrites the same cell.  Digits of a targeted value are never
 buffered anywhere - they are folded into the 4-byte fixed-point
-accumulator on arrival and the edited text is written back through the
-normal path once the value's delimiter shows up.  Because the consumer
+accumulator on arrival, and once the value's delimiter shows up the edited
+text and the delimiter are written back as one slice at head, split in two
+where it wraps past index 0 (it can wrap at most once).  Because the consumer
 only ever dequeues complete lines, rewriting earlier cells of the
 line-in-progress (the move-command digit, for travel conversion) is safe.
 
@@ -200,7 +201,7 @@ def consumer_readline(ring: RingBufferState) -> str:
 _STATE = struct.Struct("<HHHBiBBBB")
 
 
-@dataclass
+@dataclass(slots=True)
 class TrojanState:
     """Interceptor persistence; serializes to exactly 15 bytes, from which
     from_bytes restores it (the module docstring says what is not state).
@@ -248,44 +249,8 @@ class TrojanState:
         )
 
 
-def _hide(ring: RingBufferState):
-    ring.head = (ring.head - 1) & ring.mask
-
-
-def _emit(ring: RingBufferState, byte: int):
-    ring.storage[ring.head] = byte
-    ring.head = (ring.head + 1) & ring.mask
-
-
 def _go_dormant(trojan: TrojanState):
     trojan.flags_window = (trojan.flags_window | F_DORMANT) & ~F_CONVERT
-
-
-def _fold_digit(trojan: TrojanState, digit: int, in_frac: bool) -> str | None:
-    """Fold one digit of a captured value (an E value or a P percentage)
-    into the accumulator; command numbers never reach it.
-
-    Integer digits always fold.  Decimals fold up to the fourth (their
-    count is the high nibble of parser_state), the fifth only rounds half
-    up and later ones are dropped, so values are captured at 1e-4.  A
-    digit or a rounding that takes the number past 32 bits sends the
-    interceptor dormant for the session.
-    """
-    acc = trojan.accumulator
-    if in_frac:
-        frac = trojan.parser_state >> 4
-        if frac > 4:
-            return None
-        acc = acc + (digit >= 5) if frac == 4 else acc * 10 + digit
-    else:
-        acc = acc * 10 + digit
-    if acc > MAX_RAW:
-        _go_dormant(trojan)
-        return EV_OVERFLOW
-    trojan.accumulator = acc
-    if in_frac:
-        trojan.parser_state += 0x10
-    return None
 
 
 def _scaled_value(trojan: TrojanState) -> int | None:
@@ -361,11 +326,18 @@ def _finish_target(trojan: TrojanState, ring: RingBufferState, delim: int | None
         else:
             text = format_raw(div_round_half_away(value * (100 - trojan.policy_param), 100))
             if ring.free_space() >= len(text):  # counted with the delimiter still stored
+                data, head = bytearray(text, "ascii"), ring.head
                 if delim is not None:
-                    _hide(ring)  # take back the delimiter; re-emitted after the value
-                    text += chr(delim)
-                for ch in text:
-                    _emit(ring, ord(ch))
+                    head = (head - 1) & ring.mask  # take back the delimiter; re-emitted after the value
+                    data.append(delim)
+                end = head + len(data)
+                if end <= ring.size:
+                    ring.storage[head:end] = data
+                else:  # wraps past index 0
+                    split = ring.size - head
+                    ring.storage[head:] = data[:split]
+                    ring.storage[: end - ring.size] = data[split:]
+                ring.head = end & ring.mask
                 event = EV_EDIT
             else:
                 event = EV_EDIT_SKIPPED
@@ -432,16 +404,27 @@ def _act(trojan: TrojanState, ring: RingBufferState, policy: TamperPolicy, byte:
             if flags & F_PENDING:
                 _decide_on_first_digit(trojan, ring, policy, byte - 48, in_frac)
                 return None
-            if not flags & F_CONVERT:
-                event = _fold_digit(trojan, byte - 48, in_frac)
-                if event is not None:
-                    return event
+            frac = trojan.parser_state >> 4
+            if not flags & F_CONVERT and frac <= 4:
+                # Fold (command numbers never get here): integer digits and
+                # four decimals, counted in parser_state's high nibble, shift
+                # in; the fifth only rounds half up and later ones drop, so
+                # values are captured at 1e-4.  Past 32 bits the interceptor
+                # goes dormant for the session.
+                acc = trojan.accumulator
+                acc = acc + (byte >= 0x35) if frac == 4 else acc * 10 + byte - 48
+                if acc > MAX_RAW:
+                    _go_dormant(trojan)
+                    return EV_OVERFLOW
+                trojan.accumulator = acc
+                if in_frac:
+                    trojan.parser_state += 0x10
             if not flags & F_PROGRESS:
-                _hide(ring)
+                ring.head = (ring.head - 1) & ring.mask  # hide the digit
             return None
         if byte == 0x2E and not in_frac:  # '.'
             if not flags & (F_PENDING | F_PROGRESS):
-                _hide(ring)
+                ring.head = (ring.head - 1) & ring.mask
             trojan.parser_state = ST_V_FRAC
             return None
         if flags & F_PENDING:

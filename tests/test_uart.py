@@ -162,6 +162,14 @@ def test_state_round_trips_through_its_fifteen_bytes_after_every_byte(gcode_corp
             assert sim.stats == ref.stats, where
 
 
+def test_trojan_state_has_no_room_for_python_side_state():
+    # slotted: no attribute beyond the fifteen packed bytes can appear
+    state = TrojanState.for_policy(HALF)
+    assert not hasattr(state, "__dict__")
+    with pytest.raises(AttributeError):
+        state.spare = 0
+
+
 def test_budget_holds_after_every_char():
     sim = UartSimulation(TamperPolicy.relocation(2))
     doc = "M73 P30\n" + "".join(f"G1 X{i} E{i}.125\n" for i in range(1, 30)) + "M73 P80\n"
@@ -395,6 +403,28 @@ def test_lines_straddling_index_zero(gcode_corpus, monkeypatch):
     assert sum(wrapped) > 100
 
 
+def test_edit_write_back_wraps_past_index_zero():
+    # A 32-byte ring wraps every couple of lines, so some edits write their
+    # text and re-emitted delimiter across index 0, in two slices.  A replay
+    # of the single-character model on feed's schedule (one line read per
+    # stored newline) sees where each write-back starts and ends.
+    doc = "".join(f"G1 X{i} E{i}.2345\n" for i in range(1, 40))
+    assert run_pipeline_equivalence(doc, HALF, rx_buffer_size=32).identical
+    sim = UartSimulation(HALF, rx_buffer_size=32)
+    ring, trojan = RingBufferState(32), TrojanState.for_policy(HALF)
+    lines, wrapped = [], 0
+    for byte in doc.encode():
+        marlin_rx_isr(ring, byte)
+        start = (ring.head - 1) & ring.mask  # the delimiter's cell, where a write-back begins
+        if trojan_epilogue(trojan, ring, HALF) == uart.EV_EDIT:
+            wrapped += start + ((ring.head - start) & ring.mask) > ring.size
+        if byte == 0x0A:
+            lines.append(consumer_readline(ring))
+    assert lines == sim.feed(doc)
+    assert sim.stats.dropped == 0 and sim.stats.edits == 39
+    assert wrapped >= 1
+
+
 # --- failure modes ---------------------------------------------------------------
 
 
@@ -423,6 +453,27 @@ def test_every_overflow_route_goes_dormant_within_budget():
                 lines += sim.drain()
             assert sim.stats.overflows == 1, head
             assert "".join(lines[-3:]) == tail, head  # dormant: passed unedited
+
+
+@pytest.mark.parametrize("value", ["214748.3647", "214748.3648", "214748.36475"])
+def test_fold_overflows_exactly_past_max_raw(value):
+    # MAX_RAW itself is edited; one unit more overflows at the digit that
+    # carries it there, a fourth decimal or the fifth's rounding, before
+    # any delimiter arrives (the text the overflowing line keeps is not
+    # pinned here)
+    assert int("2147483647") == MAX_RAW
+    sim = UartSimulation(HALF)
+    lines = sim.feed(f"G1 X1 E{value}")
+    overflows = value != "214748.3647"
+    assert bool(sim.trojan.flags_window & F_DORMANT) == overflows
+    lines += sim.feed("\nG1 X2 E5\n")
+    if overflows:
+        assert sim.stats.overflows == 1 and sim.stats.dormant_events == 1
+        assert sim.trojan.flags_window & F_DORMANT
+    else:
+        doc = f"G1 X1 E{value}\nG1 X2 E5\n"
+        assert "".join(lines) == apply_policy(doc, HALF)
+        assert sim.stats == SimStats(chars_in=len(doc), edits=2)
 
 
 @pytest.mark.parametrize("doc, policy, expected, counts", [
