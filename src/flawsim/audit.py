@@ -15,14 +15,17 @@ delta in an ``array('q')``.  Indexing or iterating builds a fresh
 ``SegmentRecord`` per access, so mutating a row changes nothing in the
 report.
 
-account reads a document through gcode.accounted_lines.  It is one scan
-that visits only the lines account acts on (G0, G1, G92, M82, M83), so
-comments and other commands cost nothing in Python.  Each visited line's
-tokens are read by the grammar of gcode.parse_line: plain values (at most
-five integer digits and four decimals, as format_raw writes them) are
-decoded with float(), any other value with the fixed-point decode, and
-each comes out as the double nearest raw / SCALE; an E value goes back
-to its raw integer by round(value * SCALE), exactly (see the gcode
+account is a fold over gcode.accounted_lines: one scan that visits only
+the lines account acts on (G0, G1, G92, M82, M83), so comments and other
+commands cost nothing in Python.  It yields a flat tuple per line: the
+line's offset and command number, its first X, Y and Z as the double
+nearest raw / SCALE and its first E as a raw integer, None for a letter
+the line lacks.  The scan's own groups hand over plain X, Y, Z and E
+values in the order slicers write them, F or any other letter account
+never reads around them; tokens placed otherwise, and values outside the
+plain subset (at most five integer digits and four decimals, as
+format_raw writes them), are read from the rest of the line by the
+grammar of gcode.parse_line and the fixed-point decode (see the gcode
 module docstring).  Lines are counted only to name the line of a
 ParseError.
 """
@@ -228,7 +231,7 @@ def account(doc: str) -> AuditReport:
     travels = array("d")
     deltas = array("q")
     total_raw = 0
-    for start, number, values in accounted_lines(doc):
+    for start, number, px, py, pz, pe in accounted_lines(doc):
         if number is None:
             raise _parse_error(doc, start)
         if number == 82:
@@ -238,12 +241,12 @@ def account(doc: str) -> AuditReport:
             relative_e = True
             continue
         sx, sy, sz = x, y, z
-        x = values.get("X", x)
-        y = values.get("Y", y)
-        z = values.get("Z", z)
-        pe = values.get("E")
-        if pe is not None:
-            pe = round(pe * SCALE)  # the raw value back, exactly (gcode docstring)
+        if px is not None:
+            x = px
+        if py is not None:
+            y = py
+        if pz is not None:
+            z = pz
         if number == 92:
             if pe is not None:
                 e_logical = pe

@@ -32,20 +32,26 @@ multiline scan over the document that stops only at the heads account
 acts on: G0, G1, G92, M82 and M83, with any leading zeros.  Comments,
 M73 and every other command are passed over inside the regex engine.
 The scan reads a visited line's parameter region by the same grammar as
-parse_line, in two runs: the longest run of plain tokens, whose values
-have at most five integer digits and at most four decimals (every
-number format_raw writes below 100,000), then the rest of the tokens.
-A line the grammar refuses is malformed.
+parse_line, in two runs.  The plain run holds plain tokens only, whose
+values have at most five integer digits and at most four decimals (every
+number format_raw writes below 100,000): first any whose letter account
+never reads, then X, Y, Z and E, each at most once and in that order and
+each value in a group of its own, then more of the unread letters.  That
+is the shape slicers write, with F before or after the coordinates.  The
+rest of the tokens follow it: letters out of that order or repeated, and
+values outside the plain subset.  Each letter takes its first value in
+the line; the plain run comes first, so a letter found there is never
+looked for in the rest.  A line the grammar refuses is malformed.
 
-Every value comes out as the double nearest raw / SCALE.  A plain value
-is float(v) + 0.0: with at most four decimals the decimal is exactly
-raw / SCALE, float() rounds it correctly, it cannot overflow the 32-bit
-budget, and the + 0.0 turns the -0.0 of "-0" into 0.0.  Any other value
-is raw_from_digits(...) / SCALE, so fifth-decimal rounding and the
-budget are decided as in parse_line; an overflow makes the line
-malformed.  account takes an E value back to its raw integer as
-round(value * SCALE): for any raw in the budget the product is within
-2^-21 of raw, far from the 0.5 that round() would need to go wrong.
+X, Y and Z come out as the double nearest raw / SCALE, E as raw itself.
+A plain value is float(v) + 0.0: with at most four decimals the decimal
+is exactly raw / SCALE, float() rounds it correctly, it cannot overflow
+the 32-bit budget, and the + 0.0 turns the -0.0 of "-0" into 0.0.  A
+plain E is round(float(v) * SCALE): for any raw in the budget the
+product is within 2^-21 of raw, far from the 0.5 that round() would need
+to go wrong.  Any other value is decoded by raw_from_digits(...), so
+fifth-decimal rounding and the budget are decided as in parse_line; an
+overflow makes the line malformed.
 """
 
 from __future__ import annotations
@@ -68,15 +74,24 @@ _LINE_RE = re.compile(r" *([A-Z])([0-9]+)(?:((?: +[A-Z]" + _VALUE + r")*)\s*(?:;
 # letter, then the value's sign, integer and fraction digits
 _PARAM_RE = re.compile(r" +([A-Z])" + VALUE_PATTERN)
 
+# A plain token whose letter account never reads (not E, X, Y or Z).
+_UNREAD = r"(?: +[A-DF-W]" + _PLAIN_VALUE + ")"
+
 # Searched in "\n" + doc: an LF (so the search jumps from line start to
 # line start), an accounted head (its G or M number), then the parameter
-# region as _LINE_RE reads it, split in two: the longest run of plain
-# tokens, then the rest of the tokens.  The lookahead and backreference
-# make the plain run atomic, so a line is matched once, in linear time.
-# A region the grammar refuses leaves both token groups None.
+# region as _LINE_RE reads it, split in two.  The plain run (group 3) is
+# unread plain tokens, then optional plain X, Y, Z and E tokens in that
+# order (their values in groups 4 to 7), then more unread plain tokens;
+# the rest of the tokens (group 8) follow it.  The lookahead and
+# backreference make the plain run atomic, so a line is matched once, in
+# linear time.  A region the grammar refuses leaves group 8 None.  Each
+# optional part is spelled (?:...|), an empty alternative, which the
+# regex engine tries faster than (?:...)?.
 _ACCOUNTED_RE = re.compile(
     r"\n *(?:G0*([01]|92)|M0*(8[23]))(?![0-9])"
-    r"(?:(?=((?: +[A-Z]" + _PLAIN_VALUE + r")*))\3((?: +[A-Z]" + _VALUE + r")*)[^\S\n]*(?:;|$))?",
+    r"(?:(?=(" + _UNREAD + "*"
+    + "".join(f"(?: +{letter}({_PLAIN_VALUE})|)" for letter in "XYZE")
+    + _UNREAD + r"*))\3((?: +[A-Z]" + _VALUE + r")*)[^\S\n]*(?:;|$)|)",
     re.M,
 )
 _NUMBERS = {"0": 0, "1": 1, "92": 92, "82": 82, "83": 83}
@@ -127,29 +142,44 @@ def parse_document(doc: str) -> list[ParsedLine]:
     return list(map(parse_line, bodies))
 
 
-def accounted_lines(doc: str) -> Iterator[tuple[int, int | None, dict[str, float]]]:
-    """Yield (start, number, values) for each line of doc whose head
-    account acts on, in order (see the module docstring).
+def accounted_lines(
+    doc: str,
+) -> Iterator[tuple[int, int | None, float | None, float | None, float | None, int | None]]:
+    """Yield (start, number, x, y, z, e_raw) for each line of doc whose
+    head account acts on, in order (see the module docstring).
 
     start is the line's offset in doc.  number is the command's: 0, 1 and
     92 are G commands, 82 and 83 are M (no two share a number), and None
     marks a line the grammar refuses or a value past the 32-bit budget
-    (values is then empty).  values maps each parameter letter
-    to its first value in the line, as the double nearest raw / SCALE.
+    (every value is then None).  x, y and z are the line's first X, Y
+    and Z values, as the double nearest raw / SCALE, and e_raw is its
+    first E value as a raw integer; a letter the line lacks gives None.
     """
     for m in _ACCOUNTED_RE.finditer("\n" + doc):
-        g_number, m_number, plain, rest = m.groups()
+        g_number, m_number, _, x, y, z, e, rest = m.groups()
         if rest is None:
-            yield m.start(), None, {}
+            yield m.start(), None, None, None, None, None
             continue
-        # each letter's first value: a dict built from the reversed plain
-        # run keeps its first, and the rest of the line comes after the run
-        values = {token[0]: float(token[1:]) + 0.0 for token in reversed(plain.split())}
+        if x is not None:
+            x = float(x) + 0.0
+        if y is not None:
+            y = float(y) + 0.0
+        if z is not None:
+            z = float(z) + 0.0
+        if e is not None:
+            e = round(float(e) * SCALE)
         if rest:
+            # the tokens after the plain run, which comes first in the
+            # line: a letter it lacks takes its first value here
+            first = {}
             try:
                 for letter, sign, int_digits, frac_digits in _PARAM_RE.findall(rest):
-                    values.setdefault(letter, raw_from_digits(sign, int_digits, frac_digits) / SCALE)
+                    first.setdefault(letter, raw_from_digits(sign, int_digits, frac_digits))
             except FixedPointOverflow:
-                yield m.start(), None, {}
+                yield m.start(), None, None, None, None, None
                 continue
-        yield m.start(), _NUMBERS[g_number or m_number], values
+            x = first["X"] / SCALE if x is None and "X" in first else x
+            y = first["Y"] / SCALE if y is None and "Y" in first else y
+            z = first["Z"] / SCALE if z is None and "Z" in first else z
+            e = first.get("E") if e is None else e
+        yield m.start(), _NUMBERS[g_number or m_number], x, y, z, e

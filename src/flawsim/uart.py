@@ -476,18 +476,18 @@ class SimStats:
     dormant_events: int = 0
 
     def count(self, event: str) -> None:
-        for name in _EVENT_COUNTERS[event]:
-            setattr(self, name, getattr(self, name) + 1)
-
-
-# the SimStats counters each interceptor event adds one to
-_EVENT_COUNTERS = {
-    EV_EDIT: ("edits",),
-    EV_CONVERT: ("conversions",),
-    EV_EDIT_SKIPPED: ("edits_skipped",),
-    EV_OVERFLOW: ("overflows", "dormant_events"),
-    EV_DORMANT_M83: ("dormant_events",),
-}
+        """Add one to the counters of an interceptor event."""
+        if event == EV_EDIT:
+            self.edits += 1
+        elif event == EV_CONVERT:
+            self.conversions += 1
+        elif event == EV_EDIT_SKIPPED:
+            self.edits_skipped += 1
+        elif event == EV_OVERFLOW:
+            self.overflows += 1
+            self.dormant_events += 1
+        elif event == EV_DORMANT_M83:
+            self.dormant_events += 1
 
 
 # characters feed encodes per call of the producer loop

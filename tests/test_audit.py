@@ -343,20 +343,29 @@ def test_account_matches_a_fold_over_every_line(gcode_corpus):
 
 def decoded_lines(values):
     """accounted_lines over one G92 line per (sign, int, frac) value, and
-    for each line whether all its tokens were in the plain run."""
+    for each line where the scan put its X and E values: "plain" when
+    they reached groups 4 and 7 and nothing is left in rest (group 8),
+    "rest" when both groups are empty and rest holds the tokens."""
     doc = "".join(f"G92 X{s}{i}{'.' + f if f else ''} E{s}{i}{'.' + f if f else ''}\n" for s, i, f in values)
-    plain = [m[4] == "" for m in gcode._ACCOUNTED_RE.finditer("\n" + doc)]
+    routes = {
+        (True, True, False): "plain",
+        (False, False, True): "rest",
+    }
+    placed = [
+        routes.get((m[4] is not None, m[7] is not None, bool(m[8])))
+        for m in gcode._ACCOUNTED_RE.finditer("\n" + doc)
+    ]
     lines = list(gcode.accounted_lines(doc))
-    assert len(plain) == len(lines) == len(values)
-    return zip(lines, plain)
+    assert len(placed) == len(lines) == len(values)
+    return zip(lines, placed)
 
 
-def assert_decodes_to_raw(values, plain):
-    for ((_, number, decoded), was_plain), digits in zip(decoded_lines(values), values):
+def assert_decodes_to_raw(values, route):
+    for ((_, number, x, y, z, e), placed), digits in zip(decoded_lines(values), values):
         raw = raw_from_digits(*digits)
-        assert (number, was_plain, sorted(decoded)) == (92, plain, ["E", "X"]), digits
-        assert decoded["X"].hex() == (raw / SCALE).hex(), digits  # a -0.0 would show here
-        assert round(decoded["E"] * SCALE) == raw, digits  # as account reads E back
+        assert (number, placed, y, z) == (92, route, None, None), digits
+        assert x.hex() == (raw / SCALE).hex(), digits  # a -0.0 would show here
+        assert type(e) is int and e == raw, digits  # the raw value itself
 
 
 def test_plain_decode_is_raw_from_digits():
@@ -366,19 +375,46 @@ def test_plain_decode_is_raw_from_digits():
             if int_digits:
                 values.append((sign, int_digits, ""))
             values += [(sign, int_digits, f"{frac:04d}") for frac in range(10_000)]
-    assert_decodes_to_raw(values, plain=True)
+    assert_decodes_to_raw(values, "plain")
 
 
 def test_exact_decode_is_raw_from_digits():
     # a fifth decimal (which rounds) or a sixth integer digit leaves the
-    # plain run; the value is decoded by raw_from_digits itself
+    # plain run for rest; the value is decoded by raw_from_digits itself
     values = []
     for sign in ("", "+", "-"):
         for int_digits in ("", "0", "7", "99999", "100000", "0000214747"):
             values += [(sign, int_digits, f"{frac:05d}") for frac in range(0, 100_000, 7)]
             values += [(sign, int_digits, f"{frac:04d}67") for frac in range(0, 10_000, 13)]
         values += [(sign, "214748", "3647"), (sign, "214748", "36474"), (sign, "123456", "")]
-    assert_decodes_to_raw(values, plain=False)
+    assert_decodes_to_raw(values, "rest")
+
+
+# Where a token sits decides the group the scan reads it from: plain X,
+# Y, Z and E in that order, with any other plain letters before and after
+# them, reach groups 4-7; anything else goes to rest (group 8).  Either
+# way a letter's value is its first in the line.
+TOKEN_PLACEMENTS = [
+    # line, (x, y, z, e_raw) as accounted_lines yields them, rest
+    pytest.param("G1 E5 X1", (1.0, None, None, 50_000), " X1", id="E-before-X"),
+    pytest.param("G1 Y1 X2", (2.0, 1.0, None, None), " X2", id="Y-before-X"),
+    pytest.param("G1 X1 Y2 X3", (1.0, 2.0, None, None), " X3", id="repeated-X"),
+    pytest.param("G1 F1500 X1 Y2 E3", (1.0, 2.0, None, 30_000), "", id="cura-leading-F"),
+    pytest.param("G1 X1 Y2 E3 F1800", (1.0, 2.0, None, 30_000), "", id="prusa-trailing-F"),
+    pytest.param("G1 X1.00004 X2", (1.0, None, None, None), " X1.00004 X2", id="exact-then-plain-X"),
+    pytest.param("G92 Z0.3", (None, None, 0.3, None), "", id="G92-Z"),
+    pytest.param("G1 F123456.7 X1", (1.0, None, None, None), " F123456.7 X1", id="exact-F-before-X"),
+]
+
+
+@pytest.mark.parametrize("line, decoded, rest", TOKEN_PLACEMENTS)
+def test_token_placement_matches_the_fold(line, decoded, rest):
+    (m,) = gcode._ACCOUNTED_RE.finditer("\n" + line)
+    assert m[8] == rest
+    ((_, _, *values),) = gcode.accounted_lines(line + "\n")
+    assert tuple(values) == decoded
+    doc = "G1 X7 Y8 Z9 E1\n" + line + "\nG1 X5 E9\n"
+    assert account_outcome(doc) == oracle_outcome(doc)
 
 
 LONG = 200_000
@@ -390,6 +426,11 @@ LONG_LINES = [
     # plain tokens, then one the grammar refuses: the scan must not retry
     # each split of the run between plain tokens and the rest
     pytest.param("G1" + " X1" * (LONG // 3 - 1) + "!", True, id="plain-tokens-then-bang"),
+    # the same through the unread runs before and after plain X, Y, Z, E
+    pytest.param("G1" + " F1" * (LONG // 3 - 1) + "!", True, id="unread-tokens-then-bang"),
+    pytest.param(
+        "G1" + " F1" * (LONG // 6) + " X1" * (LONG // 6) + "!", True, id="unread-then-X-tokens-then-bang"
+    ),
 ]
 
 
