@@ -152,7 +152,7 @@ class AuditReport:
     def mass_grams(self) -> float:
         """The length proxy converted to grams of 2.85 mm PLA filament."""
         area_mm2 = math.pi * (FILAMENT_DIAMETER_MM / 2) ** 2
-        volume_cm3 = float(self.total_extrusion) * area_mm2 / 1000.0
+        volume_cm3 = self.total_extrusion.raw / SCALE * area_mm2 / 1000.0
         return volume_cm3 * DENSITY_G_CM3
 
     def to_dict(self) -> dict:

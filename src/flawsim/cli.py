@@ -73,8 +73,9 @@ def _add_policy_flags(parser: _Parser):
     group.add_argument("--relocate", metavar="N", type=int, choices=(2, 3, 4),
                        help="convert every N-th extruding move in the window")
     group.add_argument("--off", action="store_true", help="pass-through policy")
-    parser.add_argument("--window", nargs=2, type=int, default=(25, 75),
-                        metavar=("LO", "HI"), help="relocation progress window (default 25 75)")
+    window = (TamperPolicy.window_lo, TamperPolicy.window_hi)
+    parser.add_argument("--window", nargs=2, type=int, default=window, metavar=("LO", "HI"),
+                        help=f"relocation progress window (default {window[0]} {window[1]})")
 
 
 class NotText(FlawsimError):
@@ -130,7 +131,7 @@ def cmd_audit(args) -> int:
     if args.json:
         _out(args, report.to_json())
         return code
-    lines.insert(0, f"total extrusion: {report.total_extrusion} mm "
+    lines.insert(0, f"total extrusion: {report.total_extrusion.to_text()} mm "
                     f"({report.mass_grams():.3f} g at default filament)")
     lines.append(f"segments: {len(report.segments)}")
     if args.detect:
@@ -228,8 +229,8 @@ def cmd_pipeline(args) -> int:
     before = audit_mod.account(doc)
     after = audit_mod.account(output)
     percent = audit_mod.compare(before, after)
-    print(f"sent:     {before.total_extrusion} mm over {len(before.segments)} segments")
-    print(f"printed:  {after.total_extrusion} mm over {len(after.segments)} segments")
+    print(f"sent:     {before.total_extrusion.to_text()} mm over {len(before.segments)} segments")
+    print(f"printed:  {after.total_extrusion.to_text()} mm over {len(after.segments)} segments")
     print(f"material reduction: {percent:.2f}%")
     print(f"stream edits: {sim.stats.edits} edited, {sim.stats.conversions} converted, "
           f"{sim.stats.edits_skipped} skipped")

@@ -1,19 +1,18 @@
 """Signed fixed-point values at scale 10^4.
 
 This is the arithmetic both tampering paths share: the in-stream state
-machine accumulates digits to the same raw value parse() computes, so a
-value that round-trips here round-trips there.  Rounding is half away
-from zero everywhere (deterministic and sign-symmetric).
+machine accumulates digits to the same raw value raw_from_digits()
+computes, so a value that round-trips here round-trips there.  Rounding
+is half away from zero everywhere (deterministic and sign-symmetric).
 
-parse() honours at most five fractional digits: the fifth digit decides
-the final rounding and anything after it is ignored.  For finite decimal
-inputs that is exactly half-away-from-zero at four decimals.  Digits are
-ASCII 0-9 only, as in the firmware's NUMERIC().
+raw_from_digits() honours at most five fractional digits: the fifth digit
+decides the final rounding and anything after it is ignored.  For finite
+decimal inputs that is exactly half-away-from-zero at four decimals.
+Digits are ASCII 0-9 only, as in the firmware's NUMERIC().
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from .errors import FlawsimError
@@ -25,15 +24,10 @@ _MAX_INT_DIGITS = len(str(MAX_RAW // SCALE))
 # Sign, integer digits, fraction digits: at least one ASCII digit, at most
 # one point.  Python's \d would also take every Unicode decimal digit.
 VALUE_PATTERN = r"([-+]?)(?=\.?[0-9])([0-9]*)(?:\.([0-9]*))?"
-_LITERAL_RE = re.compile(VALUE_PATTERN)
 _FRAC_PAD = ("0000", "000", "00", "0", "")  # by number of fraction digits
 
 
 class FixedPointOverflow(FlawsimError):
-    pass
-
-
-class FixedPointSyntax(FlawsimError):
     pass
 
 
@@ -73,31 +67,19 @@ def raw_from_digits(sign: str, int_digits: str, frac_digits: str) -> int:
     return -raw if sign == "-" else raw
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class FixedPoint:
+    """An audit total: the raw value, held to the 32-bit budget."""
+
     raw: int  # value * 10^4
 
     def __post_init__(self):
         if abs(self.raw) > MAX_RAW:
             raise FixedPointOverflow(f"raw magnitude {self.raw} exceeds 32-bit budget")
 
-    @classmethod
-    def parse(cls, text: str) -> "FixedPoint":
-        """Parse a plain decimal literal ('2', '-1.5', '4.1234', '.5')."""
-        m = _LITERAL_RE.fullmatch(text.strip())
-        if m is None:
-            raise FixedPointSyntax(f"not a decimal literal: {text!r}")
-        return cls(raw_from_digits(*m.groups("")))
-
     def to_text(self) -> str:
         """Minimal-digit rendering: trailing zeros trimmed, <=4 decimals."""
         return format_raw(self.raw)
-
-    def __float__(self) -> float:
-        return self.raw / SCALE
-
-    def __str__(self) -> str:
-        return self.to_text()
 
 
 def format_raw(raw: int) -> str:

@@ -23,7 +23,7 @@ from .avr import (
     enc_sts,
     words_to_bytes,
 )
-from .fixedpoint import SCALE, FixedPoint
+from .fixedpoint import MAX_RAW, SCALE, FixedPointOverflow, format_raw
 from .memory import FlashImage, MemoryLayout
 from .stk500 import BootSession
 
@@ -154,10 +154,14 @@ def build_session(
 # --- g-code documents --------------------------------------------------------
 
 
-def _fp(value: float | int | str) -> FixedPoint:
-    if isinstance(value, FixedPoint):
-        return value
-    return FixedPoint.parse(str(value))
+LAYER_HEIGHT_RAW = 2_000  # 0.2 mm
+
+
+def _number(raw: int) -> str:
+    """A raw value as fixture text, refused past the 32-bit budget."""
+    if abs(raw) > MAX_RAW:
+        raise FixedPointOverflow(f"raw magnitude {raw} exceeds 32-bit budget")
+    return format_raw(raw)
 
 
 def generate_gcode(
@@ -166,7 +170,6 @@ def generate_gcode(
     extrusion_per_mm: float = 0.05,
     m73_step: int | None = 5,
     layers: int = 1,
-    layer_height: float = 0.2,
     travel_every: int | None = None,
     comments: bool = False,
     crlf: bool = False,
@@ -178,8 +181,10 @@ def generate_gcode(
     """A slicer-flavoured document: a serpentine path with absolute
     extrusion, optional progress markers, travels, comments and resets.
 
-    All numbers are emitted in canonical minimal form with at most three
-    decimals, so scaling by whole percents stays exact in fixed point.
+    All numbers are emitted in canonical minimal form: positions with at
+    most two decimals (segment_mm is rounded to hundredths), E with at most
+    three, so scaling by whole percents stays exact in fixed point.  A
+    value past the 32-bit budget raises FixedPointOverflow.
     """
     rng = random.Random(seed)
     eol = "\r\n" if crlf else "\n"
@@ -188,18 +193,17 @@ def generate_gcode(
         lines += [";FLAVOR:Marlin", ";Generated fixture", "M82", "G92 E0"]
     if m73_step is not None:
         lines.append("M73 P0")
-    e = FixedPoint(0)
-    x = 0.0
-    y = 0.0
+    x_raw = round(round(segment_mm, 2) * 100) * 100  # X alternates between this and 0
+    y_raw = 0
+    e_raw = 0
     total = segments * layers
     emitted = 0
     seg_e_raw = round(segment_mm * extrusion_per_mm * SCALE)
     seg_e_raw -= seg_e_raw % 10  # keep three decimals: exact under /100 scaling
-    next_marker = m73_step if m73_step is not None else None
+    next_marker = m73_step
     for layer in range(layers):
-        z = (layer + 1) * layer_height
-        lines.append(f"G0 X0 Y{_fp(round(y, 2))} Z{_fp(round(z, 2))}")
-        x = 0.0
+        y = _number(y_raw)
+        lines.append(f"G0 X0 Y{y} Z{_number((layer + 1) * LAYER_HEIGHT_RAW)}")
         for s in range(segments):
             emitted += 1
             jitter = 1.0
@@ -207,24 +211,25 @@ def generate_gcode(
                 jitter = 1.0 + rng.uniform(-flow_jitter, flow_jitter)
             delta_raw = max(10, round(seg_e_raw * jitter))
             delta_raw -= delta_raw % 10
-            e = FixedPoint(e.raw + delta_raw)
-            x = x + segment_mm if s % 2 == 0 else x - segment_mm
-            body = f"G1 X{_fp(round(x, 2))} Y{_fp(round(y, 2))} E{e}"
+            e_raw += delta_raw
+            x = _number(x_raw) if s % 2 == 0 else "0"
+            body = f"G1 X{x} Y{y} E{_number(e_raw)}"
             if comments and s % 7 == 0:
                 body += " ; perimeter"
             lines.append(body)
             if travel_every and emitted % travel_every == 0:
-                y += 1.0
-                lines.append(f"G0 X{_fp(round(x, 2))} Y{_fp(round(y, 2))}")
+                y_raw += SCALE
+                y = _number(y_raw)
+                lines.append(f"G0 X{x} Y{y}")
             if g92_reset_at is not None and emitted == g92_reset_at:
                 lines.append("G92 E0")
-                e = FixedPoint(0)
+                e_raw = 0
             if next_marker is not None:
                 progress = 100 * emitted // total
                 while next_marker <= progress:
                     lines.append(f"M73 P{next_marker}")
                     next_marker += m73_step
-        y += 2.0
+        y_raw += 2 * SCALE
     if next_marker is not None:
         while next_marker <= 100:
             lines.append(f"M73 P{next_marker}")

@@ -47,7 +47,7 @@ class TamperPolicy:
         return cls(Mode.REDUCTION, reduction_fraction=Fraction(fraction).limit_denominator(10**6))
 
     @classmethod
-    def relocation(cls, n: int, window_lo: int = 25, window_hi: int = 75) -> "TamperPolicy":
+    def relocation(cls, n: int, window_lo: int = window_lo, window_hi: int = window_hi) -> "TamperPolicy":
         return cls(Mode.RELOCATION, relocation_n=n, window_lo=window_lo, window_hi=window_hi)
 
     def reduction_percent(self) -> int:

@@ -89,7 +89,9 @@ def transform_reduction(doc: str, fraction) -> str:
     return "".join(out) + doc[done:]
 
 
-def transform_relocation(doc: str, n: int, window_lo: int = 25, window_hi: int = 75) -> str:
+def transform_relocation(
+    doc: str, n: int, window_lo: int = TamperPolicy.window_lo, window_hi: int = TamperPolicy.window_hi
+) -> str:
     """Convert the move holding every n-th target inside the window to a
     travel move: drop that target with its letter and space, and write 0
     over the command digit.  Raises RelativeExtrusionDetected on a switch

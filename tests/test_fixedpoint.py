@@ -1,4 +1,5 @@
 import random
+import re
 from decimal import ROUND_DOWN, ROUND_HALF_UP, Decimal
 from fractions import Fraction
 
@@ -6,47 +7,39 @@ import pytest
 
 from flawsim.fixedpoint import (
     MAX_RAW,
+    VALUE_PATTERN,
     FixedPoint,
     FixedPointOverflow,
-    FixedPointSyntax,
     div_round_half_away,
     format_raw,
+    raw_from_digits,
 )
 
+_LITERAL = re.compile(VALUE_PATTERN)
 
-def oracle_parse(text: str) -> int:
-    """Full-precision oracle: exact decimal, half away from zero at 1e-4."""
-    d = Decimal(text) * 10_000
-    return int(d.quantize(Decimal(1), rounding=ROUND_HALF_UP) if d >= 0 else
-               -(-d).quantize(Decimal(1), rounding=ROUND_HALF_UP))
+
+def decode_literal(text: str) -> int:
+    """Raw value of a whole decimal literal: raw_from_digits over a
+    VALUE_PATTERN fullmatch, the decode gcode and tamper run per value."""
+    m = _LITERAL.fullmatch(text)
+    assert m is not None, f"not a decimal literal: {text!r}"
+    return raw_from_digits(*m.groups(""))
 
 
 def test_parse_basics():
-    assert FixedPoint.parse("2").raw == 20_000
-    assert FixedPoint.parse("4.1234").raw == 41_234
-    assert FixedPoint.parse("-1.5").raw == -15_000
-    assert FixedPoint.parse("+0.25").raw == 2_500
-    assert FixedPoint.parse(".5").raw == 5_000
-    assert FixedPoint.parse("5.").raw == 50_000
+    assert decode_literal("2") == 20_000
+    assert decode_literal("4.1234") == 41_234
+    assert decode_literal("-1.5") == -15_000
+    assert decode_literal("+0.25") == 2_500
+    assert decode_literal(".5") == 5_000
+    assert decode_literal("5.") == 50_000
 
 
 def test_parse_rounds_fifth_fraction_digit_half_away():
-    assert FixedPoint.parse("0.41235").raw == 4_124  # 4123.5 rounds away
-    assert FixedPoint.parse("0.41234").raw == 4_123
-    assert FixedPoint.parse("-0.00005").raw == -1
-    assert FixedPoint.parse("1.0000049").raw == 10_000  # digits past the fifth ignored
-
-
-def test_parse_matches_decimal_oracle():
-    rng = random.Random(11)
-    for _ in range(500):
-        units = rng.randrange(0, 10_000)
-        frac_digits = rng.randrange(0, 6)
-        frac = "".join(str(rng.randrange(10)) for _ in range(frac_digits))
-        text = f"{units}.{frac}" if frac else str(units)
-        if rng.random() < 0.5:
-            text = "-" + text
-        assert FixedPoint.parse(text).raw == oracle_parse(text), text
+    assert decode_literal("0.41235") == 4_124  # 4123.5 rounds away
+    assert decode_literal("0.41234") == 4_123
+    assert decode_literal("-0.00005") == -1
+    assert decode_literal("1.0000049") == 10_000  # digits past the fifth ignored
 
 
 def decoder_oracle(text: str) -> int | None:
@@ -84,36 +77,49 @@ def random_literal(rng) -> str:
     return sign + int_part + "." + frac
 
 
+def plain_literal(rng) -> str:
+    """Up to four integer digits and five fraction digits, half negative."""
+    units = rng.randrange(0, 10_000)
+    frac_digits = rng.randrange(0, 6)
+    frac = "".join(str(rng.randrange(10)) for _ in range(frac_digits))
+    text = f"{units}.{frac}" if frac else str(units)
+    if rng.random() < 0.5:
+        text = "-" + text
+    return text
+
+
 def test_decoder_matches_decimal_oracle_with_ties_and_edges():
     rng = random.Random(606)
-    literals = _EDGE_LITERALS + [random_literal(rng) for _ in range(4000)]
+    plain = random.Random(11)
+    literals = (_EDGE_LITERALS + [random_literal(rng) for _ in range(4000)]
+                + [plain_literal(plain) for _ in range(500)])
     fraction_lengths = set()
     for text in literals:
         expect = decoder_oracle(text)
         if expect is None:
             with pytest.raises(FixedPointOverflow):
-                FixedPoint.parse(text)
+                decode_literal(text)
         else:
-            assert FixedPoint.parse(text).raw == expect, text
+            assert decode_literal(text) == expect, text
         fraction_lengths.add(len(text.partition(".")[2]))
     assert fraction_lengths == set(range(9))
 
 
 def test_parse_syntax_errors():
     # superscript two, Arabic-Indic three and fullwidth one are digits to
-    # isdigit() or \d, not to the firmware's NUMERIC()
+    # isdigit() or \d, not to the firmware's NUMERIC(): gcode and tamper
+    # read values through VALUE_PATTERN, so it must refuse them
     for bad in ("", "  ", "1.2.3", "abc", "--4", "1e3", ".", "\xb2", "\u0663", "1.\u0663", "\uff11"):
-        with pytest.raises(FixedPointSyntax):
-            FixedPoint.parse(bad)
+        assert _LITERAL.fullmatch(bad) is None, bad
 
 
 def test_parse_overflow():
     with pytest.raises(FixedPointOverflow):
-        FixedPoint.parse("9999999999")
+        decode_literal("9999999999")
     with pytest.raises(FixedPointOverflow):
-        FixedPoint.parse("9" * 5000)  # past int()'s digit limit: still an overflow
-    FixedPoint.parse("214748.3647")  # == MAX_RAW exactly
-    assert FixedPoint.parse("0" * 5000 + "1.5").raw == 15_000  # leading zeros fit
+        decode_literal("9" * 5000)  # past int()'s digit limit: still an overflow
+    assert decode_literal("214748.3647") == MAX_RAW
+    assert decode_literal("0" * 5000 + "1.5") == 15_000  # leading zeros fit
 
 
 def test_format_trims_trailing_zeros():
@@ -129,7 +135,7 @@ def test_format_parse_round_trip():
     rng = random.Random(5)
     for _ in range(300):
         raw = rng.randrange(-MAX_RAW, MAX_RAW)
-        assert FixedPoint.parse(format_raw(raw)).raw == raw
+        assert decode_literal(format_raw(raw)) == raw
 
 
 def test_scale_by_half_away_from_zero():
@@ -164,11 +170,11 @@ def test_div_round_half_away():
 
 
 def test_arithmetic_and_compare():
-    a, b = FixedPoint.parse("2.5"), FixedPoint.parse("1.25")
+    a, b = FixedPoint(decode_literal("2.5")), FixedPoint(decode_literal("1.25"))
     assert FixedPoint(a.raw - b.raw) == FixedPoint(12_500)
     assert FixedPoint(a.raw + b.raw).to_text() == "3.75"
-    assert b < a
-    assert float(b) == 1.25
-    assert str(FixedPoint(-25_000)) == "-2.5"
+    assert b.raw < a.raw
+    assert b.raw == 12_500
+    assert FixedPoint(-25_000).to_text() == "-2.5"
     with pytest.raises(FixedPointOverflow):
         FixedPoint(MAX_RAW + 1)

@@ -8,7 +8,7 @@ import pytest
 
 from flawsim import fixtures
 from flawsim.audit import account
-from flawsim.fixedpoint import FixedPoint, FixedPointOverflow
+from flawsim.fixedpoint import FixedPointOverflow
 from flawsim.gcode import parse_document, parse_line
 from flawsim.policy import TamperPolicy
 from flawsim.tamper import (
@@ -19,6 +19,7 @@ from flawsim.tamper import (
     transform_relocation,
 )
 from flawsim.uart import UartSimulation
+from test_fixedpoint import decode_literal
 
 THREE_MOVES = "G1 X1 Y2 E3\nG1 X2 Y3 E4\nG1 X3 Y4 E5\n"
 
@@ -140,7 +141,7 @@ def test_param_returns_first_duplicate():
 
 
 # The grammar as one regex over the code part of a line, checked with
-# fullmatch, and each value decoded by FixedPoint.parse: the reference the
+# fullmatch, and each value decoded by decode_literal: the reference the
 # one-walk parser is cross-checked against.
 _ORACLE_VALUE = r"[-+]?(?=\.?[0-9])[0-9]*(?:\.[0-9]*)?"
 _ORACLE_LINE = re.compile(rf" *([A-Z])([0-9]+)((?: +[A-Z]{_ORACLE_VALUE})*)\s*")
@@ -163,7 +164,7 @@ def oracle_parse(body):
     params = []
     for pm in _ORACLE_PARAM.finditer(code, m.start(3), m.end(3)):
         try:
-            params.append((pm[1], FixedPoint.parse(pm[2]).raw))
+            params.append((pm[1], decode_literal(pm[2])))
         except FixedPointOverflow:
             return bad(letter, number)
     return cmd(params, letter, number)
