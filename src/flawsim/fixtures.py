@@ -184,8 +184,11 @@ def generate_gcode(
     All numbers are emitted in canonical minimal form: positions with at
     most two decimals (segment_mm is rounded to hundredths), E with at most
     three, so scaling by whole percents stays exact in fixed point.  A
-    value past the 32-bit budget raises FixedPointOverflow.
+    value past the 32-bit budget raises FixedPointOverflow, and an
+    m73_step below 1 raises ValueError.
     """
+    if m73_step is not None and m73_step < 1:
+        raise ValueError(f"m73_step must be at least 1, got {m73_step}")
     rng = random.Random(seed)
     eol = "\r\n" if crlf else "\n"
     lines: list[str] = []

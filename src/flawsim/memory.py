@@ -173,7 +173,7 @@ def load_ihex(text: str, layout: MemoryLayout) -> FlashImage:
                     f"line {line_no}: data record ends at {addr + count:#x}, "
                     f"flash is {layout.flash_size:#x}"
                 )
-            image.write(addr, payload)
+            image.data[addr : addr + count] = payload
         elif rectype == _REC_EOF:
             break
         elif rectype == _REC_EXT_SEGMENT:
@@ -190,9 +190,11 @@ def load_ihex(text: str, layout: MemoryLayout) -> FlashImage:
 
 
 def _record(offset: int, rectype: int, payload: bytes) -> str:
-    body = bytes([len(payload), (offset >> 8) & 0xFF, offset & 0xFF, rectype]) + payload
-    checksum = (-sum(body)) & 0xFF
-    return ":" + (body + bytes([checksum])).hex().upper()
+    """One record in lowercase hex; dump_ihex upper-cases the document."""
+    rec = bytearray((len(payload), (offset >> 8) & 0xFF, offset & 0xFF, rectype))
+    rec += payload
+    rec.append(-sum(rec) & 0xFF)
+    return ":" + rec.hex()
 
 
 def dump_ihex(image: FlashImage, start: int = 0, end: int | None = None) -> str:
@@ -219,7 +221,7 @@ def dump_ihex(image: FlashImage, start: int = 0, end: int | None = None) -> str:
             if seg != segment:
                 lines.append(_record(0, _REC_EXT_LINEAR, bytes([(seg >> 8) & 0xFF, seg & 0xFF])))
                 segment = seg
-            lines.append(_record(lo & 0xFFFF, _REC_DATA, bytes(chunk)))
+            lines.append(_record(lo & 0xFFFF, _REC_DATA, chunk))
         row += 16
-    lines.append(":00000001FF")
-    return "\n".join(lines) + "\n"
+    lines.append(":00000001ff\n")
+    return "\n".join(lines).upper()

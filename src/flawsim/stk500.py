@@ -24,6 +24,7 @@ request/response; independent sessions share nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import avr
 from .avr import SpInitSite, apply_stack_steal
@@ -43,6 +44,9 @@ STATUS_CMD_OK = 0x00
 STATUS_CMD_FAILED = 0xC0
 
 SIGNATURE = b"AVRISP_2"
+
+_READ_FLASH_OK = bytes((CMD_READ_FLASH, STATUS_CMD_OK))
+_STATUS_OK = bytes((STATUS_CMD_OK,))
 
 
 class FrameError(FlawsimError):
@@ -73,8 +77,7 @@ class ProtocolError(FlawsimError):
     pass
 
 
-@dataclass(frozen=True)
-class Stk500Frame:
+class Stk500Frame(NamedTuple):
     sequence: int
     body: bytes
 
@@ -94,16 +97,18 @@ def _xor(data: bytes) -> int:
 def frame_encode(body: bytes, sequence: int = 0) -> bytes:
     if len(body) > 0xFFFF:
         raise ValueError("body exceeds 65535 bytes")
-    head = bytes([MESSAGE_START, sequence & 0xFF, len(body) >> 8, len(body) & 0xFF, TOKEN])
-    payload = head + bytes(body)
-    return payload + bytes([_xor(payload)])
+    payload = bytes((MESSAGE_START, sequence & 0xFF, len(body) >> 8, len(body) & 0xFF, TOKEN)) + body
+    return payload + bytes((_xor(payload),))
 
 
 def frame_decode(data: bytes) -> Stk500Frame:
     """Decode exactly one frame occupying the whole buffer."""
-    frame, used = _decode_prefix(data)
-    if used != len(data):
-        raise TrailingBytes(f"{len(data) - used} bytes after frame end")
+    total = _frame_length(data)
+    if len(data) < total:
+        raise Truncated(f"need {total} bytes, have {len(data)}")
+    frame = _checked_frame(data, total)
+    if total != len(data):
+        raise TrailingBytes(f"{len(data) - total} bytes after frame end")
     return frame
 
 
@@ -118,26 +123,26 @@ def _frame_length(data: bytes) -> int:
     return 6 + ((data[2] << 8) | data[3])
 
 
-def _decode_prefix(data: bytes) -> tuple[Stk500Frame, int]:
-    total = _frame_length(data)
-    if len(data) < total:
-        raise Truncated(f"need {total} bytes, have {len(data)}")
+def _checked_frame(data: bytes, total: int) -> Stk500Frame:
+    """The frame in data[:total], whose header _frame_length has checked."""
     # the XOR of a frame including its checksum byte is 0
     residue = _xor(data if len(data) == total else data[:total])
     if residue:
         stated = data[total - 1]
         raise ChecksumMismatch(f"computed {residue ^ stated:#04x}, frame says {stated:#04x}")
-    return Stk500Frame(sequence=data[1], body=bytes(data[5 : total - 1])), total
+    return Stk500Frame(data[1], bytes(data[5 : total - 1]))
 
 
 class FrameReader:
     """Incremental reassembly over an arbitrarily-chunked byte stream.
 
-    A frame is decoded once all of it is buffered.  BadStart and BadToken
-    raise from the feed that brings the buffered frame to 6 bytes;
-    ChecksumMismatch raises from the feed that completes it.  The bad bytes
-    stay buffered, so every later feed, however short, raises the same
-    error.  A feed that leaves the buffered frame short returns at once.
+    A feed may carry any number of bytes: the 7-byte cap on reads belongs
+    to PipeTransport.  A frame is decoded once all of it is buffered.
+    BadStart and BadToken raise from the feed that brings the buffered
+    frame to 6 bytes; ChecksumMismatch raises from the feed that completes
+    it.  The bad bytes stay buffered, so every later feed, however short,
+    raises the same error.  A feed that leaves the buffered frame short
+    returns at once.
     """
 
     def __init__(self):
@@ -151,16 +156,16 @@ class FrameReader:
             return []
         frames = []
         while True:
-            if not self._total:
+            total = self._total
+            if not total:
                 if len(buf) < 6:
                     return frames
-                self._total = _frame_length(buf)
-            if len(buf) < self._total:
+                total = self._total = _frame_length(buf)
+            if len(buf) < total:
                 return frames
-            frame, used = _decode_prefix(buf)
-            del buf[:used]
+            frames.append(_checked_frame(buf, total))
+            del buf[:total]
             self._total = 0
-            frames.append(frame)
 
 
 @dataclass
@@ -252,11 +257,11 @@ class BootSession:
         start = self.load_address
         if start + size > self.layout.flash_size:
             return bytes([CMD_READ_FLASH, STATUS_CMD_FAILED])
-        data = bytearray(self.image.read(start, size))
+        data = self.image.data[start : start + size]  # a copy, in bounds as checked
         if self._patch is not None:
             self._spoof_window(data, start)
         self.load_address = start + size
-        return bytes([CMD_READ_FLASH, STATUS_CMD_OK]) + bytes(data) + bytes([STATUS_CMD_OK])
+        return _READ_FLASH_OK + data + _STATUS_OK
 
     def _spoof_window(self, data: bytearray, start: int):
         """Present the pre-patch bytes wherever the window overlaps the
@@ -286,7 +291,7 @@ class BootSession:
 
 def serve(session: BootSession, request: Stk500Frame) -> Stk500Frame:
     """One request/response exchange; the response echoes the sequence."""
-    return Stk500Frame(sequence=request.sequence, body=session.handle(request.body))
+    return Stk500Frame(request.sequence, session.handle(request.body))
 
 
 # --- transports -------------------------------------------------------------
@@ -295,30 +300,34 @@ def serve(session: BootSession, request: Stk500Frame) -> Stk500Frame:
 class PipeTransport:
     """In-process byte-stream transport to a session.
 
-    Writes are parsed incrementally; responses queue up and are read back
-    in deliberately awkward 7-byte chunks so nothing downstream can rely
-    on message boundaries surviving the pipe.
+    Writes are parsed incrementally.  Responses queue as ``bytes`` in
+    ``pending``, read from offset ``_at`` (each write drops the read part).
+    The pipe caps every read at 7 bytes, so no message boundary survives.
     """
 
     def __init__(self, session: BootSession, transcript: list | None = None):
         self.session = session
         self.reader = FrameReader()
-        self.pending = bytearray()
+        self.pending = b""
+        self._at = 0
         self.transcript = transcript
 
     def write(self, data: bytes):
         if self.transcript is not None:
             self.transcript.append((">>", bytes(data)))
+        pending = self.pending[self._at :]
         for frame in self.reader.feed(data):
             reply = serve(self.session, frame)
             response = frame_encode(reply.body, reply.sequence)
             if self.transcript is not None:
                 self.transcript.append(("<<", response))
-            self.pending += response
+            pending += response
+        self.pending, self._at = pending, 0
 
     def read(self, n: int) -> bytes:
-        out = bytes(self.pending[: 7 if n > 7 else n])
-        del self.pending[: len(out)]
+        at = self._at
+        out = self.pending[at : at + (7 if n > 7 else n)]
+        self._at = at + len(out)
         return out
 
 

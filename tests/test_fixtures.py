@@ -33,3 +33,10 @@ def test_committed_hex_matches_the_builders():
 def test_generator_refuses_values_past_the_budget(params):
     with pytest.raises(FixedPointOverflow):
         fixtures.generate_gcode(**params)
+
+
+@pytest.mark.parametrize("step", [0, -1])
+def test_generator_refuses_an_m73_step_below_one(step):
+    # a step that does not move past the progress would emit M73 lines forever
+    with pytest.raises(ValueError, match="m73_step"):
+        fixtures.generate_gcode(segments=4, m73_step=step)

@@ -85,6 +85,17 @@ def test_load_rejects_out_of_range_data():
         load_ihex(line, small)
 
 
+def test_load_data_record_ending_exactly_at_flash_end():
+    small = MemoryLayout(flash_size=0x1000, boot_section_size=0x400)
+    fits = "020FFE00AABB"
+    img = load_ihex(f":{fits}{ihex_checksum(fits):02X}\n:00000001FF\n", small)
+    assert img.read(0xFFE, 2) == b"\xaa\xbb"
+    past = "020FFF00AABB"  # one byte past the end of flash
+    doc = f":{fits}{ihex_checksum(fits):02X}\n:{past}{ihex_checksum(past):02X}\n:00000001FF\n"
+    with pytest.raises(AddressOutOfRange, match=r"^line 2: data record ends at 0x1001"):
+        load_ihex(doc, small)
+
+
 def test_load_rejects_garbage():
     with pytest.raises(MalformedRecord):
         load_ihex("0000", LAYOUT)
@@ -172,3 +183,54 @@ def test_dump_row_with_embedded_erased_bytes_round_trips():
     img = FlashImage(LAYOUT)
     img.write(0x200, b"\x01\xff\x02")  # 0xFF inside a non-erased row survives
     assert load_ihex(dump_ihex(img), LAYOUT) == img
+
+
+def naive_record(offset: int, rectype: int, payload: bytes) -> str:
+    """Independent oracle: one record spelled a byte at a time."""
+    text, total = ":", 0
+    for b in [len(payload), offset >> 8, offset & 0xFF, rectype, *payload]:
+        text += f"{b:02X}"
+        total += b
+    return text + f"{-total % 256:02X}"
+
+
+def naive_dump(img: FlashImage, start: int, end: int) -> str:
+    """Rows of the absolute 16-byte grid clipped to [start, end); a row is
+    written when any byte in it is not 0xFF, after a type-04 record when
+    it opens a new 64 KiB segment."""
+    lines, segment = [], None
+    for row in range(start - start % 16, end, 16):
+        lo, hi = max(row, start), min(row + 16, end)
+        if all(img.data[a] == 0xFF for a in range(lo, hi)):
+            continue
+        if lo >> 16 != segment:
+            segment = lo >> 16
+            lines.append(naive_record(0, 0x04, bytes([segment >> 8, segment & 0xFF])))
+        lines.append(naive_record(lo & 0xFFFF, 0x00, bytes(img.data[lo:hi])))
+    return "".join(line + "\n" for line in lines) + ":00000001FF\n"
+
+
+def test_dump_matches_naive_record_writer():
+    rng = random.Random(5)
+    cases = []
+    for _ in range(5):  # random sparse images, whole flash
+        img = FlashImage(LAYOUT)
+        for _ in range(rng.randrange(1, 12)):
+            addr = rng.randrange(0, LAYOUT.flash_size - 64)
+            img.write(addr, rng.randbytes(rng.randrange(1, 48)))
+        cases.append((img, 0, LAYOUT.flash_size))
+    img = FlashImage(LAYOUT)
+    img.write(0x200, b"\x01\xff\xff\x02")  # embedded 0xFF bytes inside a row
+    img.write(0x2F0, b"\xff" * 7 + b"\x00")  # a row that only ends non-erased
+    cases.append((img, 0, 0x400))
+    img = FlashImage(LAYOUT)
+    img.write(0xFFF5, bytes(range(1, 23)))  # crosses the 64 KiB boundary mid-row
+    img.write(0x2FFFF, b"\x42\x43")  # and the next one at its last byte
+    cases.append((img, 0, LAYOUT.flash_size))
+    cases.append((img, 0xFFF7, 0x10003))  # unaligned start and end, one segment each
+    cases.append((img, 0x30000, 0x30001))
+    for _ in range(6):  # unaligned start and end on a random image
+        start = rng.randrange(0, 0x20000)
+        cases.append((cases[0][0], start, rng.randrange(start, 0x40000)))
+    for img, start, end in cases:
+        assert dump_ihex(img, start, end) == naive_dump(img, start, end), (start, end)

@@ -446,3 +446,35 @@ def test_frame_reader_keeps_raising_after_a_bad_frame(pos, error):
     for later in (b"\x1b", frame_encode(b"\x01", 2)[:3], frame_encode(b"\x01", 2), b"\x00"):
         with pytest.raises(error):
             reader.feed(later)
+
+
+def test_pipe_transport_queues_two_responses_behind_one_write():
+    transport = PipeTransport(fixtures.build_session(trojan=False))
+    transport.write(frame_encode(bytes([CMD_READ_FLASH, 0, 20]), 1) + frame_encode(bytes([CMD_SIGN_ON]), 2))
+    expected = [
+        frame_encode(bytes([CMD_READ_FLASH, STATUS_CMD_OK]) + b"\xff" * 20 + b"\x00", 1),
+        frame_encode(bytes([CMD_SIGN_ON, STATUS_CMD_OK, 8]) + b"AVRISP_2", 2),
+    ]
+    chunks = []
+    while chunk := transport.read(4096):
+        chunks.append(chunk)
+    assert all(0 < len(c) <= 7 for c in chunks)
+    assert b"".join(chunks) == b"".join(expected)
+    # no chunk ends where the first response does: one chunk straddles the two frames
+    ends = {sum(map(len, chunks[: i + 1])) for i in range(len(chunks))}
+    assert len(expected[0]) not in ends
+    reader = FrameReader()
+    frames = [frame for chunk in chunks for frame in reader.feed(chunk)]
+    assert frames == [frame_decode(raw) for raw in expected]
+    assert [f.sequence for f in frames] == [1, 2]
+
+
+def test_pipe_transport_write_keeps_the_unread_tail():
+    transport = PipeTransport(fixtures.build_session(trojan=False))
+    transport.write(frame_encode(bytes([CMD_SIGN_ON]), 1))
+    first = frame_encode(bytes([CMD_SIGN_ON, STATUS_CMD_OK, 8]) + b"AVRISP_2", 1)
+    got = transport.read(7) + transport.read(7)
+    transport.write(frame_encode(bytes([CMD_SIGN_ON]), 2))
+    while chunk := transport.read(4096):
+        got += chunk
+    assert got == first + frame_encode(first[5:-1], 2)
