@@ -277,24 +277,22 @@ def apply_stack_steal(image: FlashImage, site: SpInitSite, n: int = DEFAULT_STEA
 # --- ring-buffer discovery -------------------------------------------------
 
 
-def find_ring_buffer(
-    image: FlashImage,
-    rx_vector_index: int = DEFAULT_RX_VECTOR_INDEX,
-) -> RingBufferInfo:
+def find_ring_buffer(image: FlashImage) -> RingBufferInfo:
     """Walk the serial-receive ISR looking for back-to-back LDS loads.
 
-    The vector slot must hold a JMP; the walk follows JMP/RJMP, steps over
-    CALL, and falls through everything else.  Two consecutive LDS give the
-    head/tail pointer addresses; the buffer root sits 128 bytes below the
+    The modeled chip's RX vector slot, DEFAULT_RX_VECTOR_INDEX, must hold
+    a JMP; the walk follows JMP/RJMP, steps over CALL, and falls through
+    everything else.  Two consecutive LDS give the head/tail pointer
+    addresses; the buffer root sits HEAD_TAIL_TO_ROOT bytes below the
     smaller one.  Budget: 256 decoded instructions, then DormantAbort.
     """
-    vector_offset = rx_vector_index * 4
+    slot = DEFAULT_RX_VECTOR_INDEX
     try:
-        entry = decode(image, vector_offset)
+        entry = decode(image, slot * 4)
     except (OffsetOutOfRange, OddOffset) as exc:
-        raise DormantAbort(f"vector slot {rx_vector_index} unreadable: {exc}") from exc
+        raise DormantAbort(f"vector slot {slot} unreadable: {exc}") from exc
     if entry.kind is not Kind.JMP:
-        raise DormantAbort(f"vector slot {rx_vector_index} is not a jmp")
+        raise DormantAbort(f"vector slot {slot} is not a jmp")
 
     pc = entry.target
     prev: DecodedInsn | None = None

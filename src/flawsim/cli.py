@@ -145,7 +145,7 @@ def cmd_audit(args) -> int:
 def cmd_flash_sim(args) -> int:
     layout = load_layout(args.layout)
     firmware = memory.load_ihex(_read_text(args.firmware), layout)
-    session = fixtures.build_session(trojan=args.trojan, layout=layout, steal_n=args.steal)
+    session = fixtures.build_session(trojan=args.trojan, layout=layout)
     transcript: list | None = [] if args.transcript else None
     outcome = stk500.program_and_verify(firmware, session, transcript=transcript)
     if args.transcript:
@@ -181,7 +181,7 @@ def cmd_scan(args) -> int:
         return EXIT_OK
     if args.find_ringbuffer:
         try:
-            info = avr.find_ring_buffer(image, rx_vector_index=args.rx_vector)
+            info = avr.find_ring_buffer(image)
         except avr.DormantAbort as exc:
             print(f"ring buffer: dormant abort ({exc})")
             return EXIT_OK
@@ -212,7 +212,7 @@ def cmd_pipeline(args) -> int:
     print(f"install verified by naive tool: {outcome.verified} "
           f"(stored image differs: {outcome.stored_differs})")
     try:
-        info = avr.find_ring_buffer(session.image, rx_vector_index=args.rx_vector)
+        info = avr.find_ring_buffer(session.image)
     except avr.DormantAbort as exc:
         print(f"ring-buffer discovery failed, interceptor dormant: {exc}")
         info = None
@@ -264,7 +264,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("flash-sim", help="install firmware through a boot session")
     p.add_argument("firmware")
     p.add_argument("--trojan", action="store_true", help="enable the malicious bootloader")
-    p.add_argument("--steal", type=int, default=avr.DEFAULT_STEAL_BYTES)
     p.add_argument("--transcript", help="write wire transcript (hex lines)")
     p.add_argument("--layout")
     p.set_defaults(func=cmd_flash_sim)
@@ -275,7 +274,6 @@ def build_parser() -> _Parser:
     which.add_argument("--find-sp", action="store_true")
     which.add_argument("--find-ringbuffer", action="store_true")
     which.add_argument("--audit-boot", action="store_true")
-    p.add_argument("--rx-vector", type=int, default=avr.DEFAULT_RX_VECTOR_INDEX)
     p.add_argument("--json", action="store_true")
     p.add_argument("--layout")
     p.set_defaults(func=cmd_scan)
@@ -284,7 +282,6 @@ def build_parser() -> _Parser:
     p.add_argument("gcode")
     p.add_argument("firmware")
     _add_policy_flags(p)
-    p.add_argument("--rx-vector", type=int, default=avr.DEFAULT_RX_VECTOR_INDEX)
     p.add_argument("--trace", help="write a JSONL trace, one entry per stored byte")
     p.add_argument("-o", "--output", help="write the intercepted stream")
     p.add_argument("--layout")

