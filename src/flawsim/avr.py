@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import FlawsimError
-from .memory import AddressOutOfRange, FlashImage
+from .memory import AddressOutOfRange, FlashImage, MemoryLayout
 
 SPL_IO_ADDR = 0x3D
 SPH_IO_ADDR = 0x3E
@@ -27,14 +27,12 @@ IVSEL_BIT = 0x02
 DEFAULT_RX_VECTOR_INDEX = 20  # UART0 RX complete on the modeled chip
 DEFAULT_STEAL_BYTES = 15
 RING_WALK_BUDGET = 256
-HEAD_TAIL_TO_ROOT = 128
+_DATA_MEMORY_SIZE = 0x2200  # 256 B register/IO space + 8 KiB SRAM
+# the root offset under the default layout; find_ring_buffer reads the image's
+HEAD_TAIL_TO_ROOT = MemoryLayout.rx_buffer_size
 
 
 class OffsetOutOfRange(FlawsimError):
-    pass
-
-
-class OddOffset(FlawsimError):
     pass
 
 
@@ -47,10 +45,6 @@ class UnderflowWouldBorrow(FlawsimError):
 
 
 class DormantAbort(FlawsimError):
-    pass
-
-
-class AddressImplausible(FlawsimError):
     pass
 
 
@@ -151,9 +145,10 @@ def words_to_bytes(*words: int) -> bytes:
 
 
 def decode(image: FlashImage, offset: int) -> DecodedInsn:
-    """Decode one instruction at an even byte offset."""
+    """Decode one instruction at an even byte offset; an odd offset, or
+    one whose instruction runs past flash, raises OffsetOutOfRange."""
     if offset % 2:
-        raise OddOffset(f"instruction offset {offset:#x} is odd")
+        raise OffsetOutOfRange(f"instruction offset {offset:#x} is odd")
     if not 0 <= offset <= image.layout.flash_size - 2:
         raise OffsetOutOfRange(f"offset {offset:#x} outside flash")
     word = image.read_word(offset)
@@ -283,13 +278,15 @@ def find_ring_buffer(image: FlashImage) -> RingBufferInfo:
     The modeled chip's RX vector slot, DEFAULT_RX_VECTOR_INDEX, must hold
     a JMP; the walk follows JMP/RJMP, steps over CALL, and falls through
     everything else.  Two consecutive LDS give the head/tail pointer
-    addresses; the buffer root sits HEAD_TAIL_TO_ROOT bytes below the
-    smaller one.  Budget: 256 decoded instructions, then DormantAbort.
+    addresses; the buffer root sits the layout's rx_buffer_size bytes
+    below the smaller one.  Budget: 256 decoded instructions.  A walk that
+    runs out of budget or leaves flash, or a head, tail or root outside
+    the modeled chip's data memory, raises DormantAbort.
     """
     slot = DEFAULT_RX_VECTOR_INDEX
     try:
         entry = decode(image, slot * 4)
-    except (OffsetOutOfRange, OddOffset) as exc:
+    except OffsetOutOfRange as exc:
         raise DormantAbort(f"vector slot {slot} unreadable: {exc}") from exc
     if entry.kind is not Kind.JMP:
         raise DormantAbort(f"vector slot {slot} is not a jmp")
@@ -299,20 +296,15 @@ def find_ring_buffer(image: FlashImage) -> RingBufferInfo:
     for _ in range(RING_WALK_BUDGET):
         try:
             insn = decode(image, pc)
-        except (OffsetOutOfRange, OddOffset) as exc:
+        except OffsetOutOfRange as exc:
             raise DormantAbort(f"walk left flash at {pc:#x}") from exc
         if insn.kind is Kind.LDS and prev is not None and prev.kind is Kind.LDS:
             head, tail = prev.mem_addr, insn.mem_addr
-            root = min(head, tail) - HEAD_TAIL_TO_ROOT
-            layout = image.layout
-            if not (
-                layout.in_data_memory(head)
-                and layout.in_data_memory(tail)
-                and layout.in_data_memory(root)
-            ):
-                raise AddressImplausible(
+            root = min(head, tail) - image.layout.rx_buffer_size
+            if root < 0 or max(head, tail) >= _DATA_MEMORY_SIZE:
+                raise DormantAbort(
                     f"head {head:#06x} / tail {tail:#06x} / root {root:#06x} "
-                    f"not all inside {layout.data_memory_size:#x} bytes of data memory"
+                    f"not all inside {_DATA_MEMORY_SIZE:#x} bytes of data memory"
                 )
             return RingBufferInfo(head_addr=head, tail_addr=tail, root_addr=root)
         prev = insn
@@ -365,7 +357,7 @@ def audit_bootloader(image: FlashImage) -> list[Finding]:
     insns: list[DecodedInsn] = []
     offset = layout.boot_start
     programmed = len(image.data[offset:].rstrip(b"\xff"))
-    # at least one word, so an odd section start still raises OddOffset
+    # at least one word, so an odd section start still raises OffsetOutOfRange
     stop = min(layout.flash_size - 1, offset + max(programmed, 1))
     while offset < stop:
         insn = decode(image, offset)

@@ -8,7 +8,8 @@ Exit codes are a contract for CI gating:
     3  input could not be parsed
 
 A memory layout JSON (fields of MemoryLayout) can be supplied with
---layout or the FLAWSIM_LAYOUT environment variable.
+--layout.  flawsim pipeline streams its input verbatim when the install
+chain went dormant: no stack steal, or no plausible ring buffer.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -43,19 +43,18 @@ class _Parser(argparse.ArgumentParser):
 def load_layout(path: str | None) -> MemoryLayout:
     """The layout a JSON object of MemoryLayout fields gives; ValueError
     for anything else, naming the field at fault."""
-    source = path or os.environ.get("FLAWSIM_LAYOUT")
-    if not source:
+    if not path:
         return MemoryLayout()
-    with open(source) as fh:
+    with open(path) as fh:
         fields = json.load(fh)
     if not isinstance(fields, dict):
-        raise ValueError(f"layout {source}: expected a JSON object of MemoryLayout fields")
+        raise ValueError(f"layout {path}: expected a JSON object of MemoryLayout fields")
     known = {f.name for f in dataclasses.fields(MemoryLayout)}
     for name, value in fields.items():
         if name not in known:
-            raise ValueError(f"layout {source}: unknown field {name!r}")
+            raise ValueError(f"layout {path}: unknown field {name!r}")
         if type(value) is not int:
-            raise ValueError(f"layout {source}: field {name!r} must be an integer, not {value!r}")
+            raise ValueError(f"layout {path}: field {name!r} must be an integer, not {value!r}")
     return MemoryLayout(**fields)
 
 
@@ -211,11 +210,17 @@ def cmd_pipeline(args) -> int:
     outcome = stk500.program_and_verify(firmware, session)
     print(f"install verified by naive tool: {outcome.verified} "
           f"(stored image differs: {outcome.stored_differs})")
-    try:
-        info = avr.find_ring_buffer(session.image)
-    except avr.DormantAbort as exc:
-        print(f"ring-buffer discovery failed, interceptor dormant: {exc}")
-        info = None
+    info = None
+    if session.sp_site is None:
+        print("stack steal failed, interceptor dormant: no stack-pointer init was patched")
+    else:
+        try:
+            info = avr.find_ring_buffer(session.image)
+        except avr.DormantAbort as exc:
+            print(f"ring-buffer discovery failed, interceptor dormant: {exc}")
+    if info is None:
+        policy.param_byte()  # a fraction the stream cannot carry stays a usage error
+        policy = TamperPolicy.off()
     trace: list | None = [] if args.trace else None
     sim = UartSimulation(policy, rx_buffer_size=layout.rx_buffer_size, ring_info=info,
                          trace=trace)

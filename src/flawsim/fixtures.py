@@ -116,12 +116,11 @@ def build_trojan_bootloader(layout: MemoryLayout = DEFAULT_LAYOUT) -> FlashImage
             enc_rjmp(-1),
         ),
     )
-    app_rx_vector = layout.app_vector_base + avr.DEFAULT_RX_VECTOR_INDEX * 4
     image.write(
         wrapper,
         words_to_bytes(
             _PUSH_R18,
-            *enc_call(app_rx_vector),
+            *enc_call(avr.DEFAULT_RX_VECTOR_INDEX * 4),
             CLI_WORD,
             _EOR_R1_R1,
             RETI_WORD,

@@ -16,33 +16,12 @@ from .errors import FlawsimError
 
 
 class IntelHexError(FlawsimError):
-    pass
-
-
-class MalformedRecord(IntelHexError):
     def __init__(self, line_no: int, reason: str):
         super().__init__(f"line {line_no}: {reason}")
         self.line_no = line_no
 
 
-class ChecksumMismatch(IntelHexError):
-    def __init__(self, line_no: int):
-        super().__init__(f"line {line_no}: record checksum mismatch")
-        self.line_no = line_no
-
-
-class UnsupportedRecordType(IntelHexError):
-    def __init__(self, line_no: int, rectype: int):
-        super().__init__(f"line {line_no}: unsupported record type {rectype:02X}")
-        self.line_no = line_no
-        self.rectype = rectype
-
-
 class AddressOutOfRange(FlawsimError):
-    pass
-
-
-class RegionOutOfRange(FlawsimError):
     pass
 
 
@@ -57,8 +36,6 @@ class MemoryLayout:
 
     flash_size: int = 256 * 1024
     boot_section_size: int = 8192
-    app_vector_base: int = 0x0000
-    data_memory_size: int = 0x2200  # 256 B register/IO space + 8 KiB SRAM
     rx_buffer_size: int = 128
     page_size: int = 256
 
@@ -71,8 +48,6 @@ class MemoryLayout:
             raise ValueError("rx_buffer_size must be a power of two")
         if self.page_size <= 0:
             raise ValueError("page_size must be positive")
-        if self.data_memory_size <= 0:
-            raise ValueError("data_memory_size must be positive")
 
     @property
     def boot_start(self) -> int:
@@ -80,9 +55,6 @@ class MemoryLayout:
 
     def in_app_region(self, addr: int) -> bool:
         return 0 <= addr < self.boot_start
-
-    def in_data_memory(self, addr: int) -> bool:
-        return 0 <= addr < self.data_memory_size
 
 
 @dataclass
@@ -152,18 +124,18 @@ def load_ihex(text: str, layout: MemoryLayout) -> FlashImage:
         if not line:
             continue
         if not line.startswith(":"):
-            raise MalformedRecord(line_no, "missing ':' start code")
+            raise IntelHexError(line_no, "missing ':' start code")
         try:
             rec = bytes.fromhex(line[1:])
         except ValueError:
-            raise MalformedRecord(line_no, "invalid hex digits") from None
+            raise IntelHexError(line_no, "invalid hex digits") from None
         if len(rec) < 5:
-            raise MalformedRecord(line_no, "record too short")
+            raise IntelHexError(line_no, "record too short")
         count, addr_hi, addr_lo, rectype = rec[0], rec[1], rec[2], rec[3]
         if len(rec) != count + 5:
-            raise MalformedRecord(line_no, "length field disagrees with record size")
+            raise IntelHexError(line_no, "length field disagrees with record size")
         if sum(rec) & 0xFF:
-            raise ChecksumMismatch(line_no)
+            raise IntelHexError(line_no, "record checksum mismatch")
         payload = rec[4 : 4 + count]
         offset = (addr_hi << 8) | addr_lo
         if rectype == _REC_DATA:
@@ -178,14 +150,14 @@ def load_ihex(text: str, layout: MemoryLayout) -> FlashImage:
             break
         elif rectype == _REC_EXT_SEGMENT:
             if count != 2:
-                raise MalformedRecord(line_no, "type-02 record needs 2 data bytes")
+                raise IntelHexError(line_no, "type-02 record needs 2 data bytes")
             base = ((payload[0] << 8) | payload[1]) << 4
         elif rectype == _REC_EXT_LINEAR:
             if count != 2:
-                raise MalformedRecord(line_no, "type-04 record needs 2 data bytes")
+                raise IntelHexError(line_no, "type-04 record needs 2 data bytes")
             base = ((payload[0] << 8) | payload[1]) << 16
         else:
-            raise UnsupportedRecordType(line_no, rectype)
+            raise IntelHexError(line_no, f"unsupported record type {rectype:02X}")
     return image
 
 
@@ -197,31 +169,24 @@ def _record(offset: int, rectype: int, payload: bytes) -> str:
     return ":" + rec.hex()
 
 
-def dump_ihex(image: FlashImage, start: int = 0, end: int | None = None) -> str:
-    """Serialize [start, end) as canonical 16-byte data records.
+def dump_ihex(image: FlashImage) -> str:
+    """Serialize the whole image as canonical 16-byte data records.
 
-    Rows on the absolute 16-byte grid that are entirely 0xFF are elided.
-    A type-04 extended linear address record precedes the first data
-    record of every 64 KiB segment that contains data.  Always ends with
-    the type-01 EOF record and a trailing newline.
+    Rows on the 16-byte grid that are entirely 0xFF are elided.  A type-04
+    extended linear address record precedes the first data record of
+    every 64 KiB segment that contains data.  Always ends with the type-01
+    EOF record and a trailing newline.
     """
-    if end is None:
-        end = image.layout.flash_size
-    if not (0 <= start <= end <= image.layout.flash_size):
-        raise RegionOutOfRange(f"[{start:#x}, {end:#x}) outside flash")
+    data = image.data
     lines = []
     segment = None
-    row = start - (start % 16)
-    while row < end:
-        lo = max(row, start)
-        hi = min(row + 16, end)
-        chunk = image.data[lo:hi]
+    for row in range(0, len(data), 16):
+        chunk = data[row : row + 16]
         if chunk.strip(b"\xff"):
-            seg = lo >> 16
+            seg = row >> 16
             if seg != segment:
                 lines.append(_record(0, _REC_EXT_LINEAR, bytes([(seg >> 8) & 0xFF, seg & 0xFF])))
                 segment = seg
-            lines.append(_record(lo & 0xFFFF, _REC_DATA, chunk))
-        row += 16
+            lines.append(_record(row & 0xFFFF, _REC_DATA, chunk))
     lines.append(":00000001ff\n")
     return "\n".join(lines).upper()

@@ -53,26 +53,6 @@ class FrameError(FlawsimError):
     pass
 
 
-class BadStart(FrameError):
-    pass
-
-
-class BadToken(FrameError):
-    pass
-
-
-class ChecksumMismatch(FrameError):
-    pass
-
-
-class Truncated(FrameError):
-    pass
-
-
-class TrailingBytes(FrameError):
-    pass
-
-
 class ProtocolError(FlawsimError):
     pass
 
@@ -105,21 +85,21 @@ def frame_decode(data: bytes) -> Stk500Frame:
     """Decode exactly one frame occupying the whole buffer."""
     total = _frame_length(data)
     if len(data) < total:
-        raise Truncated(f"need {total} bytes, have {len(data)}")
+        raise FrameError(f"need {total} bytes, have {len(data)}")
     frame = _checked_frame(data, total)
     if total != len(data):
-        raise TrailingBytes(f"{len(data) - total} bytes after frame end")
+        raise FrameError(f"{len(data) - total} bytes after frame end")
     return frame
 
 
 def _frame_length(data: bytes) -> int:
     """Length of the frame at the start of data, from its checked header."""
     if len(data) < 6:
-        raise Truncated("frame header incomplete")
+        raise FrameError("frame header incomplete")
     if data[0] != MESSAGE_START:
-        raise BadStart(f"expected {MESSAGE_START:#04x}, got {data[0]:#04x}")
+        raise FrameError(f"expected {MESSAGE_START:#04x}, got {data[0]:#04x}")
     if data[4] != TOKEN:
-        raise BadToken(f"expected {TOKEN:#04x}, got {data[4]:#04x}")
+        raise FrameError(f"expected {TOKEN:#04x}, got {data[4]:#04x}")
     return 6 + ((data[2] << 8) | data[3])
 
 
@@ -129,7 +109,7 @@ def _checked_frame(data: bytes, total: int) -> Stk500Frame:
     residue = _xor(data if len(data) == total else data[:total])
     if residue:
         stated = data[total - 1]
-        raise ChecksumMismatch(f"computed {residue ^ stated:#04x}, frame says {stated:#04x}")
+        raise FrameError(f"computed {residue ^ stated:#04x}, frame says {stated:#04x}")
     return Stk500Frame(data[1], bytes(data[5 : total - 1]))
 
 
@@ -138,11 +118,11 @@ class FrameReader:
 
     A feed may carry any number of bytes: the 7-byte cap on reads belongs
     to PipeTransport.  A frame is decoded once all of it is buffered.
-    BadStart and BadToken raise from the feed that brings the buffered
-    frame to 6 bytes; ChecksumMismatch raises from the feed that completes
-    it.  The bad bytes stay buffered, so every later feed, however short,
-    raises the same error.  A feed that leaves the buffered frame short
-    returns at once.
+    A bad start byte or token raises FrameError from the feed that brings
+    the buffered frame to 6 bytes; a bad checksum raises it from the feed
+    that completes the frame.  The bad bytes stay buffered, so every later
+    feed, however short, raises the same error.  A feed that leaves the
+    buffered frame short returns at once.
     """
 
     def __init__(self):

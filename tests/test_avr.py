@@ -9,12 +9,10 @@ from flawsim.avr import (
     IVSEL_BIT,
     MCUCR_IO_ADDR,
     RETI_WORD,
-    AddressImplausible,
     DecodedInsn,
     DormantAbort,
     Finding,
     Kind,
-    OddOffset,
     OffsetOutOfRange,
     PatternNotFound,
     UnderflowWouldBorrow,
@@ -86,7 +84,7 @@ def test_decode_rjmp_negative_displacement():
 
 def test_decode_errors():
     img = FlashImage(LAYOUT)
-    with pytest.raises(OddOffset):
+    with pytest.raises(OffsetOutOfRange, match=r"^instruction offset 0x101 is odd$"):
         decode(img, 0x101)
     with pytest.raises(OffsetOutOfRange):
         decode(img, LAYOUT.flash_size)
@@ -319,6 +317,21 @@ def test_find_ring_buffer_listing_shape():
     assert info.root_addr == 0x02A3  # min(0x323, 0x324) - 128
 
 
+@pytest.mark.parametrize("ring, root", [(128, 0x02A3), (32, 0x0303)],
+                         ids=["128-byte ring", "32-byte ring"])
+def test_find_ring_buffer_root_sits_one_ring_below_head_and_tail(ring, root):
+    img = fixtures.build_app_image(MemoryLayout(rx_buffer_size=ring))
+    info = find_ring_buffer(img)
+    assert info.root_addr == root == min(fixtures.RX_HEAD_ADDR, fixtures.RX_TAIL_ADDR) - ring
+
+
+def test_find_ring_buffer_root_below_data_memory_aborts():
+    # head and tail are in data memory, but a 1 KiB ring would start below it
+    img = fixtures.build_app_image(MemoryLayout(rx_buffer_size=1024))
+    with pytest.raises(DormantAbort, match=r"root -0x0dd"):
+        find_ring_buffer(img)
+
+
 def test_find_ring_buffer_follows_jumps_and_steps_over_calls():
     img = FlashImage(LAYOUT)
     img.write(0x50, words_to_bytes(*enc_jmp(0x1000)))
@@ -360,7 +373,7 @@ def test_find_ring_buffer_implausible_addresses():
     img = FlashImage(LAYOUT)
     img.write(0x50, words_to_bytes(*enc_jmp(0x1000)))
     img.write(0x1000, words_to_bytes(*enc_lds(18, 0x4000), *enc_lds(30, 0x4001)))
-    with pytest.raises(AddressImplausible):
+    with pytest.raises(DormantAbort, match=r"not all inside 0x2200 bytes of data memory$"):
         find_ring_buffer(img)
 
 

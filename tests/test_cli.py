@@ -94,6 +94,35 @@ def test_scan_find_ringbuffer(capsys):
     assert payload == {"head_addr": 0x324, "tail_addr": 0x323, "root_addr": 0x2A3}
 
 
+@pytest.mark.parametrize("layout, root", [(None, "0x02a3"), ({"rx_buffer_size": 32}, "0x0303")],
+                         ids=["default ring", "32-byte ring"])
+def test_scan_find_ringbuffer_root_follows_the_layout(tmp_path, capsys, layout, root):
+    argv = ["scan", APP_HEX, "--find-ringbuffer"]
+    if layout is not None:
+        (tmp_path / "ring.json").write_text(json.dumps(layout))
+        argv += ["--layout", tmp_path / "ring.json"]
+    code, text = run(capsys, *argv)
+    assert code == 0
+    assert text == f"ring buffer: head @0x0324 tail @0x0323 root @{root}\n"
+
+
+def implausible_ring_image():
+    """The application image with its ISR's first LDS reading 0x4000,
+    past the end of data memory."""
+    image = fixtures.build_app_image()
+    image.write(fixtures.APP_RX_ISR_OFFSET + 14, b"\x00\x40")
+    return image
+
+
+def test_scan_implausible_ring_is_a_dormant_abort(tmp_path, capsys):
+    hex_path = tmp_path / "implausible.hex"
+    hex_path.write_text(dump_ihex(implausible_ring_image()))
+    code, text = run(capsys, "scan", hex_path, "--find-ringbuffer")
+    assert code == 0
+    assert text == ("ring buffer: dormant abort (head 0x4000 / tail 0x0323 / root 0x02a3 "
+                    "not all inside 0x2200 bytes of data memory)\n")
+
+
 def test_scan_audit_boot_exit_codes(capsys):
     code, text = run(capsys, "scan", BOOT_TROJAN_HEX, "--audit-boot")
     assert code == 2
@@ -185,6 +214,35 @@ def test_pipeline_passes_values_without_room_for_their_edit(tmp_path, capsys):
     assert out.read_text() == doc.read_text()
 
 
+def no_rx_jmp_image():
+    """The application image with its RX vector slot zeroed: no JMP to follow."""
+    image = fixtures.build_app_image()
+    image.write(20 * 4, bytes(4))
+    return image
+
+
+@pytest.mark.parametrize("firmware, reason", [
+    (no_rx_jmp_image, "ring-buffer discovery failed, interceptor dormant: vector slot 20 is not a jmp"),
+    (implausible_ring_image, "ring-buffer discovery failed, interceptor dormant: head 0x4000"),
+    (lambda: fixtures.build_app_image(spl=0x05),
+     "stack steal failed, interceptor dormant: no stack-pointer init was patched"),
+], ids=["no rx jmp", "implausible ring", "steal dormant"])
+def test_pipeline_streams_verbatim_when_the_chain_is_dormant(tmp_path, capsys, firmware, reason):
+    hex_path = tmp_path / "firmware.hex"
+    hex_path.write_text(dump_ihex(firmware()))
+    doc = tmp_path / "in.gcode"
+    doc.write_text("G1 X1 E2\n")
+    out = tmp_path / "out.gcode"
+    code, text = run(capsys, "pipeline", doc, hex_path, "--reduce", "0.5", "-o", out)
+    assert code == 0
+    assert reason in text
+    assert "material reduction: 0.00%" in text
+    assert "stream edits: 0 edited, 0 converted, 0 skipped" in text
+    assert out.read_bytes() == doc.read_bytes()
+    # a fraction the stream cannot carry stays a usage error on a dormant chain
+    assert main(["pipeline", str(doc), str(hex_path), "--reduce", "0.333"]) == 1
+
+
 def test_parse_error_exits_three(tmp_path, capsys):
     bad = tmp_path / "bad.hex"
     bad.write_text(":deadbeef\n")
@@ -222,7 +280,7 @@ def test_audit_extrusion_overflow_exits_three_with_line(tmp_path, capsys):
     assert "line 2:" in capsys.readouterr().err
 
 
-def test_layout_env_var(tmp_path, capsys, monkeypatch):
+def test_layout_flag_reads_a_small_layout(tmp_path, capsys):
     layout_json = tmp_path / "layout.json"
     layout_json.write_text(json.dumps({"flash_size": 0x8000, "boot_section_size": 0x1000}))
     small_app = fixtures.build_app_image(
@@ -232,8 +290,7 @@ def test_layout_env_var(tmp_path, capsys, monkeypatch):
     )
     hex_path = tmp_path / "small.hex"
     hex_path.write_text(dump_ihex(small_app))
-    monkeypatch.setenv("FLAWSIM_LAYOUT", str(layout_json))
-    code, text = run(capsys, "scan", hex_path, "--find-sp", "--json")
+    code, text = run(capsys, "scan", hex_path, "--find-sp", "--json", "--layout", layout_json)
     assert code == 0
     assert json.loads(text)["offset"] == 0x1000
 
@@ -242,17 +299,15 @@ def test_layout_env_var(tmp_path, capsys, monkeypatch):
     ({"boot_sectio_size": 4096}, "'boot_sectio_size'"),
     ([1, 2], "JSON object"),
     ({"flash_size": "big"}, "'flash_size'"),
-], ids=["unknown field", "not an object", "not an integer"])
-def test_malformed_layout_exits_one_naming_the_field(tmp_path, capsys, monkeypatch, fields, named):
+    ({"app_vector_base": 0}, "'app_vector_base'"),
+    ({"data_memory_size": 0x2200}, "'data_memory_size'"),
+], ids=["unknown field", "not an object", "not an integer", "app_vector_base", "data_memory_size"])
+def test_malformed_layout_exits_one_naming_the_field(tmp_path, capsys, fields, named):
     layout_json = tmp_path / "bad.json"
     layout_json.write_text(json.dumps(fields))
     assert main(["scan", APP_HEX, "--find-sp", "--layout", str(layout_json)]) == 1
-    by_flag = capsys.readouterr().err
-    monkeypatch.setenv("FLAWSIM_LAYOUT", str(layout_json))
-    assert main(["scan", APP_HEX, "--find-sp"]) == 1
-    by_env = capsys.readouterr().err
-    for err in (by_flag, by_env):
-        assert err.startswith("error: ") and named in err, err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err, err
 
 
 def test_determinism_identical_runs(capsys, tmp_path, gcode_file):

@@ -4,12 +4,9 @@ import pytest
 
 from flawsim.memory import (
     AddressOutOfRange,
-    ChecksumMismatch,
     FlashImage,
-    MalformedRecord,
+    IntelHexError,
     MemoryLayout,
-    RegionOutOfRange,
-    UnsupportedRecordType,
     dump_ihex,
     load_ihex,
 )
@@ -65,7 +62,7 @@ def test_load_places_listing_bytes():
 def test_load_rejects_bad_checksum():
     record = "0839E000" + LISTING_BYTES.hex().upper()
     bad = f":{record}{(ihex_checksum(record) ^ 0x01):02X}"
-    with pytest.raises(ChecksumMismatch) as err:
+    with pytest.raises(IntelHexError, match=r"^line 1: record checksum mismatch$") as err:
         load_ihex(bad, LAYOUT)
     assert err.value.line_no == 1
 
@@ -73,8 +70,9 @@ def test_load_rejects_bad_checksum():
 def test_load_rejects_unknown_record_type():
     record = "020000030000"  # type 03 (start segment address)
     line = f":{record}{ihex_checksum(record):02X}"
-    with pytest.raises(UnsupportedRecordType):
+    with pytest.raises(IntelHexError, match=r"^line 1: unsupported record type 03$") as err:
         load_ihex(line, LAYOUT)
+    assert err.value.line_no == 1
 
 
 def test_load_rejects_out_of_range_data():
@@ -97,9 +95,9 @@ def test_load_data_record_ending_exactly_at_flash_end():
 
 
 def test_load_rejects_garbage():
-    with pytest.raises(MalformedRecord):
+    with pytest.raises(IntelHexError, match=r"^line 1: missing ':' start code$"):
         load_ihex("0000", LAYOUT)
-    with pytest.raises(MalformedRecord):
+    with pytest.raises(IntelHexError, match=r"^line 1: invalid hex digits$"):
         load_ihex(":zz000001FF", LAYOUT)
 
 
@@ -114,36 +112,30 @@ def test_extended_segment_record_offsets_addresses():
 
 def test_dump_erased_region_is_eof_only():
     img = FlashImage(LAYOUT)
-    assert dump_ihex(img, 0, 0x1000) == ":00000001FF\n"
+    assert dump_ihex(img) == ":00000001FF\n"
 
 
 def test_dump_single_record_with_correct_checksum():
     img = FlashImage(LAYOUT)
     img.write(0x39E0, LISTING_BYTES)
-    out = dump_ihex(img, 0x39E0, 0x39E8)
+    out = dump_ihex(img)
     lines = out.strip().splitlines()
     data_records = [ln for ln in lines if ln[7:9] == "00"]
     assert len(data_records) == 1
     rec = data_records[0]
-    assert rec[1:9] == "0839E000"
+    assert rec[1:9] == "1039E000"  # the whole 16-byte row, its erased tail included
     assert rec.endswith(f"{ihex_checksum(rec[1:-2]):02X}")
-    assert bytes.fromhex(rec[9:-2]) == LISTING_BYTES
+    assert bytes.fromhex(rec[9:-2]) == LISTING_BYTES + b"\xff" * 8
 
 
 def test_dump_70000_byte_region_has_two_type04_records():
     img = FlashImage(LAYOUT)
     rng = random.Random(1)
     img.write(0, bytes(rng.randrange(0, 255) for _ in range(70_000)))
-    out = dump_ihex(img, 0, 70_000)
+    out = dump_ihex(img)
     type04 = [ln for ln in out.splitlines() if ln[7:9] == "04"]
-    # oracle: number of 64 KiB segments covered by [0, 70000)
+    # oracle: number of 64 KiB segments the 70,000 written bytes cover
     assert len(type04) == (70_000 - 1) // 0x10000 - 0 // 0x10000 + 1 == 2
-
-
-def test_dump_region_out_of_range():
-    img = FlashImage(LAYOUT)
-    with pytest.raises(RegionOutOfRange):
-        dump_ihex(img, 0, LAYOUT.flash_size + 1)
 
 
 def test_round_trip_random_sparse_images():
@@ -169,16 +161,6 @@ def test_write_then_read_word_little_endian():
     assert img.read_word(0x100) == 0xEFCF
 
 
-def test_dump_unaligned_region_boundaries():
-    img = FlashImage(LAYOUT)
-    img.write(0x100, bytes(range(1, 65)))
-    out = dump_ihex(img, 0x105, 0x13B)  # cuts into first and last rows
-    reloaded = load_ihex(out, LAYOUT)
-    assert reloaded.read(0x105, 0x13B - 0x105) == img.read(0x105, 0x13B - 0x105)
-    assert reloaded.read(0x100, 5) == b"\xff" * 5  # outside region: untouched
-    assert reloaded.read(0x13B, 5) == b"\xff" * 5
-
-
 def test_dump_row_with_embedded_erased_bytes_round_trips():
     img = FlashImage(LAYOUT)
     img.write(0x200, b"\x01\xff\x02")  # 0xFF inside a non-erased row survives
@@ -194,43 +176,37 @@ def naive_record(offset: int, rectype: int, payload: bytes) -> str:
     return text + f"{-total % 256:02X}"
 
 
-def naive_dump(img: FlashImage, start: int, end: int) -> str:
-    """Rows of the absolute 16-byte grid clipped to [start, end); a row is
-    written when any byte in it is not 0xFF, after a type-04 record when
-    it opens a new 64 KiB segment."""
+def naive_dump(img: FlashImage) -> str:
+    """Rows of the 16-byte grid over the whole image; a row is written
+    when any byte in it is not 0xFF, after a type-04 record when it opens
+    a new 64 KiB segment."""
     lines, segment = [], None
-    for row in range(start - start % 16, end, 16):
-        lo, hi = max(row, start), min(row + 16, end)
-        if all(img.data[a] == 0xFF for a in range(lo, hi)):
+    for row in range(0, img.layout.flash_size, 16):
+        if all(img.data[a] == 0xFF for a in range(row, row + 16)):
             continue
-        if lo >> 16 != segment:
-            segment = lo >> 16
+        if row >> 16 != segment:
+            segment = row >> 16
             lines.append(naive_record(0, 0x04, bytes([segment >> 8, segment & 0xFF])))
-        lines.append(naive_record(lo & 0xFFFF, 0x00, bytes(img.data[lo:hi])))
+        lines.append(naive_record(row & 0xFFFF, 0x00, bytes(img.data[row : row + 16])))
     return "".join(line + "\n" for line in lines) + ":00000001FF\n"
 
 
 def test_dump_matches_naive_record_writer():
     rng = random.Random(5)
     cases = []
-    for _ in range(5):  # random sparse images, whole flash
+    for _ in range(5):  # random sparse images
         img = FlashImage(LAYOUT)
         for _ in range(rng.randrange(1, 12)):
             addr = rng.randrange(0, LAYOUT.flash_size - 64)
             img.write(addr, rng.randbytes(rng.randrange(1, 48)))
-        cases.append((img, 0, LAYOUT.flash_size))
+        cases.append(img)
     img = FlashImage(LAYOUT)
     img.write(0x200, b"\x01\xff\xff\x02")  # embedded 0xFF bytes inside a row
     img.write(0x2F0, b"\xff" * 7 + b"\x00")  # a row that only ends non-erased
-    cases.append((img, 0, 0x400))
+    cases.append(img)
     img = FlashImage(LAYOUT)
     img.write(0xFFF5, bytes(range(1, 23)))  # crosses the 64 KiB boundary mid-row
     img.write(0x2FFFF, b"\x42\x43")  # and the next one at its last byte
-    cases.append((img, 0, LAYOUT.flash_size))
-    cases.append((img, 0xFFF7, 0x10003))  # unaligned start and end, one segment each
-    cases.append((img, 0x30000, 0x30001))
-    for _ in range(6):  # unaligned start and end on a random image
-        start = rng.randrange(0, 0x20000)
-        cases.append((cases[0][0], start, rng.randrange(start, 0x40000)))
-    for img, start, end in cases:
-        assert dump_ihex(img, start, end) == naive_dump(img, start, end), (start, end)
+    cases.append(img)
+    for n, img in enumerate(cases):
+        assert dump_ihex(img) == naive_dump(img), n

@@ -14,10 +14,7 @@ from flawsim.stk500 import (
     CMD_SIGN_ON,
     STATUS_CMD_FAILED,
     STATUS_CMD_OK,
-    BadStart,
-    BadToken,
     BootSession,
-    ChecksumMismatch,
     FrameError,
     FrameReader,
     PipeTransport,
@@ -72,6 +69,16 @@ def test_every_single_bit_flip_is_rejected():
                 frame_decode(bytes(mutated))
 
 
+def test_frame_decode_names_a_short_or_overlong_buffer():
+    frame = frame_encode(b"\x01\x02", 4)
+    with pytest.raises(FrameError, match=r"^frame header incomplete$"):
+        frame_decode(frame[:5])
+    with pytest.raises(FrameError, match=r"^need 8 bytes, have 7$"):
+        frame_decode(frame[:-1])
+    with pytest.raises(FrameError, match=r"^2 bytes after frame end$"):
+        frame_decode(frame + b"\x1b\x00")
+
+
 def test_frame_reader_reassembles_arbitrary_chunks():
     rng = random.Random(2)
     frames = [frame_encode(bytes([i]) * (i + 1), i) for i in range(10)]
@@ -112,15 +119,21 @@ def test_frame_reader_half_frame_waits_for_the_rest():
         assert (got.sequence, got.body) == (7, frame[5:-1])
 
 
-@pytest.mark.parametrize("pos, error", [(0, BadStart), (4, BadToken)])
-def test_frame_reader_bad_header_raises_at_six_bytes(pos, error):
+BAD_START = r"^expected 0x1b, got 0x5b$"
+BAD_TOKEN = r"^expected 0x0e, got 0x4e$"
+BAD_CHECKSUM = r"^computed 0x[0-9a-f]{2}, frame says 0x[0-9a-f]{2}$"
+
+
+@pytest.mark.parametrize("pos, message", [(0, BAD_START), (4, BAD_TOKEN)],
+                         ids=["0-BadStart", "4-BadToken"])
+def test_frame_reader_bad_header_raises_at_six_bytes(pos, message):
     # the declared body is long, so the frame is far from complete
     frame = bytearray(frame_encode(bytes(300), 1))
     frame[pos] ^= 0x40
     reader = FrameReader()
     for i in range(5):
         assert reader.feed(frame[i : i + 1]) == []
-    with pytest.raises(error):
+    with pytest.raises(FrameError, match=message):
         reader.feed(frame[5:6])
 
 
@@ -130,7 +143,7 @@ def test_frame_reader_bad_checksum_raises_when_frame_completes():
         frame[flip] ^= 0x01
         reader = FrameReader()
         assert reader.feed(frame[:-1]) == []
-        with pytest.raises(ChecksumMismatch):
+        with pytest.raises(FrameError, match=BAD_CHECKSUM):
             reader.feed(frame[-1:])
 
 
@@ -444,18 +457,20 @@ def test_pipe_transport_reads_at_most_seven_bytes():
 
 
 @pytest.mark.parametrize(
-    "pos, error",
-    [(0, BadStart), (4, BadToken), (1, ChecksumMismatch), (-1, ChecksumMismatch)],
+    "pos, message",
+    [(0, BAD_START), (4, BAD_TOKEN), (1, BAD_CHECKSUM), (-1, BAD_CHECKSUM)],
+    ids=["0-BadStart", "4-BadToken", "1-ChecksumMismatch", "-1-ChecksumMismatch"],
 )
-def test_frame_reader_keeps_raising_after_a_bad_frame(pos, error):
+def test_frame_reader_keeps_raising_after_a_bad_frame(pos, message):
     frame = bytearray(frame_encode(bytes(30), 1))
     frame[pos] ^= 0x40
     reader = FrameReader()
-    with pytest.raises(error):
+    with pytest.raises(FrameError, match=message) as first:
         reader.feed(frame)
     for later in (b"\x1b", frame_encode(b"\x01", 2)[:3], frame_encode(b"\x01", 2), b"\x00"):
-        with pytest.raises(error):
+        with pytest.raises(FrameError) as err:
             reader.feed(later)
+        assert str(err.value) == str(first.value)  # the same error, not a new one
 
 
 def test_pipe_transport_queues_two_responses_behind_one_write():
