@@ -17,6 +17,15 @@ interceptor dormant: from that value on, the document passes through
 unchanged.  audit.account, the defender, reads the strict grammar of
 gcode.py instead.
 
+The token rule is one pattern per letter, ``(?:[^ ;\\n]| (?!E))* E`` and
+then the value, matched from the space that ends a head or from the end
+of the last value.  The repeated part takes any byte but a space, a ';'
+or an LF, and a space only when no ``E`` follows it; so the match stops
+at the first `` E`` of the code part, never passes a comment or the
+line's end, and fails where that `` E`` has no digit, which ends the
+line's targets.  A move's first target is found in the same match as its
+head.
+
 Material reduction scales every target by (1 - fraction).  Material
 relocation converts the move holding every n-th target inside the
 progress window to travel, dropping that target; with absolute extrusion
@@ -27,7 +36,6 @@ conserved.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,8 +44,17 @@ from .fixedpoint import VALUE_PATTERN, FixedPointOverflow, div_round_half_away, 
 from .policy import Mode, TamperPolicy
 from .uart import F_WINDOW_ACTIVE, F_WINDOW_DONE, UartSimulation, update_window
 
-_VALUE = re.compile(VALUE_PATTERN)
-_CODE = re.compile(r"[^;\n]*")  # up to the line's ';' or its end
+
+def _target(letter: str) -> str:
+    """The token rule's pattern for the line's next target of this letter
+    (see the module docstring); its groups are VALUE_PATTERN's."""
+    return r"(?:[^ ;\n]| (?!" + letter + "))* " + letter + VALUE_PATTERN
+
+
+_E = re.compile(_target("E"))
+_P = re.compile(_target("P"))
+# a move, up to its first target
+_MOVE = re.compile(r"^ *G0*1(?= )" + _target("E"), re.M)
 # a move, whose command digit is group 1; a progress report or a switch to
 # relative extrusion, told apart by group 2
 _HEAD = re.compile(r"^ *(?:G0*(1) |M0*(73 |83(?![0-9])))", re.M)
@@ -46,19 +63,6 @@ _HEAD = re.compile(r"^ *(?:G0*(1) |M0*(73 |83(?![0-9])))", re.M)
 class RelativeExtrusionDetected(FlawsimError):
     """Relative extrusion mode seen before the window closed; conversions
     would no longer conserve total material, so the transform refuses."""
-
-
-def _values(doc: str, start: int, token: str) -> Iterator[re.Match]:
-    """The value after each token (' E' or ' P') in the code part of the
-    line whose head ends with the space at doc[start], up to the first
-    token with no digit."""
-    end = _CODE.match(doc, start).end()
-    while (start := doc.find(token, start, end)) >= 0:
-        value = _VALUE.match(doc, start + 2)
-        if value is None:
-            return
-        yield value
-        start = value.end()
 
 
 def transform_reduction(doc: str, fraction) -> str:
@@ -75,17 +79,16 @@ def transform_reduction(doc: str, fraction) -> str:
     denominator = frac.denominator
     out = []
     done = 0  # doc[:done] is in out
-    for head in _HEAD.finditer(doc):
-        if head[1] is None:
-            continue  # progress and the extrusion mode do not matter here
-        for value in _values(doc, head.end() - 1, " E"):
+    for value in _MOVE.finditer(doc):
+        while value is not None:
             try:
                 raw = raw_from_digits(*value.groups(""))
             except FixedPointOverflow:
                 return "".join(out) + doc[done:]  # dormant
             scaled = div_round_half_away(raw * numerator, denominator)
-            out += (doc[done : value.start()], format_raw(scaled))
+            out += (doc[done : value.start(1)], format_raw(scaled))
             done = value.end()
+            value = _E.match(doc, done)
     return "".join(out) + doc[done:]
 
 
@@ -109,7 +112,8 @@ def transform_relocation(
             if not window & F_WINDOW_ACTIVE:
                 continue
             slot = head.start(1)
-            for value in _values(doc, start, " E"):
+            while (value := _E.match(doc, start)) is not None:
+                start = value.end()
                 counter += 1
                 if counter < n:
                     continue
@@ -117,10 +121,10 @@ def transform_relocation(
                 if done <= slot:  # the line's first conversion
                     out += (doc[done:slot], "0")
                     done = slot + 1
-                out.append(doc[done : value.start() - 2])
-                done = value.end()
+                out.append(doc[done : value.start(1) - 2])  # up to the space before E
+                done = start
         elif head[2] == "73 ":
-            value = next(_values(doc, start, " P"), None)
+            value = _P.match(doc, start)
             if value is not None:
                 try:
                     raw = raw_from_digits(*value.groups(""))

@@ -20,7 +20,9 @@ A line completes only on the step that stores its newline, so the
 producer loop dequeues one line after that step and none after any
 other.  The epilogue takes back only the byte the ISR just stored (a
 hidden digit or point, or the delimiter of a targeted value, which
-_finish_target writes again after the edited text in the same step), and
+_finish_target writes again after the edited text in the same step; on
+overflow the digit or delimiter is written again after the text the value
+hid, and the interceptor goes dormant), and
 the rewinds in _decide_on_first_digit cover a value's sign, point, letter
 and space; so no step publishes a newline it did not store, and none
 takes one back.
@@ -102,7 +104,9 @@ EV_DORMANT_M83 = "dormant_relative_extrusion"
 _CALL = 0xFF  # in _STEP: _act must run for this pair
 
 # free cells an edit needs: the worst-case reduced value (a sign, six
-# integer digits, a point, four decimals) and the re-emitted delimiter
+# integer digits, a point, four decimals) and the re-emitted delimiter;
+# an overflowing value's hidden text (a sign, ten digits, a point) and the
+# digit or delimiter after it fit as well
 _EDIT_ROOM = 13
 
 # ASCII 0-9 only, as in the firmware's NUMERIC() and the g-code parser
@@ -319,34 +323,56 @@ def _decide_on_first_digit(
     return EV_EDIT_SKIPPED if reduction else None
 
 
+def _hidden_text(trojan: TrojanState) -> str:
+    """The text a target value hid so far: its sign, its folded digits and,
+    in ST_V_FRAC, its point before the decimals counted in parser_state's
+    high nibble.  Leading zeros fold to 0 and are not kept.  Called only
+    on overflow, where the value's integer part has six digits or more,
+    so the point never comes before the first digit."""
+    flags, digits = trojan.flags_window, str(trojan.accumulator)
+    sign = "-" if flags & F_NEG else "+" if flags & F_SIGN_SEEN else ""
+    if trojan.parser_state & 0x0F == ST_V_INT:
+        return sign + digits
+    point = len(digits) - (trojan.parser_state >> 4)
+    return f"{sign}{digits[:point]}.{digits[point:]}"
+
+
+def _write_back(ring: RingBufferState, text: str, last: int | None) -> None:
+    """Publish text at head, then last: the byte the ISR just stored, taken
+    back and written again after the text (None: no such byte).  One slice
+    write, two where it wraps past index 0."""
+    data, head = bytearray(text, "ascii"), ring.head
+    if last is not None:
+        head = (head - 1) & ring.mask
+        data.append(last)
+    end = head + len(data)
+    if end <= ring.size:
+        ring.storage[head:end] = data
+    else:  # wraps past index 0
+        split = ring.size - head
+        ring.storage[head:] = data[:split]
+        ring.storage[: end - ring.size] = data[split:]
+    ring.head = end & ring.mask
+
+
 def _finish_target(trojan: TrojanState, ring: RingBufferState, delim: int | None) -> str:
     """A targeted extrusion value ended: its delimiter just arrived, or
-    (delim None) the stream ended."""
+    (delim None) the stream ended.  The edited text, or on overflow the
+    text the value hid, is written back before the delimiter."""
     if trojan.flags_window & F_CONVERT:
         # Value discarded; a delimiter the ISR just stored already sits
         # exactly where the removed token began.  Nothing to write back.
         event = EV_CONVERT
     else:
+        # _decide_on_first_digit left _EDIT_ROOM cells for either text
         value = _scaled_value(trojan)
         if value is None:
             _go_dormant(trojan)
-            event = EV_OVERFLOW
+            text, event = _hidden_text(trojan), EV_OVERFLOW
         else:
-            # _decide_on_first_digit left _EDIT_ROOM cells for this text
             text = format_raw(div_round_half_away(value * (100 - trojan.policy_param), 100))
-            data, head = bytearray(text, "ascii"), ring.head
-            if delim is not None:
-                head = (head - 1) & ring.mask  # take back the delimiter; re-emitted after the value
-                data.append(delim)
-            end = head + len(data)
-            if end <= ring.size:
-                ring.storage[head:end] = data
-            else:  # wraps past index 0
-                split = ring.size - head
-                ring.storage[head:] = data[:split]
-                ring.storage[: end - ring.size] = data[split:]
-            ring.head = end & ring.mask
             event = EV_EDIT
+        _write_back(ring, text, delim)
     trojan.flags_window &= ~(F_CONVERT | F_NEG | F_SIGN_SEEN)
     trojan.parser_state = ST_G1_MID if delim is None else _STEP[ST_G1_MID][delim]
     return event
@@ -419,7 +445,10 @@ def _act(trojan: TrojanState, ring: RingBufferState, policy: TamperPolicy, byte:
                 acc = trojan.accumulator
                 acc = acc + (byte >= 0x35) if frac == 4 else acc * 10 + byte - 48
                 if acc > MAX_RAW:
+                    # dormant; a target's hidden text goes back before this digit
                     _go_dormant(trojan)
+                    if not flags & F_PROGRESS:
+                        _write_back(ring, _hidden_text(trojan), byte)
                     return EV_OVERFLOW
                 trojan.accumulator = acc
                 if in_frac:

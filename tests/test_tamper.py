@@ -471,8 +471,23 @@ def test_divergence_search_reports_every_policy():
     ("G1 E5G1\n", TamperPolicy.reduction(Fraction(1, 2)), "G1 E2.5G1\n"),
     # each E is a target: the second is the second eligible one
     ("M73 P30\nG1 E5 E5\nG1 X8 E8\n", TamperPolicy.relocation(2), "M73 P30\nG0 E5\nG1 X8 E8\n"),
+    # an E after any run of spaces is a target, one after a tab or glued
+    # to a value is not, and nor is one after a ';'
+    ("G1  E5\n", TamperPolicy.reduction(Fraction(1, 2)), "G1  E2.5\n"),
+    ("G1 X1\tE5\n", TamperPolicy.reduction(Fraction(1, 2)), "G1 X1\tE5\n"),
+    ("G1 E5E6\n", TamperPolicy.reduction(Fraction(1, 2)), "G1 E2.5E6\n"),
+    ("G1 X1 ;E5\n", TamperPolicy.reduction(Fraction(1, 2)), "G1 X1 ;E5\n"),
+    ("G1 X1; E5\n", TamperPolicy.reduction(Fraction(1, 2)), "G1 X1; E5\n"),
+    # a digitless E ends the line's targets
+    ("G1 E E5\n", TamperPolicy.reduction(Fraction(1, 2)), "G1 E E5\n"),
+    # a CR before the LF is body text after the last value
+    ("G1 E5 E6\r\n", TamperPolicy.reduction(Fraction(1, 2)), "G1 E2.5 E3\r\n"),
+    # a target past the budget: dormant, the value and the rest as written
+    ("G1 E5 E99999999999 E4\nG1 E4\n", TamperPolicy.reduction(Fraction(1, 2)),
+     "G1 E2.5 E99999999999 E4\nG1 E4\n"),
 ], ids=["P-overflow", "P5x", "CR-reduction", "CR-relocation", "P-before-E", "star-before-E",
-        "glued-G1", "second-E"])
+        "glued-G1", "second-E", "two-spaces", "tab-before-E", "glued-E", "E-in-comment",
+        "E-after-comment", "digitless-E", "CRLF", "E-overflow"])
 def test_equivalence_follows_the_token_rule(doc, policy, expected):
     report = run_pipeline_equivalence(doc, policy)
     assert report.identical, report.describe()

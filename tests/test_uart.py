@@ -437,8 +437,8 @@ def test_accumulator_overflow_goes_dormant_for_session():
 
 def test_every_overflow_route_goes_dormant_within_budget():
     # a digit past 32 bits, a value that overflows only when scaled at its
-    # delimiter, and a fifth decimal that rounds past MAX_RAW; the text the
-    # overflowing line keeps is not pinned here
+    # delimiter, and a fifth decimal that rounds past MAX_RAW: the
+    # overflowing line streams as received, and so does the rest
     tail = "G1 X2 E5\nG1 X3 E6\nG1 X4 E7\n"
     for value in ("99999999999", "214749", "214748.36475"):
         for head, policy in (
@@ -452,28 +452,60 @@ def test_every_overflow_route_goes_dormant_within_budget():
                 assert len(sim.trojan.to_bytes()) == 15, (head, ch)
                 lines += sim.drain()
             assert sim.stats.overflows == 1, head
-            assert "".join(lines[-3:]) == tail, head  # dormant: passed unedited
+            assert "".join(lines) == head + tail  # dormant: passed unedited
 
 
 @pytest.mark.parametrize("value", ["214748.3647", "214748.3648", "214748.36475"])
 def test_fold_overflows_exactly_past_max_raw(value):
     # MAX_RAW itself is edited; one unit more overflows at the digit that
     # carries it there, a fourth decimal or the fifth's rounding, before
-    # any delimiter arrives (the text the overflowing line keeps is not
-    # pinned here)
+    # any delimiter arrives, and the line keeps the value as received
     assert int("2147483647") == MAX_RAW
     sim = UartSimulation(HALF)
     lines = sim.feed(f"G1 X1 E{value}")
     overflows = value != "214748.3647"
     assert bool(sim.trojan.flags_window & F_DORMANT) == overflows
     lines += sim.feed("\nG1 X2 E5\n")
+    doc = f"G1 X1 E{value}\nG1 X2 E5\n"
+    assert "".join(lines) == apply_policy(doc, HALF)
     if overflows:
-        assert sim.stats.overflows == 1 and sim.stats.dormant_events == 1
-        assert sim.trojan.flags_window & F_DORMANT
+        assert sim.stats == SimStats(chars_in=len(doc), overflows=1, dormant_events=1)
     else:
-        doc = f"G1 X1 E{value}\nG1 X2 E5\n"
-        assert "".join(lines) == apply_policy(doc, HALF)
         assert sim.stats == SimStats(chars_in=len(doc), edits=2)
+
+
+@pytest.mark.parametrize("doc", [
+    # overflow at a folded digit: the hidden text goes back before it
+    "G1 X1 E99999999999\nG1 X2 E5\n",
+    "G1 X1 E214748.36479\n",
+    "G1 E-2147483.648 X1\n",
+    "G1 E5 E99999999999 E4\nG1 E4\n",
+    # overflow when scaled at the delimiter: the hidden text goes back
+    # before the delimiter, the point included
+    "G1 E214749\n",
+    "G1 X1 E+214749. E4\n",
+    "G1 E-2147483647.;c\nG1 E4\n",
+    # on a 32-byte ring these two write back across index 0
+    "G1 X12345678901234\nG1 E-214748.36479\n",
+    "G1 X12345678901234\nG1 E-2147483647.;c\n",
+])
+@pytest.mark.parametrize("size", [128, 32])
+def test_an_overflowing_target_streams_as_received(doc, size):
+    # the transform keeps the value as written, and so does the stream
+    sim = UartSimulation(HALF, rx_buffer_size=size)
+    assert "".join(sim.feed(doc)) == apply_policy(doc, HALF)
+    assert sim.stats.overflows == 1
+    assert sim.stats.dropped == 0
+
+
+def test_an_overflowing_target_loses_its_leading_zeros():
+    # the fold keeps no count of the zeros before a value's first nonzero
+    # digit, so the text written back on overflow starts at that digit;
+    # the transform keeps the value as written
+    doc = "G1 X1 E0099999999999\nG1 X2 E-00214749\n"
+    sim = UartSimulation(HALF)
+    assert "".join(sim.feed(doc)) == "G1 X1 E99999999999\nG1 X2 E-00214749\n"
+    assert apply_policy(doc, HALF) == doc
 
 
 @pytest.mark.parametrize("doc, policy, expected, counts", [
@@ -488,6 +520,11 @@ def test_fold_overflows_exactly_past_max_raw(value):
     ("G1 X1 E-", HALF, "G1 X1 E-", {}),
     ("M73 P30\nM73 P5", TamperPolicy.relocation(2), "M73 P30\nM73 P5", {}),
     ("G1 X1 E5", OFF, "G1 X1 E5", {}),
+    # one that overflows when scaled: its hidden text is written back
+    ("G1 X1 E214749", HALF, "G1 X1 E214749", {"overflows": 1, "dormant_events": 1}),
+    ("G1 X1 E5 E-214748.9", HALF, "G1 X1 E2.5 E-214748.9",
+     {"edits": 1, "overflows": 1, "dormant_events": 1}),
+    ("G1 E+99999999.9", HALF, "G1 E+99999999.9", {"overflows": 1, "dormant_events": 1}),
 ])
 def test_flush_residual_finishes_a_value_the_stream_cut_off(doc, policy, expected, counts):
     sim = UartSimulation(policy)

@@ -33,6 +33,9 @@ TOKENS = [
     " P30", " P5x", " P", " *1", "\r", ";c", " ", "\n",
     # command heads: leading zeros, other numbers, overflow, glued
     "G01", "G10", "G0", "G2147483648", "M073", "M730", "G1X1", "M83X", "\t",
+    # values past the budget: at a digit, when scaled at the delimiter,
+    # and by the fifth decimal's rounding
+    " E99999999999", " E214749", " E214748.36479",
 ]
 TAILS = [
     ("terminated", "\nG1 X8 E8\nG1 X9 E9\n"),
