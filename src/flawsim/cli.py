@@ -18,7 +18,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import audit as audit_mod
@@ -60,7 +59,7 @@ def load_layout(path: str | None) -> MemoryLayout:
 
 def _policy_from_args(args) -> TamperPolicy:
     if args.reduce is not None:
-        return TamperPolicy.reduction(Fraction(args.reduce))
+        return TamperPolicy.reduction(args.reduce)
     if args.relocate is not None:
         return TamperPolicy.relocation(args.relocate, args.window[0], args.window[1])
     return TamperPolicy.off()
@@ -68,7 +67,8 @@ def _policy_from_args(args) -> TamperPolicy:
 
 def _add_policy_flags(parser: _Parser):
     group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--reduce", metavar="FRACTION", help="scale extrusion by 1-FRACTION")
+    group.add_argument("--reduce", metavar="FRACTION",
+                       help="scale extrusion by 1-FRACTION, a whole percent (0.3 or 3/10)")
     group.add_argument("--relocate", metavar="N", type=int, choices=(2, 3, 4),
                        help="convert every N-th extruding move in the window")
     group.add_argument("--off", action="store_true", help="pass-through policy")
@@ -219,7 +219,6 @@ def cmd_pipeline(args) -> int:
         except avr.DormantAbort as exc:
             print(f"ring-buffer discovery failed, interceptor dormant: {exc}")
     if info is None:
-        policy.param_byte()  # a fraction the stream cannot carry stays a usage error
         policy = TamperPolicy.off()
     trace: list | None = [] if args.trace else None
     sim = UartSimulation(policy, rx_buffer_size=layout.rx_buffer_size, ring_info=info,

@@ -1,4 +1,4 @@
-"""Tamper policy: which payload runs and with what parameters."""
+"""Tamper policy: which payload runs and with what parameter."""
 
 from __future__ import annotations
 
@@ -15,26 +15,29 @@ class Mode(Enum):
 
 @dataclass(frozen=True)
 class TamperPolicy:
-    """Payload selection.
+    """Payload selection, as a Trojan build carries it.
 
-    Reduction scales every extrusion value by (1 - reduction_fraction) and
-    ignores the window fields.  Relocation converts every n-th eligible
-    move inside the progress window [window_lo, window_hi) to a travel
-    move.  The streaming implementation stores its one policy parameter in
-    a single byte, so reduction fractions there must be whole percents.
+    ``param`` is the one byte the interceptor stores: under reduction a
+    whole percent in [0, 100], by which every extrusion value shrinks;
+    under relocation n in 2-4, converting every n-th eligible move inside
+    the progress window [window_lo, window_hi) to a travel move.
+    Reduction ignores the window fields.  Both the stream and the
+    whole-file transforms build their policy here, so they accept and
+    refuse the same values.
     """
 
     mode: Mode = Mode.OFF
-    reduction_fraction: Fraction = Fraction(0)
-    relocation_n: int = 2
+    param: int = 0
     window_lo: int = 25
     window_hi: int = 75
 
     def __post_init__(self):
-        if not 0 <= self.reduction_fraction <= 1:
-            raise ValueError("reduction_fraction must be in [0, 1]")
-        if self.mode is Mode.RELOCATION and self.relocation_n not in (2, 3, 4):
-            raise ValueError("relocation_n must be 2, 3 or 4")
+        if type(self.param) is not int:
+            raise ValueError(f"the payload parameter must be an integer, got {self.param!r}")
+        if self.mode is Mode.REDUCTION and not 0 <= self.param <= 100:
+            raise ValueError(f"reduction must be a whole percent in [0, 100], got {self.param}%")
+        if self.mode is Mode.RELOCATION and self.param not in (2, 3, 4):
+            raise ValueError(f"relocation n must be 2, 3 or 4, got {self.param}")
         if not 0 <= self.window_lo < self.window_hi <= 100:
             raise ValueError("window must satisfy 0 <= lo < hi <= 100")
 
@@ -44,24 +47,17 @@ class TamperPolicy:
 
     @classmethod
     def reduction(cls, fraction) -> "TamperPolicy":
-        return cls(Mode.REDUCTION, reduction_fraction=Fraction(fraction).limit_denominator(10**6))
+        """Reduction by a Fraction, an int, a float or a decimal or
+        fraction string ("0.3", "3/10"); a float reads as its shortest
+        decimal.  ValueError unless it is a whole percent."""
+        percent = Fraction(str(fraction)) * 100
+        if percent.denominator != 1:
+            raise ValueError(f"reduction must be a whole percent in [0, 100], got {fraction}")
+        return cls(Mode.REDUCTION, int(percent))
 
     @classmethod
     def relocation(cls, n: int, window_lo: int = window_lo, window_hi: int = window_hi) -> "TamperPolicy":
-        return cls(Mode.RELOCATION, relocation_n=n, window_lo=window_lo, window_hi=window_hi)
-
-    def reduction_percent(self) -> int:
-        """Whole-percent form used by the one-byte streaming parameter."""
-        percent = self.reduction_fraction * 100
-        if percent.denominator != 1:
-            raise ValueError(
-                f"streaming path needs a whole-percent reduction, got {self.reduction_fraction}"
-            )
-        return int(percent)
+        return cls(Mode.RELOCATION, n, window_lo, window_hi)
 
     def param_byte(self) -> int:
-        if self.mode is Mode.REDUCTION:
-            return self.reduction_percent()
-        if self.mode is Mode.RELOCATION:
-            return self.relocation_n
-        return 0
+        return self.param

@@ -1,5 +1,4 @@
-"""The two print-sabotage payloads as whole-file text transforms, plus the
-equivalence harness that checks the streaming interceptor against them.
+"""The two print-sabotage payloads as whole-file text transforms.
 
 The transforms are the readable reference for the interceptor in uart.py,
 which makes the same edits one byte at a time under its 15-byte state
@@ -14,8 +13,9 @@ has a digit; `` *M0*83`` not followed by a digit switches to relative
 extrusion.  A value the payload reads (a target under reduction, a
 percentage under relocation) past the 32-bit budget sends the
 interceptor dormant: from that value on, the document passes through
-unchanged.  audit.account, the defender, reads the strict grammar of
-gcode.py instead.
+unchanged.  So does a switch to relative extrusion under relocation.
+audit.account, the defender, reads the strict grammar of gcode.py
+instead.
 
 The token rule is one pattern per letter, ``(?:[^ ;\\n]| (?!E))* E`` and
 then the value, matched from the space that ends a head or from the end
@@ -26,23 +26,25 @@ line's end, and fails where that `` E`` has no digit, which ends the
 line's targets.  A move's first target is found in the same match as its
 head.
 
-Material reduction scales every target by (1 - fraction).  Material
-relocation converts the move holding every n-th target inside the
-progress window to travel, dropping that target; with absolute extrusion
-values the next target deposits the difference, so total material is
-conserved.
+Each transform takes exactly the parameters a Trojan build carries, and
+refuses any other with the ValueError of TamperPolicy, which both build
+their policy through.  Material reduction scales every target by
+(100 - p) / 100 for a whole percent p.  Material relocation converts the
+move holding every n-th target inside the progress window to travel,
+dropping that target; with absolute extrusion values the next target
+deposits the difference, so total material is conserved.  A switch to
+relative extrusion would break that, so relocation stops editing there,
+as the interceptor does.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import FlawsimError
 from .fixedpoint import VALUE_PATTERN, FixedPointOverflow, div_round_half_away, format_raw, raw_from_digits
 from .policy import Mode, TamperPolicy
-from .uart import F_WINDOW_ACTIVE, F_WINDOW_DONE, UartSimulation, update_window
+from .uart import F_WINDOW_ACTIVE, update_window
 
 
 def _target(letter: str) -> str:
@@ -60,23 +62,15 @@ _MOVE = re.compile(r"^ *G0*1(?= )" + _target("E"), re.M)
 _HEAD = re.compile(r"^ *(?:G0*(1) |M0*(73 |83(?![0-9])))", re.M)
 
 
-class RelativeExtrusionDetected(FlawsimError):
-    """Relative extrusion mode seen before the window closed; conversions
-    would no longer conserve total material, so the transform refuses."""
-
-
 def transform_reduction(doc: str, fraction) -> str:
-    """Scale every target of every move by (1 - fraction).
+    """Scale every target of every move by (1 - fraction), where fraction
+    is a whole percent as TamperPolicy.reduction takes it.
 
     Everything else - other parameters, other lines, comments, whitespace,
     line endings - is reproduced byte-for-byte.  Edited values are written
     in canonical minimal form (trailing zeros trimmed, <= 4 decimals).
     """
-    frac = Fraction(fraction)
-    if not 0 <= frac <= 1:
-        raise ValueError("fraction must be in [0, 1]")
-    numerator = frac.denominator - frac.numerator
-    denominator = frac.denominator
+    kept = 100 - TamperPolicy.reduction(fraction).param
     out = []
     done = 0  # doc[:done] is in out
     for value in _MOVE.finditer(doc):
@@ -85,7 +79,7 @@ def transform_reduction(doc: str, fraction) -> str:
                 raw = raw_from_digits(*value.groups(""))
             except FixedPointOverflow:
                 return "".join(out) + doc[done:]  # dormant
-            scaled = div_round_half_away(raw * numerator, denominator)
+            scaled = div_round_half_away(raw * kept, 100)
             out += (doc[done : value.start(1)], format_raw(scaled))
             done = value.end()
             value = _E.match(doc, done)
@@ -97,11 +91,11 @@ def transform_relocation(
 ) -> str:
     """Convert the move holding every n-th target inside the window to a
     travel move: drop that target with its letter and space, and write 0
-    over the command digit.  Raises RelativeExtrusionDetected on a switch
-    to relative extrusion before the window has closed.
+    over the command digit.  n is 2-4 and the window as
+    TamperPolicy.relocation takes them.  From a switch to relative
+    extrusion on, the document passes through unchanged.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    TamperPolicy.relocation(n, window_lo, window_hi)  # ValueError unless a build carries it
     window = 0  # F_WINDOW_* flags, as in the interceptor
     counter = 0
     out = []
@@ -131,57 +125,15 @@ def transform_relocation(
                 except FixedPointOverflow:
                     break  # dormant
                 window = update_window(window, raw, window_lo, window_hi)
-        elif not window & F_WINDOW_DONE:
-            raise RelativeExtrusionDetected("relative extrusion before the window closed")
+        else:
+            break  # dormant: relative extrusion
     return "".join(out) + doc[done:]
 
 
 def apply_policy(doc: str, policy: TamperPolicy) -> str:
     """Whole-file reference semantics for a policy."""
     if policy.mode is Mode.REDUCTION:
-        return transform_reduction(doc, policy.reduction_fraction)
+        return transform_reduction(doc, Fraction(policy.param, 100))
     if policy.mode is Mode.RELOCATION:
-        return transform_relocation(doc, policy.relocation_n, policy.window_lo, policy.window_hi)
+        return transform_relocation(doc, policy.param, policy.window_lo, policy.window_hi)
     return doc
-
-
-@dataclass
-class EquivalenceReport:
-    identical: bool
-    divergence_offset: int | None
-    sim_output: str
-    ref_output: str
-
-    def describe(self) -> str:
-        if self.identical:
-            return "identical"
-        off = self.divergence_offset
-        ctx = slice(max(0, off - 20), off + 20)
-        return (
-            f"first divergence at byte {off}: "
-            f"stream {self.sim_output[ctx]!r} != reference {self.ref_output[ctx]!r}"
-        )
-
-
-def run_pipeline_equivalence(
-    doc: str, policy: TamperPolicy, rx_buffer_size: int = 128
-) -> EquivalenceReport:
-    """Stream doc through the interceptor and diff against the transform.
-
-    The consumer drains aggressively (UartSimulation.feed takes every line
-    the moment it is complete), the most adversarial schedule for the
-    hide/rewrite machinery.  Reports the first diverging byte offset, or
-    identity.
-    """
-    sim = UartSimulation(policy, rx_buffer_size=rx_buffer_size)
-    pieces = sim.feed(doc)
-    pieces.append(sim.flush_residual())
-    sim_output = "".join(pieces)
-    ref_output = apply_policy(doc, policy)
-    if sim_output == ref_output:
-        return EquivalenceReport(True, None, sim_output, ref_output)
-    offset = next(
-        (i for i, (a, b) in enumerate(zip(sim_output, ref_output)) if a != b),
-        min(len(sim_output), len(ref_output)),
-    )
-    return EquivalenceReport(False, offset, sim_output, ref_output)

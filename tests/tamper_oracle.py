@@ -1,6 +1,7 @@
 """The payload transforms as a step-by-step scan: the oracle that
 tamper.transform_reduction and tamper.transform_relocation are checked
-against.
+against; and the equivalence harness that checks the streaming
+interceptor against those transforms.
 
 It states the interceptor's token rule one call at a time.  A line's
 code part runs from its head to its first ';' or its end; in it, each
@@ -8,16 +9,19 @@ token (' E' in a move, ' P' in a progress report) is found with
 str.find, and the value after it is read with VALUE_PATTERN.  A token
 with no digit after it ends the line's targets.  Heads are found as in
 tamper, one multiline match per move, progress report or switch to
-relative extrusion.
+relative extrusion.  A switch to relative extrusion before the window
+closes sends relocation dormant: the rest of the document passes through.
 """
 
 import re
 from collections.abc import Iterator
+from dataclasses import dataclass
 from fractions import Fraction
 
 from flawsim.fixedpoint import VALUE_PATTERN, FixedPointOverflow, div_round_half_away, format_raw, raw_from_digits
-from flawsim.tamper import RelativeExtrusionDetected
-from flawsim.uart import F_WINDOW_ACTIVE, F_WINDOW_DONE, update_window
+from flawsim.policy import TamperPolicy
+from flawsim.tamper import apply_policy
+from flawsim.uart import F_WINDOW_ACTIVE, F_WINDOW_DONE, UartSimulation, update_window
 
 _VALUE = re.compile(VALUE_PATTERN)
 _CODE = re.compile(r"[^;\n]*")  # up to the line's ';' or its end
@@ -89,5 +93,47 @@ def transform_relocation(doc: str, n: int, window_lo: int, window_hi: int) -> st
                     break  # dormant
                 window = update_window(window, raw, window_lo, window_hi)
         elif not window & F_WINDOW_DONE:
-            raise RelativeExtrusionDetected("relative extrusion before the window closed")
+            break  # dormant: relative extrusion
     return "".join(out) + doc[done:]
+
+
+@dataclass
+class EquivalenceReport:
+    identical: bool
+    divergence_offset: int | None
+    sim_output: str
+    ref_output: str
+
+    def describe(self) -> str:
+        if self.identical:
+            return "identical"
+        off = self.divergence_offset
+        ctx = slice(max(0, off - 20), off + 20)
+        return (
+            f"first divergence at byte {off}: "
+            f"stream {self.sim_output[ctx]!r} != reference {self.ref_output[ctx]!r}"
+        )
+
+
+def run_pipeline_equivalence(
+    doc: str, policy: TamperPolicy, rx_buffer_size: int = 128
+) -> EquivalenceReport:
+    """Stream doc through the interceptor and diff against the transform.
+
+    The consumer drains aggressively (UartSimulation.feed takes every line
+    the moment it is complete), the most adversarial schedule for the
+    hide/rewrite machinery.  Reports the first diverging byte offset, or
+    identity.
+    """
+    sim = UartSimulation(policy, rx_buffer_size=rx_buffer_size)
+    pieces = sim.feed(doc)
+    pieces.append(sim.flush_residual())
+    sim_output = "".join(pieces)
+    ref_output = apply_policy(doc, policy)
+    if sim_output == ref_output:
+        return EquivalenceReport(True, None, sim_output, ref_output)
+    offset = next(
+        (i for i, (a, b) in enumerate(zip(sim_output, ref_output)) if a != b),
+        min(len(sim_output), len(ref_output)),
+    )
+    return EquivalenceReport(False, offset, sim_output, ref_output)

@@ -22,8 +22,9 @@ from flawsim.avr import (
 from flawsim.memory import FlashImage, MemoryLayout
 from flawsim.policy import TamperPolicy
 from flawsim.stk500 import program_and_verify
-from flawsim.tamper import run_pipeline_equivalence, transform_reduction, transform_relocation
+from flawsim.tamper import transform_reduction, transform_relocation
 from flawsim.uart import UartSimulation
+from tamper_oracle import run_pipeline_equivalence
 
 LAYOUT = MemoryLayout()
 

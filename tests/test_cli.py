@@ -190,6 +190,9 @@ def test_usage_errors_exit_one(capsys, tmp_path, gcode_file):
     out = tmp_path / "o.gcode"
     assert main(["tamper", str(gcode_file), str(out), "--reduce", "abc"]) == 1
     assert main(["tamper", str(gcode_file), str(out), "--reduce", "1.5"]) == 1
+    # a reduction no Trojan build carries: not a whole percent
+    assert main(["tamper", str(gcode_file), str(out), "--reduce", "0.333"]) == 1
+    assert main(["tamper", str(gcode_file), str(out), "--reduce", "1/3"]) == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,8 +7,8 @@ import random
 from fractions import Fraction
 
 from flawsim.policy import TamperPolicy
-from flawsim.tamper import run_pipeline_equivalence
 from flawsim.uart import UartSimulation
+from tamper_oracle import run_pipeline_equivalence
 
 POLICIES = [
     TamperPolicy.off(),
@@ -154,6 +154,24 @@ def test_fuzzed_documents_agree_under_every_policy():
                 f"seed {seed} / {policy.mode.value}-{policy.param_byte()}: "
                 f"{report.describe()}"
             )
+
+
+RELATIVE_SWITCHES = ["M83", "M83 E", "M083\r"]
+
+
+def test_fuzzed_documents_with_a_relative_switch_agree_under_every_policy():
+    # random_document writes no M83: each switch goes in at one seeded line
+    for seed in range(120):
+        lines = random_document(seed).split("\n")
+        at = random.Random(f"switch {seed}").randrange(len(lines))
+        for switch in RELATIVE_SWITCHES:
+            doc = "\n".join(lines[:at] + [switch] + lines[at:])
+            for policy in POLICIES:
+                report = run_pipeline_equivalence(doc, policy)
+                assert report.identical, (
+                    f"seed {seed} / {switch!r} / {policy.mode.value}-{policy.param_byte()}: "
+                    f"{report.describe()}"
+                )
 
 
 def test_fuzzed_documents_respect_state_budget():

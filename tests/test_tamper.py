@@ -11,14 +11,9 @@ from flawsim.audit import account
 from flawsim.fixedpoint import FixedPointOverflow
 from flawsim.gcode import parse_document, parse_line
 from flawsim.policy import TamperPolicy
-from flawsim.tamper import (
-    RelativeExtrusionDetected,
-    apply_policy,
-    run_pipeline_equivalence,
-    transform_reduction,
-    transform_relocation,
-)
+from flawsim.tamper import apply_policy, transform_reduction, transform_relocation
 from flawsim.uart import UartSimulation
+from tamper_oracle import run_pipeline_equivalence
 from test_fixedpoint import decode_literal
 
 THREE_MOVES = "G1 X1 Y2 E3\nG1 X2 Y3 E4\nG1 X3 Y4 E5\n"
@@ -244,9 +239,9 @@ def test_reduction_total_within_one_ulp_per_edited_line():
     # unit per edited move, so the audited total stays inside that band
     lines = [f"G1 X{i} E{i}.00007" for i in range(1, 40)]
     doc = "\n".join(lines) + "\n"
-    for num, den in ((1, 3), (1, 7), (13, 100)):
-        reduced = transform_reduction(doc, Fraction(num, den))
-        exact = account(doc).total_extrusion.raw * Fraction(den - num, den)
+    for percent in (33, 14, 13):
+        reduced = transform_reduction(doc, Fraction(percent, 100))
+        exact = account(doc).total_extrusion.raw * Fraction(100 - percent, 100)
         got = account(reduced).total_extrusion.raw
         assert abs(got - exact) <= len(lines)
 
@@ -313,10 +308,12 @@ def test_relocation_counter_rule_brute_force(n):
     assert [i for i, ln in enumerate(out_lines) if ln.startswith("G0")] == expected_converted
 
 
-def test_relocation_refuses_relative_extrusion():
+def test_relocation_goes_dormant_on_relative_extrusion():
+    # a switch before the window opens: nothing after it is converted
     doc = "M83\n" + in_window(THREE_MOVES)
-    with pytest.raises(RelativeExtrusionDetected):
-        transform_relocation(doc, 2)
+    assert transform_relocation(doc, 2) == doc
+    report = run_pipeline_equivalence(doc, TamperPolicy.relocation(2))
+    assert report.identical, report.describe()
 
 
 def test_relocation_allows_m83_after_window_closed():
@@ -330,6 +327,49 @@ def test_relocation_total_conserved_on_uniform_fixture():
     for n in (2, 3, 4):
         out = transform_relocation(doc, n)
         assert account(out).total_extrusion.raw == account(doc).total_extrusion.raw
+
+
+# --- the payload parameter ------------------------------------------------------
+
+# (payload, arguments, the param byte a build stores, or None where no build
+# could carry it); the policy and the transform of each payload take the
+# same arguments and refuse the same ones alike
+PARAMETER_RULE = [
+    ("reduction", (0,), 0),
+    ("reduction", (Fraction(1, 100),), 1),
+    ("reduction", (Fraction(3, 10),), 30),
+    ("reduction", ("0.3",), 30),
+    ("reduction", (0.3,), 30),
+    ("reduction", (1,), 100),
+    ("reduction", (Fraction(1, 3),), None),
+    ("reduction", (Fraction(333, 1000),), None),
+    ("reduction", (Fraction(-1, 100),), None),
+    ("reduction", (Fraction(101, 100),), None),
+    ("relocation", (3, 25, 75), 3),
+    ("relocation", (1, 25, 75), None),
+    ("relocation", (5, 25, 75), None),
+    ("relocation", (2.0, 25, 75), None),
+    ("relocation", (2, 50, 50), None),
+    ("relocation", (2, 80, 20), None),
+    ("relocation", (2, 0, 101), None),
+]
+TRANSFORMS = {"reduction": transform_reduction, "relocation": transform_relocation}
+
+
+@pytest.mark.parametrize("payload, args, param", PARAMETER_RULE,
+                         ids=[f"{p}{a!r}" for p, a, _ in PARAMETER_RULE])
+def test_policy_and_transform_share_the_parameter_rule(payload, args, param):
+    build, transform = getattr(TamperPolicy, payload), TRANSFORMS[payload]
+    doc = "M73 P30\nG1 X1 E5\nG1 X2 E6\nG1 X3 E7\n"
+    if param is not None:
+        assert build(*args).param_byte() == param
+        assert transform(doc, *args) == apply_policy(doc, build(*args))
+        return
+    with pytest.raises(ValueError) as policy_refused:
+        build(*args)
+    with pytest.raises(ValueError) as transform_refused:
+        transform(doc, *args)
+    assert str(transform_refused.value) == str(policy_refused.value)
 
 
 # --- equivalence oracle -------------------------------------------------------------
@@ -449,10 +489,7 @@ def test_divergence_search_reports_every_policy():
     tool = runpy.run_path(str(Path(__file__).resolve().parents[1] / "tools" / "divergence_search.py"))
     found = tool["search"](3)
     assert len(found) == len(tool["TAILS"]) * len(tool["POLICIES"])
-    documents = sum(len(tool["TOKENS"]) ** n for n in (1, 2, 3))
-    for divergent, refused in found:
-        assert divergent == []
-        assert 0 <= refused < documents
+    assert found == [[]] * len(found)
 
 
 @pytest.mark.parametrize("doc, policy, expected", [
@@ -502,11 +539,11 @@ def test_relocation_of_a_second_e_conserves_material():
 
 
 @pytest.mark.parametrize("switch", ["M83X", "M83 E"])
-def test_relocation_refuses_a_malformed_relative_switch(switch):
-    # the head alone switches the stream to relative extrusion
+def test_relocation_goes_dormant_on_a_malformed_relative_switch(switch):
+    # the head alone switches the stream and the transform to relative
+    # extrusion, and both pass the rest of the document through
     doc = f"M73 P30\n{switch}\nG1 X1 E5\nG1 X2 E6\n"
-    with pytest.raises(RelativeExtrusionDetected):
-        transform_relocation(doc, 2)
+    assert transform_relocation(doc, 2) == doc
     sim = UartSimulation(TamperPolicy.relocation(2))
     assert "".join(sim.feed(doc)) == doc
     assert sim.stats.dormant_events == 1

@@ -1,17 +1,15 @@
 """The payload transforms against tamper_oracle, their step-by-step
-statement: byte-identical output, or the same refusal, on the corpus, the
-fuzz documents and seeded random token documents."""
+statement: byte-identical output on the corpus, the fuzz documents and
+seeded random token documents."""
 
 import random
 from fractions import Fraction
 
-import pytest
-
 import tamper_oracle
-from flawsim.tamper import RelativeExtrusionDetected, transform_reduction, transform_relocation
+from flawsim.tamper import transform_reduction, transform_relocation
 from test_fuzz_equivalence import random_document
 
-REDUCTIONS = [Fraction(1, 10), Fraction(1, 3), Fraction(1, 2), Fraction(33, 100)]
+REDUCTIONS = [Fraction(1, 10), Fraction(7, 100), Fraction(1, 2), Fraction(33, 100)]
 RELOCATIONS = [(n, lo, hi) for n in (2, 3, 4) for lo, hi in ((0, 100), (25, 75))]
 PROGRESS = "M73 P30\n"  # relocation documents start inside their window
 
@@ -50,12 +48,7 @@ def agree(doc: str) -> None:
         assert transform_reduction(doc, fraction) == expected, (doc, fraction)
     doc = PROGRESS + doc
     for n, lo, hi in RELOCATIONS:
-        try:
-            expected = tamper_oracle.transform_relocation(doc, n, lo, hi)
-        except RelativeExtrusionDetected:
-            with pytest.raises(RelativeExtrusionDetected):
-                transform_relocation(doc, n, lo, hi)
-            continue
+        expected = tamper_oracle.transform_relocation(doc, n, lo, hi)
         assert transform_relocation(doc, n, lo, hi) == expected, (doc, n, lo, hi)
 
 

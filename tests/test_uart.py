@@ -1,13 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from tamper_oracle import run_pipeline_equivalence
 from test_fuzz_equivalence import POLICIES, random_document
 
 from flawsim import uart
 from flawsim.avr import RingBufferInfo
 from flawsim.fixedpoint import MAX_RAW
 from flawsim.policy import TamperPolicy
-from flawsim.tamper import apply_policy, run_pipeline_equivalence
+from flawsim.tamper import apply_policy
 from flawsim.uart import (
     F_DORMANT,
     ST_G1_MID,

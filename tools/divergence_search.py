@@ -8,9 +8,7 @@ them, and run under three policies: reduction 1/2, relocation 2 and
 relocation 3 with window 0-100 (both relocations after ``M73 P30``, so
 their window is open).  A second pass follows each document with one
 move and no final newline instead, so a value the stream still holds at
-the end shows.  A document the relocation transform refuses (relative
-extrusion before the window closed) is counted on its own, not as a
-divergence.  The script prints the count and the first few divergent
+the end shows.  The script prints the count and the first few divergent
 documents per pass and policy.  The test suite runs search(3) and
 requires no divergent document on any pass under any policy.  Run from
 the repository root:
@@ -23,10 +21,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+REPO = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(REPO / "src"), str(REPO / "tests")]
 
 from flawsim.policy import TamperPolicy  # noqa: E402
-from flawsim.tamper import RelativeExtrusionDetected, run_pipeline_equivalence  # noqa: E402
+from tamper_oracle import run_pipeline_equivalence  # noqa: E402
 
 TOKENS = [
     "G1", "M73", "M82", "M83", " X1", " E5", " E0", " E", " E-", " E.5", " E5x",
@@ -56,21 +55,14 @@ def documents(max_tokens: int):
             yield "".join(tokens)
 
 
-def search(max_tokens: int) -> list[tuple[list[str], int]]:
+def search(max_tokens: int) -> list[list[str]]:
     """For each of TAILS, and within it each of POLICIES: the divergent
-    documents (without head or tail), and how many documents the transform
-    refused."""
+    documents, without head or tail."""
     found = []
     for _, tail in TAILS:
         for _, head, policy in POLICIES:
-            divergent, refused = [], 0
-            for doc in documents(max_tokens):
-                try:
-                    if not run_pipeline_equivalence(head + doc + tail, policy).identical:
-                        divergent.append(doc)
-                except RelativeExtrusionDetected:
-                    refused += 1
-            found.append((divergent, refused))
+            found.append([doc for doc in documents(max_tokens)
+                          if not run_pipeline_equivalence(head + doc + tail, policy).identical])
     return found
 
 
@@ -79,8 +71,8 @@ def main() -> int:
     found = iter(search(MAX_TOKENS))
     for tail_name, tail in TAILS:
         for name, head, policy in POLICIES:
-            divergent, refused = next(found)
-            print(f"{tail_name}, {name}: {len(divergent)} of {total} documents diverge, {refused} refused")
+            divergent = next(found)
+            print(f"{tail_name}, {name}: {len(divergent)} of {total} documents diverge")
             for doc in divergent[:EXAMPLES]:
                 print(f"  {doc!r}: {run_pipeline_equivalence(head + doc + tail, policy).describe()}")
     return 0
