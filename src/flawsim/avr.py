@@ -32,10 +32,6 @@ _DATA_MEMORY_SIZE = 0x2200  # 256 B register/IO space + 8 KiB SRAM
 HEAD_TAIL_TO_ROOT = MemoryLayout.rx_buffer_size
 
 
-class OffsetOutOfRange(FlawsimError):
-    pass
-
-
 class PatternNotFound(FlawsimError):
     pass
 
@@ -146,16 +142,16 @@ def words_to_bytes(*words: int) -> bytes:
 
 def decode(image: FlashImage, offset: int) -> DecodedInsn:
     """Decode one instruction at an even byte offset; an odd offset, or
-    one whose instruction runs past flash, raises OffsetOutOfRange."""
+    one whose instruction runs past flash, raises AddressOutOfRange."""
     if offset % 2:
-        raise OffsetOutOfRange(f"instruction offset {offset:#x} is odd")
+        raise AddressOutOfRange(f"instruction offset {offset:#x} is odd")
     if not 0 <= offset <= image.layout.flash_size - 2:
-        raise OffsetOutOfRange(f"offset {offset:#x} outside flash")
+        raise AddressOutOfRange(f"offset {offset:#x} outside flash")
     word = image.read_word(offset)
 
     def second_word() -> int:
         if offset + 4 > image.layout.flash_size:
-            raise OffsetOutOfRange(f"32-bit insn at {offset:#x} runs past flash end")
+            raise AddressOutOfRange(f"32-bit insn at {offset:#x} runs past flash end")
         return image.read_word(offset + 2)
 
     if (word & 0xF000) == 0xE000:
@@ -286,7 +282,7 @@ def find_ring_buffer(image: FlashImage) -> RingBufferInfo:
     slot = DEFAULT_RX_VECTOR_INDEX
     try:
         entry = decode(image, slot * 4)
-    except OffsetOutOfRange as exc:
+    except AddressOutOfRange as exc:
         raise DormantAbort(f"vector slot {slot} unreadable: {exc}") from exc
     if entry.kind is not Kind.JMP:
         raise DormantAbort(f"vector slot {slot} is not a jmp")
@@ -296,7 +292,7 @@ def find_ring_buffer(image: FlashImage) -> RingBufferInfo:
     for _ in range(RING_WALK_BUDGET):
         try:
             insn = decode(image, pc)
-        except OffsetOutOfRange as exc:
+        except AddressOutOfRange as exc:
             raise DormantAbort(f"walk left flash at {pc:#x}") from exc
         if insn.kind is Kind.LDS and prev is not None and prev.kind is Kind.LDS:
             head, tail = prev.mem_addr, insn.mem_addr
@@ -349,7 +345,7 @@ def audit_bootloader(image: FlashImage) -> list[Finding]:
     byte of the section, though it always starts the first.  Decoding is
     still bounded by the end of flash, so a 32-bit instruction there reads
     its erased second word, and one that runs past flash raises
-    OffsetOutOfRange.  Nothing past that point can be a finding: erased
+    AddressOutOfRange.  Nothing past that point can be a finding: erased
     words decode as OTHER16 and come after every MCUCR write and every
     CALL, so they neither write MCUCR nor follow a CALL as its CLI.
     """
@@ -357,7 +353,7 @@ def audit_bootloader(image: FlashImage) -> list[Finding]:
     insns: list[DecodedInsn] = []
     offset = layout.boot_start
     programmed = len(image.data[offset:].rstrip(b"\xff"))
-    # at least one word, so an odd section start still raises OffsetOutOfRange
+    # at least one word, so an odd section start still raises AddressOutOfRange
     stop = min(layout.flash_size - 1, offset + max(programmed, 1))
     while offset < stop:
         insn = decode(image, offset)

@@ -32,9 +32,11 @@ their policy through.  Material reduction scales every target by
 (100 - p) / 100 for a whole percent p.  Material relocation converts the
 move holding every n-th target inside the progress window to travel,
 dropping that target; with absolute extrusion values the next target
-deposits the difference, so total material is conserved.  A switch to
-relative extrusion would break that, so relocation stops editing there,
-as the interceptor does.
+deposits the difference.  A converted target's filament is deposited
+exactly when an absolute target follows it before any G92, M83 or the
+end of the print; otherwise it is lost, and total material with it.
+After a switch to relative extrusion no target would catch up a
+dropped one, so relocation stops editing there, as the interceptor does.
 """
 
 from __future__ import annotations

@@ -21,11 +21,10 @@ producer loop dequeues one line after that step and none after any
 other.  The epilogue takes back only the byte the ISR just stored (a
 hidden digit or point, or the delimiter of a targeted value, which
 _finish_target writes again after the edited text in the same step; on
-overflow the digit or delimiter is written again after the text the value
-hid, and the interceptor goes dormant), and
-the rewinds in _decide_on_first_digit cover a value's sign, point, letter
-and space; so no step publishes a newline it did not store, and none
-takes one back.
+overflow the digit is written again after the text the value hid, and
+the interceptor goes dormant), and the rewinds in _decide_on_first_digit
+cover a value's sign, point, letter and space; so no step publishes a
+newline it did not store, and none takes one back.
 
 The wire carries bytes: UartSimulation sends the UTF-8 encoding of its
 text, as a host writing to the port does, and the consumer decodes each
@@ -42,7 +41,8 @@ expanded to every byte, and hands only the pairs it marks _CALL to _act;
 UartSimulation's producer loop does the same over the wire bytes.  E
 values and P percentages share one capture, the states ST_V_INT and
 ST_V_FRAC, and only they pass through the accumulator; F_PROGRESS marks a
-percentage, which is read and never hidden.
+percentage, which is read and never hidden.  The 32-bit budget is checked
+once, in the fold, at the digit that carries the value past it.
 
 All interceptor persistence lives in TrojanState, which serializes to 15
 bytes: the memory the stack-steal patch carved out.  There is no room for
@@ -105,9 +105,15 @@ _CALL = 0xFF  # in _STEP: _act must run for this pair
 
 # free cells an edit needs: the worst-case reduced value (a sign, six
 # integer digits, a point, four decimals) and the re-emitted delimiter;
-# an overflowing value's hidden text (a sign, ten digits, a point) and the
-# digit or delimiter after it fit as well
+# an overflowing value's hidden text (at most the same eleven cells past
+# the sign) and the digit after it fit as well
 _EDIT_ROOM = 13
+
+# the fold's budget by the decimals a value has after a digit (0-4; 5 for
+# the fifth, which only rounds): MAX_RAW over the power of ten that scales
+# the value to 1e-4, so a value past 32 bits overflows at the digit that
+# carries it there
+_FOLD_LIMIT = tuple(MAX_RAW // 10 ** (4 - d) for d in range(5)) + (MAX_RAW,)
 
 # ASCII 0-9 only, as in the firmware's NUMERIC() and the g-code parser
 # (chr(byte).isdigit() would also take latin-1's superscripts 2, 3 and 1)
@@ -261,15 +267,13 @@ def _go_dormant(trojan: TrojanState):
     trojan.flags_window = (trojan.flags_window | F_DORMANT) & ~F_CONVERT
 
 
-def _scaled_value(trojan: TrojanState) -> int | None:
-    """Close out value capture: accumulator scaled to 10^4, signed; None
-    when it no longer fits 32 bits."""
+def _scaled_value(trojan: TrojanState) -> int:
+    """Close out value capture: accumulator scaled to 10^4, signed.  The
+    fold already held it to the 32-bit budget."""
     frac = trojan.parser_state >> 4
     raw = trojan.accumulator
     if frac < 4:
         raw *= 10 ** (4 - frac)
-    if raw > MAX_RAW:
-        return None
     return -raw if trojan.flags_window & F_NEG else raw
 
 
@@ -327,8 +331,8 @@ def _hidden_text(trojan: TrojanState) -> str:
     """The text a target value hid so far: its sign, its folded digits and,
     in ST_V_FRAC, its point before the decimals counted in parser_state's
     high nibble.  Leading zeros fold to 0 and are not kept.  Called only
-    on overflow, where the value's integer part has six digits or more,
-    so the point never comes before the first digit."""
+    on the fold's overflow, where the value's integer part has five
+    digits or more, so the point never comes before the first digit."""
     flags, digits = trojan.flags_window, str(trojan.accumulator)
     sign = "-" if flags & F_NEG else "+" if flags & F_SIGN_SEEN else ""
     if trojan.parser_state & 0x0F == ST_V_INT:
@@ -357,22 +361,17 @@ def _write_back(ring: RingBufferState, text: str, last: int | None) -> None:
 
 def _finish_target(trojan: TrojanState, ring: RingBufferState, delim: int | None) -> str:
     """A targeted extrusion value ended: its delimiter just arrived, or
-    (delim None) the stream ended.  The edited text, or on overflow the
-    text the value hid, is written back before the delimiter."""
+    (delim None) the stream ended.  The edited text is written back
+    before the delimiter."""
     if trojan.flags_window & F_CONVERT:
         # Value discarded; a delimiter the ISR just stored already sits
         # exactly where the removed token began.  Nothing to write back.
         event = EV_CONVERT
     else:
-        # _decide_on_first_digit left _EDIT_ROOM cells for either text
-        value = _scaled_value(trojan)
-        if value is None:
-            _go_dormant(trojan)
-            text, event = _hidden_text(trojan), EV_OVERFLOW
-        else:
-            text = format_raw(div_round_half_away(value * (100 - trojan.policy_param), 100))
-            event = EV_EDIT
-        _write_back(ring, text, delim)
+        # _decide_on_first_digit left _EDIT_ROOM cells for the text
+        value = _scaled_value(trojan) * (100 - trojan.policy_param)
+        _write_back(ring, format_raw(div_round_half_away(value, 100)), delim)
+        event = EV_EDIT
     trojan.flags_window &= ~(F_CONVERT | F_NEG | F_SIGN_SEEN)
     trojan.parser_state = ST_G1_MID if delim is None else _STEP[ST_G1_MID][delim]
     return event
@@ -392,17 +391,12 @@ def update_window(flags: int, percent_raw: int, lo: int, hi: int) -> int:
     return flags & ~F_WINDOW_ACTIVE
 
 
-def _finish_progress(trojan: TrojanState, policy: TamperPolicy, delim: int) -> str | None:
+def _finish_progress(trojan: TrojanState, policy: TamperPolicy, delim: int) -> None:
     """A progress-report percentage finished arriving; update the window
     and skip the rest of the line."""
-    value = _scaled_value(trojan)
-    trojan.parser_state = _STEP[ST_SKIP][delim]
-    if value is None:
-        _go_dormant(trojan)
-        return EV_OVERFLOW
-    flags = update_window(trojan.flags_window, value, policy.window_lo, policy.window_hi)
+    flags = update_window(trojan.flags_window, _scaled_value(trojan), policy.window_lo, policy.window_hi)
     trojan.flags_window = flags & ~(F_PROGRESS | F_NEG | F_SIGN_SEEN)
-    return None
+    trojan.parser_state = _STEP[ST_SKIP][delim]
 
 
 def trojan_epilogue(trojan: TrojanState, ring: RingBufferState, policy: TamperPolicy) -> str | None:
@@ -440,11 +434,13 @@ def _act(trojan: TrojanState, ring: RingBufferState, policy: TamperPolicy, byte:
                 # Fold (command numbers never get here): integer digits and
                 # four decimals, counted in parser_state's high nibble, shift
                 # in; the fifth only rounds half up and later ones drop, so
-                # values are captured at 1e-4.  Past 32 bits the interceptor
-                # goes dormant for the session.
+                # values are captured at 1e-4.  That value never falls as
+                # digits arrive, so the budget is checked here alone: past
+                # 32 bits once scaled (_FOLD_LIMIT), the interceptor goes
+                # dormant for the session.
                 acc = trojan.accumulator
                 acc = acc + (byte >= 0x35) if frac == 4 else acc * 10 + byte - 48
-                if acc > MAX_RAW:
+                if acc > _FOLD_LIMIT[frac + in_frac]:
                     # dormant; a target's hidden text goes back before this digit
                     _go_dormant(trojan)
                     if not flags & F_PROGRESS:
@@ -468,7 +464,8 @@ def _act(trojan: TrojanState, ring: RingBufferState, policy: TamperPolicy, byte:
                 _pass_finish(trojan, byte)
             return None
         if flags & F_PROGRESS:
-            return _finish_progress(trojan, policy, byte)
+            _finish_progress(trojan, policy, byte)
+            return None
         return _finish_target(trojan, ring, byte)
 
     if state == ST_G1_TOK or state == ST_M73_TOK:  # 'E', 'P'
@@ -491,8 +488,10 @@ def _act(trojan: TrojanState, ring: RingBufferState, policy: TamperPolicy, byte:
 
     # ST_M_83, the byte that ends the command
     if relocation:
-        # Relative extrusion would break the conservation property;
-        # the interceptor quietly stands down for the session.
+        # A dropped target is caught up only by a later absolute one, and
+        # under relative extrusion none comes; the interceptor quietly
+        # stands down for the session (a target converted since the last
+        # absolute one stays lost).
         _go_dormant(trojan)
         return EV_DORMANT_M83
     trojan.parser_state = _STEP[ST_SKIP][byte]

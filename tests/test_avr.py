@@ -13,7 +13,6 @@ from flawsim.avr import (
     DormantAbort,
     Finding,
     Kind,
-    OffsetOutOfRange,
     PatternNotFound,
     UnderflowWouldBorrow,
     apply_stack_steal,
@@ -84,12 +83,12 @@ def test_decode_rjmp_negative_displacement():
 
 def test_decode_errors():
     img = FlashImage(LAYOUT)
-    with pytest.raises(OffsetOutOfRange, match=r"^instruction offset 0x101 is odd$"):
+    with pytest.raises(AddressOutOfRange, match=r"^instruction offset 0x101 is odd$"):
         decode(img, 0x101)
-    with pytest.raises(OffsetOutOfRange):
+    with pytest.raises(AddressOutOfRange):
         decode(img, LAYOUT.flash_size)
     img.write(LAYOUT.flash_size - 2, words_to_bytes(0x940C))  # 32-bit shape at the edge
-    with pytest.raises(OffsetOutOfRange):
+    with pytest.raises(AddressOutOfRange):
         decode(img, LAYOUT.flash_size - 2)
 
 
@@ -591,5 +590,5 @@ def test_audit_sweep_reads_past_the_last_programmed_byte_to_the_end_of_flash():
     (finding,) = audit_bootloader(image_with(end - 6, pair))
     assert (finding.kind, finding.offset, finding.related_offset) == ("IsrTrampoline", end - 6, end - 2)
     # a 32-bit instruction in the last word still runs past flash
-    with pytest.raises(OffsetOutOfRange):
+    with pytest.raises(AddressOutOfRange):
         audit_bootloader(image_with(end - 2, words_to_bytes(enc_call(0x50)[0])))

@@ -322,6 +322,25 @@ def test_relocation_allows_m83_after_window_closed():
     assert out.endswith("M83\nG1 E1\n")
 
 
+CAUGHT_UP = "M73 P30\nG1 X1 E1\nG1 X2 E2\n"
+
+
+@pytest.mark.parametrize("doc, before, after", [
+    # the converted E2 is followed by an M83, a G92 or the end of the
+    # print before any absolute target: its 1 mm is lost
+    (CAUGHT_UP + "M83\nG1 X3 E1\nG1 X4 E1\n", 40_000, 30_000),
+    (CAUGHT_UP + "G92 E0\nG1 X3 E1\nG1 X4 E2\n", 40_000, 20_000),  # E2 twice
+    (CAUGHT_UP, 20_000, 10_000),
+    # E3 catches up the first conversion; the second ends the print
+    (CAUGHT_UP + "G1 X3 E3\nG1 X4 E4\n", 40_000, 30_000),
+])
+def test_relocation_loses_a_target_nothing_catches_up(doc, before, after):
+    out = transform_relocation(doc, 2)
+    assert (account(doc).total_extrusion.raw, account(out).total_extrusion.raw) == (before, after)
+    report = run_pipeline_equivalence(doc, TamperPolicy.relocation(2))
+    assert report.identical, report.describe()
+
+
 def test_relocation_total_conserved_on_uniform_fixture():
     doc = fixtures.generate_gcode(segments=100, m73_step=5)
     for n in (2, 3, 4):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from test_fuzz_equivalence import POLICIES, random_document
 
 from flawsim import uart
 from flawsim.avr import RingBufferInfo
-from flawsim.fixedpoint import MAX_RAW
+from flawsim.fixedpoint import MAX_RAW, VALUE_PATTERN, FixedPointOverflow, raw_from_digits
 from flawsim.policy import TamperPolicy
 from flawsim.tamper import apply_policy
 from flawsim.uart import (
@@ -437,9 +438,10 @@ def test_accumulator_overflow_goes_dormant_for_session():
 
 
 def test_every_overflow_route_goes_dormant_within_budget():
-    # a digit past 32 bits, a value that overflows only when scaled at its
-    # delimiter, and a fifth decimal that rounds past MAX_RAW: the
-    # overflowing line streams as received, and so does the rest
+    # a value far past 32 bits, one its sixth integer digit carries past
+    # the budget, and a fifth decimal that rounds past MAX_RAW: each
+    # overflows at that digit, the overflowing line streams as received,
+    # and so does the rest
     tail = "G1 X2 E5\nG1 X3 E6\nG1 X4 E7\n"
     for value in ("99999999999", "214749", "214748.36475"):
         for head, policy in (
@@ -475,14 +477,46 @@ def test_fold_overflows_exactly_past_max_raw(value):
         assert sim.stats == SimStats(chars_in=len(doc), edits=2)
 
 
+def over_budget(text: str) -> bool:
+    """Whether raw_from_digits refuses a value so far (a sign alone fits)."""
+    match = re.fullmatch(VALUE_PATTERN, text)
+    if match is None:
+        return False
+    try:
+        raw_from_digits(*match.groups(""))
+    except FixedPointOverflow:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("value", ["214749", "214748.3648", "214748.36475", "99999999999", "-214748.9", "+214749."])
+@pytest.mark.parametrize("head, policy", [
+    ("G1 X1 E", HALF),
+    ("M73 P30\nM73 P", TamperPolicy.relocation(2, 0, 100)),
+])
+def test_overflow_arrives_at_the_digit_that_crosses_the_budget(head, policy, value):
+    # the value scaled to 1e-4 never falls as digits arrive, so the fold
+    # reports the overflow on the first byte after which the value so far
+    # no longer fits 32 bits, and on no other byte
+    doc = f"{head}{value}\n"
+    crossing = len(head) + next(i for i in range(len(value)) if over_budget(value[: i + 1]))
+    ring, trojan = RingBufferState(128), TrojanState.for_policy(policy)
+    events = []
+    for byte in doc.encode():
+        marlin_rx_isr(ring, byte)
+        events.append(trojan_epilogue(trojan, ring, policy))
+    assert [at for at, event in enumerate(events) if event == uart.EV_OVERFLOW] == [crossing]
+
+
 @pytest.mark.parametrize("doc", [
     # overflow at a folded digit: the hidden text goes back before it
     "G1 X1 E99999999999\nG1 X2 E5\n",
     "G1 X1 E214748.36479\n",
     "G1 E-2147483.648 X1\n",
     "G1 E5 E99999999999 E4\nG1 E4\n",
-    # overflow when scaled at the delimiter: the hidden text goes back
-    # before the delimiter, the point included
+    # values whose digits alone fit 32 bits but not once scaled: they
+    # overflow at the integer digit that carries them past 214748, and
+    # the digits, point and delimiter after it stream as received
     "G1 E214749\n",
     "G1 X1 E+214749. E4\n",
     "G1 E-2147483647.;c\nG1 E4\n",
@@ -521,11 +555,15 @@ def test_an_overflowing_target_loses_its_leading_zeros():
     ("G1 X1 E-", HALF, "G1 X1 E-", {}),
     ("M73 P30\nM73 P5", TamperPolicy.relocation(2), "M73 P30\nM73 P5", {}),
     ("G1 X1 E5", OFF, "G1 X1 E5", {}),
-    # one that overflows when scaled: its hidden text is written back
+    # one past the budget overflows at the digit that carries it there,
+    # before the stream ends: its hidden text goes back before that digit
     ("G1 X1 E214749", HALF, "G1 X1 E214749", {"overflows": 1, "dormant_events": 1}),
     ("G1 X1 E5 E-214748.9", HALF, "G1 X1 E2.5 E-214748.9",
      {"edits": 1, "overflows": 1, "dormant_events": 1}),
     ("G1 E+99999999.9", HALF, "G1 E+99999999.9", {"overflows": 1, "dormant_events": 1}),
+    # so does a percentage, which is read and never hidden
+    ("M73 P30\nM73 P214749", TamperPolicy.relocation(2), "M73 P30\nM73 P214749",
+     {"overflows": 1, "dormant_events": 1}),
 ])
 def test_flush_residual_finishes_a_value_the_stream_cut_off(doc, policy, expected, counts):
     sim = UartSimulation(policy)
