@@ -40,7 +40,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import islice
 
-from .errors import FlawsimError
+from .errors import FlawsimError, ParseError
 from .fixedpoint import MAX_RAW, SCALE, FixedPoint, format_raw
 from .gcode import accounted_lines
 
@@ -55,25 +55,10 @@ DENSITY_G_CM3 = 1.24  # PLA
 _QUOTED_CHARS = 60  # of a line's body, in a ParseError message
 
 
-class ParseError(FlawsimError):
-    """A line account cannot read, as ``line N: <problem> <body>``.  A
-    body longer than 60 characters is quoted up to its 60th, then an
-    ellipsis and the count of characters left out."""
-
-    def __init__(self, line_no: int, body: str, problem: str = "cannot parse"):
-        quoted = repr(body[:_QUOTED_CHARS])
-        if len(body) > _QUOTED_CHARS:
-            quoted += f"\u2026 ({len(body) - _QUOTED_CHARS} more characters)"
-        super().__init__(f"line {line_no}: {problem} {quoted}")
-        self.line_no = line_no
-
-
 class InsufficientData(FlawsimError):
-    pass
-
-
-class ZeroReferenceTotal(FlawsimError):
-    pass
+    """An analysis has too little to run on: fewer than 8 extruding
+    segments, no positive median flow, or a reference that deposits
+    nothing."""
 
 
 @dataclass(slots=True)
@@ -207,11 +192,16 @@ _TRAVEL_EPS = 1e-9
 
 
 def _parse_error(doc: str, start: int, problem: str = "cannot parse") -> ParseError:
-    """The error for the line of doc that starts at start; lines are only
-    counted here, once account has found a fault."""
+    """The error for the line of doc that starts at start, as ``line N:
+    <problem> <body>``; lines are only counted here, once account has found
+    a fault.  A body longer than 60 characters is quoted up to its 60th,
+    then an ellipsis and the count of characters left out."""
     end = doc.find("\n", start)
     body = doc[start:] if end < 0 else doc[start:end]
-    return ParseError(doc.count("\n", 0, start) + 1, body, problem)
+    quoted = repr(body[:_QUOTED_CHARS])
+    if len(body) > _QUOTED_CHARS:
+        quoted += f"\u2026 ({len(body) - _QUOTED_CHARS} more characters)"
+    return ParseError(doc.count("\n", 0, start) + 1, f"{problem} {quoted}")
 
 
 def account(doc: str) -> AuditReport:
@@ -315,9 +305,10 @@ def detect_relocation(
 
 def compare(reference: AuditReport, suspect: AuditReport) -> float:
     """Reduction percentage of suspect relative to reference (by the
-    deposited-length mass proxy)."""
+    deposited-length mass proxy); InsufficientData when the reference
+    deposits nothing."""
     if reference.total_extrusion.raw == 0:
-        raise ZeroReferenceTotal("reference deposits no material")
+        raise InsufficientData("reference deposits no material")
     percent = 100.0 * (1.0 - suspect.total_extrusion.raw / reference.total_extrusion.raw)
     suspect.comparison = {
         "reference_total_mm": reference.total_extrusion.to_text(),

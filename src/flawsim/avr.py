@@ -36,12 +36,9 @@ class PatternNotFound(FlawsimError):
     pass
 
 
-class UnderflowWouldBorrow(FlawsimError):
-    pass
-
-
 class DormantAbort(FlawsimError):
-    pass
+    """The attack cannot take hold on this image: no plausible ring buffer,
+    or an SPL immediate too small to steal from.  Callers go dormant."""
 
 
 class Kind(Enum):
@@ -249,8 +246,8 @@ def find_sp_init(image: FlashImage, start: int = 0, end: int | None = None) -> S
 def apply_stack_steal(image: FlashImage, site: SpInitSite, n: int = DEFAULT_STEAL_BYTES) -> FlashImage:
     """Lower the initial SPL immediate by n, freeing n bytes above the stack.
 
-    Only the immediate nibbles of the first LDI word change.  Refuses to
-    borrow into SPH (the caller treats that as dormancy).
+    Only the immediate nibbles of the first LDI word change.  Raises
+    DormantAbort rather than borrow into SPH.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -259,7 +256,7 @@ def apply_stack_steal(image: FlashImage, site: SpInitSite, n: int = DEFAULT_STEA
         raise PatternNotFound(f"no ldi r28 at {site.offset:#x}; stale site?")
     current = ((word >> 4) & 0xF0) | (word & 0x0F)
     if current < n:
-        raise UnderflowWouldBorrow(f"SPL immediate {current:#04x} - {n} would borrow into SPH")
+        raise DormantAbort(f"SPL immediate {current:#04x} - {n} would borrow into SPH")
     patched = image.copy()
     patched.write_word(site.offset, enc_ldi(28, current - n))
     return patched

@@ -5,7 +5,8 @@ Exit codes are a contract for CI gating:
     1  usage error
     2  tampering detected (differing stored image, audit findings,
        deposition anomalies)
-    3  input could not be parsed
+    3  parse error: an input could not be read (the message names its
+       line); error: an analysis or an install cannot run on it
 
 A memory layout JSON (fields of MemoryLayout) can be supplied with
 --layout.  flawsim pipeline streams its input verbatim when the install
@@ -22,7 +23,7 @@ from pathlib import Path
 
 from . import audit as audit_mod
 from . import avr, fixtures, memory, stk500, tamper
-from .errors import FlawsimError
+from .errors import FlawsimError, ParseError
 from .memory import MemoryLayout
 from .policy import TamperPolicy
 from .uart import UartSimulation
@@ -77,20 +78,15 @@ def _add_policy_flags(parser: _Parser):
                         help=f"relocation progress window (default {window[0]} {window[1]})")
 
 
-class NotText(FlawsimError):
-    """An input file holds bytes that are not UTF-8 text."""
-
-
 def _read_text(path: str) -> str:
-    """The file decoded as UTF-8, line endings kept verbatim."""
+    """The file decoded as UTF-8, line endings kept verbatim; ParseError
+    for bytes that are not UTF-8 text."""
     data = Path(path).read_bytes()
     try:
         return data.decode()
     except UnicodeDecodeError as exc:
         line_no = data.count(b"\n", 0, exc.start) + 1
-        raise NotText(
-            f"line {line_no}: byte {data[exc.start]:#04x} is not UTF-8 text in {path}"
-        ) from None
+        raise ParseError(line_no, f"byte {data[exc.start]:#04x} is not UTF-8 text in {path}") from None
 
 
 def _out(args, text: str):
@@ -230,6 +226,8 @@ def cmd_pipeline(args) -> int:
         with open(args.trace, "w") as fh:
             for entry in trace:
                 fh.write(json.dumps(entry) + "\n")
+    if args.output:
+        Path(args.output).write_bytes(output.encode())
     before = audit_mod.account(doc)
     after = audit_mod.account(output)
     percent = audit_mod.compare(before, after)
@@ -238,8 +236,6 @@ def cmd_pipeline(args) -> int:
     print(f"material reduction: {percent:.2f}%")
     print(f"stream edits: {sim.stats.edits} edited, {sim.stats.conversions} converted, "
           f"{sim.stats.edits_skipped} skipped")
-    if args.output:
-        Path(args.output).write_bytes(output.encode())
     return EXIT_OK
 
 
@@ -301,7 +297,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (memory.IntelHexError, audit_mod.ParseError, NotText) as exc:
+    except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (FileNotFoundError, ValueError) as exc:  # bad flag values, bad layout JSON

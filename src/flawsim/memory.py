@@ -12,13 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import FlawsimError
-
-
-class IntelHexError(FlawsimError):
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"line {line_no}: {reason}")
-        self.line_no = line_no
+from .errors import FlawsimError, ParseError
 
 
 class AddressOutOfRange(FlawsimError):
@@ -114,50 +108,53 @@ _REC_EXT_LINEAR = 0x04
 def load_ihex(text: str, layout: MemoryLayout) -> FlashImage:
     """Parse an Intel HEX document into a fresh (erased) image.
 
-    Record types 00/01/02/04 only.  Per-record checksums are verified;
-    a bad checksum reports the offending line number.
+    Record types 00/01/02/04 only.  A record ends at LF, CRLF or a lone
+    CR.  Any record that cannot be loaded, a bad checksum or a data
+    record that runs past flash among them, raises ParseError naming its
+    line.
     """
     image = FlashImage(layout)
     base = 0
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for line_no, raw in enumerate(text.split("\n"), 1):
         line = raw.strip()
         if not line:
             continue
         if not line.startswith(":"):
-            raise IntelHexError(line_no, "missing ':' start code")
+            raise ParseError(line_no, "missing ':' start code")
         try:
             rec = bytes.fromhex(line[1:])
         except ValueError:
-            raise IntelHexError(line_no, "invalid hex digits") from None
+            raise ParseError(line_no, "invalid hex digits") from None
         if len(rec) < 5:
-            raise IntelHexError(line_no, "record too short")
+            raise ParseError(line_no, "record too short")
         count, addr_hi, addr_lo, rectype = rec[0], rec[1], rec[2], rec[3]
         if len(rec) != count + 5:
-            raise IntelHexError(line_no, "length field disagrees with record size")
+            raise ParseError(line_no, "length field disagrees with record size")
         if sum(rec) & 0xFF:
-            raise IntelHexError(line_no, "record checksum mismatch")
+            raise ParseError(line_no, "record checksum mismatch")
         payload = rec[4 : 4 + count]
         offset = (addr_hi << 8) | addr_lo
         if rectype == _REC_DATA:
             addr = base + offset
             if addr + count > layout.flash_size:
-                raise AddressOutOfRange(
-                    f"line {line_no}: data record ends at {addr + count:#x}, "
-                    f"flash is {layout.flash_size:#x}"
+                raise ParseError(
+                    line_no, f"data record ends at {addr + count:#x}, flash is {layout.flash_size:#x}"
                 )
             image.data[addr : addr + count] = payload
         elif rectype == _REC_EOF:
             break
         elif rectype == _REC_EXT_SEGMENT:
             if count != 2:
-                raise IntelHexError(line_no, "type-02 record needs 2 data bytes")
+                raise ParseError(line_no, "type-02 record needs 2 data bytes")
             base = ((payload[0] << 8) | payload[1]) << 4
         elif rectype == _REC_EXT_LINEAR:
             if count != 2:
-                raise IntelHexError(line_no, "type-04 record needs 2 data bytes")
+                raise ParseError(line_no, "type-04 record needs 2 data bytes")
             base = ((payload[0] << 8) | payload[1]) << 16
         else:
-            raise IntelHexError(line_no, f"unsupported record type {rectype:02X}")
+            raise ParseError(line_no, f"unsupported record type {rectype:02X}")
     return image
 
 

@@ -19,6 +19,10 @@ request sequence number.  Command bodies:
 The transport is any byte stream; the reader never assumes message
 boundaries line up with reads.  One session is strictly lockstep
 request/response; independent sessions share nothing.
+
+Every fault of the exchange raises ProtocolError: a malformed frame, a
+response out of sequence or cut short, a command the session refuses,
+and firmware that reaches into the boot section.
 """
 
 from __future__ import annotations
@@ -47,10 +51,6 @@ SIGNATURE = b"AVRISP_2"
 
 _READ_FLASH_OK = bytes((CMD_READ_FLASH, STATUS_CMD_OK))
 _STATUS_OK = bytes((STATUS_CMD_OK,))
-
-
-class FrameError(FlawsimError):
-    pass
 
 
 class ProtocolError(FlawsimError):
@@ -85,21 +85,21 @@ def frame_decode(data: bytes) -> Stk500Frame:
     """Decode exactly one frame occupying the whole buffer."""
     total = _frame_length(data)
     if len(data) < total:
-        raise FrameError(f"need {total} bytes, have {len(data)}")
+        raise ProtocolError(f"need {total} bytes, have {len(data)}")
     frame = _checked_frame(data, total)
     if total != len(data):
-        raise FrameError(f"{len(data) - total} bytes after frame end")
+        raise ProtocolError(f"{len(data) - total} bytes after frame end")
     return frame
 
 
 def _frame_length(data: bytes) -> int:
     """Length of the frame at the start of data, from its checked header."""
     if len(data) < 6:
-        raise FrameError("frame header incomplete")
+        raise ProtocolError("frame header incomplete")
     if data[0] != MESSAGE_START:
-        raise FrameError(f"expected {MESSAGE_START:#04x}, got {data[0]:#04x}")
+        raise ProtocolError(f"expected {MESSAGE_START:#04x}, got {data[0]:#04x}")
     if data[4] != TOKEN:
-        raise FrameError(f"expected {TOKEN:#04x}, got {data[4]:#04x}")
+        raise ProtocolError(f"expected {TOKEN:#04x}, got {data[4]:#04x}")
     return 6 + ((data[2] << 8) | data[3])
 
 
@@ -109,7 +109,7 @@ def _checked_frame(data: bytes, total: int) -> Stk500Frame:
     residue = _xor(data if len(data) == total else data[:total])
     if residue:
         stated = data[total - 1]
-        raise FrameError(f"computed {residue ^ stated:#04x}, frame says {stated:#04x}")
+        raise ProtocolError(f"computed {residue ^ stated:#04x}, frame says {stated:#04x}")
     return Stk500Frame(data[1], bytes(data[5 : total - 1]))
 
 
@@ -118,7 +118,7 @@ class FrameReader:
 
     A feed may carry any number of bytes: the 7-byte cap on reads belongs
     to PipeTransport.  A frame is decoded once all of it is buffered.
-    A bad start byte or token raises FrameError from the feed that brings
+    A bad start byte or token raises ProtocolError from the feed that brings
     the buffered frame to 6 bytes; a bad checksum raises it from the feed
     that completes the frame.  The bad bytes stay buffered, so every later
     feed, however short, raises the same error.  A feed that leaves the
@@ -223,7 +223,7 @@ class BootSession:
             original = self.image.read(site.offset, 2)
             try:
                 self.image = apply_stack_steal(self.image, site)
-            except avr.UnderflowWouldBorrow:
+            except avr.DormantAbort:
                 return  # dormant: immediate too small to take the theft
             self.sp_site = site
             self._patch = original

@@ -15,14 +15,13 @@ from flawsim.audit import (
     RELOCATION_SIGNATURE,
     Anomaly,
     InsufficientData,
-    ParseError,
     SegmentRecord,
-    ZeroReferenceTotal,
     account,
     compare,
     detect_relocation,
     normalized_curve_csv,
 )
+from flawsim.errors import ParseError
 from flawsim.fixedpoint import MAX_RAW, SCALE, format_raw, raw_from_digits
 from flawsim.gcode import parse_line
 from flawsim.tamper import transform_reduction, transform_relocation
@@ -228,6 +227,15 @@ def test_segments_footprint_per_move():
 ACCOUNTED = {("G", 0), ("G", 1), ("G", 92), ("M", 82), ("M", 83)}
 
 
+def oracle_parse_error(line_no, body, problem="cannot parse"):
+    """account's ParseError for a line: the problem, then the body quoted
+    up to its 60th character and the count of characters left out."""
+    quoted = repr(body[:60])
+    if len(body) > 60:
+        quoted += f"\u2026 ({len(body) - 60} more characters)"
+    return ParseError(line_no, f"{problem} {quoted}")
+
+
 def oracle_account(doc):
     """account as a fold over parse_line of every LF-split body: the
     reference the scan and its plain decode are checked against."""
@@ -243,7 +251,7 @@ def oracle_account(doc):
         if (line.letter, line.number) not in ACCOUNTED:
             continue
         if line.malformed:
-            raise ParseError(line_no, body)
+            raise oracle_parse_error(line_no, body)
         if line.letter == "M":
             relative = line.number == 83
             continue
@@ -263,7 +271,7 @@ def oracle_account(doc):
         else:
             delta, e_logical = pe - e_logical, pe
             if abs(delta) > MAX_RAW:
-                raise ParseError(
+                raise oracle_parse_error(
                     line_no, body, f"extrusion delta {format_raw(delta)} exceeds the 32-bit budget in"
                 )
         commands.append(line.number)
@@ -272,7 +280,7 @@ def oracle_account(doc):
         deltas.append(delta)
         total += max(delta, 0)
         if total > MAX_RAW:
-            raise ParseError(
+            raise oracle_parse_error(
                 line_no, body, f"deposited total {format_raw(total)} exceeds the 32-bit budget at"
             )
     return bytes(commands), coords.tobytes(), travels.tobytes(), deltas.tolist(), total
@@ -570,7 +578,7 @@ def test_compare_relocated_within_tenth_percent():
 
 
 def test_compare_zero_reference():
-    with pytest.raises(ZeroReferenceTotal):
+    with pytest.raises(InsufficientData):
         compare(account("G0 X1\n"), account("G1 X2 E1\n"))
 
 

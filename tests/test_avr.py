@@ -14,7 +14,6 @@ from flawsim.avr import (
     Finding,
     Kind,
     PatternNotFound,
-    UnderflowWouldBorrow,
     apply_stack_steal,
     audit_bootloader,
     decode,
@@ -299,7 +298,7 @@ def test_apply_stack_steal_lowers_spl_by_n():
 def test_apply_stack_steal_underflow_refused():
     img = listing_image(spl=0x0A)
     site = find_sp_init(img)
-    with pytest.raises(UnderflowWouldBorrow):
+    with pytest.raises(DormantAbort):
         apply_stack_steal(img, site, 15)
 
 

@@ -250,9 +250,40 @@ def test_parse_error_exits_three(tmp_path, capsys):
     bad = tmp_path / "bad.hex"
     bad.write_text(":deadbeef\n")
     assert main(["scan", str(bad), "--find-sp"]) == 3
+    capsys.readouterr()
+    # line 1 moves the base to 0x40000, the end of the default flash
+    bad.write_text(":020000040004F6\n:01000000AA55\n:00000001FF\n")
+    assert main(["scan", str(bad), "--find-sp"]) == 3
+    assert capsys.readouterr().err.startswith("parse error: line 2: data record ends at 0x40001")
     bad_gcode = tmp_path / "bad.gcode"
     bad_gcode.write_text("G1 E4 X@3\n")
     assert main(["audit", str(bad_gcode)]) == 3
+
+
+def test_firmware_reaching_into_the_boot_section_exits_three(tmp_path, capsys):
+    image = tmp_path / "boot.hex"
+    image.write_text(":020000040003F7\n:01E00000AA75\n:00000001FF\n")  # one byte at 0x3e000
+    assert main(["flash-sim", str(image)]) == 3
+    assert capsys.readouterr().err == "error: firmware does not fit in the application region\n"
+
+
+def test_pipeline_writes_its_output_before_accounting(tmp_path, capsys):
+    # the stream is complete before account reads it: a document account
+    # rejects, or a reference with no material, still leaves the output
+    trace = tmp_path / "t.jsonl"
+    for text, streamed, err in (
+        ("G1 X1 E4\nG1 X2 E8x\n", "G1 X1 E2\nG1 X2 E4x\n",
+         "parse error: line 2: cannot parse 'G1 X2 E8x'\n"),
+        ("G0 X1\nG0 X2\n", "G0 X1\nG0 X2\n", "error: reference deposits no material\n"),
+    ):
+        doc, out = tmp_path / "in.gcode", tmp_path / "out.gcode"
+        doc.write_text(text)
+        out.unlink(missing_ok=True)
+        argv = ["pipeline", doc, APP_HEX, "--reduce", "0.5", "-o", out, "--trace", trace]
+        assert main([str(a) for a in argv]) == 3
+        assert capsys.readouterr().err == err
+        assert out.read_bytes() == streamed.encode()
+        assert trace.stat().st_size
 
 
 def test_input_that_is_not_utf8_exits_three_with_line(tmp_path, capsys):

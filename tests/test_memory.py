@@ -2,10 +2,10 @@ import random
 
 import pytest
 
+from flawsim.errors import ParseError
 from flawsim.memory import (
     AddressOutOfRange,
     FlashImage,
-    IntelHexError,
     MemoryLayout,
     dump_ihex,
     load_ihex,
@@ -62,15 +62,34 @@ def test_load_places_listing_bytes():
 def test_load_rejects_bad_checksum():
     record = "0839E000" + LISTING_BYTES.hex().upper()
     bad = f":{record}{(ihex_checksum(record) ^ 0x01):02X}"
-    with pytest.raises(IntelHexError, match=r"^line 1: record checksum mismatch$") as err:
+    with pytest.raises(ParseError, match=r"^line 1: record checksum mismatch$") as err:
         load_ihex(bad, LAYOUT)
     assert err.value.line_no == 1
+
+
+@pytest.mark.parametrize("eol", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_a_record_ends_at_lf_crlf_or_a_lone_cr(eol):
+    records = [":020000040000FA", ":0400000001020304F2", ":00000001FF"]
+    assert load_ihex(eol.join(records) + eol, LAYOUT).read(0, 4) == b"\x01\x02\x03\x04"
+    # a blank line counts; the bad checksum is on the file's third line
+    bad = [":020000040000FA", "", ":0400000001020304F3"]
+    with pytest.raises(ParseError, match=r"^line 3: record checksum mismatch$") as err:
+        load_ihex(eol.join(bad) + eol, LAYOUT)
+    assert err.value.line_no == 3
+
+
+@pytest.mark.parametrize("mark", ["\x85", "\u2028", "\u2029", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+def test_other_line_breaks_do_not_end_a_record(mark):
+    # str.splitlines would break here and count the bad record as line 3
+    doc = f":020000040000FA{mark}\n:0400000001020304F3\n"
+    with pytest.raises(ParseError, match=r"^line 2: record checksum mismatch$"):
+        load_ihex(doc, LAYOUT)
 
 
 def test_load_rejects_unknown_record_type():
     record = "020000030000"  # type 03 (start segment address)
     line = f":{record}{ihex_checksum(record):02X}"
-    with pytest.raises(IntelHexError, match=r"^line 1: unsupported record type 03$") as err:
+    with pytest.raises(ParseError, match=r"^line 1: unsupported record type 03$") as err:
         load_ihex(line, LAYOUT)
     assert err.value.line_no == 1
 
@@ -79,7 +98,7 @@ def test_load_rejects_out_of_range_data():
     small = MemoryLayout(flash_size=0x1000, boot_section_size=0x400)
     record = "020FFF00AABB"
     line = f":{record}{ihex_checksum(record):02X}"
-    with pytest.raises(AddressOutOfRange):
+    with pytest.raises(ParseError):
         load_ihex(line, small)
 
 
@@ -90,14 +109,14 @@ def test_load_data_record_ending_exactly_at_flash_end():
     assert img.read(0xFFE, 2) == b"\xaa\xbb"
     past = "020FFF00AABB"  # one byte past the end of flash
     doc = f":{fits}{ihex_checksum(fits):02X}\n:{past}{ihex_checksum(past):02X}\n:00000001FF\n"
-    with pytest.raises(AddressOutOfRange, match=r"^line 2: data record ends at 0x1001"):
+    with pytest.raises(ParseError, match=r"^line 2: data record ends at 0x1001"):
         load_ihex(doc, small)
 
 
 def test_load_rejects_garbage():
-    with pytest.raises(IntelHexError, match=r"^line 1: missing ':' start code$"):
+    with pytest.raises(ParseError, match=r"^line 1: missing ':' start code$"):
         load_ihex("0000", LAYOUT)
-    with pytest.raises(IntelHexError, match=r"^line 1: invalid hex digits$"):
+    with pytest.raises(ParseError, match=r"^line 1: invalid hex digits$"):
         load_ihex(":zz000001FF", LAYOUT)
 
 

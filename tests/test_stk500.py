@@ -15,9 +15,9 @@ from flawsim.stk500 import (
     STATUS_CMD_FAILED,
     STATUS_CMD_OK,
     BootSession,
-    FrameError,
     FrameReader,
     PipeTransport,
+    ProtocolError,
     ProgrammerClient,
     VerifyOutcome,
     frame_decode,
@@ -65,17 +65,17 @@ def test_every_single_bit_flip_is_rejected():
         for bit in range(8):
             mutated = bytearray(frame)
             mutated[byte_i] ^= 1 << bit
-            with pytest.raises(FrameError):
+            with pytest.raises(ProtocolError):
                 frame_decode(bytes(mutated))
 
 
 def test_frame_decode_names_a_short_or_overlong_buffer():
     frame = frame_encode(b"\x01\x02", 4)
-    with pytest.raises(FrameError, match=r"^frame header incomplete$"):
+    with pytest.raises(ProtocolError, match=r"^frame header incomplete$"):
         frame_decode(frame[:5])
-    with pytest.raises(FrameError, match=r"^need 8 bytes, have 7$"):
+    with pytest.raises(ProtocolError, match=r"^need 8 bytes, have 7$"):
         frame_decode(frame[:-1])
-    with pytest.raises(FrameError, match=r"^2 bytes after frame end$"):
+    with pytest.raises(ProtocolError, match=r"^2 bytes after frame end$"):
         frame_decode(frame + b"\x1b\x00")
 
 
@@ -133,7 +133,7 @@ def test_frame_reader_bad_header_raises_at_six_bytes(pos, message):
     reader = FrameReader()
     for i in range(5):
         assert reader.feed(frame[i : i + 1]) == []
-    with pytest.raises(FrameError, match=message):
+    with pytest.raises(ProtocolError, match=message):
         reader.feed(frame[5:6])
 
 
@@ -143,7 +143,7 @@ def test_frame_reader_bad_checksum_raises_when_frame_completes():
         frame[flip] ^= 0x01
         reader = FrameReader()
         assert reader.feed(frame[:-1]) == []
-        with pytest.raises(FrameError, match=BAD_CHECKSUM):
+        with pytest.raises(ProtocolError, match=BAD_CHECKSUM):
             reader.feed(frame[-1:])
 
 
@@ -465,10 +465,10 @@ def test_frame_reader_keeps_raising_after_a_bad_frame(pos, message):
     frame = bytearray(frame_encode(bytes(30), 1))
     frame[pos] ^= 0x40
     reader = FrameReader()
-    with pytest.raises(FrameError, match=message) as first:
+    with pytest.raises(ProtocolError, match=message) as first:
         reader.feed(frame)
     for later in (b"\x1b", frame_encode(b"\x01", 2)[:3], frame_encode(b"\x01", 2), b"\x00"):
-        with pytest.raises(FrameError) as err:
+        with pytest.raises(ProtocolError) as err:
             reader.feed(later)
         assert str(err.value) == str(first.value)  # the same error, not a new one
 
@@ -503,3 +503,53 @@ def test_pipe_transport_write_keeps_the_unread_tail():
     while chunk := transport.read(4096):
         got += chunk
     assert got == first + frame_encode(first[5:-1], 2)
+
+
+# --- protocol errors ----------------------------------------------------------
+
+
+def test_firmware_reaching_into_the_boot_section_is_refused_before_upload():
+    firmware = FlashImage(LAYOUT)
+    firmware.write(LAYOUT.boot_start, b"\x00")
+    session = BootSession(image=FlashImage(LAYOUT))
+    transcript = []
+    with pytest.raises(ProtocolError, match=r"^firmware does not fit in the application region$"):
+        program_and_verify(firmware, session, transcript=transcript)
+    assert transcript == [] and session.image == FlashImage(LAYOUT)
+
+
+def test_a_refused_command_raises_with_its_response():
+    client = ProgrammerClient(PipeTransport(BootSession(image=FlashImage(LAYOUT))))
+    client.load_address(LAYOUT.flash_size - 2)
+    with pytest.raises(ProtocolError, match=r"^command 0x06 failed: 06c0$"):
+        client.load_address(LAYOUT.flash_size)
+
+
+class ShiftedTransport:
+    """Answers every request as the session would, under the request's
+    sequence number plus shift; with shift None it never answers."""
+
+    def __init__(self, shift):
+        self.session = BootSession(image=FlashImage(LAYOUT))
+        self.shift = shift
+        self.pending = b""
+
+    def write(self, data: bytes):
+        request = frame_decode(data)
+        if self.shift is not None:
+            response = self.session.handle(request.body)
+            self.pending += frame_encode(response, request.sequence + self.shift)
+
+    def read(self, n: int) -> bytes:
+        out, self.pending = self.pending[:n], self.pending[n:]
+        return out
+
+
+@pytest.mark.parametrize("shift, message", [
+    (1, "response sequence mismatch"),
+    (None, "transport closed mid-response"),
+])
+def test_a_response_out_of_sequence_or_missing_raises(shift, message):
+    assert ProgrammerClient(ShiftedTransport(0)).sign_on() == b"AVRISP_2"
+    with pytest.raises(ProtocolError, match=f"^{message}$"):
+        ProgrammerClient(ShiftedTransport(shift)).sign_on()
