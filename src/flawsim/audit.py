@@ -15,25 +15,42 @@ delta in an ``array('q')``.  Indexing or iterating builds a fresh
 ``SegmentRecord`` per access, so mutating a row changes nothing in the
 report.
 
-account is a fold over gcode.accounted_lines: one scan that visits only
-the lines account acts on (G0, G1, G92, M82, M83), so comments and other
-commands cost nothing in Python.  It yields a flat tuple per line: the
-line's offset and command number, its first X, Y and Z as the double
-nearest raw / SCALE and its first E as a raw integer, None for a letter
-the line lacks.  The scan's own groups hand over plain X, Y, Z and E
-values in the order slicers write them, F or any other letter account
-never reads around them; tokens placed otherwise, and values outside the
-plain subset (at most five integer digits and four decimals, as
-format_raw writes them), are read from the rest of the line by the
-grammar of gcode.parse_line and the fixed-point decode (see the gcode
-module docstring).  Lines are counted only to name the line of a
-ParseError.
+account makes one multiline scan over the document that stops only at
+the heads it acts on: G0, G1, G92, M82 and M83, with any leading zeros.
+Comments, M73 and every other command are passed over inside the regex
+engine, so they cost nothing in Python.  The scan reads a visited line's
+parameter region by the grammar of gcode.parse_line, in two runs.  The
+plain run holds plain tokens only, whose values have at most five
+integer digits and at most four decimals (every number format_raw writes
+below 100,000): first any whose letter account never reads, then X, Y, Z
+and E, each at most once and in that order and each value in a group of
+its own, then more of the unread letters.  That is the shape slicers
+write, with F before or after the coordinates.  The rest of the tokens
+follow it: letters out of that order or repeated, and values outside the
+plain subset.  Each letter takes its first value in the line; the plain
+run comes first, so a letter found there is never looked for in the
+rest.  A visited line the grammar refuses is a ParseError.
+
+X, Y and Z are read as the double nearest raw / SCALE, E as raw itself.
+A plain value is float(v) + 0.0: with at most four decimals the decimal
+is exactly raw / SCALE, float() rounds it correctly, it cannot overflow
+the 32-bit budget, and the + 0.0 turns the -0.0 of "-0" into 0.0.  A
+plain E is round(float(v) * SCALE): for any raw in the budget the
+product is within 2^-21 of raw, far from the 0.5 that round() would need
+to go wrong.  Any other value is decoded by raw_from_digits(...), so
+fifth-decimal rounding and the budget are decided as in parse_line; an
+overflow is a ParseError.  A mode switch's values are decoded before the
+switch takes effect, so one that overflows is a ParseError too.  Lines
+are counted only to name the line of a ParseError.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
+import re
 import statistics
 from array import array
 from collections.abc import Sequence
@@ -41,8 +58,8 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 from .errors import FlawsimError, ParseError
-from .fixedpoint import MAX_RAW, SCALE, FixedPoint, format_raw
-from .gcode import accounted_lines
+from .fixedpoint import MAX_RAW, SCALE, FixedPoint, FixedPointOverflow, format_raw, raw_from_digits
+from .gcode import _PARAM_RE, _VALUE
 
 RELOCATION_SIGNATURE = "RelocationSignature"
 FLOW_OUTLIER = "FlowOutlier"
@@ -53,6 +70,30 @@ DENSITY_G_CM3 = 1.24  # PLA
 
 
 _QUOTED_CHARS = 60  # of a line's body, in a ParseError message
+
+# A plain value: at most five integer digits and four decimals, ending
+# where the grammar lets a value end (whitespace, ';' or the line's end).
+_PLAIN_VALUE = r"[-+]?(?=\.?[0-9])[0-9]{0,5}(?:\.[0-9]{0,4})?(?![^\s;])"
+# A plain token whose letter account never reads (not E, X, Y or Z).
+_UNREAD = r"(?: +[A-DF-W]" + _PLAIN_VALUE + ")"
+# Searched in "\n" + doc: an LF (so the search jumps from line start to
+# line start), an accounted head (its G or M number), then the parameter
+# region as gcode._LINE_RE reads it, split in two.  The plain run (group
+# 3) is unread plain tokens, then optional plain X, Y, Z and E tokens in
+# that order (their values in groups 4 to 7), then more unread plain
+# tokens; the rest of the tokens (group 8) follow it.  The lookahead and
+# backreference make the plain run atomic, so a line is matched once, in
+# linear time.  A region the grammar refuses leaves group 8 None.  Each
+# optional part is spelled (?:...|), an empty alternative, which the
+# regex engine tries faster than (?:...)?.
+_ACCOUNTED_RE = re.compile(
+    r"\n *(?:G0*([01]|92)|M0*(8[23]))(?![0-9])"
+    r"(?:(?=(" + _UNREAD + "*"
+    + "".join(f"(?: +{letter}({_PLAIN_VALUE})|)" for letter in "XYZE")
+    + _UNREAD + r"*))\3((?: +[A-Z]" + _VALUE + r")*)[^\S\n]*(?:;|$)|)",
+    re.M,
+)
+_NO_REST: dict[str, int] = {}  # the first values of a line with no rest run
 
 
 class InsufficientData(FlawsimError):
@@ -221,23 +262,38 @@ def account(doc: str) -> AuditReport:
     travels = array("d")
     deltas = array("q")
     total_raw = 0
-    for start, number, px, py, pz, pe in accounted_lines(doc):
-        if number is None:
-            raise _parse_error(doc, start)
-        if number == 82:
-            relative_e = False
-            continue
-        if number == 83:
-            relative_e = True
+    for m in _ACCOUNTED_RE.finditer("\n" + doc):
+        g_number, m_number, _, px, py, pz, pe, rest = m.groups()
+        first = _NO_REST
+        if rest:
+            # the tokens after the plain run, which comes first in the
+            # line: a letter it lacks takes its first value here
+            first = {}
+            try:
+                for letter, sign, int_digits, frac_digits in _PARAM_RE.findall(rest):
+                    first.setdefault(letter, raw_from_digits(sign, int_digits, frac_digits))
+            except FixedPointOverflow:
+                raise _parse_error(doc, m.start()) from None
+        elif rest is None:
+            raise _parse_error(doc, m.start())
+        if m_number:  # only once its values are read: one that overflows is refused
+            relative_e = m_number == "83"
             continue
         sx, sy, sz = x, y, z
         if px is not None:
-            x = px
+            x = float(px) + 0.0
+        elif "X" in first:
+            x = first["X"] / SCALE
         if py is not None:
-            y = py
+            y = float(py) + 0.0
+        elif "Y" in first:
+            y = first["Y"] / SCALE
         if pz is not None:
-            z = pz
-        if number == 92:
+            z = float(pz) + 0.0
+        elif "Z" in first:
+            z = first["Z"] / SCALE
+        pe = first.get("E") if pe is None else round(float(pe) * SCALE)
+        if g_number == "92":
             if pe is not None:
                 e_logical = pe
             continue
@@ -253,9 +309,9 @@ def account(doc: str) -> AuditReport:
             # both ends fit the budget, their difference need not
             if not -MAX_RAW <= delta <= MAX_RAW:
                 raise _parse_error(
-                    doc, start, f"extrusion delta {format_raw(delta)} exceeds the 32-bit budget in"
+                    doc, m.start(), f"extrusion delta {format_raw(delta)} exceeds the 32-bit budget in"
                 )
-        commands.append(number)
+        commands.append(g_number == "1")  # G0 is 0, G1 is 1
         coords.extend((sx, sy, sz, x, y, z))
         travels.append(travel)
         deltas.append(delta)
@@ -263,7 +319,7 @@ def account(doc: str) -> AuditReport:
             total_raw += delta
             if total_raw > MAX_RAW:
                 raise _parse_error(
-                    doc, start, f"deposited total {format_raw(total_raw)} exceeds the 32-bit budget at"
+                    doc, m.start(), f"deposited total {format_raw(total_raw)} exceeds the 32-bit budget at"
                 )
     return AuditReport(FixedPoint(total_raw), Segments(commands, coords, travels, deltas))
 
@@ -274,7 +330,10 @@ def detect_relocation(
     """Flag travel segments whose immediate successor extrudes at
     >= threshold x the median flow (the catch-up signature), plus any
     unexplained flow outliers.  Needs >= 8 extruding segments for the
-    median to mean anything."""
+    median to mean anything; ValueError unless threshold is finite and
+    above 0, where every extruding segment would be flagged."""
+    if not 0 < threshold < math.inf:
+        raise ValueError(f"threshold must be finite and above 0, not {threshold}")
     travels = report.segments.travels
     deltas = report.segments.deltas
     # index -> flow of every extruding segment, by the expression a row uses
@@ -321,9 +380,12 @@ def compare(reference: AuditReport, suspect: AuditReport) -> float:
 
 def normalized_curve_csv(reference: AuditReport, suspects: list[tuple[str, AuditReport]]) -> str:
     """Mass-proxy curve as CSV: one row per suspect, normalized against the
-    reference - the axes used to plot reduction sweeps."""
-    rows = ["label,reduction_percent,normalized_percent"]
+    reference - the axes used to plot reduction sweeps.  A label is quoted
+    by CSV rules where it needs to be."""
+    out = io.StringIO()
+    rows = csv.writer(out, lineterminator="\n")
+    rows.writerow(("label", "reduction_percent", "normalized_percent"))
     for label, suspect in suspects:
         percent = compare(reference, suspect)
-        rows.append(f"{label},{percent:.4f},{100.0 - percent:.4f}")
-    return "\n".join(rows) + "\n"
+        rows.writerow((label, f"{percent:.4f}", f"{100.0 - percent:.4f}"))
+    return out.getvalue()

@@ -243,22 +243,21 @@ def find_sp_init(image: FlashImage, start: int = 0, end: int | None = None) -> S
     raise PatternNotFound("no stack-pointer init sequence found")
 
 
-def apply_stack_steal(image: FlashImage, site: SpInitSite, n: int = DEFAULT_STEAL_BYTES) -> FlashImage:
-    """Lower the initial SPL immediate by n, freeing n bytes above the stack.
+def apply_stack_steal(image: FlashImage, site: SpInitSite) -> FlashImage:
+    """Lower the initial SPL immediate by DEFAULT_STEAL_BYTES, freeing
+    that many bytes above the stack.
 
     Only the immediate nibbles of the first LDI word change.  Raises
     DormantAbort rather than borrow into SPH.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
     word = image.read_word(site.offset)
     if (word & 0xF0F0) != 0xE0C0:
         raise PatternNotFound(f"no ldi r28 at {site.offset:#x}; stale site?")
     current = ((word >> 4) & 0xF0) | (word & 0x0F)
-    if current < n:
-        raise DormantAbort(f"SPL immediate {current:#04x} - {n} would borrow into SPH")
+    if current < DEFAULT_STEAL_BYTES:
+        raise DormantAbort(f"SPL immediate {current:#04x} - {DEFAULT_STEAL_BYTES} would borrow into SPH")
     patched = image.copy()
-    patched.write_word(site.offset, enc_ldi(28, current - n))
+    patched.write_word(site.offset, enc_ldi(28, current - DEFAULT_STEAL_BYTES))
     return patched
 
 

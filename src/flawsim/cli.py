@@ -91,7 +91,7 @@ def _read_text(path: str) -> str:
 
 def _out(args, text: str):
     if getattr(args, "output", None):
-        Path(args.output).write_text(text)
+        Path(args.output).write_bytes(text.encode())
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import random
@@ -9,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from flawsim import fixtures, gcode
+from flawsim import audit, fixtures
 from flawsim.audit import (
     FLOW_OUTLIER,
     RELOCATION_SIGNATURE,
@@ -94,7 +96,11 @@ def test_account_parse_error_on_bad_move():
 
 def test_account_parse_error_on_bad_mode_switch():
     # a mode switch changes every later delta, so a malformed one is not noise
-    for switch in ("M83 *12", "M83 E", "M83X", "M82 S", "M083 *1"):
+    # and one whose values leave the 32-bit budget is refused before it
+    # switches, wherever the scan reads the value
+    switches = ("M83 *12", "M83 E", "M83X", "M82 S", "M083 *1",
+                "M83 E99999999999", "M82 X214749", "M083 E214748.36479")
+    for switch in switches:
         with pytest.raises(ParseError, match=r"^line 1: cannot parse") as err:
             account(f"{switch}\nG1 X1 E1\nG1 X2 E1\n")
         assert err.value.line_no == 1
@@ -349,31 +355,30 @@ def test_account_matches_a_fold_over_every_line(gcode_corpus):
     assert min(outcomes.values()) >= 2000, outcomes
 
 
-def decoded_lines(values):
-    """accounted_lines over one G92 line per (sign, int, frac) value, and
-    for each line where the scan put its X and E values: "plain" when
-    they reached groups 4 and 7 and nothing is left in rest (group 8),
-    "rest" when both groups are empty and rest holds the tokens."""
-    doc = "".join(f"G92 X{s}{i}{'.' + f if f else ''} E{s}{i}{'.' + f if f else ''}\n" for s, i, f in values)
+def decoded_moves(values):
+    """For each (sign, int, frac) value v, the one segment account makes
+    of "M83\nG1 X<v> E<v>\n", and where the scan put the line's X and E
+    values: "plain" when they reached groups 4 and 7 and nothing is left
+    in rest (group 8), "rest" when both groups are empty and rest holds
+    the tokens."""
     routes = {
         (True, True, False): "plain",
         (False, False, True): "rest",
     }
-    placed = [
-        routes.get((m[4] is not None, m[7] is not None, bool(m[8])))
-        for m in gcode._ACCOUNTED_RE.finditer("\n" + doc)
-    ]
-    lines = list(gcode.accounted_lines(doc))
-    assert len(placed) == len(lines) == len(values)
-    return zip(lines, placed)
+    for sign, int_digits, frac_digits in values:
+        value = f"{sign}{int_digits}{'.' + frac_digits if frac_digits else ''}"
+        line = f"G1 X{value} E{value}"
+        (m,) = audit._ACCOUNTED_RE.finditer("\n" + line)
+        (segment,) = account(f"M83\n{line}\n").segments
+        yield segment, routes.get((m[4] is not None, m[7] is not None, bool(m[8])))
 
 
 def assert_decodes_to_raw(values, route):
-    for ((_, number, x, y, z, e), placed), digits in zip(decoded_lines(values), values):
+    for (segment, placed), digits in zip(decoded_moves(values), values):
         raw = raw_from_digits(*digits)
-        assert (number, placed, y, z) == (92, route, None, None), digits
-        assert x.hex() == (raw / SCALE).hex(), digits  # a -0.0 would show here
-        assert type(e) is int and e == raw, digits  # the raw value itself
+        assert (placed, segment.end[1:]) == (route, (0.0, 0.0)), digits
+        assert segment.end[0].hex() == (raw / SCALE).hex(), digits  # a -0.0 would show here
+        assert type(segment.delta_raw) is int and segment.delta_raw == raw, digits  # the raw value itself
 
 
 def test_plain_decode_is_raw_from_digits():
@@ -403,7 +408,8 @@ def test_exact_decode_is_raw_from_digits():
 # them, reach groups 4-7; anything else goes to rest (group 8).  Either
 # way a letter's value is its first in the line.
 TOKEN_PLACEMENTS = [
-    # line, (x, y, z, e_raw) as accounted_lines yields them, rest
+    # line, (x, y, z, e_raw) as the fold reads them (None for a letter the
+    # line lacks), rest
     pytest.param("G1 E5 X1", (1.0, None, None, 50_000), " X1", id="E-before-X"),
     pytest.param("G1 Y1 X2", (2.0, 1.0, None, None), " X2", id="Y-before-X"),
     pytest.param("G1 X1 Y2 X3", (1.0, 2.0, None, None), " X3", id="repeated-X"),
@@ -417,11 +423,15 @@ TOKEN_PLACEMENTS = [
 
 @pytest.mark.parametrize("line, decoded, rest", TOKEN_PLACEMENTS)
 def test_token_placement_matches_the_fold(line, decoded, rest):
-    (m,) = gcode._ACCOUNTED_RE.finditer("\n" + line)
+    (m,) = audit._ACCOUNTED_RE.finditer("\n" + line)
     assert m[8] == rest
-    ((_, _, *values),) = gcode.accounted_lines(line + "\n")
-    assert tuple(values) == decoded
     doc = "G1 X7 Y8 Z9 E1\n" + line + "\nG1 X5 E9\n"
+    # the next move starts where the line left the head, and its delta
+    # counts from the line's E, or from E1 when the line has none
+    x, y, z, e = decoded
+    after = account(doc).segments[-1]
+    assert after.start == (7.0 if x is None else x, 8.0 if y is None else y, 9.0 if z is None else z)
+    assert after.delta_raw == 90_000 - (10_000 if e is None else e)
     assert account_outcome(doc) == oracle_outcome(doc)
 
 
@@ -486,6 +496,10 @@ def test_detect_clean_fixture_has_no_flags(gcode_corpus):
         report = account(doc)
         anomalies = detect_relocation(report)
         assert anomalies == [], f"{name}: {anomalies}"
+        # a threshold at or below 0 would flag every extruding segment
+        for threshold in (0, -1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="threshold must be finite and above 0"):
+                detect_relocation(report, threshold)
 
 
 def test_detect_legitimate_travel_not_flagged():
@@ -593,11 +607,14 @@ def test_compare_fills_comparison_field():
 def test_normalized_curve_csv_reproduces_sweep():
     doc = uniform_doc()
     reference = account(doc)
+    labels = ["r10", "r30", 'r50, "half"']  # the last is quoted by CSV rules
     suspects = [
-        (f"r{r}", account(transform_reduction(doc, Fraction(r, 100))))
-        for r in (10, 30, 50)
+        (label, account(transform_reduction(doc, Fraction(r, 100))))
+        for label, r in zip(labels, (10, 30, 50))
     ]
-    csv = normalized_curve_csv(reference, suspects)
-    rows = [ln.split(",") for ln in csv.strip().splitlines()[1:]]
-    assert [r[0] for r in rows] == ["r10", "r30", "r50"]
+    text = normalized_curve_csv(reference, suspects)
+    assert text.splitlines()[0] == "label,reduction_percent,normalized_percent"
+    assert text.splitlines()[1] == "r10,10.0000,90.0000"
+    rows = list(csv.reader(io.StringIO(text)))[1:]
+    assert [r[0] for r in rows] == labels
     assert [float(r[2]) for r in rows] == pytest.approx([90.0, 70.0, 50.0], abs=1e-3)

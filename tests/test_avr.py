@@ -5,6 +5,7 @@ import pytest
 from flawsim import fixtures
 from flawsim.avr import (
     CLI_WORD,
+    DEFAULT_STEAL_BYTES,
     IVCE_BIT,
     IVSEL_BIT,
     MCUCR_IO_ADDR,
@@ -269,7 +270,7 @@ def test_find_sp_init_site_before_flash_end_wins_over_range_error():
 def test_apply_stack_steal_patches_single_word():
     img = listing_image()
     site = find_sp_init(img)
-    patched = apply_stack_steal(img, site, 15)
+    patched = apply_stack_steal(img, site)
     insn = decode(patched, site.offset)
     assert (insn.kind, insn.reg, insn.value) == (Kind.LDI, 28, 0xF0)
     # Hamming distance confined to the LDI immediate nibbles
@@ -280,26 +281,20 @@ def test_apply_stack_steal_patches_single_word():
     assert sum(bin(x).count("1") for _, x in deltas) <= 8
 
 
-def test_apply_stack_steal_zero_is_identity():
-    img = listing_image()
-    site = find_sp_init(img)
-    assert apply_stack_steal(img, site, 0) == img
-
-
 def test_apply_stack_steal_lowers_spl_by_n():
     # the listing rebuilt with SPL - n: only the ldi r28 word differs
-    img = listing_image()
-    site = find_sp_init(img)
-    for n in (1, 7, 15, 0xFF):
-        assert apply_stack_steal(img, site, n) == listing_image(spl=0xFF - n)
-    assert img == listing_image()  # the input image is left as it was
+    n = DEFAULT_STEAL_BYTES
+    for spl in (n, n + 1, 0x55, 0xF0, 0xFF):
+        img = listing_image(spl=spl)
+        assert apply_stack_steal(img, find_sp_init(img)) == listing_image(spl=spl - n)
+        assert img == listing_image(spl=spl)  # the input image is left as it was
 
 
 def test_apply_stack_steal_underflow_refused():
     img = listing_image(spl=0x0A)
     site = find_sp_init(img)
     with pytest.raises(DormantAbort):
-        apply_stack_steal(img, site, 15)
+        apply_stack_steal(img, site)
 
 
 # --- ring-buffer discovery ------------------------------------------------

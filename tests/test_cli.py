@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from fractions import Fraction
 
@@ -51,6 +53,18 @@ def test_audit_json_and_csv(tmp_path, capsys, gcode_file):
     assert text.startswith("index,kind")
 
 
+def test_audit_csv_curve_row_quotes_its_label(tmp_path, capsys, gcode_file):
+    # -o is written as UTF-8, and the curve row keeps its 3 fields
+    suspect = tmp_path / "a,\u00e9.gcode"
+    suspect.write_text(transform_reduction(gcode_file.read_text(), Fraction(1, 2)))
+    out = tmp_path / "curve.csv"
+    code, _ = run(capsys, "audit", suspect, "--reference", gcode_file, "--csv", "-o", out)
+    assert code == 0
+    *_, header, row = csv.reader(io.StringIO(out.read_bytes().decode()))
+    assert header == ["label", "reduction_percent", "normalized_percent"]
+    assert row == [str(suspect), "50.0000", "50.0000"]
+
+
 def test_audit_detect_sets_exit_code(tmp_path, capsys, gcode_file):
     doc = gcode_file.read_text()
     tampered = tmp_path / "reloc.gcode"
@@ -60,6 +74,10 @@ def test_audit_detect_sets_exit_code(tmp_path, capsys, gcode_file):
     assert "RelocationSignature" in text
     code, _ = run(capsys, "audit", gcode_file, "--detect")
     assert code == 0
+    # a threshold at or below 0 would flag every extruding move of a clean print
+    for threshold in ("0", "-1", "nan", "inf"):
+        code, _ = run(capsys, "audit", gcode_file, "--detect", "--threshold", threshold)
+        assert code == 1, threshold
 
 
 def test_flash_sim_clean_exits_zero(capsys):

@@ -225,7 +225,7 @@ def test_pattern_split_across_pages_patched_exactly_once():
     outcome = program_and_verify(fw, session)
     assert outcome.verified
     # oracle: whole-image scan + single patch on the client's view
-    oracle = apply_stack_steal(fw, find_sp_init(fw), 15)
+    oracle = apply_stack_steal(fw, find_sp_init(fw))
     start, end = 0, LAYOUT.boot_start
     assert session.image.read(offset, 8) == oracle.read(offset, 8)
     assert session.image.read(start, 0x1000) == oracle.read(start, 0x1000)

@@ -165,7 +165,7 @@ def oracle_parse(body):
     return cmd(params, letter, number)
 
 
-_NUMBERS = ["1", "1", "0", "01", "092", "73", "2147483647", "2147483648", "0000000000002147483647", ""]
+_COMMAND_NUMBERS = ["1", "1", "0", "01", "092", "73", "2147483647", "2147483648", "0000000000002147483647", ""]
 _SEPARATORS = [" "] * 4 + ["  ", "\t ", " \t", "", "\t", "\xa0"]
 _LETTERS = "XYZEFPx*"
 _SIGNS = [""] * 6 + ["-", "+", "--"]
@@ -189,7 +189,7 @@ def random_value_text(rng):
 def random_command_line(rng):
     # a noisy line draws separators and letters from the odd shapes too
     noisy = rng.random() < 0.4
-    parts = [" " * rng.choice((0, 0, 0, 1, 3)), rng.choice("GGGGMMTg"), rng.choice(_NUMBERS)]
+    parts = [" " * rng.choice((0, 0, 0, 1, 3)), rng.choice("GGGGMMTg"), rng.choice(_COMMAND_NUMBERS)]
     for _ in range(rng.randrange(6)):
         separator = rng.choice(_SEPARATORS if noisy else (" ", " ", "  "))
         letter = rng.choice(_LETTERS if noisy else "XYZEEF")
