@@ -8,19 +8,3 @@ receive interrupt handler, in-flight g-code editing from the interrupt
 path under a 15-byte state budget, and the defensive side - deposition
 accounting, anomaly detection and static bootloader audits.
 """
-
-from .avr import find_ring_buffer
-from .memory import dump_ihex
-from .policy import TamperPolicy
-from .stk500 import program_and_verify
-from .uart import UartSimulation
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "TamperPolicy",
-    "UartSimulation",
-    "dump_ihex",
-    "find_ring_buffer",
-    "program_and_verify",
-]

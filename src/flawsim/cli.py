@@ -2,7 +2,7 @@
 
 Exit codes are a contract for CI gating:
     0  success / nothing suspicious
-    1  usage error
+    1  usage error, or a path that cannot be read or written
     2  tampering detected (differing stored image, audit findings,
        deposition anomalies)
     3  parse error: an input could not be read (the message names its
@@ -89,18 +89,22 @@ def _read_text(path: str) -> str:
         raise ParseError(line_no, f"byte {data[exc.start]:#04x} is not UTF-8 text in {path}") from None
 
 
+def _write(path: str, text: str):
+    Path(path).write_bytes(text.encode())
+
+
 def _out(args, text: str):
-    if getattr(args, "output", None):
-        Path(args.output).write_bytes(text.encode())
+    """A report, ending in its own newline, to -o as UTF-8 or to stdout."""
+    if args.output:
+        _write(args.output, text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 def cmd_tamper(args) -> int:
     policy = _policy_from_args(args)
     doc = _read_text(args.input)
-    result = tamper.apply_policy(doc, policy)
-    Path(args.output).write_bytes(result.encode())
+    _write(args.output, tamper.apply_policy(doc, policy))
     return EXIT_OK
 
 
@@ -118,13 +122,13 @@ def cmd_audit(args) -> int:
         percent = audit_mod.compare(ref_report, report)
         lines.append(f"reduction: {percent:.1f}%")
     if args.csv:
-        out = report.to_csv()
         if args.reference:
-            out += audit_mod.normalized_curve_csv(ref_report, [(args.input, report)])
-        _out(args, out)
+            _out(args, audit_mod.normalized_curve_csv(ref_report, [(args.input, report)]))
+        else:
+            _out(args, report.to_csv())
         return code
     if args.json:
-        _out(args, report.to_json())
+        _out(args, report.to_json() + "\n")
         return code
     lines.insert(0, f"total extrusion: {report.total_extrusion.to_text()} mm "
                     f"({report.mass_grams():.3f} g at default filament)")
@@ -133,7 +137,7 @@ def cmd_audit(args) -> int:
         lines.append(f"anomalies: {len(report.anomalies)}")
         for a in report.anomalies:
             lines.append(f"  segment {a.index}: {a.kind} ratio {a.ratio:.2f}")
-    _out(args, "\n".join(lines))
+    _out(args, "\n".join(lines) + "\n")
     return code
 
 
@@ -144,9 +148,7 @@ def cmd_flash_sim(args) -> int:
     transcript: list | None = [] if args.transcript else None
     outcome = stk500.program_and_verify(firmware, session, transcript=transcript)
     if args.transcript:
-        with open(args.transcript, "w") as fh:
-            for direction, frame in transcript:
-                fh.write(f"{direction} {frame.hex()}\n")
+        _write(args.transcript, "".join(f"{d} {frame.hex()}\n" for d, frame in transcript))
     print(f"verified: {outcome.verified}")
     print(f"stored differs: {outcome.stored_differs}")
     for addr, seen, stored in outcome.mismatches[:16]:
@@ -223,11 +225,9 @@ def cmd_pipeline(args) -> int:
     consumed.append(sim.flush_residual())
     output = "".join(consumed)
     if args.trace:
-        with open(args.trace, "w") as fh:
-            for entry in trace:
-                fh.write(json.dumps(entry) + "\n")
+        _write(args.trace, "".join(json.dumps(entry) + "\n" for entry in trace))
     if args.output:
-        Path(args.output).write_bytes(output.encode())
+        _write(args.output, output)
     before = audit_mod.account(doc)
     after = audit_mod.account(output)
     percent = audit_mod.compare(before, after)
@@ -235,7 +235,7 @@ def cmd_pipeline(args) -> int:
     print(f"printed:  {after.total_extrusion.to_text()} mm over {len(after.segments)} segments")
     print(f"material reduction: {percent:.2f}%")
     print(f"stream edits: {sim.stats.edits} edited, {sim.stats.conversions} converted, "
-          f"{sim.stats.edits_skipped} skipped")
+          f"{sim.stats.edits_skipped} skipped, {sim.stats.dropped} dropped")
     return EXIT_OK
 
 
@@ -300,7 +300,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (FileNotFoundError, ValueError) as exc:  # bad flag values, bad layout JSON
+    except (OSError, ValueError) as exc:  # unreadable paths, bad flag values, bad layout JSON
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FlawsimError as exc:

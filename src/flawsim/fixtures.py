@@ -260,8 +260,3 @@ def corpus_documents() -> dict[str, str]:
     docs["clean_wide.gcode"] = generate_gcode(segments=64, segment_mm=25.0)
     return docs
 
-
-def performance_document(lines: int = 10_000) -> str:
-    """A fixture of at least `lines` lines for the runtime budget check."""
-    segments = max(20, lines - 200)
-    return generate_gcode(segments=segments, m73_step=5, travel_every=50)

@@ -57,13 +57,8 @@ import struct
 from dataclasses import dataclass, field
 
 from .avr import RingBufferInfo
-from .errors import FlawsimError
 from .fixedpoint import MAX_RAW, SCALE, div_round_half_away, format_raw
 from .policy import Mode, TamperPolicy
-
-
-class BufferFull(FlawsimError):
-    pass
 
 
 # parser states (low nibble of parser_state; the high nibble counts the
@@ -178,16 +173,17 @@ class RingBufferState:
         return bytes(self.storage[self.tail :] + self.storage[: self.head])
 
 
-def marlin_rx_isr(ring: RingBufferState, char: int | str) -> None:
-    """Store one received character at head.  Raises BufferFull when the
-    buffer cannot take another character (that character is dropped)."""
-    byte = ord(char) if isinstance(char, str) else char
+def marlin_rx_isr(ring: RingBufferState, char: int | str) -> bool:
+    """Store one received character at head and return True, or return
+    False when the buffer cannot take another character (that character
+    is dropped and the ring is left as it was)."""
     head = ring.head
     after = (head + 1) & ring.mask
     if after == ring.tail:
-        raise BufferFull(f"dropped {byte:#04x}")
-    ring.storage[head] = byte
+        return False
+    ring.storage[head] = ord(char) if isinstance(char, str) else char
     ring.head = after
+    return True
 
 
 def consumer_readline(ring: RingBufferState) -> str:
@@ -238,7 +234,7 @@ class TrojanState:
 
     @classmethod
     def for_policy(cls, policy: TamperPolicy, ring_info: RingBufferInfo | None = None) -> "TrojanState":
-        state = cls(policy_param=policy.param_byte())
+        state = cls(policy_param=policy.param)
         if ring_info is not None:
             state.head_copy = ring_info.head_addr
             state.tail_copy = ring_info.tail_addr
@@ -402,7 +398,7 @@ def _finish_progress(trojan: TrojanState, policy: TamperPolicy, delim: int) -> N
 def trojan_epilogue(trojan: TrojanState, ring: RingBufferState, policy: TamperPolicy) -> str | None:
     """Run the interceptor for the character the ISR just stored.
 
-    Must be called exactly once after every successful marlin_rx_isr; the
+    Must be called exactly once after every marlin_rx_isr that stored; the
     pair models one uninterruptible ISR execution.  Returns an event tag
     for the simulation driver (None for the common pass-through case).
     """

@@ -66,7 +66,7 @@ def equivalence_corpus(gcode_corpus: dict[str, str]) -> dict[str, str]:
 
 def test_criterion_1_reduction_curve(gcode_corpus):
     with criterion(1, "reduction curve: exact model within 4 points of published mass data"):
-        control = fixtures.performance_document(10_000)
+        control = fixtures.generate_gcode(segments=9_800, m73_step=5, travel_every=50)
         assert control.count("\n") >= 10_000
         started = time.perf_counter()
         control_total = account(control).total_extrusion.raw

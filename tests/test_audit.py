@@ -2,8 +2,11 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import statistics
+import subprocess
+import sys
 import time
 import tracemalloc
 from array import array
@@ -27,10 +30,25 @@ from flawsim.errors import ParseError
 from flawsim.fixedpoint import MAX_RAW, SCALE, format_raw, raw_from_digits
 from flawsim.gcode import parse_line
 from flawsim.tamper import transform_reduction, transform_relocation
+from conftest import REPO
 from test_fuzz_equivalence import random_document
 from test_tamper import random_command_line
 
 TAMPERED_THREE = "G1 X1 Y2 E3\nG0 X2 Y3\nG1 X3 Y4 E5\n"
+
+
+def test_audit_loads_no_attack_chain_module():
+    # the package root re-exports nothing, so the defender's import stays small
+    probe = (
+        "import sys, flawsim, flawsim.audit\n"
+        "assert not hasattr(flawsim, '__all__')\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('flawsim'))))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    chain = {f"flawsim.{m}" for m in ("uart", "stk500", "avr", "memory", "policy")}
+    assert not chain & set(done.stdout.split()), done.stdout
 
 
 # --- account ---------------------------------------------------------------
@@ -186,7 +204,7 @@ def test_to_json_is_json_dumps_of_to_dict(gcode_corpus):
 
 
 def test_to_json_peak_stays_within_three_times_its_output():
-    report = account(fixtures.performance_document(10_000))
+    report = account(fixtures.generate_gcode(segments=9_800, m73_step=5, travel_every=50))
     assert len(report.segments) >= 9_000
     tracemalloc.start()
     try:
@@ -217,7 +235,7 @@ def test_segments_sequence_contract():
 
 
 def test_segments_footprint_per_move():
-    doc = fixtures.performance_document(2_000)
+    doc = fixtures.generate_gcode(segments=1_800, m73_step=5, travel_every=50)
     tracemalloc.start()
     try:
         report = account(doc)

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from flawsim import dump_ihex, fixtures
+from flawsim import fixtures
 from flawsim.cli import main
+from flawsim.memory import dump_ihex
 from flawsim.tamper import transform_reduction
 
 from conftest import FIXTURES
@@ -63,6 +64,28 @@ def test_audit_csv_curve_row_quotes_its_label(tmp_path, capsys, gcode_file):
     *_, header, row = csv.reader(io.StringIO(out.read_bytes().decode()))
     assert header == ["label", "reduction_percent", "normalized_percent"]
     assert row == [str(suspect), "50.0000", "50.0000"]
+
+
+@pytest.mark.parametrize("fmt", [[], ["--json"], ["--csv"]], ids=["text", "json", "csv"])
+def test_audit_output_file_holds_the_stdout_bytes(tmp_path, capsys, gcode_file, fmt):
+    out = tmp_path / "report"
+    code, text = run(capsys, "audit", gcode_file, "--detect", *fmt)
+    assert code == 0 and text.endswith("\n")
+    code, printed = run(capsys, "audit", gcode_file, "--detect", *fmt, "-o", out)
+    assert code == 0 and printed == ""
+    assert out.read_bytes() == text.encode()
+
+
+@pytest.mark.parametrize("reference", [False, True], ids=["segments", "curve"])
+def test_audit_csv_writes_one_table(tmp_path, capsys, gcode_file, reference):
+    suspect = tmp_path / "half.gcode"
+    suspect.write_text(transform_reduction(gcode_file.read_text(), Fraction(1, 2)))
+    argv = ["audit", suspect, "--csv"] + (["--reference", gcode_file] if reference else [])
+    code, text = run(capsys, *argv)
+    assert code == 0
+    header, *rows = csv.reader(io.StringIO(text))
+    assert rows and all(len(row) == len(header) for row in rows)
+    assert (header[0] == "label") == reference
 
 
 def test_audit_detect_sets_exit_code(tmp_path, capsys, gcode_file):
@@ -235,6 +258,18 @@ def test_pipeline_passes_values_without_room_for_their_edit(tmp_path, capsys):
     assert out.read_text() == doc.read_text()
 
 
+def test_pipeline_names_the_bytes_a_full_ring_dropped(tmp_path, capsys):
+    # the payload is off: the whole loss is bytes the 16-byte ring dropped
+    doc = tmp_path / "in.gcode"
+    doc.write_text("G1 X43 E1 F8838\nG1 X1 E2\nG1 X2 E3\n")
+    layout = tmp_path / "ring16.json"
+    layout.write_text(json.dumps({"rx_buffer_size": 16}))
+    code, text = run(capsys, "pipeline", doc, APP_HEX, "--off", "--layout", layout)
+    assert code == 0
+    assert "material reduction: 66.67%" in text
+    assert "stream edits: 0 edited, 0 converted, 0 skipped, 19 dropped" in text
+
+
 def no_rx_jmp_image():
     """The application image with its RX vector slot zeroed: no JMP to follow."""
     image = fixtures.build_app_image()
@@ -262,6 +297,18 @@ def test_pipeline_streams_verbatim_when_the_chain_is_dormant(tmp_path, capsys, f
     assert out.read_bytes() == doc.read_bytes()
     # a fraction the stream cannot carry stays a usage error on a dormant chain
     assert main(["pipeline", str(doc), str(hex_path), "--reduce", "0.333"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["audit", "{dir}"],
+    ["audit", "{gcode}", "-o", "{dir}"],
+    ["flash-sim", APP_HEX, "--transcript", "{dir}"],
+    ["scan", APP_HEX, "--find-sp", "--layout", "{dir}"],
+], ids=["input", "-o", "--transcript", "--layout"])
+def test_a_directory_for_a_file_exits_one(tmp_path, capsys, gcode_file, argv):
+    argv = [a.format(dir=tmp_path, gcode=gcode_file) for a in argv]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_parse_error_exits_three(tmp_path, capsys):

@@ -1,8 +1,9 @@
 import pytest
 
 from conftest import FIXTURES
-from flawsim import dump_ihex, fixtures
+from flawsim import fixtures
 from flawsim.fixedpoint import FixedPointOverflow
+from flawsim.memory import dump_ihex
 
 HEX_BUILDERS = {
     "marlin_app.hex": fixtures.build_app_image,

@@ -151,7 +151,7 @@ def test_fuzzed_documents_agree_under_every_policy():
         for policy in POLICIES:
             report = run_pipeline_equivalence(doc, policy)
             assert report.identical, (
-                f"seed {seed} / {policy.mode.value}-{policy.param_byte()}: "
+                f"seed {seed} / {policy.mode.value}-{policy.param}: "
                 f"{report.describe()}"
             )
 
@@ -169,7 +169,7 @@ def test_fuzzed_documents_with_a_relative_switch_agree_under_every_policy():
             for policy in POLICIES:
                 report = run_pipeline_equivalence(doc, policy)
                 assert report.identical, (
-                    f"seed {seed} / {switch!r} / {policy.mode.value}-{policy.param_byte()}: "
+                    f"seed {seed} / {switch!r} / {policy.mode.value}-{policy.param}: "
                     f"{report.describe()}"
                 )
 

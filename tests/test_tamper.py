@@ -381,7 +381,7 @@ def test_policy_and_transform_share_the_parameter_rule(payload, args, param):
     build, transform = getattr(TamperPolicy, payload), TRANSFORMS[payload]
     doc = "M73 P30\nG1 X1 E5\nG1 X2 E6\nG1 X3 E7\n"
     if param is not None:
-        assert build(*args).param_byte() == param
+        assert build(*args).param == param
         assert transform(doc, *args) == apply_policy(doc, build(*args))
         return
     with pytest.raises(ValueError) as policy_refused:
@@ -411,7 +411,7 @@ def test_equivalence_off_policy_is_identity(gcode_corpus):
         assert report.sim_output == doc
 
 
-@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: f"{p.mode.value}-{p.param_byte()}")
+@pytest.mark.parametrize("policy", POLICIES, ids=lambda p: f"{p.mode.value}-{p.param}")
 def test_equivalence_across_corpus(policy, gcode_corpus):
     for name, doc in gcode_corpus.items():
         report = run_pipeline_equivalence(doc, policy)

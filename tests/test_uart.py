@@ -26,7 +26,6 @@ from flawsim.uart import (
     ST_M_NUM,
     ST_SKIP,
     ST_V_INT,
-    BufferFull,
     RingBufferState,
     SimStats,
     TrojanState,
@@ -59,12 +58,13 @@ def test_isr_wraps_at_end():
 def test_capacity_is_size_minus_one():
     ring = RingBufferState(128)
     for i in range(127):
-        marlin_rx_isr(ring, "a")
-    with pytest.raises(BufferFull):
-        marlin_rx_isr(ring, "b")  # the 128th unconsumed write drops
+        assert marlin_rx_isr(ring, "a") is True
+    full = bytes(ring.storage)
+    assert marlin_rx_isr(ring, "b") is False  # the 128th unconsumed write drops
+    assert ring.head == 127 and bytes(ring.storage) == full
     consumer_readline(ring)  # no newline: frees nothing
-    with pytest.raises(BufferFull):
-        marlin_rx_isr(ring, "b")
+    assert marlin_rx_isr(ring, "b") is False
+    assert ring.head == 127 and bytes(ring.storage) == full
 
 
 def test_readline_complete_line():
@@ -158,7 +158,7 @@ def test_state_round_trips_through_its_fifteen_bytes_after_every_byte(gcode_corp
                 sim.trojan = TrojanState.from_bytes(blob)
                 assert len(blob) == 15 and sim.trojan.to_bytes() == blob
                 lines += sim.drain()
-            where = f"{doc[:20]!r} / {policy.mode.value}-{policy.param_byte()}"
+            where = f"{doc[:20]!r} / {policy.mode.value}-{policy.param}"
             assert lines == ref_lines, where
             assert sim.flush_residual() == ref.flush_residual(), where
             assert sim.stats == ref.stats, where
@@ -658,9 +658,7 @@ def replay_full_schedule(doc: str, policy: TamperPolicy, size: int):
     stats = SimStats(chars_in=len(data))
     lines = []
     for byte in data:
-        try:
-            marlin_rx_isr(ring, byte)
-        except BufferFull:
+        if not marlin_rx_isr(ring, byte):
             stats.dropped += 1
             continue
         event = trojan_epilogue(trojan, ring, policy)
@@ -781,7 +779,7 @@ def test_pass_through_pairs_leave_everything_unchanged():
             for acc, counter, slot, policy in others:
                 trojan = TrojanState(parser_state=state, accumulator=acc, flags_window=flags,
                                      gcode_counter=counter, cmd_slot=slot,
-                                     policy_param=policy.param_byte())
+                                     policy_param=policy.param)
                 blob = trojan.to_bytes()
                 assert trojan_epilogue(trojan, ring, policy) is None, (state, byte, flags)
                 assert trojan.parser_state == step, (state, byte, flags)

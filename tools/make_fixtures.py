@@ -11,7 +11,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from flawsim import dump_ihex, fixtures  # noqa: E402
+from flawsim import fixtures  # noqa: E402
+from flawsim.memory import dump_ihex  # noqa: E402
 
 
 def main():
