@@ -8,6 +8,14 @@ Exit codes are a contract for CI gating:
     3  parse error: an input could not be read (the message names its
        line); error: an analysis or an install cannot run on it
 
+Output: stdout and every file are UTF-8 bytes, whatever the locale.
+stdout holds a command's whole report, written once at its end, or
+nothing when it exits 1 or 3; a report written with -o has the same
+bytes.  Files (tamper's output, -o, --transcript, --trace) are written
+as soon as they are complete, so pipeline keeps -o and --trace when
+accounting then exits 3.  --window without --relocate and --threshold
+without --detect are usage errors.
+
 A memory layout JSON (fields of MemoryLayout) can be supplied with
 --layout.  flawsim pipeline streams its input verbatim when the install
 chain went dormant: no stack steal, or no plausible ring buffer.
@@ -45,8 +53,10 @@ def load_layout(path: str | None) -> MemoryLayout:
     for anything else, naming the field at fault."""
     if not path:
         return MemoryLayout()
-    with open(path) as fh:
-        fields = json.load(fh)
+    try:
+        fields = json.loads(Path(path).read_bytes())
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise ValueError(f"layout {path}: {exc}") from None
     if not isinstance(fields, dict):
         raise ValueError(f"layout {path}: expected a JSON object of MemoryLayout fields")
     known = {f.name for f in dataclasses.fields(MemoryLayout)}
@@ -59,10 +69,12 @@ def load_layout(path: str | None) -> MemoryLayout:
 
 
 def _policy_from_args(args) -> TamperPolicy:
+    if args.relocate is not None:
+        return TamperPolicy.relocation(args.relocate, *(args.window or ()))
+    if args.window is not None:
+        raise ValueError("--window needs --relocate")
     if args.reduce is not None:
         return TamperPolicy.reduction(args.reduce)
-    if args.relocate is not None:
-        return TamperPolicy.relocation(args.relocate, args.window[0], args.window[1])
     return TamperPolicy.off()
 
 
@@ -73,9 +85,9 @@ def _add_policy_flags(parser: _Parser):
     group.add_argument("--relocate", metavar="N", type=int, choices=(2, 3, 4),
                        help="convert every N-th extruding move in the window")
     group.add_argument("--off", action="store_true", help="pass-through policy")
-    window = (TamperPolicy.window_lo, TamperPolicy.window_hi)
-    parser.add_argument("--window", nargs=2, type=int, default=window, metavar=("LO", "HI"),
-                        help=f"relocation progress window (default {window[0]} {window[1]})")
+    parser.add_argument("--window", nargs=2, type=int, metavar=("LO", "HI"),
+                        help="relocation progress window (default "
+                             f"{TamperPolicy.window_lo} {TamperPolicy.window_hi})")
 
 
 def _read_text(path: str) -> str:
@@ -89,55 +101,54 @@ def _read_text(path: str) -> str:
         raise ParseError(line_no, f"byte {data[exc.start]:#04x} is not UTF-8 text in {path}") from None
 
 
-def _write(path: str, text: str):
-    Path(path).write_bytes(text.encode())
-
-
-def _out(args, text: str):
-    """A report, ending in its own newline, to -o as UTF-8 or to stdout."""
-    if args.output:
-        _write(args.output, text)
+def _emit(text: str, path: str | None = None):
+    """The one writer: text as UTF-8 bytes to path, or to stdout."""
+    data = text.encode()
+    if path is None:
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
     else:
-        sys.stdout.write(text)
+        Path(path).write_bytes(data)
 
 
 def cmd_tamper(args) -> int:
     policy = _policy_from_args(args)
     doc = _read_text(args.input)
-    _write(args.output, tamper.apply_policy(doc, policy))
+    _emit(tamper.apply_policy(doc, policy), args.output)
     return EXIT_OK
 
 
 def cmd_audit(args) -> int:
+    if args.threshold is not None and not args.detect:
+        raise ValueError("--threshold needs --detect")
     doc = _read_text(args.input)
     report = audit_mod.account(doc)
     code = EXIT_OK
     if args.detect:
-        anomalies = audit_mod.detect_relocation(report, threshold=args.threshold)
-        if anomalies:
+        threshold = audit_mod.DEFAULT_FLOW_THRESHOLD if args.threshold is None else args.threshold
+        if audit_mod.detect_relocation(report, threshold):
             code = EXIT_TAMPER
     lines = []
     if args.reference:
         ref_report = audit_mod.account(_read_text(args.reference))
         percent = audit_mod.compare(ref_report, report)
         lines.append(f"reduction: {percent:.1f}%")
-    if args.csv:
-        if args.reference:
-            _out(args, audit_mod.normalized_curve_csv(ref_report, [(args.input, report)]))
-        else:
-            _out(args, report.to_csv())
-        return code
-    if args.json:
-        _out(args, report.to_json() + "\n")
-        return code
-    lines.insert(0, f"total extrusion: {report.total_extrusion.to_text()} mm "
-                    f"({report.mass_grams():.3f} g at default filament)")
-    lines.append(f"segments: {len(report.segments)}")
-    if args.detect:
-        lines.append(f"anomalies: {len(report.anomalies)}")
-        for a in report.anomalies:
-            lines.append(f"  segment {a.index}: {a.kind} ratio {a.ratio:.2f}")
-    _out(args, "\n".join(lines) + "\n")
+    if args.csv and args.reference:
+        text = audit_mod.normalized_curve_csv(ref_report, [(args.input, report)])
+    elif args.csv:
+        text = report.to_csv()
+    elif args.json:
+        text = report.to_json() + "\n"
+    else:
+        lines.insert(0, f"total extrusion: {report.total_extrusion.to_text()} mm "
+                        f"({report.mass_grams():.3f} g at default filament)")
+        lines.append(f"segments: {len(report.segments)}")
+        if args.detect:
+            lines.append(f"anomalies: {len(report.anomalies)}")
+            for a in report.anomalies:
+                lines.append(f"  segment {a.index}: {a.kind} ratio {a.ratio:.2f}")
+        text = "\n".join(lines) + "\n"
+    _emit(text, args.output or None)  # an empty -o, like an empty --trace, names no file
     return code
 
 
@@ -148,55 +159,52 @@ def cmd_flash_sim(args) -> int:
     transcript: list | None = [] if args.transcript else None
     outcome = stk500.program_and_verify(firmware, session, transcript=transcript)
     if args.transcript:
-        _write(args.transcript, "".join(f"{d} {frame.hex()}\n" for d, frame in transcript))
-    print(f"verified: {outcome.verified}")
-    print(f"stored differs: {outcome.stored_differs}")
+        _emit("".join(f"{d} {frame.hex()}\n" for d, frame in transcript), args.transcript)
+    lines = [f"verified: {outcome.verified}", f"stored differs: {outcome.stored_differs}"]
     for addr, seen, stored in outcome.mismatches[:16]:
-        print(f"  {addr:#07x}: read-back {seen:#04x} stored {stored:#04x}")
+        lines.append(f"  {addr:#07x}: read-back {seen:#04x} stored {stored:#04x}")
     if outcome.stored_differs and session.sp_site is not None:
         site = session.sp_site
         word = session.image.read_word(site.offset)
         insn = avr.decode(session.image, site.offset)
-        print(f"patched word at {site.offset:#07x}: {word:#06x} ({avr.format_insn(insn)})")
+        lines.append(f"patched word at {site.offset:#07x}: {word:#06x} ({avr.format_insn(insn)})")
+    _emit("\n".join(lines) + "\n")
     return EXIT_TAMPER if outcome.stored_differs else EXIT_OK
 
 
 def cmd_scan(args) -> int:
     layout = load_layout(args.layout)
     image = memory.load_ihex(_read_text(args.image), layout)
+    code = EXIT_OK
     if args.find_sp:
         try:
             site = avr.find_sp_init(image)
         except avr.PatternNotFound:
-            print("stack-pointer init sequence: not found")
-            return EXIT_OK
-        if args.json:
-            print(json.dumps(dataclasses.asdict(site)))
+            text = "stack-pointer init sequence: not found"
         else:
-            print(f"sp-init at {site.offset:#07x}: SPL={site.spl_immediate:#04x} "
-                  f"SPH={site.sph_immediate:#04x}")
-        return EXIT_OK
-    if args.find_ringbuffer:
+            text = (json.dumps(dataclasses.asdict(site)) if args.json else
+                    f"sp-init at {site.offset:#07x}: SPL={site.spl_immediate:#04x} "
+                    f"SPH={site.sph_immediate:#04x}")
+    elif args.find_ringbuffer:
         try:
             info = avr.find_ring_buffer(image)
         except avr.DormantAbort as exc:
-            print(f"ring buffer: dormant abort ({exc})")
-            return EXIT_OK
-        if args.json:
-            print(json.dumps(dataclasses.asdict(info)))
+            text = f"ring buffer: dormant abort ({exc})"
         else:
-            print(f"ring buffer: head @{info.head_addr:#06x} tail @{info.tail_addr:#06x} "
-                  f"root @{info.root_addr:#06x}")
-        return EXIT_OK
-    findings = avr.audit_bootloader(image)
-    if args.json:
-        print(json.dumps([dataclasses.asdict(f) for f in findings], indent=2))
+            text = (json.dumps(dataclasses.asdict(info)) if args.json else
+                    f"ring buffer: head @{info.head_addr:#06x} tail @{info.tail_addr:#06x} "
+                    f"root @{info.root_addr:#06x}")
     else:
-        if not findings:
-            print("bootloader audit: clean")
-        for f in findings:
-            print(f"{f.kind} at {f.offset:#07x}: {f.snippet}")
-    return EXIT_TAMPER if findings else EXIT_OK
+        findings = avr.audit_bootloader(image)
+        if findings:
+            code = EXIT_TAMPER
+        if args.json:
+            text = json.dumps([dataclasses.asdict(f) for f in findings], indent=2)
+        else:
+            text = "\n".join([f"{f.kind} at {f.offset:#07x}: {f.snippet}" for f in findings]
+                             or ["bootloader audit: clean"])
+    _emit(text + "\n")
+    return code
 
 
 def cmd_pipeline(args) -> int:
@@ -206,16 +214,16 @@ def cmd_pipeline(args) -> int:
     firmware = memory.load_ihex(_read_text(args.firmware), layout)
     session = fixtures.build_session(trojan=True, layout=layout)
     outcome = stk500.program_and_verify(firmware, session)
-    print(f"install verified by naive tool: {outcome.verified} "
-          f"(stored image differs: {outcome.stored_differs})")
+    lines = [f"install verified by naive tool: {outcome.verified} "
+             f"(stored image differs: {outcome.stored_differs})"]
     info = None
     if session.sp_site is None:
-        print("stack steal failed, interceptor dormant: no stack-pointer init was patched")
+        lines.append("stack steal failed, interceptor dormant: no stack-pointer init was patched")
     else:
         try:
             info = avr.find_ring_buffer(session.image)
         except avr.DormantAbort as exc:
-            print(f"ring-buffer discovery failed, interceptor dormant: {exc}")
+            lines.append(f"ring-buffer discovery failed, interceptor dormant: {exc}")
     if info is None:
         policy = TamperPolicy.off()
     trace: list | None = [] if args.trace else None
@@ -225,17 +233,20 @@ def cmd_pipeline(args) -> int:
     consumed.append(sim.flush_residual())
     output = "".join(consumed)
     if args.trace:
-        _write(args.trace, "".join(json.dumps(entry) + "\n" for entry in trace))
+        _emit("".join(json.dumps(entry) + "\n" for entry in trace), args.trace)
     if args.output:
-        _write(args.output, output)
+        _emit(output, args.output)
     before = audit_mod.account(doc)
     after = audit_mod.account(output)
     percent = audit_mod.compare(before, after)
-    print(f"sent:     {before.total_extrusion.to_text()} mm over {len(before.segments)} segments")
-    print(f"printed:  {after.total_extrusion.to_text()} mm over {len(after.segments)} segments")
-    print(f"material reduction: {percent:.2f}%")
-    print(f"stream edits: {sim.stats.edits} edited, {sim.stats.conversions} converted, "
-          f"{sim.stats.edits_skipped} skipped, {sim.stats.dropped} dropped")
+    lines += [
+        f"sent:     {before.total_extrusion.to_text()} mm over {len(before.segments)} segments",
+        f"printed:  {after.total_extrusion.to_text()} mm over {len(after.segments)} segments",
+        f"material reduction: {percent:.2f}%",
+        f"stream edits: {sim.stats.edits} edited, {sim.stats.conversions} converted, "
+        f"{sim.stats.edits_skipped} skipped, {sim.stats.dropped} dropped",
+    ]
+    _emit("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -257,7 +268,9 @@ def build_parser() -> _Parser:
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--csv", action="store_true")
     p.add_argument("--detect", action="store_true", help="run relocation detection")
-    p.add_argument("--threshold", type=float, default=audit_mod.DEFAULT_FLOW_THRESHOLD)
+    p.add_argument("--threshold", type=float,
+                   help="with --detect, the multiple of the median flow that is flagged "
+                        f"(default {audit_mod.DEFAULT_FLOW_THRESHOLD})")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_audit)
 

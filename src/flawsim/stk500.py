@@ -22,7 +22,8 @@ request/response; independent sessions share nothing.
 
 Every fault of the exchange raises ProtocolError: a malformed frame, a
 response out of sequence or cut short, a command the session refuses,
-and firmware that reaches into the boot section.
+firmware that reaches into the boot section, and a page size no frame
+can carry.
 """
 
 from __future__ import annotations
@@ -48,6 +49,10 @@ STATUS_CMD_OK = 0x00
 STATUS_CMD_FAILED = 0xC0
 
 SIGNATURE = b"AVRISP_2"
+
+# a page travels after three bytes (command and size, or command and
+# status plus the trailing status) in a body of at most 0xFFFF bytes
+_MAX_PAGE_SIZE = 0xFFFF - 3
 
 _READ_FLASH_OK = bytes((CMD_READ_FLASH, STATUS_CMD_OK))
 _STATUS_OK = bytes((STATUS_CMD_OK,))
@@ -388,8 +393,12 @@ def program_and_verify(
 
     verified: read-back equals the uploaded bytes (the tool's view).
     stored_differs: read-back differs from the session's actual flash.
+    ProtocolError before anything is sent for a page_size above 0xFFFC
+    or firmware that reaches into the boot section.
     """
     page_size = session.layout.page_size
+    if page_size > _MAX_PAGE_SIZE:
+        raise ProtocolError(f"page_size {page_size} exceeds the {_MAX_PAGE_SIZE} bytes a frame carries")
     start, end = used_span(firmware, page_size)
     if end > session.layout.boot_start:
         raise ProtocolError("firmware does not fit in the application region")

@@ -1,7 +1,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +68,23 @@ def test_audit_csv_curve_row_quotes_its_label(tmp_path, capsys, gcode_file):
     *_, header, row = csv.reader(io.StringIO(out.read_bytes().decode()))
     assert header == ["label", "reduction_percent", "normalized_percent"]
     assert row == [str(suspect), "50.0000", "50.0000"]
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", "latin-1", "ascii"])
+def test_stdout_is_the_output_files_utf8_bytes_under_any_locale(tmp_path, encoding):
+    # a fresh interpreter whose text streams use the given encoding
+    reference = FIXTURES / "gcode" / "clean_small.gcode"
+    (tmp_path / "a,\u00e9.gcode").write_text(
+        transform_reduction(reference.read_text(), Fraction(1, 2)), encoding="utf-8")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONIOENCODING": encoding}
+    argv = [sys.executable, "-m", "flawsim.cli", "audit", "a,\u00e9.gcode",
+            "--reference", str(reference), "--csv"]
+    printed = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True)
+    written = subprocess.run(argv + ["-o", "curve.csv"], cwd=tmp_path, env=env, capture_output=True)
+    assert (printed.returncode, printed.stderr, written.returncode, written.stdout) == (0, b"", 0, b"")
+    expected = 'label,reduction_percent,normalized_percent\n"a,\u00e9.gcode",50.0000,50.0000\n'
+    assert printed.stdout == (tmp_path / "curve.csv").read_bytes() == expected.encode("utf-8")
 
 
 @pytest.mark.parametrize("fmt", [[], ["--json"], ["--csv"]], ids=["text", "json", "csv"])
@@ -234,6 +255,19 @@ def test_usage_errors_exit_one(capsys, tmp_path, gcode_file):
     # a reduction no Trojan build carries: not a whole percent
     assert main(["tamper", str(gcode_file), str(out), "--reduce", "0.333"]) == 1
     assert main(["tamper", str(gcode_file), str(out), "--reduce", "1/3"]) == 1
+    # a flag that would have no effect is refused, naming itself
+    window, threshold = "error: --window needs --relocate\n", "error: --threshold needs --detect\n"
+    for argv, err in (
+        (["tamper", gcode_file, out, "--reduce", "0.3", "--window", "90", "10"], window),
+        (["tamper", gcode_file, out, "--off", "--window", "0", "101"], window),
+        (["pipeline", gcode_file, APP_HEX, "--reduce", "0.3", "--window", "25", "75"], window),
+        (["audit", gcode_file, "--threshold", "-5"], threshold),
+        (["audit", gcode_file, "--threshold", "1.8", "--json"], threshold),
+    ):
+        capsys.readouterr()
+        assert main([str(a) for a in argv]) == 1, argv
+        assert capsys.readouterr() == ("", err), argv
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -346,7 +380,7 @@ def test_pipeline_writes_its_output_before_accounting(tmp_path, capsys):
         out.unlink(missing_ok=True)
         argv = ["pipeline", doc, APP_HEX, "--reduce", "0.5", "-o", out, "--trace", trace]
         assert main([str(a) for a in argv]) == 3
-        assert capsys.readouterr().err == err
+        assert capsys.readouterr() == ("", err)  # no install line before the error
         assert out.read_bytes() == streamed.encode()
         assert trace.stat().st_size
 
@@ -400,13 +434,34 @@ def test_layout_flag_reads_a_small_layout(tmp_path, capsys):
     ({"flash_size": "big"}, "'flash_size'"),
     ({"app_vector_base": 0}, "'app_vector_base'"),
     ({"data_memory_size": 0x2200}, "'data_memory_size'"),
-], ids=["unknown field", "not an object", "not an integer", "app_vector_base", "data_memory_size"])
+    (b"", "Expecting value"),
+    (b"\xff{}", "can't decode byte 0xff"),
+], ids=["unknown field", "not an object", "not an integer", "app_vector_base", "data_memory_size",
+        "empty", "not utf-8"])
 def test_malformed_layout_exits_one_naming_the_field(tmp_path, capsys, fields, named):
     layout_json = tmp_path / "bad.json"
-    layout_json.write_text(json.dumps(fields))
+    layout_json.write_bytes(fields if isinstance(fields, bytes) else json.dumps(fields).encode())
     assert main(["scan", APP_HEX, "--find-sp", "--layout", str(layout_json)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and named in err, err
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: layout {layout_json}: ") and named in err, err
+
+
+@pytest.mark.parametrize("page_size, code, err", [
+    (0xFFFC, 2, ""),
+    (0xFFFD, 3, "error: page_size 65533 exceeds the 65532 bytes a frame carries\n"),
+], ids=["65532 installs", "65533 refused"])
+def test_flash_sim_takes_the_pages_a_frame_carries(tmp_path, capsys, page_size, code, err):
+    layout_json = tmp_path / "layout.json"
+    layout_json.write_text(json.dumps({"page_size": page_size}))
+    transcript = tmp_path / "wire.log"
+    argv = ["flash-sim", "--trojan", APP_HEX, "--layout", layout_json, "--transcript", transcript]
+    assert main([str(a) for a in argv]) == code
+    out, seen = capsys.readouterr()
+    assert seen == err
+    if code == 2:
+        assert "stored differs: True" in out and transcript.exists()
+    else:  # refused before the first frame: no report, no transcript
+        assert out == "" and not transcript.exists()
 
 
 def test_determinism_identical_runs(capsys, tmp_path, gcode_file):

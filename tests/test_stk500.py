@@ -518,6 +518,27 @@ def test_firmware_reaching_into_the_boot_section_is_refused_before_upload():
     assert transcript == [] and session.image == FlashImage(LAYOUT)
 
 
+def test_the_largest_page_a_frame_carries_installs():
+    # PROGRAM_FLASH is 13 n_hi n_lo data: 0xFFFC data bytes fill a 0xFFFF body
+    layout = MemoryLayout(page_size=0xFFFC)
+    transcript = []
+    outcome = program_and_verify(fixtures.build_app_image(layout),
+                                 fixtures.build_session(trojan=True, layout=layout),
+                                 transcript=transcript)
+    assert outcome.verified and outcome.stored_differs
+    assert max(len(frame) for _, frame in transcript) == 6 + 0xFFFF
+
+
+def test_a_page_past_the_frame_limit_is_refused_before_upload():
+    layout = MemoryLayout(page_size=0xFFFD)
+    session = fixtures.build_session(trojan=True, layout=layout)
+    before = session.image.copy()
+    transcript = []
+    with pytest.raises(ProtocolError, match=r"^page_size 65533 exceeds the 65532 bytes a frame carries$"):
+        program_and_verify(fixtures.build_app_image(layout), session, transcript=transcript)
+    assert transcript == [] and session.image == before
+
+
 def test_a_refused_command_raises_with_its_response():
     client = ProgrammerClient(PipeTransport(BootSession(image=FlashImage(LAYOUT))))
     client.load_address(LAYOUT.flash_size - 2)
