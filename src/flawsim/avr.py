@@ -234,8 +234,8 @@ def find_sp_init(image: FlashImage, start: int = 0, end: int | None = None) -> S
     lo = start + (start % 2)
     if lo + 8 > end:
         raise PatternNotFound("no stack-pointer init sequence found")
-    if lo < 0:
-        raise AddressOutOfRange(f"scan window starts at {lo:#x}, below flash")
+    if start < 0:
+        raise AddressOutOfRange(f"scan window starts at {start:#x}, below flash")
     for site in _sp_init_sites(image.data, lo, end):
         return site
     if end > size:
@@ -334,8 +334,11 @@ def audit_bootloader(image: FlashImage) -> list[Finding]:
     IsrTrampoline: a CALL into the application region immediately
     followed by CLI (the wrapped-ISR idiom).
 
-    Empty list means clean.  Linear sweep; data embedded in code can in
-    principle desync it, which is acceptable for fixture-scale audits.
+    Empty list means clean.  One forward linear sweep that keeps only the
+    latest LDI value per register, the previous instruction, and the last
+    MCUCR write whose value is known, paired with each new one as it
+    arrives; data embedded in code can in principle desync the sweep,
+    which is acceptable for fixture-scale audits.
 
     The sweep starts no instruction past the last programmed (non-0xFF)
     byte of the section, though it always starts the first.  Decoding is
@@ -346,52 +349,35 @@ def audit_bootloader(image: FlashImage) -> list[Finding]:
     CALL, so they neither write MCUCR nor follow a CALL as its CLI.
     """
     layout = image.layout
-    insns: list[DecodedInsn] = []
     offset = layout.boot_start
     programmed = len(image.data[offset:].rstrip(b"\xff"))
     # at least one word, so an odd section start still raises AddressOutOfRange
     stop = min(layout.flash_size - 1, offset + max(programmed, 1))
-    while offset < stop:
-        insn = decode(image, offset)
-        insns.append(insn)
-        offset += insn.length
-
     findings: list[Finding] = []
     reg_imm: dict[int, int] = {}
-    mcucr_writes: list[tuple[int, int, int]] = []  # (insn index, offset, value)
-    for idx, insn in enumerate(insns):
+    # the last MCUCR write of known value, as (insn index, offset, value);
+    # the starting value 0 has no IVCE bit, so it pairs with nothing
+    last_write = (0, 0, 0)
+    prev: DecodedInsn | None = None
+    idx = 0
+    while offset < stop:
+        insn = decode(image, offset)
         if insn.kind is Kind.LDI:
             reg_imm[insn.reg] = insn.value
-        elif insn.kind is Kind.OUT and insn.io_addr == MCUCR_IO_ADDR:
-            if insn.reg in reg_imm:
-                mcucr_writes.append((idx, insn.byte_offset, reg_imm[insn.reg]))
-        if (
-            insn.kind is Kind.CLI
-            and idx > 0
-            and insns[idx - 1].kind is Kind.CALL
-            and layout.in_app_region(insns[idx - 1].target)
-        ):
-            call = insns[idx - 1]
-            findings.append(
-                Finding(
-                    ISR_TRAMPOLINE,
-                    call.byte_offset,
-                    insn.byte_offset,
-                    f"{format_insn(call)} ; {format_insn(insn)}",
-                )
-            )
-
-    for (i1, off1, val1), (i2, off2, val2) in zip(mcucr_writes, mcucr_writes[1:]):
-        if i2 - i1 <= _AUDIT_WINDOW and (val1 & IVCE_BIT) and (val2 & IVSEL_BIT):
-            findings.append(
-                Finding(
-                    IVSEL_TAKEOVER,
-                    off1,
-                    off2,
-                    f"out 0x{MCUCR_IO_ADDR:02x}, #0x{val1:02X} ; "
-                    f"out 0x{MCUCR_IO_ADDR:02x}, #0x{val2:02X}",
-                )
-            )
+        elif insn.kind is Kind.OUT and insn.io_addr == MCUCR_IO_ADDR and insn.reg in reg_imm:
+            value = reg_imm[insn.reg]
+            i1, off1, val1 = last_write
+            if idx - i1 <= _AUDIT_WINDOW and (val1 & IVCE_BIT) and (value & IVSEL_BIT):
+                snippet = f"out 0x{MCUCR_IO_ADDR:02x}, #0x{val1:02X} ; out 0x{MCUCR_IO_ADDR:02x}, #0x{value:02X}"
+                findings.append(Finding(IVSEL_TAKEOVER, off1, offset, snippet))
+            last_write = (idx, offset, value)
+        elif insn.kind is Kind.CLI and prev is not None and prev.kind is Kind.CALL:
+            if layout.in_app_region(prev.target):
+                snippet = f"{format_insn(prev)} ; {format_insn(insn)}"
+                findings.append(Finding(ISR_TRAMPOLINE, prev.byte_offset, offset, snippet))
+        prev = insn
+        idx += 1
+        offset += insn.length
 
     findings.sort(key=lambda f: f.offset)
     return findings

@@ -13,8 +13,11 @@ stdout holds a command's whole report, written once at its end, or
 nothing when it exits 1 or 3; a report written with -o has the same
 bytes.  Files (tamper's output, -o, --transcript, --trace) are written
 as soon as they are complete, so pipeline keeps -o and --trace when
-accounting then exits 3.  --window without --relocate and --threshold
-without --detect are usage errors.
+accounting then exits 3.  --window without --relocate, --threshold
+without --detect, and an empty path for any file argument are usage
+errors.  scan --json prints JSON in every case: null when there is no
+stack-pointer init, {"dormant_abort": REASON} when ring-buffer discovery
+goes dormant.
 
 A memory layout JSON (fields of MemoryLayout) can be supplied with
 --layout.  flawsim pipeline streams its input verbatim when the install
@@ -48,10 +51,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _path(text: str) -> str:
+    """The argparse type of every path argument: an empty one names no file."""
+    if not text:
+        raise argparse.ArgumentTypeError("an empty path names no file")
+    return text
+
+
 def load_layout(path: str | None) -> MemoryLayout:
     """The layout a JSON object of MemoryLayout fields gives; ValueError
     for anything else, naming the field at fault."""
-    if not path:
+    if path is None:
         return MemoryLayout()
     try:
         fields = json.loads(Path(path).read_bytes())
@@ -148,7 +158,7 @@ def cmd_audit(args) -> int:
             for a in report.anomalies:
                 lines.append(f"  segment {a.index}: {a.kind} ratio {a.ratio:.2f}")
         text = "\n".join(lines) + "\n"
-    _emit(text, args.output or None)  # an empty -o, like an empty --trace, names no file
+    _emit(text, args.output)
     return code
 
 
@@ -180,7 +190,7 @@ def cmd_scan(args) -> int:
         try:
             site = avr.find_sp_init(image)
         except avr.PatternNotFound:
-            text = "stack-pointer init sequence: not found"
+            text = json.dumps(None) if args.json else "stack-pointer init sequence: not found"
         else:
             text = (json.dumps(dataclasses.asdict(site)) if args.json else
                     f"sp-init at {site.offset:#07x}: SPL={site.spl_immediate:#04x} "
@@ -189,7 +199,8 @@ def cmd_scan(args) -> int:
         try:
             info = avr.find_ring_buffer(image)
         except avr.DormantAbort as exc:
-            text = f"ring buffer: dormant abort ({exc})"
+            text = (json.dumps({"dormant_abort": str(exc)}) if args.json else
+                    f"ring buffer: dormant abort ({exc})")
         else:
             text = (json.dumps(dataclasses.asdict(info)) if args.json else
                     f"ring buffer: head @{info.head_addr:#06x} tail @{info.tail_addr:#06x} "
@@ -256,14 +267,14 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tamper", help="apply a payload to a g-code file")
-    p.add_argument("input")
-    p.add_argument("output")
+    p.add_argument("input", type=_path)
+    p.add_argument("output", type=_path)
     _add_policy_flags(p)
     p.set_defaults(func=cmd_tamper)
 
     p = sub.add_parser("audit", help="deposition accounting and anomaly detection")
-    p.add_argument("input")
-    p.add_argument("--reference", help="control g-code to compare against")
+    p.add_argument("input", type=_path)
+    p.add_argument("--reference", type=_path, help="control g-code to compare against")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--csv", action="store_true")
@@ -271,33 +282,33 @@ def build_parser() -> _Parser:
     p.add_argument("--threshold", type=float,
                    help="with --detect, the multiple of the median flow that is flagged "
                         f"(default {audit_mod.DEFAULT_FLOW_THRESHOLD})")
-    p.add_argument("-o", "--output")
+    p.add_argument("-o", "--output", type=_path)
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("flash-sim", help="install firmware through a boot session")
-    p.add_argument("firmware")
+    p.add_argument("firmware", type=_path)
     p.add_argument("--trojan", action="store_true", help="enable the malicious bootloader")
-    p.add_argument("--transcript", help="write wire transcript (hex lines)")
-    p.add_argument("--layout")
+    p.add_argument("--transcript", type=_path, help="write wire transcript (hex lines)")
+    p.add_argument("--layout", type=_path)
     p.set_defaults(func=cmd_flash_sim)
 
     p = sub.add_parser("scan", help="binary pattern scans over a flash image")
-    p.add_argument("image")
+    p.add_argument("image", type=_path)
     which = p.add_mutually_exclusive_group(required=True)
     which.add_argument("--find-sp", action="store_true")
     which.add_argument("--find-ringbuffer", action="store_true")
     which.add_argument("--audit-boot", action="store_true")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--layout")
+    p.add_argument("--layout", type=_path)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("pipeline", help="full demo: install, discover, intercept, audit")
-    p.add_argument("gcode")
-    p.add_argument("firmware")
+    p.add_argument("gcode", type=_path)
+    p.add_argument("firmware", type=_path)
     _add_policy_flags(p)
-    p.add_argument("--trace", help="write a JSONL trace, one entry per stored byte")
-    p.add_argument("-o", "--output", help="write the intercepted stream")
-    p.add_argument("--layout")
+    p.add_argument("--trace", type=_path, help="write a JSONL trace, one entry per stored byte")
+    p.add_argument("-o", "--output", type=_path, help="write the intercepted stream")
+    p.add_argument("--layout", type=_path)
     p.set_defaults(func=cmd_pipeline)
     return parser
 

@@ -55,10 +55,13 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .avr import RingBufferInfo
 from .fixedpoint import MAX_RAW, SCALE, div_round_half_away, format_raw
 from .policy import Mode, TamperPolicy
+
+if TYPE_CHECKING:  # annotations only: the interceptor does not load the flash model
+    from .avr import RingBufferInfo
 
 
 # parser states (low nibble of parser_state; the high nibble counts the

@@ -51,6 +51,16 @@ def test_audit_loads_no_attack_chain_module():
     assert not chain & set(done.stdout.split()), done.stdout
 
 
+def test_tamper_loads_no_flash_model_module():
+    # the interceptor names avr.RingBufferInfo only in annotations
+    probe = "import sys, flawsim.tamper\nprint(' '.join(sorted(m for m in sys.modules if m.startswith('flawsim'))))\n"
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    loaded = [f"flawsim.{m}" for m in ("errors", "fixedpoint", "policy", "tamper", "uart")]
+    assert done.stdout.split() == ["flawsim", *loaded], done.stdout
+
+
 # --- account ---------------------------------------------------------------
 
 

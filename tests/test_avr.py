@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -254,11 +255,15 @@ def test_find_sp_init_ignores_odd_offset_sequences():
     assert find_sp_init(img, 0x101).offset == 0x200  # an odd start rounds up
 
 
-@pytest.mark.parametrize("start, end", [(-2, 64), (-7, 4096), (0, 4096 + 8), (4000, 5000), (4098, 4200)])
+@pytest.mark.parametrize(
+    "start, end", [(-1, 64), (-2, 64), (-7, 4096), (0, 4096 + 8), (4000, 5000), (4098, 4200)]
+)
 def test_find_sp_init_out_of_range_window_raises(start, end):
     img = FlashImage(SMALL)
-    with pytest.raises(AddressOutOfRange):
+    with pytest.raises(AddressOutOfRange) as exc:
         find_sp_init(img, start, end)
+    if start < 0:
+        assert f"starts at {start:#x}," in str(exc.value)
 
 
 def test_find_sp_init_site_before_flash_end_wins_over_range_error():
@@ -586,3 +591,17 @@ def test_audit_sweep_reads_past_the_last_programmed_byte_to_the_end_of_flash():
     # a 32-bit instruction in the last word still runs past flash
     with pytest.raises(AddressOutOfRange):
         audit_bootloader(image_with(end - 2, words_to_bytes(enc_call(0x50)[0])))
+
+
+def test_audit_is_one_pass_that_keeps_no_list_of_the_section():
+    image = fixtures.build_trojan_bootloader()
+    start = LAYOUT.boot_start + 0x100
+    image.write(start, words_to_bytes(*[0x2411] * ((LAYOUT.flash_size - start) // 2)))  # ~3,970 instructions
+    tracemalloc.start()
+    try:
+        findings = audit_bootloader(image)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sorted(f.kind for f in findings) == ["IsrTrampoline", "IvselTakeover"]
+    assert peak < 64 * 1024, peak

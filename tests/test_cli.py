@@ -11,7 +11,7 @@ import pytest
 
 from flawsim import fixtures
 from flawsim.cli import main
-from flawsim.memory import dump_ihex
+from flawsim.memory import FlashImage, MemoryLayout, dump_ihex
 from flawsim.tamper import transform_reduction
 
 from conftest import FIXTURES
@@ -176,6 +176,13 @@ def implausible_ring_image():
     return image
 
 
+def no_rx_jmp_image():
+    """The application image with its RX vector slot zeroed: no JMP to follow."""
+    image = fixtures.build_app_image()
+    image.write(20 * 4, bytes(4))
+    return image
+
+
 def test_scan_implausible_ring_is_a_dormant_abort(tmp_path, capsys):
     hex_path = tmp_path / "implausible.hex"
     hex_path.write_text(dump_ihex(implausible_ring_image()))
@@ -183,6 +190,32 @@ def test_scan_implausible_ring_is_a_dormant_abort(tmp_path, capsys):
     assert code == 0
     assert text == ("ring buffer: dormant abort (head 0x4000 / tail 0x0323 / root 0x02a3 "
                     "not all inside 0x2200 bytes of data memory)\n")
+
+
+def test_scan_find_sp_json_is_null_when_not_found(tmp_path, capsys):
+    erased = tmp_path / "erased.hex"
+    erased.write_text(dump_ihex(FlashImage(MemoryLayout())))
+    code, text = run(capsys, "scan", erased, "--find-sp", "--json")
+    assert code == 0
+    assert json.loads(text) is None
+    code, text = run(capsys, "scan", erased, "--find-sp")
+    assert (code, text) == (0, "stack-pointer init sequence: not found\n")
+
+
+@pytest.mark.parametrize("hex_text, reason", [
+    (lambda: Path(BOOT_CLEAN_HEX).read_text(), "vector slot 20 is not a jmp"),
+    (lambda: dump_ihex(no_rx_jmp_image()), "vector slot 20 is not a jmp"),
+    (lambda: dump_ihex(implausible_ring_image()),
+     "head 0x4000 / tail 0x0323 / root 0x02a3 not all inside 0x2200 bytes of data memory"),
+], ids=["boot_clean.hex", "no rx jmp", "implausible ring"])
+def test_scan_find_ringbuffer_json_names_a_dormant_abort(tmp_path, capsys, hex_text, reason):
+    hex_path = tmp_path / "image.hex"
+    hex_path.write_text(hex_text())
+    code, text = run(capsys, "scan", hex_path, "--find-ringbuffer", "--json")
+    assert code == 0
+    assert json.loads(text) == {"dormant_abort": reason}
+    code, text = run(capsys, "scan", hex_path, "--find-ringbuffer")
+    assert (code, text) == (0, f"ring buffer: dormant abort ({reason})\n")
 
 
 def test_scan_audit_boot_exit_codes(capsys):
@@ -270,6 +303,34 @@ def test_usage_errors_exit_one(capsys, tmp_path, gcode_file):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["tamper", "", "out.gcode", "--off"], "input"),
+    (["tamper", "{gcode}", "", "--off"], "output"),
+    (["audit", ""], "input"),
+    (["audit", "{gcode}", "--reference", ""], "--reference"),
+    (["audit", "{gcode}", "-o", ""], "-o/--output"),
+    (["flash-sim", ""], "firmware"),
+    (["flash-sim", APP_HEX, "--transcript", ""], "--transcript"),
+    (["flash-sim", APP_HEX, "--layout", ""], "--layout"),
+    (["scan", "", "--find-sp"], "image"),
+    (["scan", APP_HEX, "--find-sp", "--layout", ""], "--layout"),
+    (["pipeline", "", APP_HEX, "--reduce", "0.5"], "gcode"),
+    (["pipeline", "{gcode}", "", "--reduce", "0.5"], "firmware"),
+    (["pipeline", "{gcode}", APP_HEX, "--reduce", "0.5", "--trace", ""], "--trace"),
+    (["pipeline", "{gcode}", APP_HEX, "--reduce", "0.5", "-o", ""], "-o/--output"),
+    (["pipeline", "{gcode}", APP_HEX, "--reduce", "0.5", "--layout", ""], "--layout"),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_an_empty_path_is_a_usage_error(tmp_path, capsys, monkeypatch, gcode_file, argv, name):
+    # '' would otherwise name no file, or the working directory
+    monkeypatch.chdir(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    assert main([a.format(gcode=gcode_file) for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith(f": error: argument {name}: an empty path names no file\n"), err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize("argv", [
     ["flash-sim", APP_HEX, "--steal", "3"],
     ["scan", APP_HEX, "--find-ringbuffer", "--rx-vector", "20"],
@@ -302,13 +363,6 @@ def test_pipeline_names_the_bytes_a_full_ring_dropped(tmp_path, capsys):
     assert code == 0
     assert "material reduction: 66.67%" in text
     assert "stream edits: 0 edited, 0 converted, 0 skipped, 19 dropped" in text
-
-
-def no_rx_jmp_image():
-    """The application image with its RX vector slot zeroed: no JMP to follow."""
-    image = fixtures.build_app_image()
-    image.write(20 * 4, bytes(4))
-    return image
 
 
 @pytest.mark.parametrize("firmware, reason", [
