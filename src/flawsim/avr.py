@@ -231,12 +231,9 @@ def find_sp_init(image: FlashImage, start: int = 0, end: int | None = None) -> S
     size = image.layout.flash_size
     if end is None:
         end = size
-    lo = start + (start % 2)
-    if lo + 8 > end:
-        raise PatternNotFound("no stack-pointer init sequence found")
     if start < 0:
         raise AddressOutOfRange(f"scan window starts at {start:#x}, below flash")
-    for site in _sp_init_sites(image.data, lo, end):
+    for site in _sp_init_sites(image.data, start + (start % 2), end):
         return site
     if end > size:
         raise AddressOutOfRange(f"scan window ends at {end:#x}, past flash of {size:#x} bytes")

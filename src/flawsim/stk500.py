@@ -16,9 +16,11 @@ request sequence number.  Command bodies:
     READ_FLASH      14 n_hi n_lo           -> 14 00 data... 00
     LEAVE_PROGMODE  11                     -> 11 00
 
-The transport is any byte stream; the reader never assumes message
-boundaries line up with reads.  One session is strictly lockstep
-request/response; independent sessions share nothing.
+The transport is any byte stream; no reader assumes message boundaries
+line up with reads.  The session is fed whatever bytes it is written and
+reassembles frames from them; the client pulls each response, asking the
+transport for no byte past the end its checked header states.  One session
+is strictly lockstep request/response; independent sessions share nothing.
 
 Every fault of the exchange raises ProtocolError: a malformed frame, a
 response out of sequence or cut short, a command the session refuses,
@@ -121,13 +123,19 @@ def _checked_frame(data: bytes, total: int) -> Stk500Frame:
 class FrameReader:
     """Incremental reassembly over an arbitrarily-chunked byte stream.
 
-    A feed may carry any number of bytes: the 7-byte cap on reads belongs
-    to PipeTransport.  A frame is decoded once all of it is buffered.
-    A bad start byte or token raises ProtocolError from the feed that brings
-    the buffered frame to 6 bytes; a bad checksum raises it from the feed
-    that completes the frame.  The bad bytes stay buffered, so every later
-    feed, however short, raises the same error.  A feed that leaves the
-    buffered frame short returns at once.
+    Bytes arrive by one of two entry points.  ``feed`` is pushed any number
+    of bytes (the 7-byte cap on reads belongs to PipeTransport) and returns
+    every frame they complete; a feed that leaves the buffered frame short
+    returns at once.  ``read_frame`` pulls through ``read(n)``, asking for at
+    most the bytes the buffered frame still lacks (6 for the header, then up
+    to the end it states), and returns that one frame; an empty read raises
+    ProtocolError "transport closed mid-response".
+
+    Both share the buffer and its errors.  A frame is decoded once all of it
+    is buffered.  A bad start byte or token raises ProtocolError once the
+    buffered frame reaches 6 bytes; a bad checksum raises it once the frame
+    is complete.  The bad bytes stay buffered, so every later call, however
+    short its input, raises the same error.
     """
 
     def __init__(self):
@@ -151,6 +159,23 @@ class FrameReader:
             frames.append(_checked_frame(buf, total))
             del buf[:total]
             self._total = 0
+
+    def read_frame(self, read) -> Stk500Frame:
+        self._fill(read, 6)
+        total = _frame_length(self._buf)
+        self._fill(read, total)
+        frame = _checked_frame(self._buf, total)
+        del self._buf[:total]
+        self._total = 0
+        return frame
+
+    def _fill(self, read, size: int):
+        buf = self._buf
+        while len(buf) < size:
+            chunk = read(size - len(buf))
+            if not chunk:
+                raise ProtocolError("transport closed mid-response")
+            buf += chunk
 
 
 @dataclass
@@ -323,7 +348,10 @@ class ProgrammerClient:
     """A deliberately naive programming tool: upload, read back, compare.
 
     It trusts the bootloader for both directions, exactly like the stock
-    toolchains do.
+    toolchains do.  Each round trip writes one request and pulls exactly
+    one response frame, never reading past its end: a second response
+    queued behind it stays in the transport, and the next round trip
+    raises "response sequence mismatch" on it.
     """
 
     def __init__(self, transport):
@@ -335,16 +363,10 @@ class ProgrammerClient:
         seq = self.sequence
         self.sequence = (self.sequence + 1) & 0xFF
         self.transport.write(frame_encode(body, seq))
-        read, feed = self.transport.read, self.reader.feed
-        while True:
-            chunk = read(4096)
-            if not chunk:
-                raise ProtocolError("transport closed mid-response")
-            frames = feed(chunk)
-            if frames:
-                if len(frames) != 1 or frames[0].sequence != seq:
-                    raise ProtocolError("response sequence mismatch")
-                return frames[0].body
+        frame = self.reader.read_frame(self.transport.read)
+        if frame.sequence != seq:
+            raise ProtocolError("response sequence mismatch")
+        return frame.body
 
     def expect_ok(self, body: bytes) -> bytes:
         response = self.roundtrip(body)
@@ -390,18 +412,23 @@ def program_and_verify(
 ) -> VerifyOutcome:
     """Full naive install cycle against a session: upload every used page
     (pages of session.layout.page_size), read the same span back, compare.
+    On a page size that does not divide boot_start the last page stops at
+    boot_start, shorter than the others.
 
     verified: read-back equals the uploaded bytes (the tool's view).
     stored_differs: read-back differs from the session's actual flash.
     ProtocolError before anything is sent for a page_size above 0xFFFC
-    or firmware that reaches into the boot section.
+    or firmware with a programmed byte in the boot section.
     """
     page_size = session.layout.page_size
     if page_size > _MAX_PAGE_SIZE:
         raise ProtocolError(f"page_size {page_size} exceeds the {_MAX_PAGE_SIZE} bytes a frame carries")
     start, end = used_span(firmware, page_size)
-    if end > session.layout.boot_start:
-        raise ProtocolError("firmware does not fit in the application region")
+    boot_start = session.layout.boot_start
+    if end > boot_start:  # the page-rounded end: only a byte programmed at boot_start or past it is refused
+        if firmware.data[boot_start:end].rstrip(b"\xff"):
+            raise ProtocolError("firmware does not fit in the application region")
+        end = boot_start
     client = ProgrammerClient(PipeTransport(session, transcript=transcript))
     client.sign_on()
     for page in range(start, end, page_size):

@@ -256,7 +256,10 @@ def test_find_sp_init_ignores_odd_offset_sequences():
 
 
 @pytest.mark.parametrize(
-    "start, end", [(-1, 64), (-2, 64), (-7, 4096), (0, 4096 + 8), (4000, 5000), (4098, 4200)]
+    "start, end",
+    [(-1, 64), (-2, 64), (-7, 4096), (0, 4096 + 8), (4000, 5000), (4098, 4200),
+     # windows shorter than one sequence
+     (-1, 7), (-7, 0), (4096 - 3, 4096 + 4)],
 )
 def test_find_sp_init_out_of_range_window_raises(start, end):
     img = FlashImage(SMALL)
@@ -264,6 +267,14 @@ def test_find_sp_init_out_of_range_window_raises(start, end):
         find_sp_init(img, start, end)
     if start < 0:
         assert f"starts at {start:#x}," in str(exc.value)
+
+
+def test_find_sp_init_short_window_inside_flash_finds_nothing():
+    img = FlashImage(SMALL)
+    img.write(0, sp_init_bytes())
+    for start, end in ((0, 7), (4096 - 7, 4096), (8, 0)):
+        with pytest.raises(PatternNotFound):
+            find_sp_init(img, start, end)
 
 
 def test_find_sp_init_site_before_flash_end_wins_over_range_error():

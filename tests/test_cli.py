@@ -420,6 +420,19 @@ def test_firmware_reaching_into_the_boot_section_exits_three(tmp_path, capsys):
     assert capsys.readouterr().err == "error: firmware does not fit in the application region\n"
 
 
+def test_firmware_ending_at_boot_start_installs_on_a_page_size_that_does_not_divide_it(tmp_path, capsys):
+    layout = MemoryLayout(page_size=384)
+    layout_json = tmp_path / "page384.json"
+    layout_json.write_text(json.dumps({"page_size": 384}))
+    firmware = FlashImage(layout)
+    firmware.write(layout.boot_start - 1, b"\xaa")
+    image = tmp_path / "last_app_byte.hex"
+    image.write_text(dump_ihex(firmware))
+    code, text = run(capsys, "flash-sim", image, "--layout", layout_json)
+    assert code == 0
+    assert text == "verified: True\nstored differs: False\n"
+
+
 def test_pipeline_writes_its_output_before_accounting(tmp_path, capsys):
     # the stream is complete before account reads it: a document account
     # rejects, or a reference with no material, still leaves the output

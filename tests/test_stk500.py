@@ -157,6 +157,71 @@ def test_frame_reader_many_frames_in_one_feed():
     assert (last.sequence, last.body) == (9, b"tail")
 
 
+def chunked_reads(stream: bytes, cap: int):
+    """A read(n) over stream handing out at most cap bytes at a time, and
+    the list of positions it has reached."""
+    reached = [0]
+
+    def read(n: int) -> bytes:
+        out = stream[reached[-1] : reached[-1] + min(n, cap)]
+        reached.append(reached[-1] + len(out))
+        return out
+
+    return read, reached
+
+
+def test_read_frame_returns_the_frames_feed_returns_at_every_split():
+    raws = [frame_encode(b, i) for i, b in enumerate([b"", b"\x01", bytes(range(40)), b"\x11\x00"])]
+    stream = b"".join(raws)
+    ends = [sum(map(len, raws[: i + 1])) for i in range(len(raws))]
+    for cap in range(1, max(map(len, raws)) + 1):
+        reader = FrameReader()
+        fed = [f for pos in range(0, len(stream), cap) for f in reader.feed(stream[pos : pos + cap])]
+        read, reached = chunked_reads(stream, cap)
+        reader = FrameReader()
+        pulled = []
+        for end in ends:
+            pulled.append(reader.read_frame(read))
+            assert reached[-1] == end, cap  # no byte read past the frame
+        assert pulled == fed == [frame_decode(raw) for raw in raws], cap
+
+
+@pytest.mark.parametrize(
+    "pos, message",
+    [(0, BAD_START), (4, BAD_TOKEN), (1, BAD_CHECKSUM), (-1, BAD_CHECKSUM)],
+    ids=["0-BadStart", "4-BadToken", "1-ChecksumMismatch", "-1-ChecksumMismatch"],
+)
+def test_read_frame_raises_at_the_byte_feed_does_and_keeps_raising(pos, message):
+    frame = bytearray(frame_encode(bytes(30), 1))
+    frame[pos] ^= 0x40
+    stream = bytes(frame) + frame_encode(b"\x01", 2)
+    reader = FrameReader()
+    with pytest.raises(ProtocolError, match=message) as fed:
+        for i in range(len(stream)):
+            reader.feed(stream[i : i + 1])
+    fed_at = i + 1
+    reader = FrameReader()
+    read, reached = chunked_reads(stream, 1)
+    with pytest.raises(ProtocolError, match=message) as first:
+        reader.read_frame(read)
+    assert reached[-1] == fed_at == (6 if pos in (0, 4) else len(frame))
+    assert str(first.value) == str(fed.value)
+    for _ in range(3):
+        with pytest.raises(ProtocolError) as err:
+            reader.read_frame(read)
+        assert str(err.value) == str(first.value)  # the same error, not a new one
+    assert reached[-1] == fed_at
+
+
+def test_read_frame_raises_when_the_transport_closes_mid_frame():
+    frame = frame_encode(bytes([CMD_SIGN_ON, STATUS_CMD_OK, 8]) + b"AVRISP_2", 4)
+    for cut in (0, 1, 5, 6, 7, len(frame) - 1):
+        read, reached = chunked_reads(frame[:cut], 7)
+        with pytest.raises(ProtocolError, match=r"^transport closed mid-response$"):
+            FrameReader().read_frame(read)
+        assert reached[-1] == cut
+
+
 # --- session ----------------------------------------------------------------
 
 
@@ -505,6 +570,39 @@ def test_pipe_transport_write_keeps_the_unread_tail():
     assert got == first + frame_encode(first[5:-1], 2)
 
 
+def test_install_pulls_each_response_as_one_frame(hex_fixtures, monkeypatch):
+    asked = []
+    read = PipeTransport.read
+
+    def counted(self, n):
+        asked.append(n)
+        return read(self, n)
+
+    monkeypatch.setattr(PipeTransport, "read", counted)
+    transcript = []
+    firmware = load_ihex(hex_fixtures["marlin_app.hex"], LAYOUT)
+    assert program_and_verify(firmware, fixtures.build_session(trojan=False), transcript).verified
+    lengths = [len(raw) for direction, raw in transcript if direction == "<<"]
+    assert {8, 17, 265} <= set(lengths)
+    assert len(asked) == sum(-(-(n - 6) // 7) + 1 for n in lengths)
+    # the header first, then exactly what the frame still lacks
+    assert asked == [n for length in lengths for n in [6, *range(length - 6, 0, -7)]]
+
+
+class TwiceAnsweringTransport(PipeTransport):
+    """Hands the session every request twice, so two responses queue."""
+
+    def write(self, data: bytes):
+        super().write(data + data)
+
+
+def test_a_second_response_to_one_request_fails_the_next_roundtrip():
+    client = ProgrammerClient(TwiceAnsweringTransport(BootSession(image=FlashImage(LAYOUT))))
+    assert client.sign_on() == b"AVRISP_2"
+    with pytest.raises(ProtocolError, match=r"^response sequence mismatch$"):
+        client.sign_on()
+
+
 # --- protocol errors ----------------------------------------------------------
 
 
@@ -516,6 +614,32 @@ def test_firmware_reaching_into_the_boot_section_is_refused_before_upload():
     with pytest.raises(ProtocolError, match=r"^firmware does not fit in the application region$"):
         program_and_verify(firmware, session, transcript=transcript)
     assert transcript == [] and session.image == FlashImage(LAYOUT)
+
+
+@pytest.mark.parametrize("trojan", [True, False])
+def test_a_page_size_that_does_not_divide_boot_start_installs_to_its_last_byte(trojan):
+    layout = MemoryLayout(page_size=384)
+    assert layout.boot_start % 384 == 128
+    firmware = fixtures.build_app_image(layout)
+    firmware.write(layout.boot_start - 1, b"\xa5")
+    session = fixtures.build_session(trojan=trojan, layout=layout)
+    transcript = []
+    outcome = program_and_verify(firmware, session, transcript=transcript)
+    assert outcome.verified and outcome.stored_differs == trojan
+    assert session.image.read(layout.boot_start - 1, 1) == b"\xa5"
+    bodies = [frame_decode(raw).body for direction, raw in transcript if direction == ">>"]
+    pages = [body for body in bodies if body[0] == CMD_PROGRAM_FLASH]
+    reads = [body for body in bodies if body[0] == CMD_READ_FLASH]
+    # the last page stops at boot_start: 128 bytes, not 384
+    assert [len(body) - 3 for body in pages[-2:]] == [384, 128]
+    assert reads[-1] == bytes([CMD_READ_FLASH, 0, 128])
+    firmware.write(layout.boot_start, b"\x00")
+    session = fixtures.build_session(trojan=trojan, layout=layout)
+    before = session.image.copy()
+    transcript = []
+    with pytest.raises(ProtocolError, match=r"^firmware does not fit in the application region$"):
+        program_and_verify(firmware, session, transcript=transcript)
+    assert transcript == [] and session.image == before
 
 
 def test_the_largest_page_a_frame_carries_installs():
