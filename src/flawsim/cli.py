@@ -11,13 +11,13 @@ Exit codes are a contract for CI gating:
 Output: stdout and every file are UTF-8 bytes, whatever the locale.
 stdout holds a command's whole report, written once at its end, or
 nothing when it exits 1 or 3; a report written with -o has the same
-bytes.  Files (tamper's output, -o, --transcript, --trace) are written
-as soon as they are complete, so pipeline keeps -o and --trace when
-accounting then exits 3.  --window without --relocate, --threshold
-without --detect, and an empty path for any file argument are usage
-errors.  scan --json prints JSON in every case: null when there is no
-stack-pointer init, {"dormant_abort": REASON} when ring-buffer discovery
-goes dormant.
+bytes.  Files (tamper's output, -o, --transcript) are written as soon
+as they are complete, and pipeline's --trace as the stream runs, a line
+per stored byte, so pipeline keeps both when accounting then exits 3.
+--window without --relocate, --threshold without --detect, and an empty
+path for any file argument are usage errors.  scan --json prints JSON in
+every case: null when there is no stack-pointer init, {"dormant_abort":
+REASON} when ring-buffer discovery goes dormant.
 
 A memory layout JSON (fields of MemoryLayout) can be supplied with
 --layout.  flawsim pipeline streams its input verbatim when the install
@@ -112,7 +112,7 @@ def _read_text(path: str) -> str:
 
 
 def _emit(text: str, path: str | None = None):
-    """The one writer: text as UTF-8 bytes to path, or to stdout."""
+    """The one writer of whole text: UTF-8 bytes to path, or to stdout."""
     data = text.encode()
     if path is None:
         sys.stdout.buffer.write(data)
@@ -218,6 +218,10 @@ def cmd_scan(args) -> int:
     return code
 
 
+# a trace line's "char" for each byte value
+_TRACE_CHAR = [json.dumps(chr(byte)).encode() for byte in range(256)]
+
+
 def cmd_pipeline(args) -> int:
     layout = load_layout(args.layout)
     policy = _policy_from_args(args)
@@ -237,14 +241,20 @@ def cmd_pipeline(args) -> int:
             lines.append(f"ring-buffer discovery failed, interceptor dormant: {exc}")
     if info is None:
         policy = TamperPolicy.off()
-    trace: list | None = [] if args.trace else None
-    sim = UartSimulation(policy, rx_buffer_size=layout.rx_buffer_size, ring_info=info,
-                         trace=trace)
-    consumed = sim.feed(doc)
+    sim = UartSimulation(policy, rx_buffer_size=layout.rx_buffer_size, ring_info=info)
+    consumed = [] if args.trace else sim.feed(doc)
+    if args.trace:  # feed, a byte at a time, writing a line per stored byte as it goes
+        with open(args.trace, "wb") as trace:
+            for byte in doc.encode():
+                dropped = sim.stats.dropped
+                sim.feed_char(byte)
+                if sim.stats.dropped == dropped:
+                    trace.write(b'{"char": %s, "head": %d, "tail": %d, "parser_state": %d}\n' % (
+                        _TRACE_CHAR[byte], sim.ring.head, sim.ring.tail, sim.trojan.parser_state))
+                    if byte == 0x0A:
+                        consumed += sim.drain()
     consumed.append(sim.flush_residual())
     output = "".join(consumed)
-    if args.trace:
-        _emit("".join(json.dumps(entry) + "\n" for entry in trace), args.trace)
     if args.output:
         _emit(output, args.output)
     before = audit_mod.account(doc)
@@ -306,7 +316,7 @@ def build_parser() -> _Parser:
     p.add_argument("gcode", type=_path)
     p.add_argument("firmware", type=_path)
     _add_policy_flags(p)
-    p.add_argument("--trace", type=_path, help="write a JSONL trace, one entry per stored byte")
+    p.add_argument("--trace", type=_path, help="write a JSONL line per stored byte as the stream runs")
     p.add_argument("-o", "--output", type=_path, help="write the intercepted stream")
     p.add_argument("--layout", type=_path)
     p.set_defaults(func=cmd_pipeline)

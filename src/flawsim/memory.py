@@ -34,8 +34,8 @@ class MemoryLayout:
     page_size: int = 256
 
     def __post_init__(self):
-        if self.flash_size <= 0 or self.flash_size % 2:
-            raise ValueError("flash_size must be positive and even")
+        if not 0 < self.flash_size <= 8 << 20 or self.flash_size % 2:  # a 22-bit jmp's reach
+            raise ValueError("flash_size must be positive, even and at most 8 MiB")
         if not 0 < self.boot_section_size < self.flash_size:
             raise ValueError("boot_section_size must be in (0, flash_size)")
         if self.rx_buffer_size < 2 or self.rx_buffer_size & (self.rx_buffer_size - 1):

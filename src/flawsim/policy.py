@@ -50,8 +50,13 @@ class TamperPolicy:
         """Reduction by a Fraction, an int, a float or a decimal or
         fraction string ("0.3", "3/10"); a float reads as its shortest
         decimal.  ValueError unless it is a whole percent."""
-        percent = Fraction(str(fraction)) * 100
-        if percent.denominator != 1:
+        text = str(fraction)
+        exponent = text.lower().partition("e")[2]
+        try:  # no whole percent needs an exponent past len(text); Fraction never expands one
+            percent = Fraction(text) * 100 if abs(int(exponent or 0)) <= len(text) else None
+        except (ValueError, ZeroDivisionError):
+            percent = None
+        if percent is None or percent.denominator != 1:
             raise ValueError(f"reduction must be a whole percent in [0, 100], got {fraction}")
         return cls(Mode.REDUCTION, int(percent))
 

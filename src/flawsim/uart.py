@@ -294,7 +294,7 @@ def _decide_on_first_digit(
 
     Any sign or decimal point that already passed through is taken back
     here; until this moment nothing was hidden, so a token that never
-    produces a digit leaves no trace.  The rewinds stay inside the current
+    produces a digit changes nothing.  The rewinds stay inside the current
     line (digit, sign, point, letter and its space), so they never take
     back a newline.  An edit commits only when the ring, with the prefix
     taken back, holds _EDIT_ROOM cells; otherwise the value passes
@@ -535,22 +535,17 @@ class UartSimulation:
     else runs for it), then what ``trojan_epilogue`` does: it steps the
     pair (parser state, byte) through the step table (see the module
     docstring), or, where the table says ``_CALL``, calls ``_act`` and
-    counts the returned event.  It appends a trace entry when a trace is
-    attached.  ``feed`` then dequeues every complete line; ``feed_char``
-    leaves that to the caller.  With the policy off or the interceptor
-    dormant the epilogue would return at once, so the loop skips it.
+    counts the returned event.  ``feed`` then dequeues every complete
+    line; ``feed_char`` leaves that to the caller.  With the policy off or
+    the interceptor dormant the epilogue would return at once, so the loop
+    skips it.
 
     Single-threaded by contract: feed / feed_char / drain must not be
-    called concurrently.  An optional trace list records one entry per
-    stored byte (the debugger's-eye view of the interception).
+    called concurrently.
     """
 
     def __init__(
-        self,
-        policy: TamperPolicy,
-        rx_buffer_size: int = 128,
-        ring_info: RingBufferInfo | None = None,
-        trace: list | None = None,
+        self, policy: TamperPolicy, rx_buffer_size: int = 128, ring_info: RingBufferInfo | None = None
     ):
         if rx_buffer_size > 256:
             raise ValueError("one-byte slot bookkeeping needs a ring of <= 256 bytes")
@@ -560,14 +555,13 @@ class UartSimulation:
         )
         self.trojan = TrojanState.for_policy(policy, ring_info)
         self.stats = SimStats()
-        self.trace = trace
 
     def _produce(self, data: bytes, out: list[str] | None) -> None:
         """One ISR-and-epilogue step per wire byte; with ``out``, the line
         a stored newline completes is dequeued into it after its step
         (the module docstring says why that is the only one)."""
         ring, trojan, policy, stats = self.ring, self.trojan, self.policy, self.stats
-        storage, mask, tail, trace = ring.storage, ring.mask, ring.tail, self.trace
+        storage, mask, tail = ring.storage, ring.mask, ring.tail
         act, readline, step = _act, consumer_readline, _STEP
         live = policy.mode is not Mode.OFF and not trojan.flags_window & F_DORMANT
         stats.chars_in += len(data)
@@ -588,15 +582,6 @@ class UartSimulation:
                     if event is not None:
                         stats.count(event)
                         live = not trojan.flags_window & F_DORMANT
-            if trace is not None:
-                trace.append(
-                    {
-                        "char": chr(byte),
-                        "head": ring.head,
-                        "tail": ring.tail,
-                        "parser_state": trojan.parser_state,
-                    }
-                )
             if byte == 0x0A and out is not None:
                 out.append(readline(ring))
                 tail = ring.tail

@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -278,6 +280,22 @@ def test_pipeline_streams_non_ascii_comments(capsys, tmp_path):
     assert out.read_bytes().decode() == "G21 ; café €\nG1 X1 E1\nG1 X2 E2\n"
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["tamper", "{gcode}", "{out}", "--reduce", "1/0"],
+     "error: reduction must be a whole percent in [0, 100], got 1/0\n"),
+    (["scan", APP_HEX, "--find-sp", "--layout", "{flash_1tib}"],
+     "error: flash_size must be positive, even and at most 8 MiB\n"),
+], ids=["reduce 1/0", "1 TiB flash"])
+def test_out_of_range_values_exit_one_without_a_traceback(tmp_path, capsys, gcode_file, argv, err):
+    # refused before any work: no division, no flash image
+    flash_1tib = tmp_path / "flash_1tib.json"
+    flash_1tib.write_text(json.dumps({"flash_size": 1 << 40}))
+    out = tmp_path / "out.gcode"
+    assert main([a.format(gcode=gcode_file, out=out, flash_1tib=flash_1tib) for a in argv]) == 1
+    assert capsys.readouterr() == ("", err)
+    assert not out.exists()
+
+
 def test_usage_errors_exit_one(capsys, tmp_path, gcode_file):
     assert main(["tamper", "missing-out.gcode"]) == 1
     assert main(["scan"]) == 1
@@ -363,6 +381,82 @@ def test_pipeline_names_the_bytes_a_full_ring_dropped(tmp_path, capsys):
     assert code == 0
     assert "material reduction: 66.67%" in text
     assert "stream edits: 0 edited, 0 converted, 0 skipped, 19 dropped" in text
+
+
+# --- the trace: one JSON line per stored byte, written as the stream runs --------
+
+UTF8_COMMENTS = "G21 ; caf\u00e9 \u20ac \U0001f5a8\nM73 P30 ; \u00fcber\nG1 X1 E5 ; \u00e9\nG1 X2 E6\nG1 X3 E7 ;\u00bd\n;\u00e9nde"
+
+
+@pytest.mark.parametrize("doc, argv, digest", [
+    ("clean_small.gcode", ["--reduce", "0.3"],
+     "578d3538fe9ea9a04098f5ede72a59df2e17aad3c3f3f9677c0bc2724d0c543f"),
+    ("clean_mixed_crlf.gcode", ["--relocate", "2"],
+     "6be36d9c7827b982bc4e4cb8025b3b77c37ac0a2377335ad1f0a052c1bbdfcc5"),
+    (UTF8_COMMENTS, ["--reduce", "0.3"],
+     "b815c9fbcc6c55b209de35317c51250cbaa54c3d80695cb00d6901cbb26a9bbb"),
+    ("clean_mixed_crlf.gcode", ["--relocate", "2", "--layout", {"rx_buffer_size": 32}],
+     "4759450d386ce87738620163278be59c7160fd683b55b054b0819dbbf720850b"),
+], ids=["small reduce", "crlf relocate", "utf-8 comments", "32-byte ring wraps"])
+def test_pipeline_trace_bytes_are_pinned(tmp_path, capsys, doc, argv, digest):
+    # each line: the byte ("char", as json.dumps(chr(byte))), then the ring's
+    # head and tail and the parser state after the byte's step
+    path = FIXTURES / "gcode" / doc
+    if doc == UTF8_COMMENTS:
+        path = tmp_path / "utf8.gcode"
+        path.write_bytes(doc.encode())
+    if isinstance(argv[-1], dict):
+        layout = tmp_path / "layout.json"
+        layout.write_text(json.dumps(argv[-1]))
+        argv = [*argv[:-1], layout]
+    trace = tmp_path / "trace.jsonl"
+    code, _ = run(capsys, "pipeline", path, APP_HEX, *argv, "--trace", trace)
+    assert code == 0
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
+
+
+def test_pipeline_trace_has_no_line_for_a_dropped_byte(tmp_path, capsys):
+    # the 16-byte ring is full before the first newline arrives: that
+    # newline and every byte after it are dropped, 19 of the 34
+    doc = tmp_path / "in.gcode"
+    doc.write_text("G1 X43 E1 F8838\nG1 X1 E2\nG1 X2 E3\n")
+    layout = tmp_path / "ring16.json"
+    layout.write_text(json.dumps({"rx_buffer_size": 16}))
+    trace = tmp_path / "trace.jsonl"
+    code, text = run(capsys, "pipeline", doc, APP_HEX, "--off", "--layout", layout, "--trace", trace)
+    assert code == 0
+    assert "19 dropped" in text
+    entries = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert entries == [{"char": char, "head": head, "tail": 0, "parser_state": 0}
+                       for head, char in enumerate("G1 X43 E1 F8838", 1)]
+
+
+@pytest.mark.parametrize("policy", [["--reduce", "0.3"], ["--relocate", "2"]], ids=["reduce", "relocate"])
+def test_a_traced_pipeline_prints_and_reports_what_an_untraced_one_does(tmp_path, capsys, policy):
+    for doc in sorted((FIXTURES / "gcode").glob("*.gcode")):
+        runs = []
+        for traced in ([], ["--trace", tmp_path / "trace.jsonl"]):
+            out = tmp_path / "out.gcode"
+            code, text = run(capsys, "pipeline", doc, APP_HEX, *policy, "-o", out, *traced)
+            runs.append((code, text, out.read_bytes()))
+        assert runs[0] == runs[1], doc.name
+
+
+def test_the_trace_is_written_as_the_stream_runs(tmp_path, capsys):
+    # no entry is held: a traced run peaks at what an untraced one does
+    doc = tmp_path / "print.gcode"
+    doc.write_text(fixtures.generate_gcode(segments=2000))
+    argv = ["pipeline", doc, APP_HEX, "--reduce", "0.3", "-o", tmp_path / "out.gcode"]
+    peaks = []
+    for traced in ([], ["--trace", tmp_path / "trace.jsonl"], []):  # the first run warms caches
+        tracemalloc.start()
+        try:
+            assert main([str(a) for a in argv + traced]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+    assert peaks[1] <= peaks[2] + 64 * 1024, peaks
 
 
 @pytest.mark.parametrize("firmware, reason", [

@@ -38,6 +38,15 @@ def test_layout_validation():
     assert not layout.in_app_region(layout.boot_start)
 
 
+def test_layout_caps_flash_at_what_a_jmp_reaches():
+    # a 22-bit jmp/call word address reaches 8 MiB; only layouts are built
+    # here, never an image, which would allocate flash_size bytes
+    assert MemoryLayout(flash_size=8 << 20).boot_start == (8 << 20) - 8192
+    for size in ((8 << 20) + 2, 1 << 40):
+        with pytest.raises(ValueError, match="^flash_size must be positive, even and at most 8 MiB$"):
+            MemoryLayout(flash_size=size)
+
+
 def test_image_reads_never_wrap():
     img = FlashImage(LAYOUT)
     with pytest.raises(AddressOutOfRange):

@@ -10,6 +10,7 @@ from flawsim import fixtures
 from flawsim.audit import account
 from flawsim.fixedpoint import FixedPointOverflow
 from flawsim.gcode import parse_document, parse_line
+from flawsim import policy as policy_mod
 from flawsim.policy import TamperPolicy
 from flawsim.tamper import apply_policy, transform_reduction, transform_relocation
 from flawsim.uart import UartSimulation
@@ -364,6 +365,10 @@ PARAMETER_RULE = [
     ("reduction", (Fraction(333, 1000),), None),
     ("reduction", (Fraction(-1, 100),), None),
     ("reduction", (Fraction(101, 100),), None),
+    ("reduction", ("30e-2",), 30),
+    ("reduction", ("0.003e2",), 30),
+    ("reduction", ("1/0",), None),
+    ("reduction", ("1e-3000000",), None),
     ("relocation", (3, 25, 75), 3),
     ("relocation", (1, 25, 75), None),
     ("relocation", (5, 25, 75), None),
@@ -389,6 +394,17 @@ def test_policy_and_transform_share_the_parameter_rule(payload, args, param):
     with pytest.raises(ValueError) as transform_refused:
         transform(doc, *args)
     assert str(transform_refused.value) == str(policy_refused.value)
+
+
+def test_reduction_refuses_an_exponent_before_expanding_it(monkeypatch):
+    # a whole percent needs no exponent above the length of its text;
+    # Fraction("1e-3000000") alone takes about a second
+    expanded = []
+    monkeypatch.setattr(policy_mod, "Fraction", expanded.append)
+    for text in ("1e-3000000", "1E+3000000", "0.3e99"):
+        with pytest.raises(ValueError, match=r"^reduction must be a whole percent in \[0, 100\], got "):
+            TamperPolicy.reduction(text)
+    assert expanded == []
 
 
 # --- equivalence oracle -------------------------------------------------------------

@@ -616,14 +616,6 @@ def test_ring_size_cap():
         UartSimulation(HALF, rx_buffer_size=512)
 
 
-def test_trace_records_per_char_events():
-    trace = []
-    sim = UartSimulation(HALF, trace=trace)
-    sim.feed("G1 E4\n")
-    assert [t["char"] for t in trace] == list("G1 E4\n")
-    assert all({"char", "head", "tail", "parser_state"} <= set(t) for t in trace)
-
-
 # --- the producer loop against the single-character model ----------------------
 
 # a 200-character comment (of 3-byte characters) that no ring here can hold
