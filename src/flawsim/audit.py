@@ -8,12 +8,14 @@ whose flow (filament per mm of travel) is far above the document median,
 because the absolute extrusion axis makes the next move catch up.
 
 A report holds its segments column-wise in a read-only ``Segments``
-sequence, about 68 bytes per move: the command number (0 or 1) in a
-bytearray, the start and end x, y and z in one ``array('d')`` (six
-values per move), the travel in an ``array('d')`` and the extrusion
-delta in an ``array('q')``.  Indexing or iterating builds a fresh
-``SegmentRecord`` per access, so mutating a row changes nothing in the
-report.
+sequence: the command number (0 or 1) in a bytearray and the extrusion
+delta in an ``array('q')``, 9 bytes per move, which is all the total,
+the segment count and compare need.  The start and end x, y and z in one
+``array('d')`` (six values per move) and the travel in an ``array('d')``
+are decoded the first time either is read, by the same scan again; until
+then the report holds the document, and from then on about 68 bytes per
+move.  Indexing or iterating builds a fresh ``SegmentRecord`` per
+access, so mutating a row changes nothing in the report.
 
 account makes one multiline scan over the document that stops only at
 the heads it acts on: G0, G1, G92, M82 and M83, with any leading zeros.
@@ -25,11 +27,11 @@ integer digits and at most four decimals (every number format_raw writes
 below 100,000): first any whose letter account never reads, then X, Y, Z
 and E, each at most once and in that order and each value in a group of
 its own, then more of the unread letters.  That is the shape slicers
-write, with F before or after the coordinates.  The rest of the tokens
-follow it: letters out of that order or repeated, and values outside the
-plain subset.  Each letter takes its first value in the line; the plain
-run comes first, so a letter found there is never looked for in the
-rest.  A visited line the grammar refuses is a ParseError.
+write, with F before or after the coordinates.  The rest run, the
+tokens after it, holds letters out of that order or repeated, and values
+outside the plain subset.  Each letter takes its first value in the
+line; the plain run comes first, so a letter found there is never looked
+for in the rest.  A visited line the grammar refuses is a ParseError.
 
 X, Y and Z are read as the double nearest raw / SCALE, E as raw itself.
 A plain value is float(v) + 0.0: with at most four decimals the decimal
@@ -126,15 +128,23 @@ class SegmentRecord:
 
 class Segments(Sequence):
     """The moves of one document, one column per field (see the module
-    docstring); rows are built on access and never stored."""
+    docstring); rows are built on access and never stored.  coords and
+    travels are decoded from the document the first time either is read."""
 
-    __slots__ = ("commands", "coords", "travels", "deltas")
+    __slots__ = ("commands", "coords", "travels", "deltas", "_doc")
 
-    def __init__(self, commands: bytearray, coords: array, travels: array, deltas: array):
+    def __init__(self, commands: bytearray, deltas: array, doc: str):
         self.commands = commands
-        self.coords = coords
-        self.travels = travels
         self.deltas = deltas
+        self._doc = doc
+
+    def __getattr__(self, name: str):
+        # called only when lookup fails: for coords and travels, until decoded
+        if name not in ("coords", "travels"):
+            raise AttributeError(name)
+        self.coords, self.travels = _geometry(self._doc)
+        del self._doc
+        return getattr(self, name)
 
     def __len__(self) -> int:
         return len(self.deltas)
@@ -245,6 +255,15 @@ def _parse_error(doc: str, start: int, problem: str = "cannot parse") -> ParseEr
     return ParseError(doc.count("\n", 0, start) + 1, f"{problem} {quoted}")
 
 
+def _first_values(rest: str) -> dict[str, int]:
+    """The first raw value of each letter in a line's rest run (the tokens
+    after its plain run); FixedPointOverflow past the budget."""
+    first: dict[str, int] = {}
+    for letter, sign, int_digits, frac_digits in _PARAM_RE.findall(rest):
+        first.setdefault(letter, raw_from_digits(sign, int_digits, frac_digits))
+    return first
+
+
 def account(doc: str) -> AuditReport:
     """Walk a document and record one segment per linear move.
 
@@ -254,24 +273,17 @@ def account(doc: str) -> AuditReport:
     running total of deposited filament leaves the 32-bit budget;
     non-move noise (comments, status commands) is skipped.
     """
-    x = y = z = 0.0
     e_logical = 0  # raw, as every extrusion figure below
     relative_e = False
     commands = bytearray()
-    coords = array("d")
-    travels = array("d")
     deltas = array("q")
     total_raw = 0
     for m in _ACCOUNTED_RE.finditer("\n" + doc):
-        g_number, m_number, _, px, py, pz, pe, rest = m.groups()
+        g_number, m_number, _, _, _, _, pe, rest = m.groups()
         first = _NO_REST
         if rest:
-            # the tokens after the plain run, which comes first in the
-            # line: a letter it lacks takes its first value here
-            first = {}
             try:
-                for letter, sign, int_digits, frac_digits in _PARAM_RE.findall(rest):
-                    first.setdefault(letter, raw_from_digits(sign, int_digits, frac_digits))
+                first = _first_values(rest)
             except FixedPointOverflow:
                 raise _parse_error(doc, m.start()) from None
         elif rest is None:
@@ -279,26 +291,11 @@ def account(doc: str) -> AuditReport:
         if m_number:  # only once its values are read: one that overflows is refused
             relative_e = m_number == "83"
             continue
-        sx, sy, sz = x, y, z
-        if px is not None:
-            x = float(px) + 0.0
-        elif "X" in first:
-            x = first["X"] / SCALE
-        if py is not None:
-            y = float(py) + 0.0
-        elif "Y" in first:
-            y = first["Y"] / SCALE
-        if pz is not None:
-            z = float(pz) + 0.0
-        elif "Z" in first:
-            z = first["Z"] / SCALE
         pe = first.get("E") if pe is None else round(float(pe) * SCALE)
         if g_number == "92":
             if pe is not None:
                 e_logical = pe
             continue
-        # the same value as math.dist((sx, sy, sz), (x, y, z)), with no tuples
-        travel = math.hypot(sx - x, sy - y, sz - z)
         if pe is None:
             delta = 0
         elif relative_e:
@@ -312,8 +309,6 @@ def account(doc: str) -> AuditReport:
                     doc, m.start(), f"extrusion delta {format_raw(delta)} exceeds the 32-bit budget in"
                 )
         commands.append(g_number == "1")  # G0 is 0, G1 is 1
-        coords.extend((sx, sy, sz, x, y, z))
-        travels.append(travel)
         deltas.append(delta)
         if delta > 0:
             total_raw += delta
@@ -321,7 +316,37 @@ def account(doc: str) -> AuditReport:
                 raise _parse_error(
                     doc, m.start(), f"deposited total {format_raw(total_raw)} exceeds the 32-bit budget at"
                 )
-    return AuditReport(FixedPoint(total_raw), Segments(commands, coords, travels, deltas))
+    return AuditReport(FixedPoint(total_raw), Segments(commands, deltas, doc))
+
+
+def _geometry(doc: str) -> tuple[array, array]:
+    """The coords and travels columns of a document account has read: the
+    same scan again, folding X, Y and Z where account folded E."""
+    x = y = z = 0.0
+    coords, travels = array("d"), array("d")
+    for m in _ACCOUNTED_RE.finditer("\n" + doc):
+        g_number, _, _, px, py, pz, _, rest = m.groups()
+        if g_number is None:  # a mode switch
+            continue
+        first = _first_values(rest) if rest else _NO_REST
+        sx, sy, sz = x, y, z
+        if px is not None:
+            x = float(px) + 0.0
+        elif "X" in first:
+            x = first["X"] / SCALE
+        if py is not None:
+            y = float(py) + 0.0
+        elif "Y" in first:
+            y = first["Y"] / SCALE
+        if pz is not None:
+            z = float(pz) + 0.0
+        elif "Z" in first:
+            z = first["Z"] / SCALE
+        if g_number != "92":
+            coords.extend((sx, sy, sz, x, y, z))
+            # the same value as math.dist((sx, sy, sz), (x, y, z)), with no tuples
+            travels.append(math.hypot(sx - x, sy - y, sz - z))
+    return coords, travels
 
 
 def detect_relocation(

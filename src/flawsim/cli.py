@@ -75,7 +75,10 @@ def load_layout(path: str | None) -> MemoryLayout:
             raise ValueError(f"layout {path}: unknown field {name!r}")
         if type(value) is not int:
             raise ValueError(f"layout {path}: field {name!r} must be an integer, not {value!r}")
-    return MemoryLayout(**fields)
+    try:
+        return MemoryLayout(**fields)
+    except ValueError as exc:  # a value out of range
+        raise ValueError(f"layout {path}: {exc}") from None
 
 
 def _policy_from_args(args) -> TamperPolicy:

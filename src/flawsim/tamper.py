@@ -17,14 +17,14 @@ unchanged.  So does a switch to relative extrusion under relocation.
 audit.account, the defender, reads the strict grammar of gcode.py
 instead.
 
-The token rule is one pattern per letter, ``(?:[^ ;\\n]| (?!E))* E`` and
-then the value, matched from the space that ends a head or from the end
-of the last value.  The repeated part takes any byte but a space, a ';'
-or an LF, and a space only when no ``E`` follows it; so the match stops
-at the first `` E`` of the code part, never passes a comment or the
-line's end, and fails where that `` E`` has no digit, which ends the
-line's targets.  A move's first target is found in the same match as its
-head.
+The token rule is one pattern per letter, ``[^ ;\\n]*(?: (?!E)[^ ;\\n]*)* E``
+and then the value, matched from the space that ends a head or from the
+end of the last value.  Before the `` E`` it takes runs of any byte but a
+space, a ';' or an LF, joined by spaces that no ``E`` follows; a run and
+a joining space start on different bytes, so the match stops at the
+first `` E`` of the code part, never passes a comment or the line's end,
+and fails where that `` E`` has no digit, which ends the line's targets.
+A move's first target is found in the same match as its head.
 
 Each transform takes exactly the parameters a Trojan build carries, and
 refuses any other with the ValueError of TamperPolicy, which both build
@@ -52,7 +52,7 @@ from .uart import F_WINDOW_ACTIVE, update_window
 def _target(letter: str) -> str:
     """The token rule's pattern for the line's next target of this letter
     (see the module docstring); its groups are VALUE_PATTERN's."""
-    return r"(?:[^ ;\n]| (?!" + letter + "))* " + letter + VALUE_PATTERN
+    return r"[^ ;\n]*(?: (?!" + letter + r")[^ ;\n]*)* " + letter + VALUE_PATTERN
 
 
 _E = re.compile(_target("E"))

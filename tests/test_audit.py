@@ -249,11 +249,30 @@ def test_segments_footprint_per_move():
     tracemalloc.start()
     try:
         report = account(doc)
-        retained, _ = tracemalloc.get_traced_memory()
+        # the mass proxy reads the total and the count, never the geometry
+        assert report.total_extrusion.raw > 0 and len(report.segments) > 1_800
+        assert compare(report, report) == 0
+        mass_proxy_read, _ = tracemalloc.get_traced_memory()
+        report.segments[0]
+        row_read, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # about 68 bytes of columns per move; a record per move took 377
-    assert retained / len(report.segments) < 100
+    moves = len(report.segments)
+    # 9 bytes of columns per move, the command and the delta
+    assert mass_proxy_read / moves < 16
+    # about 68 bytes per move once the geometry is decoded; a record per move took 377
+    assert row_read / moves < 100
+
+
+def test_geometry_follows_a_g92_and_a_first_x_in_the_rest_run():
+    doc = "G1 X1 Y1 E1\nG92 X5 Y5\nG1 X6 E2\nG1 Y2 X3 X9 E2\nG0 Z1\n"
+    assert account_outcome(doc) == oracle_outcome(doc)
+    assert [(s.start, s.end) for s in account(doc).segments] == [
+        ((0.0, 0.0, 0.0), (1.0, 1.0, 0.0)),
+        ((5.0, 5.0, 0.0), (6.0, 5.0, 0.0)),
+        ((6.0, 5.0, 0.0), (3.0, 2.0, 0.0)),
+        ((3.0, 2.0, 0.0), (3.0, 2.0, 1.0)),
+    ]
 
 
 # --- account's scan against a fold over every line ----------------------------
@@ -325,7 +344,9 @@ def account_outcome(doc):
         report = account(doc)
     except ParseError as err:
         return str(err)
+    # read outside the try: a column read never raises what account did not
     seg = report.segments
+    assert len(seg.coords) == 6 * len(seg.deltas) and len(seg.travels) == len(seg.deltas)
     return (bytes(seg.commands), seg.coords.tobytes(), seg.travels.tobytes(),
             seg.deltas.tolist(), report.total_extrusion.raw)
 

@@ -284,16 +284,19 @@ def test_pipeline_streams_non_ascii_comments(capsys, tmp_path):
     (["tamper", "{gcode}", "{out}", "--reduce", "1/0"],
      "error: reduction must be a whole percent in [0, 100], got 1/0\n"),
     (["scan", APP_HEX, "--find-sp", "--layout", "{flash_1tib}"],
-     "error: flash_size must be positive, even and at most 8 MiB\n"),
-], ids=["reduce 1/0", "1 TiB flash"])
+     "error: layout {flash_1tib}: flash_size must be positive, even and at most 8 MiB\n"),
+    (["scan", APP_HEX, "--find-sp", "--layout", "{ring_100}"],
+     "error: layout {ring_100}: rx_buffer_size must be a power of two\n"),
+], ids=["reduce 1/0", "1 TiB flash", "100-byte ring"])
 def test_out_of_range_values_exit_one_without_a_traceback(tmp_path, capsys, gcode_file, argv, err):
     # refused before any work: no division, no flash image
-    flash_1tib = tmp_path / "flash_1tib.json"
-    flash_1tib.write_text(json.dumps({"flash_size": 1 << 40}))
-    out = tmp_path / "out.gcode"
-    assert main([a.format(gcode=gcode_file, out=out, flash_1tib=flash_1tib) for a in argv]) == 1
-    assert capsys.readouterr() == ("", err)
-    assert not out.exists()
+    paths = {"gcode": gcode_file, "out": tmp_path / "out.gcode",
+             "flash_1tib": tmp_path / "flash_1tib.json", "ring_100": tmp_path / "ring_100.json"}
+    paths["flash_1tib"].write_text(json.dumps({"flash_size": 1 << 40}))
+    paths["ring_100"].write_text(json.dumps({"rx_buffer_size": 100}))
+    assert main([a.format(**paths) for a in argv]) == 1
+    assert capsys.readouterr() == ("", err.format(**paths))
+    assert not paths["out"].exists()
 
 
 def test_usage_errors_exit_one(capsys, tmp_path, gcode_file):
