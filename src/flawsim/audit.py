@@ -78,8 +78,8 @@ _QUOTED_CHARS = 60  # of a line's body, in a ParseError message
 _PLAIN_VALUE = r"[-+]?(?=\.?[0-9])[0-9]{0,5}(?:\.[0-9]{0,4})?(?![^\s;])"
 # A plain token whose letter account never reads (not E, X, Y or Z).
 _UNREAD = r"(?: +[A-DF-W]" + _PLAIN_VALUE + ")"
-# Searched in "\n" + doc: an LF (so the search jumps from line start to
-# line start), an accounted head (its G or M number), then the parameter
+# Searched line by line (^ under re.M, so no copy of the document): an
+# accounted head at a line's start (its G or M number), then the parameter
 # region as gcode._LINE_RE reads it, split in two.  The plain run (group
 # 3) is unread plain tokens, then optional plain X, Y, Z and E tokens in
 # that order (their values in groups 4 to 7), then more unread plain
@@ -89,7 +89,7 @@ _UNREAD = r"(?: +[A-DF-W]" + _PLAIN_VALUE + ")"
 # optional part is spelled (?:...|), an empty alternative, which the
 # regex engine tries faster than (?:...)?.
 _ACCOUNTED_RE = re.compile(
-    r"\n *(?:G0*([01]|92)|M0*(8[23]))(?![0-9])"
+    r"^ *(?:G0*([01]|92)|M0*(8[23]))(?![0-9])"
     r"(?:(?=(" + _UNREAD + "*"
     + "".join(f"(?: +{letter}({_PLAIN_VALUE})|)" for letter in "XYZE")
     + _UNREAD + r"*))\3((?: +[A-Z]" + _VALUE + r")*)[^\S\n]*(?:;|$)|)",
@@ -100,8 +100,7 @@ _NO_REST: dict[str, int] = {}  # the first values of a line with no rest run
 
 class InsufficientData(FlawsimError):
     """An analysis has too little to run on: fewer than 8 extruding
-    segments, no positive median flow, or a reference that deposits
-    nothing."""
+    segments, or a reference that deposits nothing."""
 
 
 @dataclass(slots=True)
@@ -278,7 +277,7 @@ def account(doc: str) -> AuditReport:
     commands = bytearray()
     deltas = array("q")
     total_raw = 0
-    for m in _ACCOUNTED_RE.finditer("\n" + doc):
+    for m in _ACCOUNTED_RE.finditer(doc):
         g_number, m_number, _, _, _, _, pe, rest = m.groups()
         first = _NO_REST
         if rest:
@@ -324,7 +323,7 @@ def _geometry(doc: str) -> tuple[array, array]:
     same scan again, folding X, Y and Z where account folded E."""
     x = y = z = 0.0
     coords, travels = array("d"), array("d")
-    for m in _ACCOUNTED_RE.finditer("\n" + doc):
+    for m in _ACCOUNTED_RE.finditer(doc):
         g_number, _, _, px, py, pz, _, rest = m.groups()
         if g_number is None:  # a mode switch
             continue
@@ -370,8 +369,6 @@ def detect_relocation(
     if len(flows) < 8:
         raise InsufficientData(f"{len(flows)} extruding segments; need >= 8")
     median_flow = statistics.median(flows.values())
-    if median_flow <= 0:
-        raise InsufficientData("median flow is not positive")
     limit = threshold * median_flow
     anomalies: list[Anomaly] = []
     for i, flow in flows.items():

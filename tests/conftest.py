@@ -2,8 +2,13 @@ from pathlib import Path
 
 import pytest
 
+import flawsim
+
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = REPO / "fixtures"
+# the directory holding the package under test: src/ in a checkout, or
+# site-packages once installed; a fresh interpreter is given it as PYTHONPATH
+PACKAGE_PATH = str(Path(flawsim.__file__).resolve().parents[1])
 
 
 @pytest.fixture(scope="session")

@@ -9,8 +9,11 @@ token (' E' in a move, ' P' in a progress report) is found with
 str.find, and the value after it is read with VALUE_PATTERN.  A token
 with no digit after it ends the line's targets.  Heads are found as in
 tamper, one multiline match per move, progress report or switch to
-relative extrusion.  A switch to relative extrusion before the window
-closes sends relocation dormant: the rest of the document passes through.
+relative extrusion.  The relocation window is stated here on its own: it
+opens at a progress report at or above lo percent and closes for good at
+one at or above hi; a report below lo before then closes it again.  A
+switch to relative extrusion before the window closes sends relocation
+dormant: the rest of the document passes through.
 """
 
 import re
@@ -18,10 +21,12 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from flawsim.fixedpoint import VALUE_PATTERN, FixedPointOverflow, div_round_half_away, format_raw, raw_from_digits
+from flawsim.fixedpoint import (
+    SCALE, VALUE_PATTERN, FixedPointOverflow, div_round_half_away, format_raw, raw_from_digits,
+)
 from flawsim.policy import TamperPolicy
 from flawsim.tamper import apply_policy
-from flawsim.uart import F_WINDOW_ACTIVE, F_WINDOW_DONE, UartSimulation, update_window
+from flawsim.uart import UartSimulation
 
 _VALUE = re.compile(VALUE_PATTERN)
 _CODE = re.compile(r"[^;\n]*")  # up to the line's ';' or its end
@@ -64,14 +69,14 @@ def transform_reduction(doc: str, fraction) -> str:
 
 
 def transform_relocation(doc: str, n: int, window_lo: int, window_hi: int) -> str:
-    window = 0  # F_WINDOW_* flags, as in the interceptor
+    active = closed = False  # the window
     counter = 0
     out = []
     done = 0  # doc[:done] is in out
     for head in _HEAD.finditer(doc):
         start = head.end() - 1
         if head[1] is not None:
-            if not window & F_WINDOW_ACTIVE:
+            if not active:
                 continue
             slot = head.start(1)
             for value in _values(doc, start, " E"):
@@ -91,8 +96,11 @@ def transform_relocation(doc: str, n: int, window_lo: int, window_hi: int) -> st
                     raw = raw_from_digits(*value.groups(""))
                 except FixedPointOverflow:
                     break  # dormant
-                window = update_window(window, raw, window_lo, window_hi)
-        elif not window & F_WINDOW_DONE:
+                if not closed:
+                    percent = Fraction(raw, SCALE)
+                    closed = percent >= window_hi
+                    active = not closed and percent >= window_lo
+        elif not closed:
             break  # dormant: relative extrusion
     return "".join(out) + doc[done:]
 

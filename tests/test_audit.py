@@ -30,7 +30,7 @@ from flawsim.errors import ParseError
 from flawsim.fixedpoint import MAX_RAW, SCALE, format_raw, raw_from_digits
 from flawsim.gcode import parse_line
 from flawsim.tamper import transform_reduction, transform_relocation
-from conftest import REPO
+from conftest import PACKAGE_PATH
 from test_fuzz_equivalence import random_document
 from test_tamper import random_command_line
 
@@ -44,17 +44,17 @@ def test_audit_loads_no_attack_chain_module():
         "assert not hasattr(flawsim, '__all__')\n"
         "print(' '.join(sorted(m for m in sys.modules if m.startswith('flawsim'))))\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    env = {**os.environ, "PYTHONPATH": PACKAGE_PATH}
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    chain = {f"flawsim.{m}" for m in ("uart", "stk500", "avr", "memory", "policy")}
-    assert not chain & set(done.stdout.split()), done.stdout
+    loaded = [f"flawsim.{m}" for m in ("audit", "errors", "fixedpoint", "gcode")]
+    assert done.stdout.split() == ["flawsim", *loaded], done.stdout
 
 
 def test_tamper_loads_no_flash_model_module():
     # the interceptor names avr.RingBufferInfo only in annotations
     probe = "import sys, flawsim.tamper\nprint(' '.join(sorted(m for m in sys.modules if m.startswith('flawsim'))))\n"
-    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    env = {**os.environ, "PYTHONPATH": PACKAGE_PATH}
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     loaded = [f"flawsim.{m}" for m in ("errors", "fixedpoint", "policy", "tamper", "uart")]
@@ -563,6 +563,33 @@ def test_detect_insufficient_data():
         detect_relocation(account("G1 X10 E1\nG1 X0 E2\n"))
 
 
+def unit_flows(moves: int) -> str:
+    """moves extruding segments, each depositing 1 mm over 1 mm of travel."""
+    return "".join(f"G1 X{i} E{i}\n" for i in range(1, moves + 1))
+
+
+def test_detect_needs_eight_extruding_segments():
+    with pytest.raises(InsufficientData, match="^7 extruding segments; need >= 8$"):
+        detect_relocation(account(unit_flows(7)))
+    assert detect_relocation(account(unit_flows(8))) == []
+
+
+@pytest.mark.parametrize("threshold, flagged", [
+    (2.0, [(8, 2.0)]),  # a flow exactly at the limit is flagged
+    (0.5, [(i, 1.0) for i in range(8)] + [(8, 2.0)]),  # a threshold in (0, 1] flags the median too
+], ids=["at the limit", "below 1"])
+def test_detect_flags_every_flow_at_or_above_the_limit(threshold, flagged):
+    # eight flows of 1 and one of 2: the median is 1, and every figure is exact
+    report = account(unit_flows(8) + "G1 X9 E10\n")
+    assert detect_relocation(report, threshold) == [Anomaly(i, FLOW_OUTLIER, r) for i, r in flagged]
+
+
+def test_detect_a_barren_segment_that_does_not_move_is_no_relocation():
+    # the catch-up follows a barren G0 of zero travel: an outlier, not a relocation
+    report = account(unit_flows(8) + "G0 X8\nG1 X9 E10\n")
+    assert detect_relocation(report) == [Anomaly(9, FLOW_OUTLIER, 2.0)]
+
+
 def reference_detect(segments: list[SegmentRecord], threshold: float) -> list[Anomaly]:
     """The record-at-a-time detector the column one replaced."""
     extruding = [s for s in segments if s.delta_raw > 0 and s.flow is not None]
@@ -638,6 +665,13 @@ def test_compare_relocated_within_tenth_percent():
     relocated = transform_relocation(doc, 2)
     percent = compare(account(doc), account(relocated))
     assert abs(percent) < 0.1
+
+
+def test_compare_rounds_to_four_decimals():
+    suspect = account("G1 X1 E2\n")
+    assert compare(account("G1 X1 E3\n"), suspect) == pytest.approx(100 / 3)
+    assert suspect.comparison == {"reference_total_mm": "3", "suspect_total_mm": "2",
+                                  "reduction_percent": 33.3333, "normalized_percent": 66.6667}
 
 
 def test_compare_zero_reference():

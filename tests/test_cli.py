@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -16,7 +17,7 @@ from flawsim.cli import main
 from flawsim.memory import FlashImage, MemoryLayout, dump_ihex
 from flawsim.tamper import transform_reduction
 
-from conftest import FIXTURES
+from conftest import FIXTURES, PACKAGE_PATH, REPO
 
 APP_HEX = str(FIXTURES / "hex" / "marlin_app.hex")
 BOOT_CLEAN_HEX = str(FIXTURES / "hex" / "boot_clean.hex")
@@ -78,8 +79,7 @@ def test_stdout_is_the_output_files_utf8_bytes_under_any_locale(tmp_path, encodi
     reference = FIXTURES / "gcode" / "clean_small.gcode"
     (tmp_path / "a,\u00e9.gcode").write_text(
         transform_reduction(reference.read_text(), Fraction(1, 2)), encoding="utf-8")
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONIOENCODING": encoding}
+    env = {**os.environ, "PYTHONPATH": PACKAGE_PATH, "PYTHONIOENCODING": encoding}
     argv = [sys.executable, "-m", "flawsim.cli", "audit", "a,\u00e9.gcode",
             "--reference", str(reference), "--csv"]
     printed = subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True)
@@ -124,21 +124,22 @@ def test_audit_detect_sets_exit_code(tmp_path, capsys, gcode_file):
     for threshold in ("0", "-1", "nan", "inf"):
         code, _ = run(capsys, "audit", gcode_file, "--detect", "--threshold", threshold)
         assert code == 1, threshold
+    assert run(capsys, "audit", FIXTURES / "gcode" / "clean_uniform_n2.gcode",
+               "--detect", "--threshold", "0")[0] == 1
 
 
 def test_flash_sim_clean_exits_zero(capsys):
     code, text = run(capsys, "flash-sim", APP_HEX)
     assert code == 0
-    assert "verified: True" in text
-    assert "stored differs: False" in text
+    assert text == "verified: True\nstored differs: False\n"
 
 
 def test_flash_sim_trojan_exits_two_with_diff(capsys, tmp_path):
     transcript = tmp_path / "wire.log"
     code, text = run(capsys, "flash-sim", "--trojan", APP_HEX, "--transcript", transcript)
     assert code == 2
-    assert "stored differs: True" in text
-    assert "0x039e0" in text
+    assert text.splitlines()[:3] == ["verified: True", "stored differs: True",
+                                     "  0x039e0: read-back 0xcf stored 0xc0"]
     assert "ldi r28, 0xF0" in text
     lines = transcript.read_text().splitlines()
     assert lines and all(ln.split()[0] in (">>", "<<") for ln in lines)
@@ -150,6 +151,7 @@ def test_scan_find_sp(capsys):
     assert code == 0
     payload = json.loads(text)
     assert payload == {"offset": 0x39E0, "spl_immediate": 0xFF, "sph_immediate": 0x21}
+    assert run(capsys, "scan", APP_HEX, "--find-sp") == (0, "sp-init at 0x039e0: SPL=0xff SPH=0x21\n")
 
 
 def test_scan_find_ringbuffer(capsys):
@@ -287,7 +289,9 @@ def test_pipeline_streams_non_ascii_comments(capsys, tmp_path):
      "error: layout {flash_1tib}: flash_size must be positive, even and at most 8 MiB\n"),
     (["scan", APP_HEX, "--find-sp", "--layout", "{ring_100}"],
      "error: layout {ring_100}: rx_buffer_size must be a power of two\n"),
-], ids=["reduce 1/0", "1 TiB flash", "100-byte ring"])
+    (["flash-sim", APP_HEX, "--layout", "{flash_1tib}"],
+     "error: layout {flash_1tib}: flash_size must be positive, even and at most 8 MiB\n"),
+], ids=["reduce 1/0", "1 TiB flash", "100-byte ring", "1 TiB flash install"])
 def test_out_of_range_values_exit_one_without_a_traceback(tmp_path, capsys, gcode_file, argv, err):
     # refused before any work: no division, no flash image
     paths = {"gcode": gcode_file, "out": tmp_path / "out.gcode",
@@ -428,7 +432,7 @@ def test_pipeline_trace_has_no_line_for_a_dropped_byte(tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
     code, text = run(capsys, "pipeline", doc, APP_HEX, "--off", "--layout", layout, "--trace", trace)
     assert code == 0
-    assert "19 dropped" in text
+    assert "0 skipped, 19 dropped" in text
     entries = [json.loads(line) for line in trace.read_text().splitlines()]
     assert entries == [{"char": char, "head": head, "tail": 0, "parser_state": 0}
                        for head, char in enumerate("G1 X43 E1 F8838", 1)]
@@ -472,7 +476,7 @@ def test_pipeline_streams_verbatim_when_the_chain_is_dormant(tmp_path, capsys, f
     hex_path = tmp_path / "firmware.hex"
     hex_path.write_text(dump_ihex(firmware()))
     doc = tmp_path / "in.gcode"
-    doc.write_text("G1 X1 E2\n")
+    doc.write_text("G1 X1 E2\nG1 X2 E4\n")
     out = tmp_path / "out.gcode"
     code, text = run(capsys, "pipeline", doc, hex_path, "--reduce", "0.5", "-o", out)
     assert code == 0
@@ -662,3 +666,139 @@ def test_audit_output_file_flag(tmp_path, capsys, gcode_file):
 def test_mutually_exclusive_policy_flags_rejected(capsys, gcode_file, tmp_path):
     out = tmp_path / "x.gcode"
     assert main(["tamper", str(gcode_file), str(out), "--reduce", "0.5", "--off"]) == 1
+
+
+# --- whole commands on the shipped fixtures and small documents ----------------
+
+RING32 = {"rx_buffer_size": 32}
+TOKEN_RULE_DOC = ("M73 P30\nG1 X1 Y1 E1 E2\nG1 X2 Y1  E3\nG1 X3 Y1 E4 ; E9\r\nG01 X4 Y1 E5\n"
+                  "G1 X5 Y1  E6 E7 ; note E8\nM73 P80\nG1 X6 Y1 E9\n")
+
+
+def layout_args(tmp_path, fields) -> list:
+    if fields is None:
+        return []
+    layout = tmp_path / "layout.json"
+    layout.write_text(json.dumps(fields))
+    return ["--layout", layout]
+
+
+def test_readme_tour_prints_what_it_says(tmp_path):
+    # a fresh interpreter outside the checkout: the tour's imports name the package's modules
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    tour = re.search(r"```python\n(.*?)```", readme, re.S)[1]
+    env = {**os.environ, "PYTHONPATH": PACKAGE_PATH}
+    done = subprocess.run([sys.executable, "-c", tour], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "['G1 X2 Y3 E2\\n']\n"
+
+
+def test_audit_report_formats_count_every_move(capsys):
+    long = FIXTURES / "gcode" / "clean_long.gcode"
+    code, text = run(capsys, "audit", long)
+    assert code == 0 and "segments: 266" in text.splitlines()
+    code, text = run(capsys, "audit", long, "--csv")
+    assert code == 0 and len(text.splitlines()) == 267
+    code, text = run(capsys, "audit", long, "--json")
+    assert code == 0 and len(json.loads(text)["segments"]) == 266
+
+
+def test_audit_detect_reads_a_relocated_fixtures_geometry(tmp_path, capsys):
+    tampered = tmp_path / "reloc.gcode"
+    clean = FIXTURES / "gcode" / "clean_uniform_n2.gcode"
+    assert run(capsys, "tamper", clean, tampered, "--relocate", "2") == (0, "")
+    code, text = run(capsys, "audit", tampered, "--detect")
+    assert code == 2
+    assert "anomalies: 25" in text.splitlines() and "RelocationSignature" in text
+
+
+def test_scan_audit_boot_finds_a_trampoline_in_the_last_six_bytes(tmp_path, capsys):
+    image = FlashImage(MemoryLayout())
+    end = len(image.data)
+    image.write(end - 6, bytes.fromhex("0E942800F894"))
+    hex_path = tmp_path / "boot_tail.hex"
+    hex_path.write_text(dump_ihex(image))
+    code, text = run(capsys, "scan", hex_path, "--audit-boot", "--json")
+    assert code == 2
+    assert json.loads(text) == [{"kind": "IsrTrampoline", "offset": end - 6, "related_offset": end - 2,
+                                 "snippet": "call 0x50 ; cli"}]
+
+
+@pytest.mark.parametrize("doc, argv, layout, lines, printed", [
+    ("clean_small.gcode", ["--reduce", "0.3"], None, ["material reduction: 30.00%"], None),
+    ("clean_small.gcode", ["--reduce", "0.5"], RING32,
+     ["material reduction: 50.00%", "stream edits: 12 edited, 0 converted, 0 skipped"], None),
+    ("G2147483648\nG1 X1 E2\nG1 X2 E4\n", ["--reduce", "0.5"], None,
+     ["material reduction: 50.00%", "stream edits: 2 edited, 0 converted, 0 skipped"], None),
+    ("G1 X1 E5", ["--reduce", "0.5"], None, ["stream edits: 1 edited"], "G1 X1 E2.5"),
+], ids=["clean_small", "32-byte ring", "command number past 2**31 - 1", "no last newline"])
+def test_pipeline_report_lines(tmp_path, capsys, doc, argv, layout, lines, printed):
+    path = FIXTURES / "gcode" / doc
+    if not doc.endswith(".gcode"):
+        path = tmp_path / "in.gcode"
+        path.write_text(doc)
+    out = tmp_path / "out.gcode"
+    code, text = run(capsys, "pipeline", path, APP_HEX, *argv, *layout_args(tmp_path, layout), "-o", out)
+    assert code == 0
+    assert [line for line in lines if line not in text] == []
+    assert printed is None or out.read_text() == printed
+
+
+@pytest.mark.parametrize("doc, policy, layout, reduction, written", [
+    ("".join(f"G1 X{i} E{i}.2345\n" for i in range(1, 40)), ["--reduce", "0.5"], RING32, 50, None),
+    (TOKEN_RULE_DOC, ["--reduce", "0.5"], None, 50, None),
+    (TOKEN_RULE_DOC, ["--relocate", "2"], None, 0, None),
+    ("M73 P30\nG1 X1 E1\nG1 X2 E2\nM83\nG1 X3 E1\nG1 X4 E1\n", ["--relocate", "2"], None, 25,
+     "M73 P30\nG1 X1 E1\nG0 X2\nM83\nG1 X3 E1\nG1 X4 E1\n"),  # dormant from the M83 on
+    ("M73 P30\nG1 X1 E1\nG1 X2 E2\nG92 E0\nG1 X3 E1\nG1 X4 E2\n", ["--relocate", "2"], None, 50,
+     "M73 P30\nG1 X1 E1\nG0 X2\nG92 E0\nG1 X3 E1\nG0 X4\n"),  # the G92 loses X2's material
+], ids=["writes back across index 0 of a 32-byte ring", "token rule reduce", "token rule relocate",
+        "relative-extrusion switch", "G92 before a catch-up"])
+def test_the_stream_prints_what_tamper_writes(tmp_path, capsys, doc, policy, layout, reduction, written):
+    source, tampered, streamed = (tmp_path / name for name in ("in.gcode", "tampered.gcode", "streamed.gcode"))
+    source.write_text(doc)
+    assert run(capsys, "tamper", source, tampered, *policy) == (0, "")
+    code, text = run(capsys, "pipeline", source, APP_HEX, *policy, *layout_args(tmp_path, layout), "-o", streamed)
+    assert code == 0 and f"material reduction: {reduction:.2f}%" in text.splitlines()
+    assert streamed.read_bytes() == tampered.read_bytes()
+    assert written is None or tampered.read_text() == written
+    code, text = run(capsys, "audit", tampered, "--reference", source)
+    assert code == 0 and f"reduction: {reduction:.1f}%" in text.splitlines()
+
+
+def test_tamper_edits_a_value_with_a_tail_as_the_stream_does(tmp_path, capsys):
+    # the payload follows the stream's token rule; audit refuses the first line
+    doc, out = tmp_path / "tails.gcode", tmp_path / "out.gcode"
+    doc.write_text("G1 X1 E5x\nG1 P E6\n")
+    assert run(capsys, "tamper", doc, out, "--reduce", "0.5") == (0, "")
+    assert out.read_text() == "G1 X1 E2.5x\nG1 P E3\n"
+
+
+@pytest.mark.parametrize("argv, text, line", [
+    (["audit"], b"G21 ; 200\xb0C\n", 1),
+    (["audit"], b"G1 X1 E1\nM83 E99999999999\n", 2),
+    (["audit"], b"G1 X1 E5x\nG1 P E6\n", 1),
+    (["audit"], b"G1" + b" " * 100_000 + b"!\n", 1),
+    (["scan", "--find-sp"], b":020000040004F6\n:0400000001020304F3\n:00000001FF\n", 2),
+], ids=["not utf-8", "over-budget mode switch", "a value with a tail", "100,000 spaces", "hex checksum"])
+def test_an_unreadable_input_exits_three_naming_its_line(tmp_path, capsys, argv, text, line):
+    path = tmp_path / "input"
+    path.write_bytes(text)
+    assert main([argv[0], str(path), *argv[1:]]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"parse error: line {line}: ") and len(err) < 1024, err[:200]
+
+
+@pytest.mark.parametrize("doc, plain", [
+    ("G01  X1.00004 E000002.00000\t\nG0001 X2 E4.50000\n", "G1 X1 E2\nG1 X2 E4.5\n"),
+    ("G1 F1500 X1 Y2 E3\nG1 X2 Y2 E4 F1800\n", "G1 X1 Y2 E3\nG1 X2 Y2 E4\n"),
+], ids=["values outside the plain subset", "slicer F tokens"])
+def test_audit_totals_a_spelling_as_its_plain_form(tmp_path, capsys, doc, plain):
+    summaries = []
+    for name, text in (("doc", doc), ("plain", plain)):
+        path = tmp_path / f"{name}.gcode"
+        path.write_text(text)
+        code, report = run(capsys, "audit", path)
+        assert code == 0
+        summaries.append([ln for ln in report.splitlines() if ln.startswith(("total extrusion:", "segments:"))])
+    assert len(summaries[0]) == 2 and summaries[0] == summaries[1]
