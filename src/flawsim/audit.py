@@ -12,26 +12,40 @@ sequence: the command number (0 or 1) in a bytearray and the extrusion
 delta in an ``array('q')``, 9 bytes per move, which is all the total,
 the segment count and compare need.  The start and end x, y and z in one
 ``array('d')`` (six values per move) and the travel in an ``array('d')``
-are decoded the first time either is read, by the same scan again; until
+are decoded the first time either is read, by the same walk again; until
 then the report holds the document, and from then on about 68 bytes per
 move.  Indexing or iterating builds a fresh ``SegmentRecord`` per
 access, so mutating a row changes nothing in the report.
 
-account makes one multiline scan over the document that stops only at
-the heads it acts on: G0, G1, G92, M82 and M83, with any leading zeros.
-Comments, M73 and every other command are passed over inside the regex
-engine, so they cost nothing in Python.  The scan reads a visited line's
-parameter region by the grammar of gcode.parse_line, in two runs.  The
-plain run holds plain tokens only, whose values have at most five
-integer digits and at most four decimals (every number format_raw writes
-below 100,000): first any whose letter account never reads, then X, Y, Z
-and E, each at most once and in that order and each value in a group of
-its own, then more of the unread letters.  That is the shape slicers
-write, with F before or after the coordinates.  The rest run, the
-tokens after it, holds letters out of that order or repeated, and values
-outside the plain subset.  Each letter takes its first value in the
-line; the plain run comes first, so a letter found there is never looked
-for in the rest.  A visited line the grammar refuses is a ParseError.
+account walks the document a block of lines at a time: about 32K
+characters, cut after the line the 32,768th ends in, so what a walk
+holds beyond its result does not grow with the document.  It keys each
+line by its shape: the line with ASCII digits 1-9 written as 0 and its
+comment (from the first ';') cut, made for the whole block by two C
+passes.  Machine-written g-code repeats a few shapes (97-99% of the lines
+of the benchmark's documents meet a shape already seen in their block),
+so the walk matches the grammar once per distinct shape in a block.  A
+dict that lives for that block keeps, per shape, whether it has a G or M
+head, whether the grammar accepts its parameter region, and where in
+the line the head's digits, the plain X, Y, Z and E values and the rest
+run lie.  The cache is exact: no part of the grammar but the command
+number tells one digit from another, and the comment never reaches the
+parameter region.  Everything that depends on the digits is read from
+the line itself: the command number (G0, G1, G92, M82 and M83, with any
+leading zeros; any other line is skipped), the plain values, the rest
+run's values and the two budget checks below.
+
+The parameter region is read by the grammar of gcode.parse_line, in two
+runs.  The plain run holds plain tokens only, whose values have at most
+five integer digits and at most four decimals (every number format_raw
+writes below 100,000): first any whose letter account never reads, then
+X, Y, Z and E, each at most once and in that order, then more of the
+unread letters.  That is the shape slicers write, with F before or after
+the coordinates.  The rest run, the tokens after it, holds letters out of
+that order or repeated, and values outside the plain subset.  Each letter
+takes its first value in the line; the plain run comes first, so a letter
+found there is never looked for in the rest.  An accounted line the
+grammar refuses is a ParseError.
 
 X, Y and Z are read as the double nearest raw / SCALE, E as raw itself.
 A plain value is float(v) + 0.0: with at most four decimals the decimal
@@ -39,11 +53,11 @@ is exactly raw / SCALE, float() rounds it correctly, it cannot overflow
 the 32-bit budget, and the + 0.0 turns the -0.0 of "-0" into 0.0.  A
 plain E is round(float(v) * SCALE): for any raw in the budget the
 product is within 2^-21 of raw, far from the 0.5 that round() would need
-to go wrong.  Any other value is decoded by raw_from_digits(...), so
-fifth-decimal rounding and the budget are decided as in parse_line; an
-overflow is a ParseError.  A mode switch's values are decoded before the
-switch takes effect, so one that overflows is a ParseError too.  Lines
-are counted only to name the line of a ParseError.
+to go wrong.  Any other value is decoded by raw_from_digits(...), line by
+line, so fifth-decimal rounding and the budget are decided as in
+parse_line; an overflow is a ParseError.  A mode switch's values are
+decoded before the switch takes effect, so one that overflows is a
+ParseError too.
 """
 
 from __future__ import annotations
@@ -57,7 +71,7 @@ import statistics
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, starmap
 
 from .errors import FlawsimError, ParseError
 from .fixedpoint import MAX_RAW, SCALE, FixedPoint, FixedPointOverflow, format_raw, raw_from_digits
@@ -72,29 +86,36 @@ DENSITY_G_CM3 = 1.24  # PLA
 
 
 _QUOTED_CHARS = 60  # of a line's body, in a ParseError message
+_BLOCK = 32_768  # characters split into lines at a time, plus the line this ends in
 
+# A line's shape: ASCII digits 1-9 written as 0, the comment cut
+_ZERO_DIGITS = str.maketrans("123456789", "000000000")
+_COMMENT_RE = re.compile(r";[^\n]*")
 # A plain value: at most five integer digits and four decimals, ending
 # where the grammar lets a value end (whitespace, ';' or the line's end).
 _PLAIN_VALUE = r"[-+]?(?=\.?[0-9])[0-9]{0,5}(?:\.[0-9]{0,4})?(?![^\s;])"
+_HEAD = r" *([GM]0+)"  # a G or M head at the line's start, any run of zeros
 # A plain token whose letter account never reads (not E, X, Y or Z).
 _UNREAD = r"(?: +[A-DF-W]" + _PLAIN_VALUE + ")"
-# Searched line by line (^ under re.M, so no copy of the document): an
-# accounted head at a line's start (its G or M number), then the parameter
-# region as gcode._LINE_RE reads it, split in two.  The plain run (group
-# 3) is unread plain tokens, then optional plain X, Y, Z and E tokens in
-# that order (their values in groups 4 to 7), then more unread plain
-# tokens; the rest of the tokens (group 8) follow it.  The lookahead and
-# backreference make the plain run atomic, so a line is matched once, in
-# linear time.  A region the grammar refuses leaves group 8 None.  Each
-# optional part is spelled (?:...|), an empty alternative, which the
-# regex engine tries faster than (?:...)?.
-_ACCOUNTED_RE = re.compile(
-    r"^ *(?:G0*([01]|92)|M0*(8[23]))(?![0-9])"
-    r"(?:(?=(" + _UNREAD + "*"
+# Matched once per shape: the head (group 1, its letter and digits), then
+# the parameter region as gcode._LINE_RE reads it, split in two.  The
+# plain run (group 2) is unread plain tokens, then optional plain X, Y, Z
+# and E tokens in that order (their values in groups 3 to 6), then more
+# unread plain tokens; the rest of the tokens (group 7) follow it.  The
+# lookahead and backreference make the plain run atomic, so a shape is
+# matched in linear time.  A shape whose region the grammar refuses does
+# not match.  Each optional part is spelled (?:...|), an empty
+# alternative, which the regex engine tries faster than (?:...)?.  No
+# atom but the head tells one digit from another, so every line of a
+# shape matches alike; the walk reads the command number from the line.
+_SHAPE_RE = re.compile(
+    _HEAD + r"(?=(" + _UNREAD + "*"
     + "".join(f"(?: +{letter}({_PLAIN_VALUE})|)" for letter in "XYZE")
-    + _UNREAD + r"*))\3((?: +[A-Z]" + _VALUE + r")*)[^\S\n]*(?:;|$)|)",
-    re.M,
+    + _UNREAD + r"*))\2((?: +[A-Z]" + _VALUE + r")*)\s*\Z"
 )
+_HEAD_RE = re.compile(_HEAD)
+# the accounted heads, by their text with no leading zeros in the number
+_HEADS = {"G0": 0, "G1": 1, "G92": 92, "M82": 82, "M83": 83}
 _NO_REST: dict[str, int] = {}  # the first values of a line with no rest run
 
 
@@ -241,17 +262,14 @@ _JSON_BATCH = 256  # segment rows per to_json encoder call
 _TRAVEL_EPS = 1e-9
 
 
-def _parse_error(doc: str, start: int, problem: str = "cannot parse") -> ParseError:
-    """The error for the line of doc that starts at start, as ``line N:
-    <problem> <body>``; lines are only counted here, once account has found
-    a fault.  A body longer than 60 characters is quoted up to its 60th,
+def _parse_error(line_no: int, body: str, problem: str = "cannot parse") -> ParseError:
+    """The error for line line_no of a document, as ``line N: <problem>
+    <body>``.  A body longer than 60 characters is quoted up to its 60th,
     then an ellipsis and the count of characters left out."""
-    end = doc.find("\n", start)
-    body = doc[start:] if end < 0 else doc[start:end]
     quoted = repr(body[:_QUOTED_CHARS])
     if len(body) > _QUOTED_CHARS:
         quoted += f"\u2026 ({len(body) - _QUOTED_CHARS} more characters)"
-    return ParseError(doc.count("\n", 0, start) + 1, f"{problem} {quoted}")
+    return ParseError(line_no, f"{problem} {quoted}")
 
 
 def _first_values(rest: str) -> dict[str, int]:
@@ -261,6 +279,61 @@ def _first_values(rest: str) -> dict[str, int]:
     for letter, sign, int_digits, frac_digits in _PARAM_RE.findall(rest):
         first.setdefault(letter, raw_from_digits(sign, int_digits, frac_digits))
     return first
+
+
+def _read_shape(key: str) -> tuple:
+    """What the grammar says of every line with this shape: () when it has
+    no G or M head, (None, head) when it refuses the parameter region,
+    else one slice of the line per group of _SHAPE_RE, from the whole
+    match (index 0) to the rest run (7), an absent plain value's slice
+    giving ""."""
+    m = _SHAPE_RE.match(key)
+    if m is not None:
+        return tuple(starmap(slice, m.regs))
+    m = _HEAD_RE.match(key)
+    return () if m is None else (None, slice(*m.span(1)))
+
+
+def _accounted_lines(doc: str):
+    """Yield (number, line, shape, first, line_no) for each line of doc with
+    an accounted head: its command number, its text, its shape's slices
+    (see _read_shape), the first values of its rest run and its line
+    number.  ParseError for one whose region the grammar refuses or whose
+    rest run leaves the budget."""
+    line_no = 1  # of the block's first line
+    start = 0
+    while start < len(doc):
+        end = doc.find("\n", start + _BLOCK)
+        if end < 0:
+            end = len(doc)
+        block = doc[start:end]
+        lines = block.split("\n")
+        shapes: dict[str, tuple] = {}  # by shape, for this block only
+        for i, key in enumerate(_COMMENT_RE.sub("", block).translate(_ZERO_DIGITS).split("\n")):
+            shape = shapes.get(key)
+            if shape is None:
+                shape = shapes[key] = _read_shape(key)
+            if not shape:
+                continue
+            line = lines[i]
+            head = line[shape[1]]
+            number = _HEADS.get(head)
+            if number is None:
+                # leading zeros: G00, G01, M083 ...
+                number = _HEADS.get(head[0] + (head[1:].lstrip("0") or "0"))
+                if number is None:
+                    continue
+            if shape[0] is None:
+                raise _parse_error(line_no + i, line)
+            first = _NO_REST
+            if rest := line[shape[7]]:
+                try:
+                    first = _first_values(rest)
+                except FixedPointOverflow:
+                    raise _parse_error(line_no + i, line) from None
+            yield number, line, shape, first, line_no + i
+        line_no += len(lines)
+        start = end + 1
 
 
 def account(doc: str) -> AuditReport:
@@ -277,21 +350,13 @@ def account(doc: str) -> AuditReport:
     commands = bytearray()
     deltas = array("q")
     total_raw = 0
-    for m in _ACCOUNTED_RE.finditer(doc):
-        g_number, m_number, _, _, _, _, pe, rest = m.groups()
-        first = _NO_REST
-        if rest:
-            try:
-                first = _first_values(rest)
-            except FixedPointOverflow:
-                raise _parse_error(doc, m.start()) from None
-        elif rest is None:
-            raise _parse_error(doc, m.start())
-        if m_number:  # only once its values are read: one that overflows is refused
-            relative_e = m_number == "83"
+    for number, line, shape, first, line_no in _accounted_lines(doc):
+        if 82 <= number <= 83:  # M82 or M83, once its values are read: one that overflows is refused
+            relative_e = number == 83
             continue
-        pe = first.get("E") if pe is None else round(float(pe) * SCALE)
-        if g_number == "92":
+        plain_e = line[shape[6]]
+        pe = round(float(plain_e) * SCALE) if plain_e else first.get("E")
+        if number == 92:
             if pe is not None:
                 e_logical = pe
             continue
@@ -305,43 +370,41 @@ def account(doc: str) -> AuditReport:
             # both ends fit the budget, their difference need not
             if not -MAX_RAW <= delta <= MAX_RAW:
                 raise _parse_error(
-                    doc, m.start(), f"extrusion delta {format_raw(delta)} exceeds the 32-bit budget in"
+                    line_no, line, f"extrusion delta {format_raw(delta)} exceeds the 32-bit budget in"
                 )
-        commands.append(g_number == "1")  # G0 is 0, G1 is 1
+        commands.append(number)  # G0 is 0, G1 is 1
         deltas.append(delta)
         if delta > 0:
             total_raw += delta
             if total_raw > MAX_RAW:
                 raise _parse_error(
-                    doc, m.start(), f"deposited total {format_raw(total_raw)} exceeds the 32-bit budget at"
+                    line_no, line, f"deposited total {format_raw(total_raw)} exceeds the 32-bit budget at"
                 )
     return AuditReport(FixedPoint(total_raw), Segments(commands, deltas, doc))
 
 
 def _geometry(doc: str) -> tuple[array, array]:
     """The coords and travels columns of a document account has read: the
-    same scan again, folding X, Y and Z where account folded E."""
+    same walk again, folding X, Y and Z where account folded E."""
     x = y = z = 0.0
     coords, travels = array("d"), array("d")
-    for m in _ACCOUNTED_RE.finditer(doc):
-        g_number, _, _, px, py, pz, _, rest = m.groups()
-        if g_number is None:  # a mode switch
+    for number, line, shape, first, _ in _accounted_lines(doc):
+        if 82 <= number <= 83:  # a mode switch
             continue
-        first = _first_values(rest) if rest else _NO_REST
         sx, sy, sz = x, y, z
-        if px is not None:
-            x = float(px) + 0.0
+        if v := line[shape[3]]:
+            x = float(v) + 0.0
         elif "X" in first:
             x = first["X"] / SCALE
-        if py is not None:
-            y = float(py) + 0.0
+        if v := line[shape[4]]:
+            y = float(v) + 0.0
         elif "Y" in first:
             y = first["Y"] / SCALE
-        if pz is not None:
-            z = float(pz) + 0.0
+        if v := line[shape[5]]:
+            z = float(v) + 0.0
         elif "Z" in first:
             z = first["Z"] / SCALE
-        if g_number != "92":
+        if number != 92:
             coords.extend((sx, sy, sz, x, y, z))
             # the same value as math.dist((sx, sy, sz), (x, y, z)), with no tuples
             travels.append(math.hypot(sx - x, sy - y, sz - z))

@@ -35,11 +35,10 @@ def div_round_half_away(numerator: int, denominator: int) -> int:
     """Round numerator/denominator to the nearest int, halves away from 0."""
     if denominator <= 0:
         raise ValueError("denominator must be positive")
-    sign = -1 if numerator < 0 else 1
-    q, r = divmod(abs(numerator), denominator)
-    if 2 * r >= denominator:
-        q += 1
-    return sign * q
+    # floor((|n| + d/2) / d), with the magnitude's sign
+    if numerator < 0:
+        return -((denominator - 2 * numerator) // (2 * denominator))
+    return (2 * numerator + denominator) // (2 * denominator)
 
 
 def raw_from_digits(sign: str, int_digits: str, frac_digits: str) -> int:
@@ -83,8 +82,9 @@ class FixedPoint:
 
 
 def format_raw(raw: int) -> str:
+    digits = str(abs(raw)).zfill(5)  # four decimals after at least one integer digit
     sign = "-" if raw < 0 else ""
-    units, frac = divmod(abs(raw), SCALE)
-    if frac == 0:
-        return f"{sign}{units}"
-    return f"{sign}{units}.{f'{frac:04d}'.rstrip('0')}"
+    frac = digits[-4:].rstrip("0")
+    if not frac:
+        return f"{sign}{digits[:-4]}"
+    return f"{sign}{digits[:-4]}.{frac}"

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -404,12 +405,18 @@ def test_account_matches_a_fold_over_every_line(gcode_corpus):
     assert min(outcomes.values()) >= 2000, outcomes
 
 
+def line_shape(line):
+    """The slices account's walk reads a one-line document by: the whole
+    match, the head, the plain run, plain X, Y, Z and E, and the rest run."""
+    ((_, _, shape, _, _),) = audit._accounted_lines(line)
+    return [line[part] for part in shape]
+
+
 def decoded_moves(values):
     """For each (sign, int, frac) value v, the one segment account makes
-    of "M83\nG1 X<v> E<v>\n", and where the scan put the line's X and E
-    values: "plain" when they reached groups 4 and 7 and nothing is left
-    in rest (group 8), "rest" when both groups are empty and rest holds
-    the tokens."""
+    of "M83\nG1 X<v> E<v>\n", and where the walk put the line's X and E
+    values: "plain" when their shape gives both a plain span and no rest
+    run, "rest" when it gives neither and a rest run holds the tokens."""
     routes = {
         (True, True, False): "plain",
         (False, False, True): "rest",
@@ -417,9 +424,9 @@ def decoded_moves(values):
     for sign, int_digits, frac_digits in values:
         value = f"{sign}{int_digits}{'.' + frac_digits if frac_digits else ''}"
         line = f"G1 X{value} E{value}"
-        (m,) = audit._ACCOUNTED_RE.finditer("\n" + line)
+        _, _, _, x, _, _, e, rest = line_shape(line)
         (segment,) = account(f"M83\n{line}\n").segments
-        yield segment, routes.get((m[4] is not None, m[7] is not None, bool(m[8])))
+        yield segment, routes.get((bool(x), bool(e), bool(rest)))
 
 
 def assert_decodes_to_raw(values, route):
@@ -452,9 +459,9 @@ def test_exact_decode_is_raw_from_digits():
     assert_decodes_to_raw(values, "rest")
 
 
-# Where a token sits decides the group the scan reads it from: plain X,
+# Where a token sits decides the span the walk reads it from: plain X,
 # Y, Z and E in that order, with any other plain letters before and after
-# them, reach groups 4-7; anything else goes to rest (group 8).  Either
+# them, get a plain span each; anything else goes to the rest run.  Either
 # way a letter's value is its first in the line.
 TOKEN_PLACEMENTS = [
     # line, (x, y, z, e_raw) as the fold reads them (None for a letter the
@@ -472,8 +479,7 @@ TOKEN_PLACEMENTS = [
 
 @pytest.mark.parametrize("line, decoded, rest", TOKEN_PLACEMENTS)
 def test_token_placement_matches_the_fold(line, decoded, rest):
-    (m,) = audit._ACCOUNTED_RE.finditer("\n" + line)
-    assert m[8] == rest
+    assert line_shape(line)[7] == rest
     doc = "G1 X7 Y8 Z9 E1\n" + line + "\nG1 X5 E9\n"
     # the next move starts where the line left the head, and its delta
     # counts from the line's E, or from E1 when the line has none
@@ -482,6 +488,76 @@ def test_token_placement_matches_the_fold(line, decoded, rest):
     assert after.start == (7.0 if x is None else x, 8.0 if y is None else y, 9.0 if z is None else z)
     assert after.delta_raw == 90_000 - (10_000 if e is None else e)
     assert account_outcome(doc) == oracle_outcome(doc)
+
+
+# Lines whose digits differ share one shape, and the walk reads the grammar
+# once per shape: what depends on the digits must still come from each line.
+SHARED_SHAPES = [
+    # doc, the error account raises (None for a report)
+    pytest.param("G01 X1 E1\nG92 X5 E2\nG28 X9 E7\nG01 X2 E3\n", None, id="G01-G92-G28"),
+    pytest.param(
+        "G1 X1 E5\nM83\nG1 X2 E1\nM73 P50\nG1 X3 E1\nM82\nG1 X4 E9\n", None, id="M82-M83-M73"
+    ),
+    pytest.param(
+        "G1 X100000 E1\nG1 X214749 E1\n", "line 2: cannot parse 'G1 X214749 E1'", id="X214749-overflows"
+    ),
+    pytest.param("G1 X214749 E1\nG1 X100000 E1\n", "line 1: cannot parse 'G1 X214749 E1'", id="X214749-first"),
+    pytest.param("G1 X1 E1 ; wall\nG1 X2 E2 ;skin 7\nG1 X3 E3;\n", None, id="comments-differ"),
+    pytest.param("G28 X1 !\nG1 X1 E1\nG92 X1 !\n", "line 3: cannot parse 'G92 X1 !'", id="refused-G28-then-G92"),
+]
+
+
+@pytest.mark.parametrize("doc, error", SHARED_SHAPES)
+def test_lines_sharing_a_shape_are_read_by_their_own_digits(doc, error):
+    bodies = doc.splitlines()
+    shapes = {audit._COMMENT_RE.sub("", body).translate(audit._ZERO_DIGITS) for body in bodies}
+    assert len(shapes) < len(bodies)
+    assert account_outcome(doc) == oracle_outcome(doc)
+    if error is None:
+        assert len(account(doc).segments) > 0
+    else:
+        with pytest.raises(ParseError) as raised:
+            account(doc)
+        assert str(raised.value) == error
+
+
+def test_account_peak_does_not_grow_with_the_document():
+    # the walk splits one block at a time: its lines, their shapes and the
+    # block's cache, about 300 KB here; split whole, this 176K-character
+    # document took 1.6 MB
+    doc = fixtures.generate_gcode(segments=9_800, m73_step=5, travel_every=50)
+    tracemalloc.start()
+    try:
+        report = account(doc)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(report.segments) > 9_800
+    assert peak - kept < 512 * 1024
+
+
+def test_the_shape_cache_is_bounded_when_no_shape_repeats():
+    # 10,000 lines whose code parts all differ: every line is a miss, and
+    # the cache holds one block's shapes at a time (about 1 MB here, the
+    # same from 2,500 lines on), not the 7 MB of one per line
+    def value(digit, whole, fives):
+        return digit * whole + "." + "5" * fives
+
+    sizes = itertools.product(range(1, 6), range(5), range(1, 6), range(5), range(1, 6), range(5))
+    lines = [
+        f"G1 X{value('1', a, b)} Y{value('1', c, d)} E{value('0', e, f)}" for a, b, c, d, e, f in sizes
+    ]
+    doc = "M83\n" + "\n".join(lines[:10_000]) + "\n"
+    assert len({line.translate(audit._ZERO_DIGITS) for line in lines[:10_000]}) == 10_000
+    tracemalloc.start()
+    try:
+        report = account(doc)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - kept < 1_536 * 1024
+    assert account_outcome(doc) == oracle_outcome(doc)
+    assert report.total_extrusion.raw > 0
 
 
 LONG = 200_000

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from decimal import ROUND_DOWN, ROUND_HALF_UP, Decimal
@@ -167,6 +168,43 @@ def test_div_round_half_away():
     assert div_round_half_away(4, 10) == 0
     assert div_round_half_away(-4, 10) == 0
     assert div_round_half_away(15, 10) == 2
+
+
+def oracle_div_round_half_away(numerator, denominator):
+    exact = Fraction(numerator, denominator)
+    magnitude = math.floor(abs(exact) + Fraction(1, 2))
+    return -magnitude if exact < 0 else magnitude
+
+
+def oracle_format_raw(raw):
+    """The minimal-digit decimal text of raw / 10^4, from the exact value."""
+    exact = Fraction(raw, 10_000)
+    units = math.floor(abs(exact))
+    frac = f"{int((abs(exact) - units) * 10_000):04d}".rstrip("0")
+    return ("-" if raw < 0 else "") + str(units) + (f".{frac}" if frac else "")
+
+
+EDGE_RAWS = [0] + [sign * raw for raw in (1, 9_999, 10_000, 10_001, MAX_RAW) for sign in (1, -1)]
+
+
+def test_fixed_point_text_matches_a_fraction_oracle():
+    rng = random.Random(37)
+    raws = EDGE_RAWS + [rng.randrange(-MAX_RAW, MAX_RAW + 1) for _ in range(20_000)]
+    raws += [rng.randrange(-10**rng.randrange(1, 10), 10**rng.randrange(1, 10)) for _ in range(20_000)]
+    for raw in raws:
+        assert format_raw(raw) == oracle_format_raw(raw), raw
+        assert Fraction(format_raw(raw)) == Fraction(raw, 10_000), raw
+    for numerator in EDGE_RAWS + [rng.randrange(-MAX_RAW * 100, MAX_RAW * 100) for _ in range(20_000)]:
+        for denominator in (1, 2, 3, 10, 100, rng.randrange(1, 10**6)):
+            got = div_round_half_away(numerator, denominator)
+            assert got == oracle_div_round_half_away(numerator, denominator), (numerator, denominator)
+    # exact ties round away from zero on both sides
+    for numerator in (1, 3, 5, 99, MAX_RAW):
+        assert div_round_half_away(numerator, 2) == (numerator + 1) // 2
+        assert div_round_half_away(-numerator, 2) == -((numerator + 1) // 2)
+    for denominator in (0, -1, -100):
+        with pytest.raises(ValueError):
+            div_round_half_away(1, denominator)
 
 
 def test_arithmetic_and_compare():
