@@ -22,18 +22,21 @@ characters, cut after the line the 32,768th ends in, so what a walk
 holds beyond its result does not grow with the document.  It keys each
 line by its shape: the line with ASCII digits 1-9 written as 0 and its
 comment (from the first ';') cut, made for the whole block by two C
-passes.  Machine-written g-code repeats a few shapes (97-99% of the lines
-of the benchmark's documents meet a shape already seen in their block),
-so the walk matches the grammar once per distinct shape in a block.  A
-dict that lives for that block keeps, per shape, whether it has a G or M
-head, whether the grammar accepts its parameter region, and where in
-the line the head's digits, the plain X, Y, Z and E values and the rest
-run lie.  The cache is exact: no part of the grammar but the command
-number tells one digit from another, and the comment never reaches the
-parameter region.  Everything that depends on the digits is read from
-the line itself: the command number (G0, G1, G92, M82 and M83, with any
-leading zeros; any other line is skipped), the plain values, the rest
-run's values and the two budget checks below.
+passes.  The first line of a shape in a block is matched by the grammar
+and read from its match.  At the second, that match's spans become
+slices, which a dict that lives for the block keeps, and from then on
+the shape's lines are read by the slices with no match.  The cache is
+exact: no part of the grammar but the command number tells one digit
+from another, and the comment never reaches the parameter region.  A
+shape with no G or M head is kept as such and its lines skipped; one
+whose region the grammar refuses is never kept, so each of its lines is
+matched.  Everything that depends on the digits is read from the line
+itself: the command number (G0, G1, G92, M82 and M83, with any leading
+zeros; any other line is skipped), the plain values, the rest run's
+values and the two budget checks below.  A shape met once costs about
+what a line cost when every line was matched, plus two dict lookups and
+its share of the C passes; a shape met again costs one lookup and the
+slices.
 
 The parameter region is read by the grammar of gcode.parse_line, in two
 runs.  The plain run holds plain tokens only, whose values have at most
@@ -94,26 +97,26 @@ _COMMENT_RE = re.compile(r";[^\n]*")
 # A plain value: at most five integer digits and four decimals, ending
 # where the grammar lets a value end (whitespace, ';' or the line's end).
 _PLAIN_VALUE = r"[-+]?(?=\.?[0-9])[0-9]{0,5}(?:\.[0-9]{0,4})?(?![^\s;])"
-_HEAD = r" *([GM]0+)"  # a G or M head at the line's start, any run of zeros
+_HEAD = r" *([GM][0-9]+)"  # a G or M head at the line's start
 # A plain token whose letter account never reads (not E, X, Y or Z).
 _UNREAD = r"(?: +[A-DF-W]" + _PLAIN_VALUE + ")"
-# Matched once per shape: the head (group 1, its letter and digits), then
-# the parameter region as gcode._LINE_RE reads it, split in two.  The
+# Matched at a line's start: the head (group 1, its letter and number),
+# then the parameter region as gcode._LINE_RE reads it, split in two.  The
 # plain run (group 2) is unread plain tokens, then optional plain X, Y, Z
 # and E tokens in that order (their values in groups 3 to 6), then more
 # unread plain tokens; the rest of the tokens (group 7) follow it.  The
-# lookahead and backreference make the plain run atomic, so a shape is
-# matched in linear time.  A shape whose region the grammar refuses does
-# not match.  Each optional part is spelled (?:...|), an empty
-# alternative, which the regex engine tries faster than (?:...)?.  No
-# atom but the head tells one digit from another, so every line of a
-# shape matches alike; the walk reads the command number from the line.
+# lookahead and backreference make the plain run atomic, so a line is
+# matched in linear time.  A region the grammar refuses leaves group 7
+# None.  Each optional part is spelled (?:...|), an empty alternative,
+# which the regex engine tries faster than (?:...)?.  No atom but the
+# head's number tells one digit from another, and none reads past the
+# first ';', so lines of one shape match with the same spans.
 _SHAPE_RE = re.compile(
-    _HEAD + r"(?=(" + _UNREAD + "*"
+    _HEAD + r"(?:(?=(" + _UNREAD + "*"
     + "".join(f"(?: +{letter}({_PLAIN_VALUE})|)" for letter in "XYZE")
-    + _UNREAD + r"*))\2((?: +[A-Z]" + _VALUE + r")*)\s*\Z"
+    + _UNREAD + r"*))\2((?: +[A-Z]" + _VALUE + r")*)\s*(?:;|\Z)|)"
 )
-_HEAD_RE = re.compile(_HEAD)
+_GROUPS = tuple(range(8))  # a match indexed by these gives its groups
 # the accounted heads, by their text with no leading zeros in the number
 _HEADS = {"G0": 0, "G1": 1, "G92": 92, "M82": 82, "M83": 83}
 _NO_REST: dict[str, int] = {}  # the first values of a line with no rest run
@@ -262,10 +265,15 @@ _JSON_BATCH = 256  # segment rows per to_json encoder call
 _TRAVEL_EPS = 1e-9
 
 
-def _parse_error(line_no: int, body: str, problem: str = "cannot parse") -> ParseError:
-    """The error for line line_no of a document, as ``line N: <problem>
-    <body>``.  A body longer than 60 characters is quoted up to its 60th,
-    then an ellipsis and the count of characters left out."""
+def _parse_error(doc: str, line_no: int, problem: str = "cannot parse") -> ParseError:
+    """The error for line line_no of doc, as ``line N: <problem> <body>``.
+    A body longer than 60 characters is quoted up to its 60th, then an
+    ellipsis and the count of characters left out."""
+    start = 0
+    for _ in range(line_no - 1):
+        start = doc.index("\n", start) + 1
+    end = doc.find("\n", start)
+    body = doc[start:] if end < 0 else doc[start:end]
     quoted = repr(body[:_QUOTED_CHARS])
     if len(body) > _QUOTED_CHARS:
         quoted += f"\u2026 ({len(body) - _QUOTED_CHARS} more characters)"
@@ -281,25 +289,13 @@ def _first_values(rest: str) -> dict[str, int]:
     return first
 
 
-def _read_shape(key: str) -> tuple:
-    """What the grammar says of every line with this shape: () when it has
-    no G or M head, (None, head) when it refuses the parameter region,
-    else one slice of the line per group of _SHAPE_RE, from the whole
-    match (index 0) to the rest run (7), an absent plain value's slice
-    giving ""."""
-    m = _SHAPE_RE.match(key)
-    if m is not None:
-        return tuple(starmap(slice, m.regs))
-    m = _HEAD_RE.match(key)
-    return () if m is None else (None, slice(*m.span(1)))
-
-
 def _accounted_lines(doc: str):
-    """Yield (number, line, shape, first, line_no) for each line of doc with
-    an accounted head: its command number, its text, its shape's slices
-    (see _read_shape), the first values of its rest run and its line
-    number.  ParseError for one whose region the grammar refuses or whose
-    rest run leaves the budget."""
+    """Yield (number, text, spans, first, line_no) for each line of doc with
+    an accounted head: its command number, text[spans[k]] for group k of
+    its _SHAPE_RE match (the line and its shape's slices, or the match and
+    _GROUPS; an absent plain value gives "" or None), the first values of
+    its rest run and its line number.  ParseError for one whose region the
+    grammar refuses or whose rest run leaves the budget."""
     line_no = 1  # of the block's first line
     start = 0
     while start < len(doc):
@@ -308,30 +304,43 @@ def _accounted_lines(doc: str):
             end = len(doc)
         block = doc[start:end]
         lines = block.split("\n")
-        shapes: dict[str, tuple] = {}  # by shape, for this block only
+        # for this block only: a shape's slices once a second line has it,
+        # or () when it has no G or M head; the match of its first line
+        shapes: dict[str, tuple] = {}
+        firsts: dict[str, re.Match] = {}
         for i, key in enumerate(_COMMENT_RE.sub("", block).translate(_ZERO_DIGITS).split("\n")):
-            shape = shapes.get(key)
-            if shape is None:
-                shape = shapes[key] = _read_shape(key)
-            if not shape:
+            spans = shapes.get(key)
+            if spans:
+                text = lines[i]
+            elif spans is not None:
                 continue
-            line = lines[i]
-            head = line[shape[1]]
+            elif (m := firsts.pop(key, None)) is not None:
+                text = lines[i]
+                spans = shapes[key] = tuple(starmap(slice, m.regs))
+            else:
+                m = _SHAPE_RE.match(lines[i])
+                if m is None:
+                    shapes[key] = ()
+                    continue
+                if m[7] is not None:  # a refused region is matched at every line
+                    firsts[key] = m
+                text, spans = m, _GROUPS
+            head = text[spans[1]]
             number = _HEADS.get(head)
             if number is None:
                 # leading zeros: G00, G01, M083 ...
                 number = _HEADS.get(head[0] + (head[1:].lstrip("0") or "0"))
                 if number is None:
                     continue
-            if shape[0] is None:
-                raise _parse_error(line_no + i, line)
             first = _NO_REST
-            if rest := line[shape[7]]:
+            if rest := text[spans[7]]:
                 try:
                     first = _first_values(rest)
                 except FixedPointOverflow:
-                    raise _parse_error(line_no + i, line) from None
-            yield number, line, shape, first, line_no + i
+                    raise _parse_error(doc, line_no + i) from None
+            elif rest is None:
+                raise _parse_error(doc, line_no + i)
+            yield number, text, spans, first, line_no + i
         line_no += len(lines)
         start = end + 1
 
@@ -350,11 +359,11 @@ def account(doc: str) -> AuditReport:
     commands = bytearray()
     deltas = array("q")
     total_raw = 0
-    for number, line, shape, first, line_no in _accounted_lines(doc):
+    for number, text, spans, first, line_no in _accounted_lines(doc):
         if 82 <= number <= 83:  # M82 or M83, once its values are read: one that overflows is refused
             relative_e = number == 83
             continue
-        plain_e = line[shape[6]]
+        plain_e = text[spans[6]]
         pe = round(float(plain_e) * SCALE) if plain_e else first.get("E")
         if number == 92:
             if pe is not None:
@@ -370,7 +379,7 @@ def account(doc: str) -> AuditReport:
             # both ends fit the budget, their difference need not
             if not -MAX_RAW <= delta <= MAX_RAW:
                 raise _parse_error(
-                    line_no, line, f"extrusion delta {format_raw(delta)} exceeds the 32-bit budget in"
+                    doc, line_no, f"extrusion delta {format_raw(delta)} exceeds the 32-bit budget in"
                 )
         commands.append(number)  # G0 is 0, G1 is 1
         deltas.append(delta)
@@ -378,7 +387,7 @@ def account(doc: str) -> AuditReport:
             total_raw += delta
             if total_raw > MAX_RAW:
                 raise _parse_error(
-                    line_no, line, f"deposited total {format_raw(total_raw)} exceeds the 32-bit budget at"
+                    doc, line_no, f"deposited total {format_raw(total_raw)} exceeds the 32-bit budget at"
                 )
     return AuditReport(FixedPoint(total_raw), Segments(commands, deltas, doc))
 
@@ -388,19 +397,19 @@ def _geometry(doc: str) -> tuple[array, array]:
     same walk again, folding X, Y and Z where account folded E."""
     x = y = z = 0.0
     coords, travels = array("d"), array("d")
-    for number, line, shape, first, _ in _accounted_lines(doc):
+    for number, text, spans, first, _ in _accounted_lines(doc):
         if 82 <= number <= 83:  # a mode switch
             continue
         sx, sy, sz = x, y, z
-        if v := line[shape[3]]:
+        if v := text[spans[3]]:
             x = float(v) + 0.0
         elif "X" in first:
             x = first["X"] / SCALE
-        if v := line[shape[4]]:
+        if v := text[spans[4]]:
             y = float(v) + 0.0
         elif "Y" in first:
             y = first["Y"] / SCALE
-        if v := line[shape[5]]:
+        if v := text[spans[5]]:
             z = float(v) + 0.0
         elif "Z" in first:
             z = first["Z"] / SCALE

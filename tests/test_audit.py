@@ -406,10 +406,17 @@ def test_account_matches_a_fold_over_every_line(gcode_corpus):
 
 
 def line_shape(line):
-    """The slices account's walk reads a one-line document by: the whole
-    match, the head, the plain run, plain X, Y, Z and E, and the rest run."""
-    ((_, _, shape, _, _),) = audit._accounted_lines(line)
-    return [line[part] for part in shape]
+    """The groups account's walk reads a line by: the whole match, the
+    head, the plain run, plain X, Y, Z and E, and the rest run ("" for an
+    absent plain value).  The line is walked twice in one document, so it
+    is read once from its own match and once by its shape's slices; both
+    readings must agree."""
+    readings = [
+        [text[part] or "" for part in spans]
+        for _, text, spans, _, _ in audit._accounted_lines(f"{line}\n{line}")
+    ]
+    assert readings[0] == readings[1]
+    return readings[0]
 
 
 def decoded_moves(values):
@@ -521,42 +528,116 @@ def test_lines_sharing_a_shape_are_read_by_their_own_digits(doc, error):
         assert str(raised.value) == error
 
 
-def test_account_peak_does_not_grow_with_the_document():
-    # the walk splits one block at a time: its lines, their shapes and the
-    # block's cache, about 300 KB here; split whole, this 176K-character
-    # document took 1.6 MB
-    doc = fixtures.generate_gcode(segments=9_800, m73_step=5, travel_every=50)
+def slicer_document(style, moves, seed):
+    """A print as a slicer writes one, on a random walk over a 200 mm bed,
+    X and Y with three decimals and their trailing zeros cut.  "cura":
+    M82, absolute E with five decimals, "G0 F9000 X.. Y.." travels after
+    "G1 F1500 E.." retractions, ;LAYER: and ;TYPE: comments.  "prusa":
+    M83, relative E with five decimals and no leading zero (E.01882),
+    travels with a trailing F between "G1 E-.8 F2100" retractions, and
+    "M73 P.. R.." progress lines."""
+
+    def text(v):
+        return f"{v:.5f}".rstrip("0").rstrip(".") if round(v, 5) else "0"
+
+    rng = random.Random(seed)
+    cura = style == "cura"
+    out = ["M82 ;absolute extrusion mode", "G92 E0"] if cura else ["M83 ; relative extrusion", "G92 E0"]
+    x = y = 100.0
+    e = 0.0
+    for n in range(moves):
+        if n % 400 == 0:
+            out += [f";LAYER:{n // 400}", f"G0 F9000 Z{text(0.2 * (n // 400 + 1))}", ";TYPE:WALL-OUTER"]
+        step, turn = rng.uniform(0.2, 12.0), rng.uniform(0.0, 2 * math.pi)
+        nx = text(round(min(max(x + step * math.cos(turn), 5.0), 195.0), 3))
+        ny = text(round(min(max(y + step * math.sin(turn), 5.0), 195.0), 3))
+        flow = math.dist((x, y), (float(nx), float(ny))) * 0.0333
+        x, y = float(nx), float(ny)
+        if rng.random() < 0.05:
+            if cura:
+                out += [f"G1 F1500 E{text(e - 6.5)}", f"G0 F9000 X{nx} Y{ny}", f"G1 F1500 E{text(e)}"]
+            else:
+                out += ["G1 E-.8 F2100", f"G1 X{nx} Y{ny} F9000", "G1 E.8 F2100"]
+        elif cura:
+            e += flow
+            out.append(f"G1 X{nx} Y{ny} E{text(e)}")
+        else:
+            de = text(flow)
+            out.append(f"G1 X{nx} Y{ny} E{de[1:] if de.startswith('0.') else de}")
+        if not cura and n % 500 == 499:
+            out.append(f"M73 P{100 * n // moves} R{(moves - n) // 100}")
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("style", ["cura", "prusa"])
+def test_slicer_documents_are_read_as_the_fold_reads_them(style):
+    doc = slicer_document(style, moves=6_000, seed=37)
+    # within a 32K block most lines repeat a shape (about 94%), read by its
+    # slices, and dozens are the first of theirs, read from their match
+    keys = audit._COMMENT_RE.sub("", doc[: audit._BLOCK]).translate(audit._ZERO_DIGITS).split("\n")
+    assert 20 < len(set(keys)) < len(keys) // 4
+    outcome = account_outcome(doc)
+    assert not isinstance(outcome, str), outcome  # a report, not an error
+    assert outcome == oracle_outcome(doc)
+
+
+def account_peak(doc):
+    """account's report of doc and the most it held beyond what it kept."""
     tracemalloc.start()
     try:
         report = account(doc)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return report, peak - kept
+
+
+# What a walk holds beyond its report grows by under 2 bytes per character
+# a document gains: the spare room of the report's columns.  The block the
+# walk splits, its shapes and their cache do not grow: about 0.4 MB on a
+# 44K- or a 176K-character generated print (0.7 MB for lines whose shapes
+# all differ), on CPython 3.11.  Split whole, the larger print took
+# 1.6 MB, 9 bytes per character more than the smaller.
+GROWTH_PER_CHAR = 2
+
+
+def test_account_peak_does_not_grow_with_the_document():
+    small = fixtures.generate_gcode(segments=2_450, m73_step=5, travel_every=50)
+    large = fixtures.generate_gcode(segments=9_800, m73_step=5, travel_every=50)
+    account(small)  # what a first call sets up once is no part of either peak
+    _, small_peak = account_peak(small)
+    report, large_peak = account_peak(large)
     assert len(report.segments) > 9_800
-    assert peak - kept < 512 * 1024
+    assert large_peak - small_peak < GROWTH_PER_CHAR * (len(large) - len(small))
+    assert large_peak < 1024 * 1024
 
 
-def test_the_shape_cache_is_bounded_when_no_shape_repeats():
-    # 10,000 lines whose code parts all differ: every line is a miss, and
-    # the cache holds one block's shapes at a time (about 1 MB here, the
-    # same from 2,500 lines on), not the 7 MB of one per line
+def distinct_shapes_document(lines):
+    """M83, then up to 15,625 moves whose code parts all differ: each value
+    has its own count of integer and fraction digits."""
     def value(digit, whole, fives):
         return digit * whole + "." + "5" * fives
 
     sizes = itertools.product(range(1, 6), range(5), range(1, 6), range(5), range(1, 6), range(5))
-    lines = [
-        f"G1 X{value('1', a, b)} Y{value('1', c, d)} E{value('0', e, f)}" for a, b, c, d, e, f in sizes
+    moves = [
+        f"G1 X{value('1', a, b)} Y{value('1', c, d)} E{value('0', e, f)}"
+        for a, b, c, d, e, f in itertools.islice(sizes, lines)
     ]
-    doc = "M83\n" + "\n".join(lines[:10_000]) + "\n"
-    assert len({line.translate(audit._ZERO_DIGITS) for line in lines[:10_000]}) == 10_000
-    tracemalloc.start()
-    try:
-        report = account(doc)
-        kept, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - kept < 1_536 * 1024
-    assert account_outcome(doc) == oracle_outcome(doc)
+    assert len({move.translate(audit._ZERO_DIGITS) for move in moves}) == lines
+    return "M83\n" + "\n".join(moves) + "\n"
+
+
+def test_the_shape_cache_is_bounded_when_no_shape_repeats():
+    # every line is the first of its shape: the walk keeps one block's
+    # first matches at a time, not one per line of the document
+    small = distinct_shapes_document(2_500)
+    large = distinct_shapes_document(10_000)
+    account(small)
+    _, small_peak = account_peak(small)
+    report, large_peak = account_peak(large)
+    assert large_peak - small_peak < GROWTH_PER_CHAR * (len(large) - len(small))
+    assert large_peak < 1_536 * 1024
+    assert account_outcome(large) == oracle_outcome(large)
     assert report.total_extrusion.raw > 0
 
 
