@@ -33,16 +33,18 @@ drops bytes, and SimStats.dropped counts them); the consumer then shows
 U+FFFD in its place.  The interceptor's grammar is ASCII, so bytes past
 0x7F only ever end a token or sit in a comment.
 
-marlin_rx_isr, trojan_epilogue and consumer_readline are the
-single-character model, kept public so tests can replay any schedule
-through them.  The line walk is written once, as the grid _WALK; README's
-payload rule says what it reads.  The epilogue steps _STEP, the grid
-expanded to every byte, and hands only the pairs it marks _CALL to _act;
-UartSimulation's producer loop does the same over the wire bytes.  E
-values and P percentages share one capture, the states ST_V_INT and
-ST_V_FRAC, and only they pass through the accumulator; F_PROGRESS marks a
-percentage, which is read and never hidden.  The 32-bit budget is checked
-once, in the fold, at the digit that carries the value past it.
+_produce is the one ISR-and-epilogue step; UartSimulation's feed and
+feed_char run it over the wire bytes, and consumer_readline drains it.
+marlin_rx_isr and trojan_epilogue are views of _produce on one byte, the
+store and then the interceptor's step, kept public for perfbench's
+replay, which times them apart.  The line walk is written once, as the
+grid _WALK; README's payload rule says what it reads.  _produce steps
+_STEP, the grid expanded to every byte, and hands only the pairs it marks
+_CALL to _act.  E values and P percentages share one capture, the states
+ST_V_INT and ST_V_FRAC, and only they pass through the accumulator;
+F_PROGRESS marks a percentage, which is read and never hidden.  The
+32-bit budget is checked once, in the fold, at the digit that carries
+the value past it.
 
 All interceptor persistence lives in TrojanState, which serializes to 15
 bytes: the memory the stack-steal patch carved out.  There is no room for
@@ -174,19 +176,6 @@ class RingBufferState:
         if self.tail <= self.head:
             return bytes(self.storage[self.tail : self.head])
         return bytes(self.storage[self.tail :] + self.storage[: self.head])
-
-
-def marlin_rx_isr(ring: RingBufferState, char: int | str) -> bool:
-    """Store one received character at head and return True, or return
-    False when the buffer cannot take another character (that character
-    is dropped and the ring is left as it was)."""
-    head = ring.head
-    after = (head + 1) & ring.mask
-    if after == ring.tail:
-        return False
-    ring.storage[head] = ord(char) if isinstance(char, str) else char
-    ring.head = after
-    return True
 
 
 def consumer_readline(ring: RingBufferState) -> str:
@@ -398,25 +387,8 @@ def _finish_progress(trojan: TrojanState, policy: TamperPolicy, delim: int) -> N
     trojan.parser_state = _STEP[ST_SKIP][delim]
 
 
-def trojan_epilogue(trojan: TrojanState, ring: RingBufferState, policy: TamperPolicy) -> str | None:
-    """Run the interceptor for the character the ISR just stored.
-
-    Must be called exactly once after every marlin_rx_isr that stored; the
-    pair models one uninterruptible ISR execution.  Returns an event tag
-    for the simulation driver (None for the common pass-through case).
-    """
-    if policy.mode is Mode.OFF or trojan.flags_window & F_DORMANT:
-        return None
-    byte = ring.storage[(ring.head - 1) & ring.mask]
-    state = _STEP[trojan.parser_state][byte]
-    if state != _CALL:
-        trojan.parser_state = state
-        return None
-    return _act(trojan, ring, policy, byte)
-
-
 def _act(trojan: TrojanState, ring: RingBufferState, policy: TamperPolicy, byte: int) -> str | None:
-    """The epilogue's work for a pair (parser state, byte) that _STEP
+    """The interceptor's work for a pair (parser state, byte) that _STEP
     marks _CALL: every other pair only steps the table."""
     state = trojan.parser_state & 0x0F
 
@@ -522,6 +494,64 @@ class SimStats:
             self.dormant_events += 1
 
 
+def _produce(
+    ring: RingBufferState, trojan: TrojanState | None, policy: TamperPolicy, stats: SimStats,
+    data: bytes, out: list[str] | None,
+) -> None:
+    """One ISR-and-epilogue step per wire byte: store at head unless the
+    ring is full (a dropped byte is counted and nothing else runs for it),
+    then step the pair (parser state, byte) through _STEP, or hand it to
+    _act where _STEP says _CALL and count the event.  With the policy off
+    or the interceptor dormant there is nothing to step, and trojan is
+    not read.  With ``out``, the line a stored newline completes is
+    dequeued into it after its step (the module docstring says why that
+    is the only one)."""
+    storage, mask, tail = ring.storage, ring.mask, ring.tail
+    act, readline, step = _act, consumer_readline, _STEP
+    live = policy.mode is not Mode.OFF and not trojan.flags_window & F_DORMANT
+    stats.chars_in += len(data)
+    for byte in data:
+        head = ring.head
+        after = (head + 1) & mask
+        if after == tail:
+            stats.dropped += 1
+            continue
+        storage[head] = byte
+        ring.head = after
+        if live:
+            state = step[trojan.parser_state][byte]
+            if state != _CALL:
+                trojan.parser_state = state
+            else:
+                event = act(trojan, ring, policy, byte)
+                if event is not None:
+                    stats.count(event)
+                    live = not trojan.flags_window & F_DORMANT
+        if byte == 0x0A and out is not None:
+            out.append(readline(ring))
+            tail = ring.tail
+
+
+_OFF = TamperPolicy.off()
+
+
+def marlin_rx_isr(ring: RingBufferState, char: int | str) -> bool:
+    """The receive ISR alone: _produce on one byte with the policy off.
+    Returns True if the byte was stored at head, False if the ring was
+    full (the byte is dropped and the ring left as it was)."""
+    stats = SimStats()
+    _produce(ring, None, _OFF, stats, bytes((ord(char) if isinstance(char, str) else char,)), None)
+    return not stats.dropped
+
+
+def trojan_epilogue(trojan: TrojanState, ring: RingBufferState, policy: TamperPolicy) -> None:
+    """The interceptor's step for the byte the ISR just stored: that byte
+    is taken back and run through _produce, which stores it in the same
+    cell and steps it.  Must follow each marlin_rx_isr that stored."""
+    ring.head = (ring.head - 1) & ring.mask
+    _produce(ring, trojan, policy, SimStats(), bytes((ring.storage[ring.head],)), None)
+
+
 # characters feed encodes per call of the producer loop
 _FEED_SLICE = 4096
 
@@ -529,16 +559,10 @@ _FEED_SLICE = 4096
 class UartSimulation:
     """Wires the ring buffer, the interceptor and a line consumer together.
 
-    ``feed`` and ``feed_char`` run one producer loop over the UTF-8 bytes
-    of their text.  Per byte it does what ``marlin_rx_isr`` does (store at
-    head unless the ring is full; a dropped byte is counted and nothing
-    else runs for it), then what ``trojan_epilogue`` does: it steps the
-    pair (parser state, byte) through the step table (see the module
-    docstring), or, where the table says ``_CALL``, calls ``_act`` and
-    counts the returned event.  ``feed`` then dequeues every complete
-    line; ``feed_char`` leaves that to the caller.  With the policy off or
-    the interceptor dormant the epilogue would return at once, so the loop
-    skips it.
+    ``feed`` and ``feed_char`` run ``_produce``, the one ISR-and-epilogue
+    step, over the UTF-8 bytes of their text; ``marlin_rx_isr`` and
+    ``trojan_epilogue`` are views of it.  ``feed`` then dequeues every
+    complete line; ``feed_char`` leaves that to the caller.
 
     Single-threaded by contract: feed / feed_char / drain must not be
     called concurrently.
@@ -556,39 +580,10 @@ class UartSimulation:
         self.trojan = TrojanState.for_policy(policy, ring_info)
         self.stats = SimStats()
 
-    def _produce(self, data: bytes, out: list[str] | None) -> None:
-        """One ISR-and-epilogue step per wire byte; with ``out``, the line
-        a stored newline completes is dequeued into it after its step
-        (the module docstring says why that is the only one)."""
-        ring, trojan, policy, stats = self.ring, self.trojan, self.policy, self.stats
-        storage, mask, tail = ring.storage, ring.mask, ring.tail
-        act, readline, step = _act, consumer_readline, _STEP
-        live = policy.mode is not Mode.OFF and not trojan.flags_window & F_DORMANT
-        stats.chars_in += len(data)
-        for byte in data:
-            head = ring.head
-            after = (head + 1) & mask
-            if after == tail:
-                stats.dropped += 1
-                continue
-            storage[head] = byte
-            ring.head = after
-            if live:
-                state = step[trojan.parser_state][byte]
-                if state != _CALL:
-                    trojan.parser_state = state
-                else:
-                    event = act(trojan, ring, policy, byte)
-                    if event is not None:
-                        stats.count(event)
-                        live = not trojan.flags_window & F_DORMANT
-            if byte == 0x0A and out is not None:
-                out.append(readline(ring))
-                tail = ring.tail
-
     def feed_char(self, char: int | str) -> None:
         """Deliver one character (its UTF-8 bytes) or one byte."""
-        self._produce(char.encode() if isinstance(char, str) else bytes((char,)), None)
+        data = char.encode() if isinstance(char, str) else bytes((char,))
+        _produce(self.ring, self.trojan, self.policy, self.stats, data, None)
 
     def drain(self) -> list[str]:
         """Dequeue every complete line."""
@@ -606,7 +601,8 @@ class UartSimulation:
         """
         out = self.drain()
         for start in range(0, len(text), _FEED_SLICE):
-            self._produce(text[start : start + _FEED_SLICE].encode(), out)
+            data = text[start : start + _FEED_SLICE].encode()
+            _produce(self.ring, self.trojan, self.policy, self.stats, data, out)
         return out
 
     def flush_residual(self) -> str:

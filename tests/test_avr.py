@@ -616,3 +616,10 @@ def test_audit_is_one_pass_that_keeps_no_list_of_the_section():
         tracemalloc.stop()
     assert sorted(f.kind for f in findings) == ["IsrTrampoline", "IvselTakeover"]
     assert peak < 64 * 1024, peak
+
+
+def test_find_ring_buffer_on_a_flash_without_the_rx_vector_aborts():
+    # 64 bytes of flash end before slot 20's four bytes at 0x50
+    img = FlashImage(MemoryLayout(flash_size=64, boot_section_size=32))
+    with pytest.raises(DormantAbort, match=r"^vector slot 20 unreadable: offset 0x50 outside flash$"):
+        find_ring_buffer(img)

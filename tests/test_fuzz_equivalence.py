@@ -6,8 +6,9 @@ policy; the interceptor state budget must hold throughout.
 import random
 from fractions import Fraction
 
-from flawsim.policy import TamperPolicy
-from flawsim.uart import UartSimulation
+from flawsim.policy import Mode, TamperPolicy
+from flawsim.tamper import apply_policy
+from flawsim.uart import SimStats, UartSimulation
 from tamper_oracle import run_pipeline_equivalence
 
 POLICIES = [
@@ -183,3 +184,63 @@ def test_fuzzed_documents_respect_state_budget():
                 sim.feed_char(ch)
                 assert len(sim.trojan.to_bytes()) <= 15
                 sim.drain()
+
+
+def room_boundary_document(seed: int, room: int) -> tuple[str, list[bool]]:
+    """Moves for a 32-byte ring (31 usable cells) whose E value's first
+    digit finds exactly ``room`` free cells once its sign, point and digit
+    are taken back, between short moves with room to spare.  feed drains
+    each line as it completes, so the ring holds only the line so far,
+    and the cells left are 31 less the line through its 'E'.  LF only, so
+    every line, edited or not, fits the ring with its newline.  Returns
+    the document and which of its lines sit at the boundary."""
+    rng = random.Random(f"room {seed}")
+    head = 31 - room  # the line through its 'E'
+    lines, at_boundary = [], []
+    for _ in range(rng.randrange(4, 12)):
+        value = random_value(rng)
+        while len(value) >= room:  # the whole line with its newline fits
+            value = random_value(rng)
+        if rng.random() < 0.3:
+            lines.append(f"G1 X{rng.randrange(10)} E{value}")
+            at_boundary.append(False)
+            continue
+        params = rng.choice(["X", "XY", "FX"])  # each takes a letter and a space
+        digits = "".join(str(rng.randrange(10)) for _ in range(head - 4 - 2 * len(params)))
+        cut = rng.randrange(1, len(digits)) if len(params) == 2 else len(digits)
+        values = (digits[:cut], digits[cut:])
+        text = "G1 " + "".join(f"{p}{v} " for p, v in zip(params, values)) + "E"
+        assert len(text) == head, text
+        lines.append(text + value)
+        at_boundary.append(True)
+    return "".join(line + "\n" for line in lines), at_boundary
+
+
+REDUCTIONS = [policy for policy in POLICIES if policy.mode is Mode.REDUCTION]
+
+
+def test_an_edit_commits_at_exactly_thirteen_free_cells():
+    # the room an edit needs is 13 cells: the longest reduced value and the
+    # delimiter written again after it
+    for seed in range(20):
+        doc, at_boundary = room_boundary_document(seed, 13)
+        for policy in REDUCTIONS:
+            report = run_pipeline_equivalence(doc, policy, rx_buffer_size=32)
+            assert report.identical, f"seed {seed} / {policy.param}%: {report.describe()}"
+            sim = UartSimulation(policy, rx_buffer_size=32)
+            sim.feed(doc)
+            assert sim.stats == SimStats(chars_in=len(doc), edits=len(at_boundary)), seed
+
+
+def test_a_value_at_twelve_free_cells_streams_verbatim_as_a_skipped_edit():
+    for seed in range(20):
+        doc, at_boundary = room_boundary_document(seed, 12)
+        lines = doc.splitlines(keepends=True)
+        for policy in REDUCTIONS:
+            expected = [line if edge else apply_policy(line, policy)
+                        for line, edge in zip(lines, at_boundary)]
+            sim = UartSimulation(policy, rx_buffer_size=32)
+            assert sim.feed(doc) == expected, f"seed {seed} / {policy.param}%"
+            skipped = sum(at_boundary)
+            assert sim.stats == SimStats(chars_in=len(doc), edits=len(lines) - skipped,
+                                         edits_skipped=skipped), seed

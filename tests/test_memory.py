@@ -103,6 +103,23 @@ def test_load_rejects_unknown_record_type():
     assert err.value.line_no == 1
 
 
+@pytest.mark.parametrize("record, problem", [
+    ("02000000AABBCC", "length field disagrees with record size"),  # count 2, three bytes
+    ("04000000AABB", "length field disagrees with record size"),  # count 4, two bytes
+    ("0100000210", "type-02 record needs 2 data bytes"),
+    ("03000002100000", "type-02 record needs 2 data bytes"),
+    ("0100000400", "type-04 record needs 2 data bytes"),
+    ("03000004000100", "type-04 record needs 2 data bytes"),
+])
+def test_load_rejects_records_whose_size_does_not_fit_their_type(record, problem):
+    # each record carries its own correct checksum, so only its size is wrong
+    data = "01000000AB"
+    doc = f":{data}{ihex_checksum(data):02X}\n:{record}{ihex_checksum(record):02X}\n:00000001FF\n"
+    with pytest.raises(ParseError, match=rf"^line 2: {problem}$") as err:
+        load_ihex(doc, LAYOUT)
+    assert err.value.line_no == 2
+
+
 def test_load_rejects_out_of_range_data():
     small = MemoryLayout(flash_size=0x1000, boot_section_size=0x400)
     record = "020FFF00AABB"

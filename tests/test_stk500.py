@@ -260,6 +260,29 @@ def test_program_rejects_writes_into_boot_section():
     assert roundtrip(session, body)[1] == STATUS_CMD_FAILED
 
 
+@pytest.mark.parametrize("start, body", [
+    # a load address is four bytes after the command
+    (0x1000, [CMD_LOAD_ADDRESS, 0, 0, 0x20]),
+    (0x1000, [CMD_LOAD_ADDRESS, 0, 0, 0x20, 0, 0]),
+    # a page needs its two size bytes, and exactly the data they state
+    (0x1000, [CMD_PROGRAM_FLASH]),
+    (0x1000, [CMD_PROGRAM_FLASH, 0]),
+    (0x1000, [CMD_PROGRAM_FLASH, 0, 4, 1, 2, 3]),
+    (0x1000, [CMD_PROGRAM_FLASH, 0, 2, 1, 2, 3]),
+    # a read states its size in two bytes and stays inside flash
+    (0x1000, [CMD_READ_FLASH, 0]),
+    (0x1000, [CMD_READ_FLASH, 0, 4, 0]),
+    (LAYOUT.flash_size - 2, [CMD_READ_FLASH, 0, 4]),
+])
+def test_malformed_requests_fail_and_change_nothing(start, body):
+    session = BootSession(image=FlashImage(LAYOUT))
+    assert roundtrip(session, bytes([CMD_LOAD_ADDRESS]) + start.to_bytes(4, "big"))[1] == STATUS_CMD_OK
+    before = bytes(session.image.data)
+    assert roundtrip(session, body) == bytes([body[0], 0xC0]) == bytes([body[0], STATUS_CMD_FAILED])
+    assert session.load_address == start
+    assert bytes(session.image.data) == before
+
+
 def test_read_back_spoofs_patched_page():
     session = fixtures.build_session(trojan=True)
     client = ProgrammerClient(PipeTransport(session))

@@ -31,8 +31,6 @@ from flawsim.uart import (
     TrojanState,
     UartSimulation,
     consumer_readline,
-    marlin_rx_isr,
-    trojan_epilogue,
 )
 
 OFF = TamperPolicy.off()
@@ -42,59 +40,67 @@ HALF = TamperPolicy.reduction(Fraction(1, 2))
 # --- ring buffer / ISR -------------------------------------------------------
 
 
+def received(text: str, size: int = 128, start: int = 0) -> RingBufferState:
+    """The ring after text arrives one byte at a time, the policy off, the
+    ring empty at index start before the first byte."""
+    sim = UartSimulation(OFF, rx_buffer_size=size)
+    sim.ring.head = sim.ring.tail = start
+    for ch in text:
+        sim.feed_char(ch)
+    assert sim.stats.dropped == 0
+    return sim.ring
+
+
 def test_isr_stores_and_advances():
-    ring = RingBufferState(128)
-    marlin_rx_isr(ring, "G")
+    ring = received("G")
     assert ring.head == 1 and ring.storage[0] == ord("G")
 
 
 def test_isr_wraps_at_end():
-    ring = RingBufferState(128, head=127, tail=10)
-    marlin_rx_isr(ring, "x")
-    assert ring.head == 0
-    assert ring.storage[127] == ord("x")
+    sim = UartSimulation(OFF)
+    sim.ring.head, sim.ring.tail = 127, 10
+    sim.feed_char("x")
+    assert sim.ring.head == 0
+    assert sim.ring.storage[127] == ord("x")
+    assert sim.stats == SimStats(chars_in=1)
 
 
 def test_capacity_is_size_minus_one():
-    ring = RingBufferState(128)
+    sim = UartSimulation(OFF)
+    ring = sim.ring
     for i in range(127):
-        assert marlin_rx_isr(ring, "a") is True
+        sim.feed_char("a")
+    assert sim.stats.dropped == 0
     full = bytes(ring.storage)
-    assert marlin_rx_isr(ring, "b") is False  # the 128th unconsumed write drops
+    sim.feed_char("b")  # the 128th unconsumed write drops
+    assert sim.stats.dropped == 1
     assert ring.head == 127 and bytes(ring.storage) == full
     consumer_readline(ring)  # no newline: frees nothing
-    assert marlin_rx_isr(ring, "b") is False
+    sim.feed_char("b")
+    assert sim.stats.dropped == 2
     assert ring.head == 127 and bytes(ring.storage) == full
 
 
 def test_readline_complete_line():
-    ring = RingBufferState(128)
-    for ch in "G0\n":
-        marlin_rx_isr(ring, ch)
+    ring = received("G0\n")
     assert consumer_readline(ring) == "G0\n"
     assert ring.tail == 3
     assert consumer_readline(ring) == ""
 
 
 def test_readline_fifo_order():
-    ring = RingBufferState(128)
-    for ch in "G0\nG1\n":
-        marlin_rx_isr(ring, ch)
+    ring = received("G0\nG1\n")
     assert consumer_readline(ring) == "G0\n"
     assert consumer_readline(ring) == "G1\n"
 
 
 def test_readline_across_wrap():
-    ring = RingBufferState(8, head=6, tail=6)
-    for ch in "ab\n":
-        marlin_rx_isr(ring, ch)
+    ring = received("ab\n", size=8, start=6)
     assert consumer_readline(ring) == "ab\n"
 
 
 def test_visible_across_wrap():
-    ring = RingBufferState(8, head=5, tail=5)
-    for ch in "ab\ncd":
-        marlin_rx_isr(ring, ch)
+    ring = received("ab\ncd", size=8, start=5)
     assert (ring.head, ring.tail) == (2, 5)
     assert bytes(ring.storage) == b"cd" + bytes(3) + b"ab\n"
     assert ring.visible() == b"ab\ncd"
@@ -220,12 +226,11 @@ def test_zero_percent_reduction_engages_but_conserves():
 def test_pass_through_off_policy_trajectories():
     doc = "G1 X2 Y3 E4\nG1 E4.1234\n"
     sim = UartSimulation(OFF)
-    plain = RingBufferState(128)
-    for ch in doc:
+    for i, ch in enumerate(doc):
         sim.feed_char(ch)
-        marlin_rx_isr(plain, ch)
-        assert (sim.ring.head, sim.ring.tail) == (plain.head, plain.tail)
+        assert (sim.ring.head, sim.ring.tail) == (i + 1, 0)  # stored, nothing taken back
     assert "".join(sim.drain()) == doc
+    assert sim.trojan == TrojanState.for_policy(OFF)
 
 
 # --- interception: relocation ---------------------------------------------------
@@ -407,23 +412,25 @@ def test_lines_straddling_index_zero(gcode_corpus, monkeypatch):
 
 def test_edit_write_back_wraps_past_index_zero():
     # A 32-byte ring wraps every couple of lines, so some edits write their
-    # text and re-emitted delimiter across index 0, in two slices.  A replay
-    # of the single-character model on feed's schedule (one line read per
-    # stored newline) sees where each write-back starts and ends.
+    # text and re-emitted delimiter across index 0, in two slices.  Stepping
+    # the bytes one at a time on feed's schedule (one line read per stored
+    # newline) sees where each write-back starts and ends.
     doc = "".join(f"G1 X{i} E{i}.2345\n" for i in range(1, 40))
     assert run_pipeline_equivalence(doc, HALF, rx_buffer_size=32).identical
     sim = UartSimulation(HALF, rx_buffer_size=32)
-    ring, trojan = RingBufferState(32), TrojanState.for_policy(HALF)
+    stepped = UartSimulation(HALF, rx_buffer_size=32)
+    ring = stepped.ring
     lines, wrapped = [], 0
     for byte in doc.encode():
-        marlin_rx_isr(ring, byte)
-        start = (ring.head - 1) & ring.mask  # the delimiter's cell, where a write-back begins
-        if trojan_epilogue(trojan, ring, HALF) == uart.EV_EDIT:
+        start, edits = ring.head, stepped.stats.edits  # the delimiter's cell, where a write-back begins
+        stepped.feed_char(byte)
+        if stepped.stats.edits > edits:
             wrapped += start + ((ring.head - start) & ring.mask) > ring.size
         if byte == 0x0A:
             lines.append(consumer_readline(ring))
     assert lines == sim.feed(doc)
     assert sim.stats.dropped == 0 and sim.stats.edits == 39
+    assert stepped.stats == sim.stats
     assert wrapped >= 1
 
 
@@ -500,12 +507,15 @@ def test_overflow_arrives_at_the_digit_that_crosses_the_budget(head, policy, val
     # no longer fits 32 bits, and on no other byte
     doc = f"{head}{value}\n"
     crossing = len(head) + next(i for i in range(len(value)) if over_budget(value[: i + 1]))
-    ring, trojan = RingBufferState(128), TrojanState.for_policy(policy)
-    events = []
-    for byte in doc.encode():
-        marlin_rx_isr(ring, byte)
-        events.append(trojan_epilogue(trojan, ring, policy))
-    assert [at for at, event in enumerate(events) if event == uart.EV_OVERFLOW] == [crossing]
+    sim = UartSimulation(policy)
+    overflowed = []
+    for at, byte in enumerate(doc.encode()):
+        overflows = sim.stats.overflows
+        sim.feed_char(byte)
+        if sim.stats.overflows > overflows:
+            overflowed.append(at)
+    assert overflowed == [crossing]
+    assert sim.stats.dormant_events == 1
 
 
 @pytest.mark.parametrize("doc", [
@@ -602,13 +612,13 @@ def test_edit_commits_only_with_room_for_the_longest_edit(size, doc, out, counts
 
 
 def test_epilogue_requires_per_char_contract():
-    # calling epilogue without a new ISR char gives stale reads; the driver
-    # enforces the pairing, this test just pins the public entry points
-    ring = RingBufferState(128)
-    trojan = TrojanState.for_policy(OFF)
-    marlin_rx_isr(ring, "G")
-    assert trojan_epilogue(trojan, ring, OFF) is None  # off: no state change
-    assert trojan.parser_state == 0
+    # the epilogue view steps the byte the ISR view just stored; with the
+    # policy off the pair stores it and leaves the interceptor as it was
+    ring, trojan = RingBufferState(128), TrojanState.for_policy(OFF)
+    assert uart.marlin_rx_isr(ring, "G") is True
+    assert uart.trojan_epilogue(trojan, ring, OFF) is None
+    assert trojan == TrojanState.for_policy(OFF)
+    assert ring.head == 1 and ring.storage[0] == ord("G")
 
 
 def test_ring_size_cap():
@@ -616,7 +626,7 @@ def test_ring_size_cap():
         UartSimulation(HALF, rx_buffer_size=512)
 
 
-# --- the producer loop against the single-character model ----------------------
+# --- feed against the same step one byte at a time ----------------------------
 
 # a 200-character comment (of 3-byte characters) that no ring here can hold
 # before its newline: the line-only consumer never frees the ring again
@@ -631,36 +641,41 @@ NON_ASCII_DOC = (
     "G1 X2 E6\nG1 X3 E7 ;\u00bd\nM73 P80\n;\u00e9nde"
 )
 
-# the SimStats counters a replay adds one to, by event tag
-REPLAY_COUNTERS = {
-    uart.EV_EDIT: ("edits",),
-    uart.EV_CONVERT: ("conversions",),
-    uart.EV_EDIT_SKIPPED: ("edits_skipped",),
-    uart.EV_OVERFLOW: ("overflows", "dormant_events"),
-    uart.EV_DORMANT_M83: ("dormant_events",),
-}
+
+def drain_into(lines: list[str], ring: RingBufferState) -> None:
+    while line := consumer_readline(ring):
+        lines.append(line)
 
 
 def replay_full_schedule(doc: str, policy: TamperPolicy, size: int):
-    """The wire bytes through the public single-character functions, the
-    consumer called after every byte (perfbench's ``full`` schedule)."""
-    data = doc.encode()
-    ring = RingBufferState(size)
-    trojan = TrojanState.for_policy(policy)
-    stats = SimStats(chars_in=len(data))
+    """The wire bytes one at a time through feed_char, the consumer called
+    after every byte (perfbench's ``full`` schedule)."""
+    sim = UartSimulation(policy, rx_buffer_size=size)
     lines = []
-    for byte in data:
-        if not marlin_rx_isr(ring, byte):
-            stats.dropped += 1
-            continue
-        event = trojan_epilogue(trojan, ring, policy)
-        for name in REPLAY_COUNTERS.get(event, ()):
-            setattr(stats, name, getattr(stats, name) + 1)
-        line = consumer_readline(ring)
-        while line:
-            lines.append(line)
-            line = consumer_readline(ring)
-    return lines, stats, trojan, ring
+    for byte in doc.encode():
+        sim.feed_char(byte)
+        drain_into(lines, sim.ring)
+    return lines, sim
+
+
+def replay_views(doc: str, policy: TamperPolicy, size: int):
+    """The same schedule through marlin_rx_isr and trojan_epilogue, the
+    views perfbench's replay times; ASCII bytes go in as characters, the
+    rest as ints.  Returns the lines, the count of dropped bytes, the
+    interceptor and the ring."""
+    ring, trojan = RingBufferState(size), TrojanState.for_policy(policy)
+    lines, dropped = [], 0
+    for byte in doc.encode():
+        if uart.marlin_rx_isr(ring, chr(byte) if byte < 0x80 else byte):
+            assert uart.trojan_epilogue(trojan, ring, policy) is None
+        else:
+            dropped += 1
+        drain_into(lines, ring)
+    return lines, dropped, trojan, ring
+
+
+def same_ring(ring: RingBufferState, ref: RingBufferState) -> bool:
+    return (ring.head, ring.tail, ring.storage) == (ref.head, ref.tail, ref.storage)
 
 
 def test_feed_matches_single_character_replay(gcode_corpus):
@@ -672,15 +687,13 @@ def test_feed_matches_single_character_replay(gcode_corpus):
             for size in (128, 64):
                 sim = UartSimulation(policy, rx_buffer_size=size)
                 lines = sim.feed(doc)
-                ref_lines, ref_stats, ref_trojan, ref_ring = replay_full_schedule(doc, policy, size)
+                ref_lines, ref = replay_full_schedule(doc, policy, size)
                 where = f"{doc[:20]!r} / {policy.mode.value} / ring {size}"
                 assert lines == ref_lines, where
-                assert sim.stats == ref_stats, where
-                assert sim.trojan.to_bytes() == ref_trojan.to_bytes(), where
-                ring = sim.ring
-                assert (ring.head, ring.tail) == (ref_ring.head, ref_ring.tail), where
-                assert ring.storage == ref_ring.storage, where
-                assert ring.visible() == ref_ring.visible(), where
+                assert sim.stats == ref.stats, where
+                assert sim.trojan == ref.trojan, where
+                assert same_ring(sim.ring, ref.ring), where
+                assert sim.ring.visible() == ref.ring.visible(), where
     sim = UartSimulation(OFF)
     sim.feed(OVERFLOW_DOC)
     assert sim.stats.dropped > 0  # the overflow case really overflowed
@@ -688,6 +701,28 @@ def test_feed_matches_single_character_replay(gcode_corpus):
         sim = UartSimulation(policy)
         sim.feed(DORMANT_DOC)
         assert sim.stats.dormant_events == 1
+
+
+def test_the_public_views_replay_as_feed(gcode_corpus):
+    # marlin_rx_isr and trojan_epilogue are _produce on one byte: the
+    # store, then the step of the byte just stored; in pairs they give
+    # feed's lines, drops, interceptor and ring
+    docs = [random_document(seed) for seed in range(10)] + list(gcode_corpus.values())[:6]
+    docs += [NON_ASCII_DOC, OVERFLOW_DOC, DORMANT_DOC]
+    for doc in docs:
+        for policy in COUNT_POLICIES:
+            for size in (128, 64):
+                sim = UartSimulation(policy, rx_buffer_size=size)
+                lines = sim.feed(doc)
+                ref_lines, dropped, trojan, ring = replay_views(doc, policy, size)
+                where = f"{doc[:20]!r} / {policy.mode.value} / ring {size}"
+                assert lines == ref_lines, where
+                assert sim.stats.dropped == dropped, where
+                assert sim.trojan == trojan, where
+                assert same_ring(sim.ring, ring), where
+    ring = RingBufferState(8, head=7, tail=0)  # full: the byte is dropped
+    assert uart.marlin_rx_isr(ring, "x") is False
+    assert (ring.head, ring.storage) == (7, bytearray(8))
 
 
 # the command head read so far, by parser state
@@ -736,13 +771,13 @@ def walk_rule(state, byte):
 
 
 def test_pass_through_pairs_leave_everything_unchanged():
-    # Every (parser state, byte) pair the producer loop steps through _STEP
-    # instead of handing to the epilogue must be one where the epilogue
-    # returns None and changes nothing but the parser state, which it sets
-    # to the table's entry, whatever the rest of the state holds.
+    # Every (parser state, byte) pair the step passes through _STEP instead
+    # of handing to _act must store the byte and change nothing else but
+    # the parser state, which it sets to the table's entry, whatever the
+    # rest of the state holds.
     assert len(uart._STEP) == 256 and {len(row) for row in uart._STEP} == {256}
-    # the epilogue reads _STEP itself, so the table is also held against
-    # the walk's rules as the module docstring states them
+    # the table is also held against the walk's rules as the module
+    # docstring states them
     for state, row in enumerate(uart._STEP):
         assert list(row) == [walk_rule(state, byte) for byte in range(256)], state
     pairs = [(state, byte, step) for state, row in enumerate(uart._STEP)
@@ -762,23 +797,31 @@ def test_pass_through_pairs_leave_everything_unchanged():
         (123_456, 254, 63, TamperPolicy.relocation(3)),
         (MAX_RAW, 255, 255, HALF),
     ]
+    sims = [UartSimulation(policy) for *_, policy in others]
+    steps = 0
     for state, byte, step in pairs:
         storage = bytearray(range(128))
         storage[99] = byte
-        ring = RingBufferState(128, head=100, tail=3, storage=storage)
-        before = (bytes(ring.storage), ring.head, ring.tail)
+        after = (bytes(storage), 100, 3)  # stored at 99, nothing else moved
+        storage[99] = byte ^ 0xFF
+        for sim in sims:
+            sim.ring = RingBufferState(128, head=99, tail=3, storage=bytearray(storage))
         for flags in flag_sets:
-            for acc, counter, slot, policy in others:
-                trojan = TrojanState(parser_state=state, accumulator=acc, flags_window=flags,
-                                     gcode_counter=counter, cmd_slot=slot,
-                                     policy_param=policy.param)
+            for (acc, counter, slot, policy), sim in zip(others, sims):
+                sim.trojan = trojan = TrojanState(
+                    parser_state=state, accumulator=acc, flags_window=flags,
+                    gcode_counter=counter, cmd_slot=slot, policy_param=policy.param)
                 blob = trojan.to_bytes()
-                assert trojan_epilogue(trojan, ring, policy) is None, (state, byte, flags)
+                ring = sim.ring
+                sim.feed_char(byte)
                 assert trojan.parser_state == step, (state, byte, flags)
                 trojan.parser_state = state  # every other field must be as it was
                 assert trojan.to_bytes() == blob, (state, byte, flags)
-                assert (bytes(ring.storage), ring.head, ring.tail) == before, (
-                    state, byte, flags)
+                assert (bytes(ring.storage), ring.head, ring.tail) == after, (state, byte, flags)
+                ring.head = 99
+        steps += len(flag_sets)
+    for sim in sims:  # no step counted an event
+        assert sim.stats == SimStats(chars_in=steps)
 
 
 def test_walk_is_a_class_table_of_438_bytes():
