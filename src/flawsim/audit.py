@@ -262,6 +262,8 @@ class AuditReport:
 
 _MOVE_KINDS = ("G0", "G1")  # by command number
 _JSON_BATCH = 256  # segment rows per to_json encoder call
+# coordinates keep at most four decimals, so a travel is 0.0 or at least
+# 0.0001 mm, and `> _TRAVEL_EPS` reads the same as `>=`
 _TRAVEL_EPS = 1e-9
 
 

@@ -20,7 +20,7 @@ A line completes only on the step that stores its newline, so the
 producer loop dequeues one line after that step and none after any
 other.  The epilogue takes back only the byte the ISR just stored (a
 hidden digit or point, or the delimiter of a targeted value, which
-_finish_target writes again after the edited text in the same step; on
+_end_value writes again after the edited text in the same step; on
 overflow the digit is written again after the text the value hid, and
 the interceptor goes dormant), and the rewinds in _decide_on_first_digit
 cover a value's sign, point, letter and space; so no step publishes a
@@ -42,7 +42,9 @@ grid _WALK; README's payload rule says what it reads.  _produce steps
 _STEP, the grid expanded to every byte, and hands only the pairs it marks
 _CALL to _act.  E values and P percentages share one capture, the states
 ST_V_INT and ST_V_FRAC, and only they pass through the accumulator;
-F_PROGRESS marks a percentage, which is read and never hidden.  The
+F_PROGRESS marks a percentage, which is read and never hidden.  One
+function, _end_value, ends every capture at its delimiter, and a target
+at the end of the stream, and clears every capture flag.  The
 32-bit budget is checked once, in the fold, at the digit that carries
 the value past it.
 
@@ -265,15 +267,6 @@ def _scaled_value(trojan: TrojanState) -> int:
     return -raw if trojan.flags_window & F_NEG else raw
 
 
-def _pass_finish(trojan: TrojanState, delim: int):
-    """A value token ended before any digit arrived: it was never hidden,
-    so it stays as received.  The token makes its line malformed, which
-    the transform leaves alone, so the rest of the line is skipped: no
-    later E is edited and a progress token leaves the window as it was."""
-    trojan.flags_window &= ~(F_PENDING | F_NEG | F_SIGN_SEEN | F_PROGRESS)
-    trojan.parser_state = _STEP[ST_SKIP][delim]
-
-
 def _decide_on_first_digit(
     trojan: TrojanState, ring: RingBufferState, policy: TamperPolicy, digit: int, in_frac: bool
 ) -> str | None:
@@ -347,24 +340,6 @@ def _write_back(ring: RingBufferState, text: str, last: int | None) -> None:
     ring.head = end & ring.mask
 
 
-def _finish_target(trojan: TrojanState, ring: RingBufferState, delim: int | None) -> str:
-    """A targeted extrusion value ended: its delimiter just arrived, or
-    (delim None) the stream ended.  The edited text is written back
-    before the delimiter."""
-    if trojan.flags_window & F_CONVERT:
-        # Value discarded; a delimiter the ISR just stored already sits
-        # exactly where the removed token began.  Nothing to write back.
-        event = EV_CONVERT
-    else:
-        # _decide_on_first_digit left _EDIT_ROOM cells for the text
-        value = _scaled_value(trojan) * (100 - trojan.policy_param)
-        _write_back(ring, format_raw(div_round_half_away(value, 100)), delim)
-        event = EV_EDIT
-    trojan.flags_window &= ~(F_CONVERT | F_NEG | F_SIGN_SEEN)
-    trojan.parser_state = ST_G1_MID if delim is None else _STEP[ST_G1_MID][delim]
-    return event
-
-
 def update_window(flags: int, percent_raw: int, lo: int, hi: int) -> int:
     """Window flags after a progress report of percent_raw / 10^4 percent,
     for the window [lo, hi) in whole percents.  The window opens at lo and
@@ -379,12 +354,33 @@ def update_window(flags: int, percent_raw: int, lo: int, hi: int) -> int:
     return flags & ~F_WINDOW_ACTIVE
 
 
-def _finish_progress(trojan: TrojanState, policy: TamperPolicy, delim: int) -> None:
-    """A progress-report percentage finished arriving; update the window
-    and skip the rest of the line."""
-    flags = update_window(trojan.flags_window, _scaled_value(trojan), policy.window_lo, policy.window_hi)
-    trojan.flags_window = flags & ~(F_PROGRESS | F_NEG | F_SIGN_SEEN)
-    trojan.parser_state = _STEP[ST_SKIP][delim]
+def _end_value(
+    trojan: TrojanState, ring: RingBufferState, policy: TamperPolicy, delim: int | None
+) -> str | None:
+    """A captured value ended: its delimiter delim just arrived, or (delim
+    None) the stream ended inside a target.  Every capture flag clears.
+
+    A token with no digit was never hidden, so it stays as received; it
+    makes its line malformed, which the transform leaves alone, so the
+    rest of the line is skipped, as after a percentage, which updates the
+    window.  A target resumes its G1 line: a converted one has nothing to
+    write back (a delimiter the ISR just stored already sits where the
+    removed token began), an edited one has its text written back before
+    delim, in the _EDIT_ROOM cells _decide_on_first_digit left."""
+    flags = trojan.flags_window
+    if flags & (F_PENDING | F_PROGRESS):
+        event, resume = None, ST_SKIP
+        if not flags & F_PENDING:
+            flags = update_window(flags, _scaled_value(trojan), policy.window_lo, policy.window_hi)
+    elif flags & F_CONVERT:
+        event, resume = EV_CONVERT, ST_G1_MID
+    else:
+        value = _scaled_value(trojan) * (100 - trojan.policy_param)
+        _write_back(ring, format_raw(div_round_half_away(value, 100)), delim)
+        event, resume = EV_EDIT, ST_G1_MID
+    trojan.flags_window = flags & ~(F_PENDING | F_PROGRESS | F_CONVERT | F_NEG | F_SIGN_SEEN)
+    trojan.parser_state = resume if delim is None else _STEP[resume][delim]
+    return event
 
 
 def _act(trojan: TrojanState, ring: RingBufferState, policy: TamperPolicy, byte: int) -> str | None:
@@ -428,16 +424,10 @@ def _act(trojan: TrojanState, ring: RingBufferState, policy: TamperPolicy, byte:
                 ring.head = (ring.head - 1) & ring.mask
             trojan.parser_state = ST_V_FRAC
             return None
-        if flags & F_PENDING:
-            if (byte == 0x2B or byte == 0x2D) and not in_frac and not flags & F_SIGN_SEEN:
-                trojan.flags_window = flags | F_SIGN_SEEN | (F_NEG if byte == 0x2D else 0)
-            else:
-                _pass_finish(trojan, byte)
+        if flags & F_PENDING and (byte == 0x2B or byte == 0x2D) and not in_frac and not flags & F_SIGN_SEEN:
+            trojan.flags_window = flags | F_SIGN_SEEN | (F_NEG if byte == 0x2D else 0)
             return None
-        if flags & F_PROGRESS:
-            _finish_progress(trojan, policy, byte)
-            return None
-        return _finish_target(trojan, ring, byte)
+        return _end_value(trojan, ring, policy, byte)
 
     if state == ST_G1_TOK or state == ST_M73_TOK:  # 'E', 'P'
         # A value might be starting; nothing is committed (or hidden)
@@ -581,7 +571,9 @@ class UartSimulation:
         self.stats = SimStats()
 
     def feed_char(self, char: int | str) -> None:
-        """Deliver one character (its UTF-8 bytes) or one byte."""
+        """Deliver one character (its UTF-8 bytes) or one byte.  A character
+        UTF-8 cannot encode (a lone surrogate) raises UnicodeEncodeError, a
+        ValueError, and nothing is stored."""
         data = char.encode() if isinstance(char, str) else bytes((char,))
         _produce(self.ring, self.trojan, self.policy, self.stats, data, None)
 
@@ -597,7 +589,11 @@ class UartSimulation:
         (lines already complete, say from ``feed_char``, come first).
 
         The text is encoded a slice at a time, so a long document is never
-        held twice; a slice of a str never splits a character.
+        held twice; a slice of a str never splits a character.  Text that
+        UTF-8 cannot encode (a lone surrogate) raises UnicodeEncodeError, a
+        ValueError: the slices before the one that holds it were fed and
+        their lines dequeued (and lost with the return value), and nothing
+        of that slice is stored.
         """
         out = self.drain()
         for start in range(0, len(text), _FEED_SLICE):
@@ -610,12 +606,14 @@ class UartSimulation:
 
         A target value still captured there is finished first, as its
         delimiter would finish it: the edit is written back and counted,
-        and no delimiter is re-emitted.
+        and no delimiter is re-emitted.  A stream that ends inside a token
+        with no digit yet or inside a percentage leaves the text as
+        received and the interceptor's state untouched.
         """
         trojan = self.trojan
         captured = (trojan.parser_state & 0x0F) in (ST_V_INT, ST_V_FRAC)
         if captured and not trojan.flags_window & (F_PENDING | F_PROGRESS | F_DORMANT):
-            self.stats.count(_finish_target(trojan, self.ring, None))
+            self.stats.count(_end_value(trojan, self.ring, self.policy, None))
         rest = self.ring.visible().decode("utf-8", errors="replace")
         self.ring.tail = self.ring.head
         return rest

@@ -729,6 +729,8 @@ def test_detect_needs_eight_extruding_segments():
     with pytest.raises(InsufficientData, match="^7 extruding segments; need >= 8$"):
         detect_relocation(account(unit_flows(7)))
     assert detect_relocation(account(unit_flows(8))) == []
+    # a segment depositing 0.0001 mm, a raw 1, is the eighth
+    assert detect_relocation(account(unit_flows(7) + "G1 X8 E7.0001\n")) == []
 
 
 @pytest.mark.parametrize("threshold, flagged", [
@@ -744,6 +746,13 @@ def test_detect_flags_every_flow_at_or_above_the_limit(threshold, flagged):
 def test_detect_a_barren_segment_that_does_not_move_is_no_relocation():
     # the catch-up follows a barren G0 of zero travel: an outlier, not a relocation
     report = account(unit_flows(8) + "G0 X8\nG1 X9 E10\n")
+    assert detect_relocation(report) == [Anomaly(9, FLOW_OUTLIER, 2.0)]
+
+
+def test_detect_a_move_depositing_a_raw_1_is_no_barren_travel():
+    # the catch-up follows a move that deposits 0.0001 mm: an outlier, not
+    # a relocation
+    report = account(unit_flows(8) + "G1 X9 E8.0001\nG1 X10 E10.0001\n")
     assert detect_relocation(report) == [Anomaly(9, FLOW_OUTLIER, 2.0)]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from fractions import Fraction
 
@@ -12,6 +13,11 @@ from flawsim.policy import TamperPolicy
 from flawsim.tamper import apply_policy
 from flawsim.uart import (
     F_DORMANT,
+    F_NEG,
+    F_PENDING,
+    F_PROGRESS,
+    F_SIGN_SEEN,
+    F_WINDOW_ACTIVE,
     ST_G1_MID,
     ST_G1_TOK,
     ST_G_NUM,
@@ -25,6 +31,7 @@ from flawsim.uart import (
     ST_M_83,
     ST_M_NUM,
     ST_SKIP,
+    ST_V_FRAC,
     ST_V_INT,
     RingBufferState,
     SimStats,
@@ -79,6 +86,17 @@ def test_capacity_is_size_minus_one():
     sim.feed_char("b")
     assert sim.stats.dropped == 2
     assert ring.head == 127 and bytes(ring.storage) == full
+
+
+def test_a_line_with_no_newline_within_the_ring_stalls_it_for_good():
+    # README's limit: the line-only consumer frees no cell of a ring that
+    # holds no newline, so the 127 usable bytes stay full and every later
+    # byte, newlines and all, is dropped
+    sim = UartSimulation(OFF)
+    doc = ";" + "c" * 200 + "\nG1 X1 E1\nG1 X2 E2\n"
+    assert sim.feed(doc) == []
+    assert sim.stats == SimStats(chars_in=220, dropped=93)
+    assert sim.flush_residual() == ";" + "c" * 126
 
 
 def test_readline_complete_line():
@@ -582,6 +600,62 @@ def test_flush_residual_finishes_a_value_the_stream_cut_off(doc, policy, expecte
     assert sim.ring.head == sim.ring.tail
 
 
+# A captured value's token, from its line's start, and what ending it
+# leaves: the line as the consumer gets it, the flags, the counters it adds,
+# and the parser state and flags when the stream ends inside it instead
+# (a target's end of stream is its delimiter's exit, minus the delimiter).
+ACTIVE = F_WINDOW_ACTIVE  # the relocation rows end with the window open
+REDUCE_30 = TamperPolicy.reduction(Fraction(3, 10))
+RELOCATE_2 = TamperPolicy.relocation(2)
+CAPTURES = {
+    # no digit: the token stays as received and the rest of its line is skipped
+    "E": (REDUCE_30, "", "G1 X1 E", "G1 X1 E", 0, {}, (ST_V_INT, F_PENDING)),
+    "E-": (REDUCE_30, "", "G1 X1 E-", "G1 X1 E-", 0, {}, (ST_V_INT, F_PENDING | F_NEG | F_SIGN_SEEN)),
+    "E.": (REDUCE_30, "", "G1 X1 E.", "G1 X1 E.", 0, {}, (ST_V_FRAC, F_PENDING)),
+    "P": (RELOCATE_2, "M73 P30\n", "M73 P", "M73 P", ACTIVE, {},
+          (ST_V_INT, ACTIVE | F_PENDING | F_PROGRESS)),
+    "P+": (RELOCATE_2, "M73 P30\n", "M73 P+", "M73 P+", ACTIVE, {},
+           (ST_V_INT, ACTIVE | F_PENDING | F_PROGRESS | F_SIGN_SEEN)),
+    # a percentage opens the window at its delimiter, not at the stream's end
+    "percentage": (RELOCATE_2, "", "M73 P30", "M73 P30", ACTIVE, {}, (ST_V_INT, F_PROGRESS)),
+    # a target resumes the G1 line
+    "edited target": (REDUCE_30, "", "G1 X1 E5", "G1 X1 E3.5", 0, {"edits": 1}, None),
+    "converted target": (RELOCATE_2, "M73 P30\nG1 X1 E5\n", "G1 X2 E6", "G0 X2", ACTIVE,
+                         {"conversions": 1}, None),
+}
+# the parser state after an ending, for a skipped line and a resumed one
+ENDINGS = {
+    "LF": ("\n", ST_LINE_START, ST_LINE_START),
+    "space": (" ", ST_SKIP, ST_G1_TOK),
+    "semicolon": (";", ST_SKIP, ST_SKIP),
+    "CR": ("\r", ST_SKIP, ST_G1_MID),
+    "another byte": ("X", ST_SKIP, ST_G1_MID),
+    "end of stream": ("", None, ST_G1_MID),
+}
+
+
+@pytest.mark.parametrize("ending", list(ENDINGS))
+@pytest.mark.parametrize("token", list(CAPTURES))
+def test_every_exit_of_a_captured_value(token, ending):
+    policy, before, line, out, flags, counts, cut = CAPTURES[token]
+    delim, skipped_state, resumed_state = ENDINGS[ending]
+    sim = UartSimulation(policy)
+    assert sim.feed(before) == before.splitlines(keepends=True)
+    stats = dataclasses.replace(sim.stats)
+    for ch in line + delim:
+        sim.feed_char(ch)
+    # flush_residual ends a target the stream cut off, and only reads the rest
+    assert "".join(sim.drain()) + sim.flush_residual() == out + delim
+    target = cut is None
+    if delim or target:
+        state, counted = resumed_state if target else skipped_state, counts
+    else:  # the stream ended inside a token that skips its line: nothing changed
+        (state, flags), counted = cut, {}
+    assert (sim.trojan.parser_state, sim.trojan.flags_window) == (state, flags)
+    delta = {f.name: getattr(sim.stats, f.name) - getattr(stats, f.name) for f in dataclasses.fields(SimStats)}
+    assert delta == dict(dataclasses.asdict(SimStats()), chars_in=len(line + delim), **counted)
+
+
 def test_edit_skipped_when_no_room_to_rewrite():
     # the first digit finds 3 of the 13 cells an edit needs, so the value
     # passes verbatim; the ring then fills before the newline, and the line
@@ -870,3 +944,20 @@ def test_ring_overflow_cuts_a_multibyte_character_visibly():
     sim.feed("ab\u20ac\u20ac\u20ac")  # 11 bytes into 7 cells: the second euro is cut
     assert sim.stats.dropped == 4
     assert sim.flush_residual() == "ab\u20ac\ufffd"
+
+
+def test_text_utf8_cannot_encode_raises_and_stores_nothing_of_its_slice():
+    # a lone surrogate has no UTF-8 encoding: UnicodeEncodeError, a ValueError
+    sim = UartSimulation(HALF)
+    with pytest.raises(UnicodeEncodeError):
+        sim.feed("G1 X1\n\ud800\n")
+    with pytest.raises(ValueError):
+        sim.feed_char("\ud800")
+    assert sim.stats == SimStats() and sim.ring.head == sim.ring.tail == 0
+    # the slices before the one holding it were fed, their lines dequeued
+    first = "G1 X1 E1\n" * (uart._FEED_SLICE // 9) + "\n"
+    assert len(first) == uart._FEED_SLICE
+    with pytest.raises(UnicodeEncodeError):
+        sim.feed(first + "\ud800\n")
+    assert sim.stats == SimStats(chars_in=len(first), edits=first.count("E"))
+    assert sim.ring.visible() == b""
