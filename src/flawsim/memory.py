@@ -114,6 +114,8 @@ def load_ihex(text: str, layout: MemoryLayout) -> FlashImage:
     line.
     """
     image = FlashImage(layout)
+    data = image.data
+    flash_size = layout.flash_size
     base = 0
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
@@ -121,38 +123,37 @@ def load_ihex(text: str, layout: MemoryLayout) -> FlashImage:
         line = raw.strip()
         if not line:
             continue
-        if not line.startswith(":"):
+        if line[0] != ":":
             raise ParseError(line_no, "missing ':' start code")
         try:
             rec = bytes.fromhex(line[1:])
         except ValueError:
             raise ParseError(line_no, "invalid hex digits") from None
-        if len(rec) < 5:
+        size = len(rec)
+        if size < 5:
             raise ParseError(line_no, "record too short")
-        count, addr_hi, addr_lo, rectype = rec[0], rec[1], rec[2], rec[3]
-        if len(rec) != count + 5:
+        count = rec[0]
+        if size != count + 5:
             raise ParseError(line_no, "length field disagrees with record size")
         if sum(rec) & 0xFF:
             raise ParseError(line_no, "record checksum mismatch")
-        payload = rec[4 : 4 + count]
-        offset = (addr_hi << 8) | addr_lo
+        rectype = rec[3]
         if rectype == _REC_DATA:
-            addr = base + offset
-            if addr + count > layout.flash_size:
-                raise ParseError(
-                    line_no, f"data record ends at {addr + count:#x}, flash is {layout.flash_size:#x}"
-                )
-            image.data[addr : addr + count] = payload
+            addr = base + ((rec[1] << 8) | rec[2])
+            end = addr + count
+            if end > flash_size:
+                raise ParseError(line_no, f"data record ends at {end:#x}, flash is {flash_size:#x}")
+            data[addr:end] = rec[4:-1]
         elif rectype == _REC_EOF:
             break
         elif rectype == _REC_EXT_SEGMENT:
             if count != 2:
                 raise ParseError(line_no, "type-02 record needs 2 data bytes")
-            base = ((payload[0] << 8) | payload[1]) << 4
+            base = ((rec[4] << 8) | rec[5]) << 4
         elif rectype == _REC_EXT_LINEAR:
             if count != 2:
                 raise ParseError(line_no, "type-04 record needs 2 data bytes")
-            base = ((payload[0] << 8) | payload[1]) << 16
+            base = ((rec[4] << 8) | rec[5]) << 16
         else:
             raise ParseError(line_no, f"unsupported record type {rectype:02X}")
     return image

@@ -8,7 +8,16 @@ Frame layout (all integers big-endian):
     0x1B  sequence  size_hi size_lo  0x0E  body...  checksum
 
 where checksum is the XOR of every preceding byte.  Responses echo the
-request sequence number.  Command bodies:
+request sequence number.
+
+The XOR is folded, not looped: the bytes are read as one little-endian
+integer, which is folded in halves (its top half XORed onto its bottom
+half) while it is wider than 8 bytes, then by 32, 16 and 8 bits, leaving
+the XOR in the low byte.  frame_encode appends the checksum byte from a
+256-entry table; a received frame is folded whole, checksum included,
+and is good when that leaves 0.  A decoded frame is an Stk500Frame, the
+named tuple (sequence, body), built by tuple.__new__ in C rather than by
+the named tuple's own Python-level __new__.  Command bodies:
 
     SIGN_ON         01                     -> 01 00 08 'AVRISP_2'
     LOAD_ADDRESS    06 a3 a2 a1 a0         -> 06 status      (byte address)
@@ -56,6 +65,8 @@ SIGNATURE = b"AVRISP_2"
 # status plus the trailing status) in a body of at most 0xFFFF bytes
 _MAX_PAGE_SIZE = 0xFFFF - 3
 
+_LOAD_ADDRESS_OK = bytes((CMD_LOAD_ADDRESS, STATUS_CMD_OK))
+_PROGRAM_FLASH_OK = bytes((CMD_PROGRAM_FLASH, STATUS_CMD_OK))
 _READ_FLASH_OK = bytes((CMD_READ_FLASH, STATUS_CMD_OK))
 _STATUS_OK = bytes((STATUS_CMD_OK,))
 
@@ -69,23 +80,35 @@ class Stk500Frame(NamedTuple):
     body: bytes
 
 
+# builds a frame in C; NamedTuple's own __new__ is a Python function
+_new_frame = tuple.__new__
+
+
 def _xor(data: bytes) -> int:
     """XOR of every byte of data: the bytes as one integer, folded in halves."""
     x = int.from_bytes(data, "little")
     # halving a power-of-two byte width keeps each fold's low bits exact,
     # so no step needs a mask: the bits above them are never read
-    shift = 4 << (len(data) - 1).bit_length()
-    while shift >= 8:
-        x ^= x >> shift
-        shift >>= 1
+    if len(data) > 8:
+        shift = 4 << (len(data) - 1).bit_length()
+        while shift > 32:
+            x ^= x >> shift
+            shift >>= 1
+    x ^= x >> 32
+    x ^= x >> 16
+    x ^= x >> 8
     return x & 0xFF
+
+
+# the checksum byte of a frame, by its value
+_CHECKSUM_BYTE = [bytes((i,)) for i in range(256)]
 
 
 def frame_encode(body: bytes, sequence: int = 0) -> bytes:
     if len(body) > 0xFFFF:
         raise ValueError("body exceeds 65535 bytes")
     payload = bytes((MESSAGE_START, sequence & 0xFF, len(body) >> 8, len(body) & 0xFF, TOKEN)) + body
-    return payload + bytes((_xor(payload),))
+    return payload + _CHECKSUM_BYTE[_xor(payload)]
 
 
 def frame_decode(data: bytes) -> Stk500Frame:
@@ -117,7 +140,7 @@ def _checked_frame(data: bytes, total: int) -> Stk500Frame:
     if residue:
         stated = data[total - 1]
         raise ProtocolError(f"computed {residue ^ stated:#04x}, frame says {stated:#04x}")
-    return Stk500Frame(data[1], bytes(data[5 : total - 1]))
+    return _new_frame(Stk500Frame, (data[1], bytes(data[5 : total - 1])))
 
 
 class FrameReader:
@@ -171,11 +194,13 @@ class FrameReader:
 
     def _fill(self, read, size: int):
         buf = self._buf
-        while len(buf) < size:
-            chunk = read(size - len(buf))
+        need = size - len(buf)
+        while need > 0:
+            chunk = read(need)
             if not chunk:
                 raise ProtocolError("transport closed mid-response")
             buf += chunk
+            need -= len(chunk)
 
 
 @dataclass
@@ -219,7 +244,7 @@ class BootSession:
         if addr >= self.layout.flash_size:
             return bytes([CMD_LOAD_ADDRESS, STATUS_CMD_FAILED])
         self.load_address = addr
-        return bytes([CMD_LOAD_ADDRESS, STATUS_CMD_OK])
+        return _LOAD_ADDRESS_OK
 
     def _handle_program_flash(self, body: bytes) -> bytes:
         if len(body) < 3:
@@ -239,7 +264,7 @@ class BootSession:
             self._patch = None  # the patched word was overwritten: nothing left to hide
         if self.trojan_enabled and self.sp_site is None:
             self._scan_for_sp_init(start, end)
-        return bytes([CMD_PROGRAM_FLASH, STATUS_CMD_OK])
+        return _PROGRAM_FLASH_OK
 
     def _scan_for_sp_init(self, page_start: int, page_end: int):
         # The pattern must include at least one byte of the new page, so a

@@ -591,10 +591,12 @@ class UartSimulation:
         The text is encoded a slice at a time, so a long document is never
         held twice; a slice of a str never splits a character.  Text that
         UTF-8 cannot encode (a lone surrogate) raises UnicodeEncodeError, a
-        ValueError: the slices before the one that holds it were fed and
-        their lines dequeued (and lost with the return value), and nothing
-        of that slice is stored.
+        ValueError, before any of it is stored or any line dequeued: the
+        ring, ``stats`` and ``trojan`` are as they were.
         """
+        if not text.isascii():  # only non-ASCII text can fail to encode
+            for start in range(0, len(text), _FEED_SLICE):
+                text[start : start + _FEED_SLICE].encode()
         out = self.drain()
         for start in range(0, len(text), _FEED_SLICE):
             data = text[start : start + _FEED_SLICE].encode()

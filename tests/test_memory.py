@@ -146,6 +146,53 @@ def test_load_rejects_garbage():
         load_ihex(":zz000001FF", LAYOUT)
 
 
+@pytest.mark.parametrize("line, problem", [
+    (":00000001", "record too short"),  # four bytes: no room for a checksum
+    (":", "record too short"),
+    (":00000001F", "invalid hex digits"),  # an odd number of digits
+    (":0", "invalid hex digits"),
+])
+def test_load_rejects_a_short_or_odd_record(line, problem):
+    with pytest.raises(ParseError, match=rf"^line 2: {problem}$") as err:
+        load_ihex(f":020000040000FA\n{line}\n:00000001FF\n", LAYOUT)
+    assert err.value.line_no == 2
+
+
+def test_blanks_around_a_record_are_ignored():
+    doc = " \t:020000040000FA \n\t :0400000001020304F2\t\n  \n :00000001FF  \n"
+    assert load_ihex(doc, LAYOUT).read(0, 5) == b"\x01\x02\x03\x04\xff"
+
+
+@pytest.mark.parametrize("after", [
+    ":0400000001020304F3",  # a bad checksum
+    ":04000000AABBCCDDEE",
+    "garbage",
+    ":zz",
+    ":00000001",
+])
+def test_records_after_the_eof_record_are_never_read(after):
+    doc = f":0400000001020304F2\n:00000001FF\n{after}\n:0400100005060708D2\n"
+    img = load_ihex(doc, LAYOUT)
+    assert img.read(0, 4) == b"\x01\x02\x03\x04"
+    assert img.data[4:] == b"\xff" * (LAYOUT.flash_size - 4)
+
+
+@pytest.mark.parametrize("line, problem", [
+    ("zz00000001FF", "missing ':' start code"),  # and bad hex digits
+    (":zz", "invalid hex digits"),  # and too short
+    (":00000001", "record too short"),  # and a bad checksum
+    (":0100000000", "length field disagrees with record size"),  # and a bad checksum
+    (":00000003FF", "record checksum mismatch"),  # and an unsupported type
+    (":020000040000FB", "record checksum mismatch"),  # on a well-formed type-04
+    (":01000004FFFC", "type-04 record needs 2 data bytes"),  # the last check
+], ids=["start-code", "hex-digits", "size", "length-field", "checksum", "checksum-04", "type"])
+def test_a_line_with_two_faults_reports_the_first(line, problem):
+    # the loader checks, in order: start code, hex digits, size, length
+    # field, checksum, then what the record's type needs
+    with pytest.raises(ParseError, match=rf"^line 1: {problem}$"):
+        load_ihex(line, LAYOUT)
+
+
 def test_extended_segment_record_offsets_addresses():
     # type-02 with segment 0x1000 shifts addresses by 0x10000
     seg = "020000021000"
@@ -153,6 +200,15 @@ def test_extended_segment_record_offsets_addresses():
     doc = f":{seg}{ihex_checksum(seg):02X}\n:{data}{ihex_checksum(data):02X}\n:00000001FF"
     img = load_ihex(doc, LAYOUT)
     assert img.read(0x10000, 1) == b"\xab"
+
+
+def test_extended_linear_record_reads_both_address_bytes():
+    data = "01000000AB"
+    line = f":{data}{ihex_checksum(data):02X}"
+    assert load_ihex(f":020000040003F7\n{line}\n", LAYOUT).read(0x30000, 1) == b"\xab"
+    # the upper byte puts the record at 16 MiB, far past flash
+    with pytest.raises(ParseError, match=r"^line 2: data record ends at 0x1000001, flash is 0x40000$"):
+        load_ihex(f":020000040100F9\n{line}\n", LAYOUT)
 
 
 def test_dump_erased_region_is_eof_only():

@@ -19,6 +19,7 @@ from flawsim.stk500 import (
     PipeTransport,
     ProtocolError,
     ProgrammerClient,
+    Stk500Frame,
     VerifyOutcome,
     frame_decode,
     frame_encode,
@@ -108,6 +109,48 @@ def test_frame_encode_matches_naive_xor():
         body = rng.randbytes(size)
         seq = rng.randrange(256)
         assert frame_encode(body, seq) == naive_frame(body, seq)
+
+
+def naive_xor(data: bytes) -> int:
+    checksum = 0
+    for b in data:
+        checksum ^= b
+    return checksum
+
+
+# every body of 0-70 bytes, frame lengths around each power of two up to
+# 2**16, where the fold's widths change, and the longest frame (a
+# 0xFFFF-byte body)
+FOLD_FRAME_LENGTHS = sorted(
+    set(range(6, 77)) | {n for k in range(3, 17) for n in (2**k - 1, 2**k, 2**k + 1)} | {0xFFFF + 6}
+)
+
+
+@pytest.mark.parametrize("frame_len", FOLD_FRAME_LENGTHS)
+def test_checksum_matches_naive_xor_at_every_fold_width(frame_len):
+    rng = random.Random(frame_len)
+    body = rng.randbytes(frame_len - 6)
+    seq = rng.randrange(256)
+    frame = frame_encode(body, seq)
+    assert frame == naive_frame(body, seq)
+    assert naive_xor(frame) == 0
+    assert frame_decode(frame) == (seq, body)
+    # a wrong checksum byte is named beside the one the fold computed
+    stated = frame[-1] ^ 0xA5
+    computed = naive_xor(frame[:-1])
+    with pytest.raises(ProtocolError, match=rf"^computed {computed:#04x}, frame says {stated:#04x}$"):
+        frame_decode(frame[:-1] + bytes((stated,)))
+
+
+def test_a_frame_is_its_sequence_and_body():
+    frame = frame_decode(frame_encode(b"\x11\x00", 0x2A))
+    assert isinstance(frame, Stk500Frame)
+    assert (frame.sequence, frame.body) == (0x2A, b"\x11\x00")
+    assert frame == (0x2A, b"\x11\x00") and tuple(frame) == (0x2A, b"\x11\x00")
+    assert type(frame.body) is bytes
+    reader = FrameReader()
+    (fed,) = reader.feed(bytearray(frame_encode(b"\x11\x00", 0x2A)))
+    assert fed == frame and type(fed.body) is bytes
 
 
 def test_frame_reader_half_frame_waits_for_the_rest():

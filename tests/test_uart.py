@@ -954,10 +954,20 @@ def test_text_utf8_cannot_encode_raises_and_stores_nothing_of_its_slice():
     with pytest.raises(ValueError):
         sim.feed_char("\ud800")
     assert sim.stats == SimStats() and sim.ring.head == sim.ring.tail == 0
-    # the slices before the one holding it were fed, their lines dequeued
+    # feed refuses the whole text before it stores a byte or dequeues a
+    # line, even when the surrogate sits slices past the first
+    for ch in "G1 X2 E2\n":
+        sim.feed_char(ch)
+
+    def state():
+        ring = sim.ring
+        return dataclasses.replace(sim.stats), sim.trojan.to_bytes(), bytes(ring.storage), ring.head, ring.tail
+
+    before = state()
     first = "G1 X1 E1\n" * (uart._FEED_SLICE // 9) + "\n"
     assert len(first) == uart._FEED_SLICE
-    with pytest.raises(UnicodeEncodeError):
-        sim.feed(first + "\ud800\n")
-    assert sim.stats == SimStats(chars_in=len(first), edits=first.count("E"))
-    assert sim.ring.visible() == b""
+    for text in (first + "\ud800\n", first * 3 + "\u00b0" + "\ud800"):
+        with pytest.raises(UnicodeEncodeError):
+            sim.feed(text)
+        assert state() == before
+    assert sim.feed("") == ["G1 X2 E1\n"]
