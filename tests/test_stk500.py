@@ -95,12 +95,16 @@ def test_frame_reader_reassembles_arbitrary_chunks():
     assert [len(f.body) for f in seen] == [i + 1 for i in range(10)]
 
 
+def naive_xor(data: bytes) -> int:
+    checksum = 0
+    for b in data:
+        checksum ^= b
+    return checksum
+
+
 def naive_frame(body: bytes, seq: int) -> bytes:
     payload = bytes([0x1B, seq, len(body) >> 8, len(body) & 0xFF, 0x0E]) + body
-    checksum = 0
-    for b in payload:
-        checksum ^= b
-    return payload + bytes([checksum])
+    return payload + bytes([naive_xor(payload)])
 
 
 def test_frame_encode_matches_naive_xor():
@@ -109,13 +113,6 @@ def test_frame_encode_matches_naive_xor():
         body = rng.randbytes(size)
         seq = rng.randrange(256)
         assert frame_encode(body, seq) == naive_frame(body, seq)
-
-
-def naive_xor(data: bytes) -> int:
-    checksum = 0
-    for b in data:
-        checksum ^= b
-    return checksum
 
 
 # every body of 0-70 bytes, frame lengths around each power of two up to
