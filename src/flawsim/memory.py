@@ -10,6 +10,7 @@ entirely erased, so fixtures stay small and load(dump(img)) == img.
 
 from __future__ import annotations
 
+from binascii import unhexlify
 from dataclasses import dataclass, field
 
 from .errors import FlawsimError, ParseError
@@ -103,31 +104,50 @@ _REC_DATA = 0x00
 _REC_EOF = 0x01
 _REC_EXT_SEGMENT = 0x02
 _REC_EXT_LINEAR = 0x04
+_EOF_RECORD = b"\x00\x00\x00\x01\xff"  # :00000001FF decoded
 
 
 def load_ihex(text: str, layout: MemoryLayout) -> FlashImage:
     """Parse an Intel HEX document into a fresh (erased) image.
 
-    Record types 00/01/02/04 only.  A record ends at LF, CRLF or a lone
-    CR.  Any record that cannot be loaded, a bad checksum or a data
-    record that runs past flash among them, raises ParseError naming its
-    line.
+    The grammar follows Intel's "Hexadecimal Object File Format
+    Specification" (rev. A, 1988), record types 00/01/02/04 only:
+
+    - A record is ``:`` and an even number of hex digits in either case,
+      with nothing between them; blanks around a record are ignored.  A
+      record ends at LF, CRLF or a lone CR, and a blank line is skipped.
+    - The EOF record is exactly ``:00000001FF``; later lines are never
+      read.  A document without one was cut short, and is refused on the
+      line after its last (a final line break ends that line).
+    - Records load in file order, so where two data records overlap the
+      later one's bytes stand.  The specification sets no rule against
+      overlap; this is what a programmer filling its buffer in order does.
+    - A data record's 16-bit offset plus its count may pass 0xFFFF.
+      Under a type-04 base it carries on into the next 64 KiB, as the
+      specification's linear address does.  Under a type-02 base the
+      specification wraps it to the segment's start, which would write
+      below the record's own address; such a record is refused.
+
+    Any record that cannot be loaded, a bad checksum or a data record
+    that runs past flash among them, raises ParseError naming its line.
     """
     image = FlashImage(layout)
     data = image.data
     flash_size = layout.flash_size
     base = 0
+    limit = flash_size  # where the current base lets a data record end
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    for line_no, raw in enumerate(text.split("\n"), 1):
+    lines = text.split("\n")
+    for line_no, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line:
             continue
         if line[0] != ":":
             raise ParseError(line_no, "missing ':' start code")
         try:
-            rec = bytes.fromhex(line[1:])
-        except ValueError:
+            rec = unhexlify(line[1:])
+        except ValueError:  # an odd length, a blank, a non-hex or non-ASCII character
             raise ParseError(line_no, "invalid hex digits") from None
         size = len(rec)
         if size < 5:
@@ -141,26 +161,34 @@ def load_ihex(text: str, layout: MemoryLayout) -> FlashImage:
         if rectype == _REC_DATA:
             addr = base + ((rec[1] << 8) | rec[2])
             end = addr + count
-            if end > flash_size:
-                raise ParseError(line_no, f"data record ends at {end:#x}, flash is {flash_size:#x}")
+            if end > limit:
+                if end > flash_size:
+                    raise ParseError(line_no, f"data record ends at {end:#x}, flash is {flash_size:#x}")
+                raise ParseError(line_no, f"data record ends at {end:#x}, past its type-02 segment's end {limit:#x}")
             data[addr:end] = rec[4:-1]
         elif rectype == _REC_EOF:
-            break
+            if rec != _EOF_RECORD:
+                raise ParseError(line_no, "type-01 record must be :00000001FF")
+            return image
         elif rectype == _REC_EXT_SEGMENT:
             if count != 2:
                 raise ParseError(line_no, "type-02 record needs 2 data bytes")
             base = ((rec[4] << 8) | rec[5]) << 4
+            limit = min(base + 0x10000, flash_size)
         elif rectype == _REC_EXT_LINEAR:
             if count != 2:
                 raise ParseError(line_no, "type-04 record needs 2 data bytes")
             base = ((rec[4] << 8) | rec[5]) << 16
+            limit = flash_size
         else:
             raise ParseError(line_no, f"unsupported record type {rectype:02X}")
-    return image
+    raise ParseError(len(lines) + (lines[-1] != ""), "missing EOF record")
 
 
 def _record(offset: int, rectype: int, payload: bytes) -> str:
-    """One record in lowercase hex; dump_ihex upper-cases the document."""
+    """One record in lowercase hex; dump_ihex upper-cases the document.
+
+    dump_ihex builds its data rows inline in this same layout."""
     rec = bytearray((len(payload), (offset >> 8) & 0xFF, offset & 0xFF, rectype))
     rec += payload
     rec.append(-sum(rec) & 0xFF)
@@ -170,10 +198,11 @@ def _record(offset: int, rectype: int, payload: bytes) -> str:
 def dump_ihex(image: FlashImage) -> str:
     """Serialize the whole image as canonical 16-byte data records.
 
-    Rows on the 16-byte grid that are entirely 0xFF are elided.  A type-04
-    extended linear address record precedes the first data record of
-    every 64 KiB segment that contains data.  Always ends with the type-01
-    EOF record and a trailing newline.
+    Rows on the 16-byte grid that are entirely 0xFF are elided; a
+    flash_size that is not a multiple of 16 leaves a short last row.  A
+    type-04 extended linear address record precedes the first data record
+    of every 64 KiB segment that contains data.  Always ends with the
+    type-01 EOF record and a trailing newline.
     """
     data = image.data
     lines = []
@@ -183,8 +212,11 @@ def dump_ihex(image: FlashImage) -> str:
         if chunk.strip(b"\xff"):
             seg = row >> 16
             if seg != segment:
-                lines.append(_record(0, _REC_EXT_LINEAR, bytes([(seg >> 8) & 0xFF, seg & 0xFF])))
+                lines.append(_record(0, _REC_EXT_LINEAR, seg.to_bytes(2, "big")))
                 segment = seg
-            lines.append(_record(row & 0xFFFF, _REC_DATA, chunk))
+            rec = bytearray((len(chunk), (row >> 8) & 0xFF, row & 0xFF, _REC_DATA))
+            rec += chunk
+            rec.append(-sum(rec) & 0xFF)
+            lines.append(":" + rec.hex())
     lines.append(":00000001ff\n")
     return "\n".join(lines).upper()

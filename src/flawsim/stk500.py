@@ -354,9 +354,9 @@ class PipeTransport:
 
     def read(self, n: int) -> bytes:
         at = self._at
-        out = self.pending[at : at + (7 if n > 7 else n)]
-        self._at = at + len(out)
-        return out
+        end = at + (7 if n > 7 else n)
+        self._at = end  # may pass the end of pending: write drops what was read
+        return self.pending[at:end]
 
 
 # --- programmer client ------------------------------------------------------

@@ -502,7 +502,7 @@ def test_a_directory_for_a_file_exits_one(tmp_path, capsys, gcode_file, argv):
 
 def test_parse_error_exits_three(tmp_path, capsys):
     bad = tmp_path / "bad.hex"
-    bad.write_text(":deadbeef\n")
+    bad.write_text(":deadbeef\n:00000001FF\n")
     assert main(["scan", str(bad), "--find-sp"]) == 3
     capsys.readouterr()
     # line 1 moves the base to 0x40000, the end of the default flash
@@ -780,7 +780,9 @@ def test_tamper_edits_a_value_with_a_tail_as_the_stream_does(tmp_path, capsys):
     (["audit"], b"G1 X1 E5x\nG1 P E6\n", 1),
     (["audit"], b"G1" + b" " * 100_000 + b"!\n", 1),
     (["scan", "--find-sp"], b":020000040004F6\n:0400000001020304F3\n:00000001FF\n", 2),
-], ids=["not utf-8", "over-budget mode switch", "a value with a tail", "100,000 spaces", "hex checksum"])
+    (["flash-sim"], b":020000040000FA\n:0400000001020304F2\n", 3),  # cut short before its EOF record
+], ids=["not utf-8", "over-budget mode switch", "a value with a tail", "100,000 spaces", "hex checksum",
+        "truncated hex"])
 def test_an_unreadable_input_exits_three_naming_its_line(tmp_path, capsys, argv, text, line):
     path = tmp_path / "input"
     path.write_bytes(text)

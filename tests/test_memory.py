@@ -72,7 +72,7 @@ def test_load_rejects_bad_checksum():
     record = "0839E000" + LISTING_BYTES.hex().upper()
     bad = f":{record}{(ihex_checksum(record) ^ 0x01):02X}"
     with pytest.raises(ParseError, match=r"^line 1: record checksum mismatch$") as err:
-        load_ihex(bad, LAYOUT)
+        load_ihex(bad + "\n:00000001FF\n", LAYOUT)
     assert err.value.line_no == 1
 
 
@@ -81,7 +81,7 @@ def test_a_record_ends_at_lf_crlf_or_a_lone_cr(eol):
     records = [":020000040000FA", ":0400000001020304F2", ":00000001FF"]
     assert load_ihex(eol.join(records) + eol, LAYOUT).read(0, 4) == b"\x01\x02\x03\x04"
     # a blank line counts; the bad checksum is on the file's third line
-    bad = [":020000040000FA", "", ":0400000001020304F3"]
+    bad = [":020000040000FA", "", ":0400000001020304F3", ":00000001FF"]
     with pytest.raises(ParseError, match=r"^line 3: record checksum mismatch$") as err:
         load_ihex(eol.join(bad) + eol, LAYOUT)
     assert err.value.line_no == 3
@@ -90,7 +90,7 @@ def test_a_record_ends_at_lf_crlf_or_a_lone_cr(eol):
 @pytest.mark.parametrize("mark", ["\x85", "\u2028", "\u2029", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
 def test_other_line_breaks_do_not_end_a_record(mark):
     # str.splitlines would break here and count the bad record as line 3
-    doc = f":020000040000FA{mark}\n:0400000001020304F3\n"
+    doc = f":020000040000FA{mark}\n:0400000001020304F3\n:00000001FF\n"
     with pytest.raises(ParseError, match=r"^line 2: record checksum mismatch$"):
         load_ihex(doc, LAYOUT)
 
@@ -99,7 +99,7 @@ def test_load_rejects_unknown_record_type():
     record = "020000030000"  # type 03 (start segment address)
     line = f":{record}{ihex_checksum(record):02X}"
     with pytest.raises(ParseError, match=r"^line 1: unsupported record type 03$") as err:
-        load_ihex(line, LAYOUT)
+        load_ihex(line + "\n:00000001FF\n", LAYOUT)
     assert err.value.line_no == 1
 
 
@@ -124,8 +124,8 @@ def test_load_rejects_out_of_range_data():
     small = MemoryLayout(flash_size=0x1000, boot_section_size=0x400)
     record = "020FFF00AABB"
     line = f":{record}{ihex_checksum(record):02X}"
-    with pytest.raises(ParseError):
-        load_ihex(line, small)
+    with pytest.raises(ParseError, match=r"^line 1: data record ends at 0x1001, flash is 0x1000$"):
+        load_ihex(line + "\n:00000001FF\n", small)
 
 
 def test_load_data_record_ending_exactly_at_flash_end():
@@ -141,9 +141,9 @@ def test_load_data_record_ending_exactly_at_flash_end():
 
 def test_load_rejects_garbage():
     with pytest.raises(ParseError, match=r"^line 1: missing ':' start code$"):
-        load_ihex("0000", LAYOUT)
+        load_ihex("0000\n:00000001FF\n", LAYOUT)
     with pytest.raises(ParseError, match=r"^line 1: invalid hex digits$"):
-        load_ihex(":zz000001FF", LAYOUT)
+        load_ihex(":zz000001FF\n:00000001FF\n", LAYOUT)
 
 
 @pytest.mark.parametrize("line, problem", [
@@ -190,7 +190,7 @@ def test_a_line_with_two_faults_reports_the_first(line, problem):
     # the loader checks, in order: start code, hex digits, size, length
     # field, checksum, then what the record's type needs
     with pytest.raises(ParseError, match=rf"^line 1: {problem}$"):
-        load_ihex(line, LAYOUT)
+        load_ihex(line + "\n:00000001FF\n", LAYOUT)
 
 
 def test_extended_segment_record_offsets_addresses():
@@ -205,10 +205,69 @@ def test_extended_segment_record_offsets_addresses():
 def test_extended_linear_record_reads_both_address_bytes():
     data = "01000000AB"
     line = f":{data}{ihex_checksum(data):02X}"
-    assert load_ihex(f":020000040003F7\n{line}\n", LAYOUT).read(0x30000, 1) == b"\xab"
+    assert load_ihex(f":020000040003F7\n{line}\n:00000001FF\n", LAYOUT).read(0x30000, 1) == b"\xab"
     # the upper byte puts the record at 16 MiB, far past flash
     with pytest.raises(ParseError, match=r"^line 2: data record ends at 0x1000001, flash is 0x40000$"):
-        load_ihex(f":020000040100F9\n{line}\n", LAYOUT)
+        load_ihex(f":020000040100F9\n{line}\n:00000001FF\n", LAYOUT)
+
+
+def record(body: str) -> str:
+    """A record line with its checksum appended to body's hex."""
+    return f":{body}{ihex_checksum(body):02X}"
+
+
+@pytest.mark.parametrize("doc, line, problem", [
+    (":01 00 00 00 AB 54\n:00000001FF\n", 1, "invalid hex digits"),  # blanks between digit pairs
+    (":0100000022DD\n:01\t00\t00\t00\tAB\t54\n:00000001FF\n", 2, "invalid hex digits"),
+    (":011234015563\n:00000001FF\n", 1, "type-01 record must be :00000001FF"),  # EOF carrying a byte
+    (":00123401B9\n:00000001FF\n", 1, "type-01 record must be :00000001FF"),  # EOF at an address
+    (":0100000022DD", 2, "missing EOF record"),  # cut short after its first record
+    (":0100000022DD\n", 2, "missing EOF record"),  # a final LF ends line 1
+    (":0100000022DD\r\n", 2, "missing EOF record"),
+    (":0100000022DD\r", 2, "missing EOF record"),
+    (":0100000022DD\n\n", 3, "missing EOF record"),  # line 2 is blank
+    (":0100000022DD\n  ", 3, "missing EOF record"),  # line 2 holds blanks and no break
+    ("", 1, "missing EOF record"),
+], ids=["blanks-in-record", "tabs-in-record", "eof-with-data", "eof-with-offset", "cut-no-lf",
+        "cut-lf", "cut-crlf", "cut-cr", "cut-blank-line", "cut-blanks", "empty"])
+def test_a_record_outside_the_grammar_or_a_cut_file_is_refused(doc, line, problem):
+    with pytest.raises(ParseError, match=rf"^line {line}: {problem}$") as err:
+        load_ihex(doc, LAYOUT)
+    assert err.value.line_no == line
+
+
+@pytest.mark.parametrize("eof", [":00000001FF", ":00000001ff"])
+def test_the_eof_record_is_read_in_either_digit_case(eof):
+    img = load_ihex(f":0100000022dd\n{eof}\n", LAYOUT)
+    assert img.read(0, 2) == b"\x22\xff"
+
+
+def test_overlapping_data_records_keep_the_later_bytes():
+    low, high = record("0400000001020304"), record("02000200AABB")
+    assert load_ihex(f"{low}\n{high}\n:00000001FF\n", LAYOUT).read(0, 5) == b"\x01\x02\xaa\xbb\xff"
+    assert load_ihex(f"{high}\n{low}\n:00000001FF\n", LAYOUT).read(0, 5) == b"\x01\x02\x03\x04\xff"
+
+
+def test_a_record_past_offset_ffff_carries_on_under_a_linear_base_only():
+    crossing = record("02FFFF00AABB")  # offset 0xFFFF, two bytes
+    for base in ("", record("020000040001") + "\n", record("020000021000") + "\n" + record("020000040001") + "\n"):
+        img = load_ihex(f"{base}{crossing}\n:00000001FF\n", LAYOUT)
+        start = 0xFFFF if not base else 0x1FFFF  # no base record is a linear base of 0
+        assert img.read(start, 2) == b"\xaa\xbb", base
+    # segment 0x1000 spans [0x10000, 0x20000): ending at its end fits, one byte past does not
+    segment = record("020000021000")
+    img = load_ihex(f"{segment}\n{record('02FFFE00AABB')}\n:00000001FF\n", LAYOUT)
+    assert img.read(0x1FFFE, 2) == b"\xaa\xbb"
+    with pytest.raises(ParseError, match=r"^line 2: data record ends at 0x20001, past its type-02 segment's end 0x20000$"):
+        load_ihex(f"{segment}\n{crossing}\n:00000001FF\n", LAYOUT)
+    # a record ending at the end of flash, but past its segment's end, is refused for the segment
+    segment = record("020000022FFF")  # [0x2FFF0, 0x3FFF0)
+    with pytest.raises(ParseError, match=r"^line 2: data record ends at 0x40000, past its type-02 segment's end 0x3fff0$"):
+        load_ihex(f"{segment}\n{record('18FFF800' + '00' * 24)}\n:00000001FF\n", LAYOUT)
+    # a segment reaching past flash refuses a record there as past flash
+    segment = record("020000023FF0")  # [0x3FF00, 0x4FF00), flash ends at 0x40000
+    with pytest.raises(ParseError, match=r"^line 2: data record ends at 0x40001, flash is 0x40000$"):
+        load_ihex(f"{segment}\n{record('0200FF00AABB')}\n:00000001FF\n", LAYOUT)
 
 
 def test_dump_erased_region_is_eof_only():
@@ -254,6 +313,15 @@ def test_round_trip_preserves_high_addresses():
     img = FlashImage(LAYOUT)
     img.write(0x2FFF8, b"\x01\x02\x03\x04")
     assert load_ihex(dump_ihex(img), LAYOUT) == img
+
+
+def test_a_short_last_row_is_dumped_with_its_own_count():
+    # 0x1006 bytes of flash leave a 6-byte row at 0x1000
+    small = MemoryLayout(flash_size=0x1006, boot_section_size=0x400)
+    img = FlashImage(small)
+    img.write(0x1000, bytes(range(1, 7)))
+    assert dump_ihex(img) == ":020000040000FA\n:06100000010203040506D5\n:00000001FF\n"
+    assert load_ihex(dump_ihex(img), small) == img
 
 
 def test_write_then_read_word_little_endian():
