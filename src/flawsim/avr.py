@@ -240,12 +240,14 @@ def find_sp_init(image: FlashImage, start: int = 0, end: int | None = None) -> S
     raise PatternNotFound("no stack-pointer init sequence found")
 
 
-def apply_stack_steal(image: FlashImage, site: SpInitSite) -> FlashImage:
-    """Lower the initial SPL immediate by DEFAULT_STEAL_BYTES, freeing
-    that many bytes above the stack.
+def apply_stack_steal(image: FlashImage, site: SpInitSite) -> bytes:
+    """Lower the initial SPL immediate in image by DEFAULT_STEAL_BYTES,
+    freeing that many bytes above the stack, and return the two bytes the
+    patch replaced.
 
     Only the immediate nibbles of the first LDI word change.  Raises
-    DormantAbort rather than borrow into SPH.
+    PatternNotFound for a site that holds no ldi r28, and DormantAbort
+    rather than borrow into SPH; either way the image is left as it was.
     """
     word = image.read_word(site.offset)
     if (word & 0xF0F0) != 0xE0C0:
@@ -253,9 +255,8 @@ def apply_stack_steal(image: FlashImage, site: SpInitSite) -> FlashImage:
     current = ((word >> 4) & 0xF0) | (word & 0x0F)
     if current < DEFAULT_STEAL_BYTES:
         raise DormantAbort(f"SPL immediate {current:#04x} - {DEFAULT_STEAL_BYTES} would borrow into SPH")
-    patched = image.copy()
-    patched.write_word(site.offset, enc_ldi(28, current - DEFAULT_STEAL_BYTES))
-    return patched
+    image.write_word(site.offset, enc_ldi(28, current - DEFAULT_STEAL_BYTES))
+    return word.to_bytes(2, "little")
 
 
 # --- ring-buffer discovery -------------------------------------------------

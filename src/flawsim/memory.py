@@ -56,8 +56,7 @@ class MemoryLayout:
 class FlashImage:
     """A full flash image: plain value, no hidden state.
 
-    Reads and writes are strictly bounds-checked and never wrap.  Share
-    freely read-only; copy() before mutating a shared image.
+    Reads and writes are strictly bounds-checked and never wrap.
     """
 
     layout: MemoryLayout
@@ -68,9 +67,6 @@ class FlashImage:
             self.data = bytearray(b"\xff" * self.layout.flash_size)
         elif len(self.data) != self.layout.flash_size:
             raise ValueError("image data must be exactly flash_size bytes")
-
-    def copy(self) -> "FlashImage":
-        return FlashImage(self.layout, bytearray(self.data))
 
     def _check(self, addr: int, count: int):
         if addr < 0 or count < 0 or addr + count > self.layout.flash_size:

@@ -148,8 +148,8 @@ class FrameReader:
 
     Bytes arrive by one of two entry points.  ``feed`` is pushed any number
     of bytes (the 7-byte cap on reads belongs to PipeTransport) and returns
-    every frame they complete; a feed that leaves the buffered frame short
-    returns at once.  ``read_frame`` pulls through ``read(n)``, asking for at
+    every frame they complete, reading each frame's length from its
+    buffered header.  ``read_frame`` pulls through ``read(n)``, asking for at
     most the bytes the buffered frame still lacks (6 for the header, then up
     to the end it states), and returns that one frame; an empty read raises
     ProtocolError "transport closed mid-response".
@@ -163,25 +163,18 @@ class FrameReader:
 
     def __init__(self):
         self._buf = bytearray()
-        self._total = 0  # length of the buffered frame once its header is checked
 
     def feed(self, data: bytes) -> list[Stk500Frame]:
         buf = self._buf
         buf += data
-        if len(buf) < (self._total or 6):
-            return []
         frames = []
-        while True:
-            total = self._total
-            if not total:
-                if len(buf) < 6:
-                    return frames
-                total = self._total = _frame_length(buf)
+        while len(buf) >= 6:
+            total = _frame_length(buf)
             if len(buf) < total:
-                return frames
+                break
             frames.append(_checked_frame(buf, total))
             del buf[:total]
-            self._total = 0
+        return frames
 
     def read_frame(self, read) -> Stk500Frame:
         self._fill(read, 6)
@@ -189,7 +182,6 @@ class FrameReader:
         self._fill(read, total)
         frame = _checked_frame(self._buf, total)
         del self._buf[:total]
-        self._total = 0
         return frame
 
     def _fill(self, read, size: int):
@@ -207,7 +199,9 @@ class FrameReader:
 class BootSession:
     """One bootloader programming session over a fresh or preloaded image.
 
-    With trojan_enabled the session scans each arriving page (plus a
+    Every page, and the patch, is written into ``image`` itself: the object
+    the session was built with holds the stored flash throughout.  With
+    trojan_enabled the session scans each arriving page (plus a
     7-byte fringe into previously received bytes) for the stack-pointer
     init sequence and lowers the SPL immediate by avr.DEFAULT_STEAL_BYTES
     the moment the whole 8-byte pattern is resident.  Read-back requests
@@ -275,13 +269,11 @@ class BootSession:
         for site in avr._sp_init_sites(self.image.data, lo, hi):
             if 0 in self._received[site.offset : site.offset + 8]:
                 continue
-            original = self.image.read(site.offset, 2)
             try:
-                self.image = apply_stack_steal(self.image, site)
+                self._patch = apply_stack_steal(self.image, site)
             except avr.DormantAbort:
                 return  # dormant: immediate too small to take the theft
             self.sp_site = site
-            self._patch = original
             return
 
     def _handle_read_flash(self, body: bytes) -> bytes:
@@ -365,8 +357,12 @@ class PipeTransport:
 @dataclass
 class VerifyOutcome:
     verified: bool  # read-back matched what the tool uploaded
-    stored_differs: bool  # session flash actually differs from read-back
     mismatches: list[tuple[int, int, int]] = field(default_factory=list)  # vs stored
+
+    @property
+    def stored_differs(self) -> bool:
+        """The session's flash actually differs from the read-back."""
+        return bool(self.mismatches)
 
 
 class ProgrammerClient:
@@ -473,8 +469,4 @@ def program_and_verify(
         for i in range(page, min(page + page_size, len(readback)))
         if readback[i] != stored[i]
     ]
-    return VerifyOutcome(
-        verified=bytes(readback) == uploaded,
-        stored_differs=bool(mismatches),
-        mismatches=mismatches,
-    )
+    return VerifyOutcome(verified=bytes(readback) == uploaded, mismatches=mismatches)

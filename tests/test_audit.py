@@ -419,29 +419,36 @@ def line_shape(line):
     return readings[0]
 
 
-def decoded_moves(values):
-    """For each (sign, int, frac) value v, the one segment account makes
-    of "M83\nG1 X<v> E<v>\n", and where the walk put the line's X and E
-    values: "plain" when their shape gives both a plain span and no rest
-    run, "rest" when it gives neither and a rest run holds the tokens."""
-    routes = {
-        (True, True, False): "plain",
-        (False, False, True): "rest",
-    }
-    for sign, int_digits, frac_digits in values:
-        value = f"{sign}{int_digits}{'.' + frac_digits if frac_digits else ''}"
-        line = f"G1 X{value} E{value}"
-        _, _, _, x, _, _, e, rest = line_shape(line)
-        (segment,) = account(f"M83\n{line}\n").segments
-        yield segment, routes.get((bool(x), bool(e), bool(rest)))
-
-
 def assert_decodes_to_raw(values, route):
-    for (segment, placed), digits in zip(decoded_moves(values), values):
+    """Each (sign, int, frac) value v, written as the line "G1 X<v> E<v>",
+    is decoded to its raw_from_digits value, as X and as a relative E.  The
+    lines run on in M83 documents, each ended before its deposited total
+    would pass MAX_RAW, so most of them are read by their shape's slices.
+    Each line's own _SHAPE_RE match must hold the tokens where route says
+    the walk reads them: "plain", a plain span for X and for E and no rest
+    run; "rest", neither, and a rest run of both tokens."""
+    docs = [[]]
+    total = 0
+    for digits in values:
         raw = raw_from_digits(*digits)
-        assert (placed, segment.end[1:]) == (route, (0.0, 0.0)), digits
-        assert segment.end[0].hex() == (raw / SCALE).hex(), digits  # a -0.0 would show here
-        assert type(segment.delta_raw) is int and segment.delta_raw == raw, digits  # the raw value itself
+        deposit = max(raw, 0)
+        if total + deposit > MAX_RAW:
+            docs.append([])
+            total = 0
+        total += deposit
+        sign, int_digits, frac_digits = digits
+        value = f"{sign}{int_digits}{'.' + frac_digits if frac_digits else ''}"
+        docs[-1].append((value, digits, raw))
+    for moves in docs:
+        lines = [f"G1 X{value} E{value}" for value, _, _ in moves]
+        segments = account("M83\n" + "\n".join(lines) + "\n").segments
+        assert len(segments) == len(moves)
+        for line, segment, (value, digits, raw) in zip(lines, segments, moves):
+            m = audit._SHAPE_RE.match(line)
+            placed = (value, value, "") if route == "plain" else (None, None, f" X{value} E{value}")
+            assert (m[3], m[6], m[7], segment.end[1:]) == (*placed, (0.0, 0.0)), digits
+            assert segment.end[0].hex() == (raw / SCALE).hex(), digits  # a -0.0 would show here
+            assert type(segment.delta_raw) is int and segment.delta_raw == raw, digits  # the raw value itself
 
 
 def test_plain_decode_is_raw_from_digits():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import tracemalloc
 
@@ -286,12 +287,13 @@ def test_find_sp_init_site_before_flash_end_wins_over_range_error():
 def test_apply_stack_steal_patches_single_word():
     img = listing_image()
     site = find_sp_init(img)
-    patched = apply_stack_steal(img, site)
-    insn = decode(patched, site.offset)
+    replaced = apply_stack_steal(img, site)
+    assert replaced == listing_image().read(site.offset, 2)
+    insn = decode(img, site.offset)
     assert (insn.kind, insn.reg, insn.value) == (Kind.LDI, 28, 0xF0)
     # Hamming distance confined to the LDI immediate nibbles
     deltas = [
-        (i, a ^ b) for i, (a, b) in enumerate(zip(img.data, patched.data)) if a != b
+        (i, a ^ b) for i, (a, b) in enumerate(zip(listing_image().data, img.data)) if a != b
     ]
     assert all(site.offset <= i < site.offset + 2 for i, _ in deltas)
     assert sum(bin(x).count("1") for _, x in deltas) <= 8
@@ -302,8 +304,10 @@ def test_apply_stack_steal_lowers_spl_by_n():
     n = DEFAULT_STEAL_BYTES
     for spl in (n, n + 1, 0x55, 0xF0, 0xFF):
         img = listing_image(spl=spl)
-        assert apply_stack_steal(img, find_sp_init(img)) == listing_image(spl=spl - n)
-        assert img == listing_image(spl=spl)  # the input image is left as it was
+        data = img.data
+        assert apply_stack_steal(img, find_sp_init(img)) == words_to_bytes(enc_ldi(28, spl))
+        assert img == listing_image(spl=spl - n)
+        assert img.data is data  # patched where it lies, not swapped for a copy
 
 
 def test_apply_stack_steal_underflow_refused():
@@ -311,6 +315,15 @@ def test_apply_stack_steal_underflow_refused():
     site = find_sp_init(img)
     with pytest.raises(DormantAbort):
         apply_stack_steal(img, site)
+    assert img == listing_image(spl=0x0A)  # byte-identical: nothing written
+
+
+def test_apply_stack_steal_on_a_stale_site_leaves_the_image_as_it_was():
+    img = listing_image()
+    stale = dataclasses.replace(find_sp_init(img), offset=0x39E2)  # the ldi r29 word
+    with pytest.raises(PatternNotFound):
+        apply_stack_steal(img, stale)
+    assert img == listing_image()
 
 
 # --- ring-buffer discovery ------------------------------------------------

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 import pytest
 
 from flawsim import avr, fixtures
-from flawsim.avr import apply_stack_steal, enc_ldi, enc_out, find_sp_init, words_to_bytes
+from flawsim.avr import apply_stack_steal, enc_ldi, enc_out, find_ring_buffer, find_sp_init, words_to_bytes
 from flawsim.memory import FlashImage, MemoryLayout, load_ihex
 from flawsim.stk500 import (
     CMD_LOAD_ADDRESS,
@@ -352,8 +352,9 @@ def test_pattern_split_across_pages_patched_exactly_once():
     session = fixtures.build_session(trojan=True)
     outcome = program_and_verify(fw, session)
     assert outcome.verified
-    # oracle: whole-image scan + single patch on the client's view
-    oracle = apply_stack_steal(fw, find_sp_init(fw))
+    # oracle: whole-image scan + single patch on a copy of the client's view
+    oracle = FlashImage(LAYOUT, bytearray(fw.data))
+    apply_stack_steal(oracle, find_sp_init(oracle))
     start, end = 0, LAYOUT.boot_start
     assert session.image.read(offset, 8) == oracle.read(offset, 8)
     assert session.image.read(start, 0x1000) == oracle.read(start, 0x1000)
@@ -396,6 +397,60 @@ def test_trojan_dormant_on_underflow():
     outcome = program_and_verify(fw, session)
     assert outcome.verified and not outcome.stored_differs
     assert session.sp_site is None
+
+
+def test_the_session_patches_the_image_it_was_built_with():
+    session = fixtures.build_session(trojan=True)
+    held = session.image
+    program_and_verify(fixtures.build_app_image(), session)
+    assert held is session.image
+    root = min(fixtures.RX_HEAD_ADDR, fixtures.RX_TAIL_ADDR) - LAYOUT.rx_buffer_size
+    assert find_ring_buffer(held) == avr.RingBufferInfo(fixtures.RX_HEAD_ADDR, fixtures.RX_TAIL_ADDR, root)
+
+
+@pytest.mark.parametrize("spl, stored_spl", [(0xFF, 0xFF - avr.DEFAULT_STEAL_BYTES), (0x0A, 0x0A)],
+                         ids=["patched", "dormant"])
+def test_the_image_a_session_is_built_with_holds_every_uploaded_page(spl, stored_spl):
+    firmware = fixtures.build_app_image()
+    firmware.write(fixtures.APP_SP_INIT_OFFSET, sp_init_words(spl=spl))
+    img = FlashImage(LAYOUT)
+    program_and_verify(firmware, BootSession(image=img, trojan_enabled=True))
+    expected = FlashImage(LAYOUT, bytearray(firmware.data))
+    expected.write(fixtures.APP_SP_INIT_OFFSET, sp_init_words(spl=stored_spl))
+    assert img == expected  # dormant: byte-identical to the upload
+
+
+def test_a_pattern_at_flash_offset_zero_is_patched():
+    session = fixtures.build_session(trojan=True)
+    outcome = program_and_verify(firmware_with_pattern(offset=0), session)
+    assert session.sp_site.offset == 0
+    assert outcome.verified and outcome.mismatches == [(0, 0xCF, 0xC0)]
+
+
+@pytest.mark.parametrize("start, end, patched", [
+    (0x10, 0x20, False),  # ends just below the stealable site
+    (0x10, 0x21, True),   # rewrites its first byte
+    (0x27, 0x30, True),   # rewrites its last byte
+    (0x28, 0x30, False),  # starts just past it
+])
+def test_a_write_rescans_only_the_sites_holding_one_of_its_bytes(start, end, patched):
+    # a dormant site at 0 ahead of a stealable one at 0x20: the scan of the
+    # write that brings both stops at the dormant one and patches nothing
+    block = bytearray(0x40)
+    block[0x00:0x08] = sp_init_words(spl=0x0A)
+    block[0x20:0x28] = sp_init_words()
+    session = fixtures.build_session(trojan=True)
+    client = ProgrammerClient(PipeTransport(session))
+    client.load_address(0)
+    client.program_flash(bytes(block))
+    assert session.sp_site is None
+    # the same bytes again, over a span next to or into the stealable site
+    client.load_address(start)
+    client.program_flash(bytes(block[start:end]))
+    if patched:
+        block[0x20:0x28] = sp_init_words(spl=0xFF - avr.DEFAULT_STEAL_BYTES)
+    assert (session.sp_site is not None) == patched
+    assert session.image.read(0, 0x40) == block
 
 
 def test_spoofing_soundness_random_firmware():
@@ -564,11 +619,8 @@ def test_install_transcript_is_pinned(hex_fixtures, page_size, trojan):
     outcome = program_and_verify(firmware, fixtures.build_session(trojan=trojan, layout=layout), transcript)
     digest = hashlib.sha256(b"".join(direction.encode() + raw for direction, raw in transcript))
     assert digest.hexdigest() == INSTALL_TRANSCRIPT_SHA256[page_size]
-    assert outcome == VerifyOutcome(
-        verified=True,
-        stored_differs=trojan,
-        mismatches=[(0x39E0, 0xCF, 0xC0)] if trojan else [],
-    )
+    assert outcome == VerifyOutcome(verified=True, mismatches=[(0x39E0, 0xCF, 0xC0)] if trojan else [])
+    assert outcome.stored_differs == trojan
 
 
 def test_pipe_transport_reads_at_most_seven_bytes():
@@ -698,11 +750,11 @@ def test_a_page_size_that_does_not_divide_boot_start_installs_to_its_last_byte(t
     assert reads[-1] == bytes([CMD_READ_FLASH, 0, 128])
     firmware.write(layout.boot_start, b"\x00")
     session = fixtures.build_session(trojan=trojan, layout=layout)
-    before = session.image.copy()
+    before = bytes(session.image.data)
     transcript = []
     with pytest.raises(ProtocolError, match=r"^firmware does not fit in the application region$"):
         program_and_verify(firmware, session, transcript=transcript)
-    assert transcript == [] and session.image == before
+    assert transcript == [] and session.image.data == before
 
 
 def test_the_largest_page_a_frame_carries_installs():
@@ -719,11 +771,11 @@ def test_the_largest_page_a_frame_carries_installs():
 def test_a_page_past_the_frame_limit_is_refused_before_upload():
     layout = MemoryLayout(page_size=0xFFFD)
     session = fixtures.build_session(trojan=True, layout=layout)
-    before = session.image.copy()
+    before = bytes(session.image.data)
     transcript = []
     with pytest.raises(ProtocolError, match=r"^page_size 65533 exceeds the 65532 bytes a frame carries$"):
         program_and_verify(fixtures.build_app_image(layout), session, transcript=transcript)
-    assert transcript == [] and session.image == before
+    assert transcript == [] and session.image.data == before
 
 
 def test_a_refused_command_raises_with_its_response():
