@@ -8,14 +8,22 @@ whose flow (filament per mm of travel) is far above the document median,
 because the absolute extrusion axis makes the next move catch up.
 
 A report holds its segments column-wise in a read-only ``Segments``
-sequence: the command number (0 or 1) in a bytearray and the extrusion
-delta in an ``array('q')``, 9 bytes per move, which is all the total,
-the segment count and compare need.  The start and end x, y and z in one
-``array('d')`` (six values per move) and the travel in an ``array('d')``
-are decoded the first time either is read, by the same walk again; until
-then the report holds the document, and from then on about 68 bytes per
-move.  Indexing or iterating builds a fresh ``SegmentRecord`` per
-access, so mutating a row changes nothing in the report.
+sequence.  account fills two columns: the command number (0 or 1) in a
+bytearray and the extrusion delta in an ``array('q')``, 9 bytes per
+move, which is all the total, the segment count and compare need.  The
+other two are decoded from the document by the same walk again, each the
+first time it is read:
+
+- ``travels``, an ``array('d')`` of each move's travel, is what
+  detect_relocation reads.  Reading it decodes that column alone; the
+  report then holds 17 bytes per move and keeps the document.
+- ``coords``, one ``array('d')`` of each move's start and end x, y and
+  z, is read only by a row.  Reading it decodes that column, and travels
+  too if still missing; the report then holds about 68 bytes per move
+  and drops the document.
+
+Indexing or iterating builds a fresh ``SegmentRecord`` per access, so
+mutating a row changes nothing in the report.
 
 account walks the document a block of lines at a time: about 32K
 characters, cut after the line the 32,768th ends in, so what a walk
@@ -151,8 +159,10 @@ class SegmentRecord:
 
 class Segments(Sequence):
     """The moves of one document, one column per field (see the module
-    docstring); rows are built on access and never stored.  coords and
-    travels are decoded from the document the first time either is read."""
+    docstring); rows are built on access and never stored.  travels is
+    decoded from the document the first time it is read, alone; coords
+    the first time it is read, with travels if that is still missing,
+    after which the document is dropped."""
 
     __slots__ = ("commands", "coords", "travels", "deltas", "_doc")
 
@@ -162,11 +172,20 @@ class Segments(Sequence):
         self._doc = doc
 
     def __getattr__(self, name: str):
-        # called only when lookup fails: for coords and travels, until decoded
-        if name not in ("coords", "travels"):
+        # called only when lookup fails: for travels and coords, until decoded
+        if name == "travels":
+            self.travels = _geometry(self._doc)
+        elif name == "coords":
+            coords = array("d")
+            travels = _geometry(self._doc, coords)
+            try:
+                object.__getattribute__(self, "travels")  # decoded already: keep that array
+            except AttributeError:
+                self.travels = travels
+            self.coords = coords
+            del self._doc
+        else:
             raise AttributeError(name)
-        self.coords, self.travels = _geometry(self._doc)
-        del self._doc
         return getattr(self, name)
 
     def __len__(self) -> int:
@@ -394,11 +413,13 @@ def account(doc: str) -> AuditReport:
     return AuditReport(FixedPoint(total_raw), Segments(commands, deltas, doc))
 
 
-def _geometry(doc: str) -> tuple[array, array]:
-    """The coords and travels columns of a document account has read: the
-    same walk again, folding X, Y and Z where account folded E."""
+def _geometry(doc: str, coords: array | None = None) -> array:
+    """The travels column of a document account has read: the same walk
+    again, folding X, Y and Z where account folded E.  Given coords, an
+    empty array('d'), it also appends each move's start and end x, y and
+    z there; without it no coordinate is stored."""
     x = y = z = 0.0
-    coords, travels = array("d"), array("d")
+    travels = array("d")
     for number, text, spans, first, _ in _accounted_lines(doc):
         if 82 <= number <= 83:  # a mode switch
             continue
@@ -416,10 +437,11 @@ def _geometry(doc: str) -> tuple[array, array]:
         elif "Z" in first:
             z = first["Z"] / SCALE
         if number != 92:
-            coords.extend((sx, sy, sz, x, y, z))
             # the same value as math.dist((sx, sy, sz), (x, y, z)), with no tuples
             travels.append(math.hypot(sx - x, sy - y, sz - z))
-    return coords, travels
+            if coords is not None:
+                coords.fromlist([sx, sy, sz, x, y, z])
+    return travels
 
 
 def detect_relocation(

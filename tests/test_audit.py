@@ -254,6 +254,9 @@ def test_segments_footprint_per_move():
         assert report.total_extrusion.raw > 0 and len(report.segments) > 1_800
         assert compare(report, report) == 0
         mass_proxy_read, _ = tracemalloc.get_traced_memory()
+        # the detector reads the travels and the deltas, never the coordinates
+        detect_relocation(report)
+        detected, _ = tracemalloc.get_traced_memory()
         report.segments[0]
         row_read, _ = tracemalloc.get_traced_memory()
     finally:
@@ -261,6 +264,8 @@ def test_segments_footprint_per_move():
     moves = len(report.segments)
     # 9 bytes of columns per move, the command and the delta
     assert mass_proxy_read / moves < 16
+    # 17 once the travels are decoded
+    assert detected / moves < 24
     # about 68 bytes per move once the geometry is decoded; a record per move took 377
     assert row_read / moves < 100
 
@@ -274,6 +279,29 @@ def test_geometry_follows_a_g92_and_a_first_x_in_the_rest_run():
         ((6.0, 5.0, 0.0), (3.0, 2.0, 0.0)),
         ((3.0, 2.0, 0.0), (3.0, 2.0, 1.0)),
     ]
+
+
+def test_travels_then_coords_decode_as_coords_first(gcode_corpus):
+    # the detector decodes the travels alone; a later row read decodes the
+    # coordinates and keeps that travels array: both orders give the fold's
+    rng = random.Random(4343)
+    docs = list(gcode_corpus.values()) + [random_account_document(rng) for _ in range(1500)]
+    checked = 0
+    for doc in docs:
+        expected = oracle_outcome(doc)
+        if isinstance(expected, str):
+            continue
+        _, coords, travels, _, _ = expected
+        travels_first = account(doc).segments
+        held = travels_first.travels
+        assert held.tobytes() == travels, ascii(doc)
+        assert travels_first.coords.tobytes() == coords, ascii(doc)
+        assert travels_first.travels is held
+        coords_first = account(doc).segments
+        assert coords_first.coords.tobytes() == coords, ascii(doc)
+        assert coords_first.travels.tobytes() == travels, ascii(doc)
+        checked += 1
+    assert checked >= 500, checked
 
 
 # --- account's scan against a fold over every line ----------------------------

@@ -429,26 +429,29 @@ def test_a_pattern_at_flash_offset_zero_is_patched():
 
 @pytest.mark.parametrize("start, end, patched", [
     (0x10, 0x20, False),  # ends just below the stealable site
-    (0x10, 0x21, True),   # rewrites its first byte
-    (0x27, 0x30, True),   # rewrites its last byte
+    (0x10, 0x21, True),   # brings its first byte
+    (0x27, 0x30, True),   # brings its last byte
     (0x28, 0x30, False),  # starts just past it
 ])
 def test_a_write_rescans_only_the_sites_holding_one_of_its_bytes(start, end, patched):
-    # a dormant site at 0 ahead of a stealable one at 0x20: the scan of the
-    # write that brings both stops at the dormant one and patches nothing
+    # a stealable site at 0x20, received but for the byte of it nearest the
+    # span: its first (0x20) for a span below it, its last (0x27) above
     block = bytearray(0x40)
-    block[0x00:0x08] = sp_init_words(spl=0x0A)
     block[0x20:0x28] = sp_init_words()
+    missing = 0x20 if start < 0x20 else 0x27
     session = fixtures.build_session(trojan=True)
     client = ProgrammerClient(PipeTransport(session))
-    client.load_address(0)
-    client.program_flash(bytes(block))
+    for lo, hi in ((0, missing), (missing + 1, 0x40)):
+        client.load_address(lo)
+        client.program_flash(bytes(block[lo:hi]))
     assert session.sp_site is None
-    # the same bytes again, over a span next to or into the stealable site
+    # a span next to the site, or holding only its missing byte
     client.load_address(start)
     client.program_flash(bytes(block[start:end]))
     if patched:
         block[0x20:0x28] = sp_init_words(spl=0xFF - avr.DEFAULT_STEAL_BYTES)
+    else:
+        block[missing] = 0xFF  # still erased
     assert (session.sp_site is not None) == patched
     assert session.image.read(0, 0x40) == block
 
@@ -473,6 +476,17 @@ def test_page_size_independence():
         assert outcome.verified
         stored[page_size] = bytes(session.image.data)
     assert stored[64] == stored[128] == stored[256]
+    # a dormant site at 0x100 ahead of a stealable one at 0x180, in one page
+    # of 256 bytes or in pages of their own: the dormant one, received
+    # first, leaves the session dormant at every page size
+    fw = firmware_with_pattern(offset=0x100, spl=0x0A)
+    fw.write(0x180, sp_init_words())
+    for page_size in (64, 128, 256):
+        session = fixtures.build_session(trojan=True, layout=MemoryLayout(page_size=page_size))
+        outcome = program_and_verify(fw, session)
+        assert outcome.verified and not outcome.stored_differs, page_size
+        assert session.sp_site is None, page_size
+        assert session.image.read(0, 0x200) == fw.read(0, 0x200), page_size
 
 
 def test_used_span_matches_naive_scan():
