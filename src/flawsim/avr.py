@@ -24,10 +24,15 @@ MCUCR_IO_ADDR = 0x35
 IVCE_BIT = 0x01
 IVSEL_BIT = 0x02
 
-DEFAULT_RX_VECTOR_INDEX = 20  # UART0 RX complete on the modeled chip
+# the RX slot is the 644P's and 1284P's USART0_RX_vect, _VECTOR(20); on the 2560
+# it is _VECTOR(25) and slot 20 is TIMER1_OVF_vect (recalled from avr-libc's
+# avr/iom1284p.h and avr/iomxx0_1.h, and the datasheets' "Reset and Interrupt Vectors" tables)
+DEFAULT_RX_VECTOR_INDEX = 20
 DEFAULT_STEAL_BYTES = 15
 RING_WALK_BUDGET = 256
-_DATA_MEMORY_SIZE = 0x2200  # 256 B register/IO space + 8 KiB SRAM
+# the ATmega2560's data memory: 512 B of registers and I/O, then 8 KiB of SRAM at 0x200-0x21FF
+# (recalled from its datasheet's "Data Memory Map" figure)
+_DATA_MEMORY_SIZE = 0x2200
 # the root offset under the default layout; find_ring_buffer reads the image's
 HEAD_TAIL_TO_ROOT = MemoryLayout.rx_buffer_size
 

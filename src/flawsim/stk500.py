@@ -223,15 +223,12 @@ class BootSession:
     load_address: int = field(default=0, init=False)
     sp_site: SpInitSite | None = field(default=None, init=False)
     _patch: bytes | None = field(default=None, init=False)
-    # True until a wholly received site decides the session
-    _scanning: bool = field(init=False, repr=False)
-    # one byte per application-region address, nonzero once the session
-    # has received that byte
-    _received: bytearray = field(init=False, repr=False)
+    # while a trojan session is undecided, one byte per application-region
+    # address, nonzero once the session has received that byte; else None
+    _received: bytearray | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._received = bytearray(self.layout.boot_start)
-        self._scanning = self.trojan_enabled
+        self._received = bytearray(self.layout.boot_start) if self.trojan_enabled else None
 
     @property
     def layout(self) -> MemoryLayout:
@@ -260,11 +257,11 @@ class BootSession:
         if end > self.layout.boot_start:  # the bootloader protects itself
             return bytes([CMD_PROGRAM_FLASH, STATUS_CMD_FAILED])
         self.image.write(start, data)
-        self._received[start:end] = b"\x01" * size
         self.load_address = end
         if self._patch is not None and start - 2 < self.sp_site.offset < end:
             self._patch = None  # the patched word was overwritten: nothing left to hide
-        if self._scanning:
+        if self._received is not None:
+            self._received[start:end] = b"\x01" * size
             self._scan_for_sp_init(start, end)
         return _PROGRAM_FLASH_OK
 
@@ -277,7 +274,7 @@ class BootSession:
         for site in avr._sp_init_sites(self.image.data, lo, hi):
             if 0 in self._received[site.offset : site.offset + 8]:
                 continue
-            self._scanning = False
+            self._received = None
             try:
                 self._patch = apply_stack_steal(self.image, site)
             except avr.DormantAbort:

@@ -542,10 +542,6 @@ def trojan_epilogue(trojan: TrojanState, ring: RingBufferState, policy: TamperPo
     _produce(ring, trojan, policy, SimStats(), bytes((ring.storage[ring.head],)), None)
 
 
-# characters feed encodes per call of the producer loop
-_FEED_SLICE = 4096
-
-
 class UartSimulation:
     """Wires the ring buffer, the interceptor and a line consumer together.
 
@@ -564,9 +560,7 @@ class UartSimulation:
         if rx_buffer_size > 256:
             raise ValueError("one-byte slot bookkeeping needs a ring of <= 256 bytes")
         self.policy = policy
-        self.ring = RingBufferState(
-            rx_buffer_size, root_addr=ring_info.root_addr if ring_info else 0
-        )
+        self.ring = RingBufferState(rx_buffer_size)
         self.trojan = TrojanState.for_policy(policy, ring_info)
         self.stats = SimStats()
 
@@ -588,19 +582,15 @@ class UartSimulation:
         """Feed a whole document, draining complete lines as they form
         (lines already complete, say from ``feed_char``, come first).
 
-        The text is encoded a slice at a time, so a long document is never
-        held twice; a slice of a str never splits a character.  Text that
-        UTF-8 cannot encode (a lone surrogate) raises UnicodeEncodeError, a
-        ValueError, before any of it is stored or any line dequeued: the
-        ring, ``stats`` and ``trojan`` are as they were.
+        The text is encoded whole, once, so its UTF-8 bytes are held
+        beside it while the call runs.  Text that UTF-8 cannot encode (a
+        lone surrogate) raises UnicodeEncodeError, a ValueError, before any
+        of it is stored or any line dequeued: the ring, ``stats`` and
+        ``trojan`` are as they were.
         """
-        if not text.isascii():  # only non-ASCII text can fail to encode
-            for start in range(0, len(text), _FEED_SLICE):
-                text[start : start + _FEED_SLICE].encode()
+        data = text.encode()
         out = self.drain()
-        for start in range(0, len(text), _FEED_SLICE):
-            data = text[start : start + _FEED_SLICE].encode()
-            _produce(self.ring, self.trojan, self.policy, self.stats, data, out)
+        _produce(self.ring, self.trojan, self.policy, self.stats, data, out)
         return out
 
     def flush_residual(self) -> str:

@@ -323,6 +323,15 @@ def test_malformed_requests_fail_and_change_nothing(start, body):
     assert bytes(session.image.data) == before
 
 
+def test_a_zero_byte_page_is_accepted_and_writes_nothing():
+    session = BootSession(image=FlashImage(LAYOUT), trojan_enabled=True)
+    assert roundtrip(session, bytes([CMD_LOAD_ADDRESS]) + (0x1000).to_bytes(4, "big"))[1] == STATUS_CMD_OK
+    before = bytes(session.image.data)
+    assert roundtrip(session, [CMD_PROGRAM_FLASH, 0, 0]) == bytes([CMD_PROGRAM_FLASH, STATUS_CMD_OK])
+    assert session.load_address == 0x1000
+    assert bytes(session.image.data) == before
+
+
 def test_read_back_spoofs_patched_page():
     session = fixtures.build_session(trojan=True)
     client = ProgrammerClient(PipeTransport(session))
@@ -587,6 +596,48 @@ def test_reinstall_reads_back_the_stored_bytes():
         second = program_and_verify(fixtures.build_app_image(spl=second_spl), session)
         assert (second.verified, second.stored_differs, second.mismatches) == (True, False, []), (
             second_spl)
+
+
+@pytest.mark.parametrize("start, end, spoofed", [
+    (0x39D8, 0x39E0, True),   # ends just below the patched word
+    (0x39D8, 0x39E1, False),  # ends on its low byte
+    (0x39E1, 0x39E8, False),  # starts on its high byte
+    (0x39E2, 0x39E8, True),   # starts just past it
+])
+def test_only_a_write_covering_the_patched_word_ends_the_spoof(start, end, spoofed):
+    session = fixtures.build_session(trojan=True)
+    program_and_verify(fixtures.build_app_image(), session)
+    client = ProgrammerClient(PipeTransport(session))
+    client.load_address(start)
+    client.program_flash(bytes(end - start))
+    stored = bytearray.fromhex("c0ef")  # the patched ldi r28, 0xF0
+    for addr in range(max(start, 0x39E0), min(end, 0x39E2)):
+        stored[addr - 0x39E0] = 0
+    assert session.image.read(0x39E0, 2) == stored
+    client.load_address(0x39E0)
+    assert client.read_flash(2) == (bytes.fromhex("cfef") if spoofed else stored)
+
+
+def test_resending_the_sp_page_leaves_the_install_clean():
+    # the session patches once: a host that resends the page holding the SP
+    # init, as after a lost reply, writes the uploaded word back, and a
+    # session that has decided never patches it again; sp_site still
+    # records the patch the session made
+    firmware = fixtures.build_app_image()
+    session = fixtures.build_session(trojan=True)
+    assert program_and_verify(firmware, session).stored_differs
+    offset = fixtures.APP_SP_INIT_OFFSET
+    assert session.image.read(offset, 2) == bytes.fromhex("c0ef")
+    page = 0x3900  # the page holding it
+    client = ProgrammerClient(PipeTransport(session))
+    client.load_address(page)
+    client.program_flash(firmware.read(page, LAYOUT.page_size))
+    assert session.image.read(offset, 2) == bytes.fromhex("cfef")
+    assert find_sp_init(session.image).spl_immediate == 0xFF
+    again = program_and_verify(firmware, session)
+    assert (again.verified, again.stored_differs) == (True, False)
+    assert session.sp_site.offset == offset
+    assert session.image.read(0, LAYOUT.boot_start) == firmware.read(0, LAYOUT.boot_start)
 
 
 def test_scan_ignores_preloaded_bytes_the_session_never_received():

@@ -700,6 +700,15 @@ def test_ring_size_cap():
         UartSimulation(HALF, rx_buffer_size=512)
 
 
+def test_the_largest_ring_a_one_byte_slot_indexes_streams_as_the_transform(gcode_corpus):
+    # 256 cells: cmd_slot, one byte of TrojanState, still indexes every one
+    assert UartSimulation(HALF, rx_buffer_size=256).ring.size == 256
+    for policy in (TamperPolicy.reduction(Fraction(3, 10)), TamperPolicy.relocation(2)):
+        for name, doc in gcode_corpus.items():
+            report = run_pipeline_equivalence(doc, policy, rx_buffer_size=256)
+            assert report.identical, (name, policy, report.describe())
+
+
 # --- feed against the same step one byte at a time ----------------------------
 
 # a 200-character comment (of 3-byte characters) that no ring here can hold
@@ -754,7 +763,7 @@ def same_ring(ring: RingBufferState, ref: RingBufferState) -> bool:
 
 def test_feed_matches_single_character_replay(gcode_corpus):
     docs = [random_document(seed) for seed in range(40)] + list(gcode_corpus.values())
-    # longer than one of feed's slices: the whole corpus, and non-ASCII text
+    # the whole corpus in one call, and non-ASCII text
     docs += ["".join(gcode_corpus.values()), NON_ASCII_DOC * 50, OVERFLOW_DOC, DORMANT_DOC]
     for doc in docs:
         for policy in COUNT_POLICIES:
@@ -964,8 +973,8 @@ def test_text_utf8_cannot_encode_raises_and_stores_nothing_of_its_slice():
         return dataclasses.replace(sim.stats), sim.trojan.to_bytes(), bytes(ring.storage), ring.head, ring.tail
 
     before = state()
-    first = "G1 X1 E1\n" * (uart._FEED_SLICE // 9) + "\n"
-    assert len(first) == uart._FEED_SLICE
+    first = "G1 X1 E1\n" * (4096 // 9) + "\n"
+    assert len(first) == 4096
     for text in (first + "\ud800\n", first * 3 + "\u00b0" + "\ud800"):
         with pytest.raises(UnicodeEncodeError):
             sim.feed(text)
