@@ -11,8 +11,8 @@ A report holds its segments column-wise in a read-only ``Segments``
 sequence.  account fills two columns: the command number (0 or 1) in a
 bytearray and the extrusion delta in an ``array('q')``, 9 bytes per
 move, which is all the total, the segment count and compare need.  The
-other two are decoded from the document by the same walk again, each the
-first time it is read:
+other two are cached properties, decoded from the document by the same
+walk again the first time each is read:
 
 - ``travels``, an ``array('d')`` of each move's travel, is what
   detect_relocation reads.  Reading it decodes that column alone; the
@@ -82,6 +82,7 @@ import statistics
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice, starmap
 
 from .errors import FlawsimError, ParseError
@@ -143,7 +144,7 @@ class SegmentRecord:
     end: tuple[float, float, float]
     travel: float  # mm
     delta_raw: int  # mm of filament * 10^4
-    flow: float | None  # filament / travel, None when travel is ~zero
+    flow: float | None  # filament / travel, None when travel is zero
 
     def to_dict(self) -> dict:
         return {
@@ -159,34 +160,28 @@ class SegmentRecord:
 
 class Segments(Sequence):
     """The moves of one document, one column per field (see the module
-    docstring); rows are built on access and never stored.  travels is
-    decoded from the document the first time it is read, alone; coords
-    the first time it is read, with travels if that is still missing,
-    after which the document is dropped."""
-
-    __slots__ = ("commands", "coords", "travels", "deltas", "_doc")
+    docstring); rows are built on access and never stored.  travels and
+    coords are cached properties: travels is decoded from the document
+    the first time it is read, alone; coords the first time it is read,
+    with travels if that is still missing, after which the document is
+    dropped."""
 
     def __init__(self, commands: bytearray, deltas: array, doc: str):
         self.commands = commands
         self.deltas = deltas
         self._doc = doc
 
-    def __getattr__(self, name: str):
-        # called only when lookup fails: for travels and coords, until decoded
-        if name == "travels":
-            self.travels = _geometry(self._doc)
-        elif name == "coords":
-            coords = array("d")
-            travels = _geometry(self._doc, coords)
-            try:
-                object.__getattribute__(self, "travels")  # decoded already: keep that array
-            except AttributeError:
-                self.travels = travels
-            self.coords = coords
-            del self._doc
-        else:
-            raise AttributeError(name)
-        return getattr(self, name)
+    @cached_property
+    def travels(self) -> array:
+        return _geometry(self._doc)
+
+    @cached_property
+    def coords(self) -> array:
+        coords = array("d")
+        travels = _geometry(self._doc, coords)
+        self.__dict__.setdefault("travels", travels)  # decoded already: keep that array
+        del self._doc
+        return coords
 
     def __len__(self) -> int:
         return len(self.deltas)
@@ -206,7 +201,7 @@ class Segments(Sequence):
             (ex, ey, ez),
             travel,
             delta,
-            delta / SCALE / travel if travel > _TRAVEL_EPS else None,
+            delta / SCALE / travel if travel > 0.0 else None,
         )
 
 
@@ -281,20 +276,13 @@ class AuditReport:
 
 _MOVE_KINDS = ("G0", "G1")  # by command number
 _JSON_BATCH = 256  # segment rows per to_json encoder call
-# coordinates keep at most four decimals, so a travel is 0.0 or at least
-# 0.0001 mm, and `> _TRAVEL_EPS` reads the same as `>=`
-_TRAVEL_EPS = 1e-9
 
 
 def _parse_error(doc: str, line_no: int, problem: str = "cannot parse") -> ParseError:
     """The error for line line_no of doc, as ``line N: <problem> <body>``.
     A body longer than 60 characters is quoted up to its 60th, then an
     ellipsis and the count of characters left out."""
-    start = 0
-    for _ in range(line_no - 1):
-        start = doc.index("\n", start) + 1
-    end = doc.find("\n", start)
-    body = doc[start:] if end < 0 else doc[start:end]
+    body = doc.split("\n", line_no)[line_no - 1]
     quoted = repr(body[:_QUOTED_CHARS])
     if len(body) > _QUOTED_CHARS:
         quoted += f"\u2026 ({len(body) - _QUOTED_CHARS} more characters)"
@@ -460,7 +448,9 @@ def detect_relocation(
     flows = {
         i: delta / SCALE / travel
         for i, (travel, delta) in enumerate(zip(travels, deltas))
-        if delta > 0 and travel > _TRAVEL_EPS
+        # coordinates keep at most four decimals, so a travel is 0.0 or
+        # at least 0.0001 mm: no tolerance is needed to tell a move
+        if delta > 0 and travel > 0.0
     }
     if len(flows) < 8:
         raise InsufficientData(f"{len(flows)} extruding segments; need >= 8")
@@ -472,7 +462,7 @@ def detect_relocation(
             continue
         # after a barren travel it is the catch-up, anchored to the travel;
         # the indices rise, since a travel's index is never an extruder's
-        if i and deltas[i - 1] <= 0 and travels[i - 1] > _TRAVEL_EPS:
+        if i and deltas[i - 1] <= 0 and travels[i - 1] > 0.0:
             anomalies.append(Anomaly(i - 1, RELOCATION_SIGNATURE, flow / median_flow))
         else:
             anomalies.append(Anomaly(i, FLOW_OUTLIER, flow / median_flow))

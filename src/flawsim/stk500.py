@@ -213,9 +213,9 @@ class BootSession:
     completes several, as in avr.find_sp_init), and no write is scanned
     after it: if its immediate cannot take the subtraction the session
     stays dormant, ``sp_site`` stays None and nothing is patched or
-    spoofed.  The session patches at most once, at ``sp_site``;
-    ``_patch`` holds the two bytes the patch replaced until a later write
-    covers either of them, and from then on reads show the stored bytes.
+    spoofed.  The session patches at most once.  A later write covering
+    either patched byte clears ``sp_site`` and ``_patch`` (the bytes it
+    replaced): ``sp_site`` is set exactly while the patch is in flash.
     """
 
     image: FlashImage
@@ -259,7 +259,7 @@ class BootSession:
         self.image.write(start, data)
         self.load_address = end
         if self._patch is not None and start - 2 < self.sp_site.offset < end:
-            self._patch = None  # the patched word was overwritten: nothing left to hide
+            self._patch = self.sp_site = None  # the patched word was overwritten: no patch to hide
         if self._received is not None:
             self._received[start:end] = b"\x01" * size
             self._scan_for_sp_init(start, end)

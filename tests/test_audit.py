@@ -791,6 +791,15 @@ def test_detect_a_move_depositing_a_raw_1_is_no_barren_travel():
     assert detect_relocation(report) == [Anomaly(9, FLOW_OUTLIER, 2.0)]
 
 
+def test_detect_skips_a_prime_that_extrudes_over_no_travel():
+    # a prime (an E with no axis) deposits over a travel of 0.0: its row has
+    # no flow, and the detector leaves it out rather than divide by zero
+    report = account(unit_flows(10) + "G1 E12\n")
+    assert report.segments.travels[-1] == 0.0
+    assert report.segments[-1].flow is None
+    assert detect_relocation(report) == []
+
+
 def reference_detect(segments: list[SegmentRecord], threshold: float) -> list[Anomaly]:
     """The record-at-a-time detector the column one replaced."""
     extruding = [s for s in segments if s.delta_raw > 0 and s.flow is not None]

@@ -7,6 +7,7 @@ read perfbench/ and change nothing in it.
 """
 
 import importlib
+import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -39,6 +40,22 @@ def test_every_wrapped_name_resolves():
         assert callable(target), (module, attr)
     with layers.patched(layers.counting_wrappers(Counter())):  # patches every counted name
         pass
+
+
+def test_the_benchmark_loads_every_module_it_patches():
+    # patched finds each wrapped name's module in sys.modules; run.py imports
+    # only layers and workloads, so those imports must load every such
+    # module.  This process has imported them all, so a fresh one checks it
+    probe = "\n".join([
+        "import sys",
+        "from collections import Counter",
+        f"sys.path[:0] = [{str(REPO / 'src')!r}, {str(REPO / 'perfbench')!r}]",
+        "import layers, workloads",
+        "with layers.patched(layers.counting_wrappers(Counter())): pass",
+        "with layers.patched(layers.Tracer().wrappers()): pass",
+    ])
+    done = subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("name", ["clean_mixed_crlf.gcode", "clean_uniform_n2.gcode"])

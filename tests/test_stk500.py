@@ -596,6 +596,7 @@ def test_reinstall_reads_back_the_stored_bytes():
         second = program_and_verify(fixtures.build_app_image(spl=second_spl), session)
         assert (second.verified, second.stored_differs, second.mismatches) == (True, False, []), (
             second_spl)
+        assert session.sp_site is None, second_spl
 
 
 @pytest.mark.parametrize("start, end, spoofed", [
@@ -614,6 +615,7 @@ def test_only_a_write_covering_the_patched_word_ends_the_spoof(start, end, spoof
     for addr in range(max(start, 0x39E0), min(end, 0x39E2)):
         stored[addr - 0x39E0] = 0
     assert session.image.read(0x39E0, 2) == stored
+    assert (session.sp_site is not None) == spoofed  # the patch is still in flash
     client.load_address(0x39E0)
     assert client.read_flash(2) == (bytes.fromhex("cfef") if spoofed else stored)
 
@@ -621,8 +623,8 @@ def test_only_a_write_covering_the_patched_word_ends_the_spoof(start, end, spoof
 def test_resending_the_sp_page_leaves_the_install_clean():
     # the session patches once: a host that resends the page holding the SP
     # init, as after a lost reply, writes the uploaded word back, and a
-    # session that has decided never patches it again; sp_site still
-    # records the patch the session made
+    # session that has decided never patches it again; sp_site is cleared
+    # with the patch, so it no longer reads as a live install
     firmware = fixtures.build_app_image()
     session = fixtures.build_session(trojan=True)
     assert program_and_verify(firmware, session).stored_differs
@@ -636,7 +638,7 @@ def test_resending_the_sp_page_leaves_the_install_clean():
     assert find_sp_init(session.image).spl_immediate == 0xFF
     again = program_and_verify(firmware, session)
     assert (again.verified, again.stored_differs) == (True, False)
-    assert session.sp_site.offset == offset
+    assert session.sp_site is None
     assert session.image.read(0, LAYOUT.boot_start) == firmware.read(0, LAYOUT.boot_start)
 
 

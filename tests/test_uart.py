@@ -955,7 +955,7 @@ def test_ring_overflow_cuts_a_multibyte_character_visibly():
     assert sim.flush_residual() == "ab\u20ac\ufffd"
 
 
-def test_text_utf8_cannot_encode_raises_and_stores_nothing_of_its_slice():
+def test_text_utf8_cannot_encode_raises_and_stores_nothing():
     # a lone surrogate has no UTF-8 encoding: UnicodeEncodeError, a ValueError
     sim = UartSimulation(HALF)
     with pytest.raises(UnicodeEncodeError):
@@ -964,7 +964,7 @@ def test_text_utf8_cannot_encode_raises_and_stores_nothing_of_its_slice():
         sim.feed_char("\ud800")
     assert sim.stats == SimStats() and sim.ring.head == sim.ring.tail == 0
     # feed refuses the whole text before it stores a byte or dequeues a
-    # line, even when the surrogate sits slices past the first
+    # line, with the surrogate 4,096 or 12,289 characters into the text
     for ch in "G1 X2 E2\n":
         sim.feed_char(ch)
 
