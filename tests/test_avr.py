@@ -17,6 +17,7 @@ from flawsim.avr import (
     Finding,
     Kind,
     PatternNotFound,
+    SpInitSite,
     apply_stack_steal,
     audit_bootloader,
     decode,
@@ -278,6 +279,10 @@ def test_find_sp_init_short_window_inside_flash_finds_nothing():
             find_sp_init(img, start, end)
 
 
+def test_find_sp_init_finds_a_site_at_offset_zero_in_its_default_window():
+    assert find_sp_init(image_with(0, sp_init_bytes())).offset == 0
+
+
 def test_find_sp_init_site_before_flash_end_wins_over_range_error():
     img = FlashImage(SMALL)
     img.write(0x100, sp_init_bytes())
@@ -287,8 +292,7 @@ def test_find_sp_init_site_before_flash_end_wins_over_range_error():
 def test_apply_stack_steal_patches_single_word():
     img = listing_image()
     site = find_sp_init(img)
-    replaced = apply_stack_steal(img, site)
-    assert replaced == listing_image().read(site.offset, 2)
+    assert apply_stack_steal(img, site) is None  # the patch is written into img
     insn = decode(img, site.offset)
     assert (insn.kind, insn.reg, insn.value) == (Kind.LDI, 28, 0xF0)
     # Hamming distance confined to the LDI immediate nibbles
@@ -305,7 +309,7 @@ def test_apply_stack_steal_lowers_spl_by_n():
     for spl in (n, n + 1, 0x55, 0xF0, 0xFF):
         img = listing_image(spl=spl)
         data = img.data
-        assert apply_stack_steal(img, find_sp_init(img)) == words_to_bytes(enc_ldi(28, spl))
+        assert apply_stack_steal(img, find_sp_init(img)) is None
         assert img == listing_image(spl=spl - n)
         assert img.data is data  # patched where it lies, not swapped for a copy
 
@@ -324,6 +328,14 @@ def test_apply_stack_steal_on_a_stale_site_leaves_the_image_as_it_was():
     with pytest.raises(PatternNotFound):
         apply_stack_steal(img, stale)
     assert img == listing_image()
+
+
+def test_apply_stack_steal_at_an_odd_offset_writes_nothing():
+    # cf ef at 0x101 read as ldi r28, 0xFF, but straddle two instruction words
+    img = image_with(0x100, bytes([0x00, 0xCF, 0xEF, 0x00]))
+    with pytest.raises(AddressOutOfRange):
+        apply_stack_steal(img, SpInitSite(0x101, 0xFF, 0x00))
+    assert img == image_with(0x100, bytes([0x00, 0xCF, 0xEF, 0x00]))
 
 
 # --- ring-buffer discovery ------------------------------------------------

@@ -313,6 +313,8 @@ def test_program_rejects_writes_into_boot_section():
     (0x1000, [CMD_READ_FLASH, 0]),
     (0x1000, [CMD_READ_FLASH, 0, 4, 0]),
     (LAYOUT.flash_size - 2, [CMD_READ_FLASH, 0, 4]),
+    # all four bytes are the address: 0x01000000 is past flash
+    (0x1000, [CMD_LOAD_ADDRESS, 1, 0, 0, 0]),
 ])
 def test_malformed_requests_fail_and_change_nothing(start, body):
     session = BootSession(image=FlashImage(LAYOUT))
@@ -344,6 +346,19 @@ def test_read_back_spoofs_patched_page():
     client.load_address(0x39E0)
     spoofed = client.read_flash(8)
     assert spoofed == sp_init_words()  # 0xFF presented to the tool
+
+
+def test_every_read_window_near_the_patched_word_shows_the_uploaded_bytes():
+    firmware = firmware_with_pattern(spl=0x80)  # 0x80 - 15 = 0x71: both bytes of the word change
+    session = fixtures.build_session(trojan=True)
+    program_and_verify(firmware, session)
+    assert session.image.read(0x39E0, 2) == words_to_bytes(enc_ldi(28, 0x71)) != firmware.read(0x39E0, 2)
+    client = ProgrammerClient(PipeTransport(session))
+    # windows ending before, on either byte of, or after the word, and starting likewise
+    for start in range(0x39D8, 0x39EA):
+        for size in range(1, 13):
+            client.load_address(start)
+            assert client.read_flash(size) == firmware.read(start, size), (hex(start), size)
 
 
 def test_trojan_disabled_is_pass_through():
@@ -843,6 +858,31 @@ def test_a_page_past_the_frame_limit_is_refused_before_upload():
     with pytest.raises(ProtocolError, match=r"^page_size 65533 exceeds the 65532 bytes a frame carries$"):
         program_and_verify(fixtures.build_app_image(layout), session, transcript=transcript)
     assert transcript == [] and session.image.data == before
+
+
+@pytest.mark.parametrize("size", [0xFFFC, 0xFFFD, 0xFFFF])
+def test_a_read_no_response_frame_carries_is_refused(size):
+    # READ_FLASH's response is 14 00 data... 00: 0xFFFC data bytes fill a 0xFFFF body
+    session = BootSession(image=FlashImage(LAYOUT))
+    client = ProgrammerClient(PipeTransport(session))
+    client.load_address(0x100)
+    if size <= 0xFFFC:
+        assert client.read_flash(size) == bytes(session.image.data[0x100 : 0x100 + size])
+        assert session.load_address == 0x100 + size
+        return
+    with pytest.raises(ProtocolError, match=r"^command 0x14 failed: 14c0$"):
+        client.read_flash(size)
+    assert session.load_address == 0x100
+
+
+def test_a_read_may_end_at_the_last_flash_byte():
+    image = FlashImage(LAYOUT)
+    image.write(LAYOUT.flash_size - 4, b"\x01\x02\x03\x04")
+    session = BootSession(image=image)
+    client = ProgrammerClient(PipeTransport(session))
+    client.load_address(LAYOUT.flash_size - 4)
+    assert client.read_flash(4) == b"\x01\x02\x03\x04"
+    assert session.load_address == LAYOUT.flash_size
 
 
 def test_a_refused_command_raises_with_its_response():
