@@ -188,17 +188,9 @@ def format_insn(insn: DecodedInsn) -> str:
     k = insn.kind
     if k is Kind.LDI:
         return f"ldi r{insn.reg}, 0x{insn.value:02X}"
-    if k is Kind.OUT:
-        return f"out 0x{insn.io_addr:02x}, r{insn.reg}"
-    if k is Kind.LDS:
-        return f"lds r{insn.reg}, 0x{insn.mem_addr:04X}"
-    if k is Kind.STS:
-        return f"sts 0x{insn.mem_addr:04X}, r{insn.reg}"
     if k in (Kind.JMP, Kind.CALL, Kind.RJMP):
         return f"{k.value} 0x{insn.target:x}"
-    if k in (Kind.CLI, Kind.RETI):
-        return k.value
-    return f".word ; {k.value}"
+    return k.value
 
 
 # --- stack-steal pattern ---------------------------------------------------

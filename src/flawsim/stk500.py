@@ -33,8 +33,8 @@ is strictly lockstep request/response; independent sessions share nothing.
 
 Every fault of the exchange raises ProtocolError: a malformed frame, a
 response out of sequence or cut short, a command the session refuses,
-firmware that reaches into the boot section, and a page size no frame
-can carry.
+firmware that reaches into the boot section, a page size no frame can
+carry, and a client request no field can hold.
 """
 
 from __future__ import annotations
@@ -408,12 +408,18 @@ class ProgrammerClient:
         return self.expect_ok(bytes([CMD_SIGN_ON]))[3:]
 
     def load_address(self, addr: int):
+        if not 0 <= addr <= 0xFFFFFFFF:
+            raise ProtocolError(f"address {addr:#x} does not fit in 32 bits")
         self.expect_ok(bytes([CMD_LOAD_ADDRESS]) + addr.to_bytes(4, "big"))
 
     def program_flash(self, data: bytes):
+        if len(data) > _MAX_PAGE_SIZE:
+            raise ProtocolError(f"page of {len(data)} bytes exceeds the {_MAX_PAGE_SIZE} bytes a frame carries")
         self.expect_ok(bytes([CMD_PROGRAM_FLASH, len(data) >> 8, len(data) & 0xFF]) + data)
 
     def read_flash(self, size: int) -> bytes:
+        if not 0 <= size <= 0xFFFF:
+            raise ProtocolError(f"read size {size} does not fit in 16 bits")
         response = self.expect_ok(bytes([CMD_READ_FLASH, size >> 8, size & 0xFF]))
         return response[2:-1]
 

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,9 @@ FIXTURES = REPO / "fixtures"
 # the directory holding the package under test: src/ in a checkout, or
 # site-packages once installed; a fresh interpreter is given it as PYTHONPATH
 PACKAGE_PATH = str(Path(flawsim.__file__).resolve().parents[1])
+# the CLI ledger (tools/cli_ledger.py): the one record of the bytes flawsim
+# writes, mapping each case's argv, joined with spaces, to its digests
+LEDGER = json.loads((REPO / "tests" / "cli_ledger.json").read_text())
 
 
 @pytest.fixture(scope="session")

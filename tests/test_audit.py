@@ -31,7 +31,7 @@ from flawsim.errors import ParseError
 from flawsim.fixedpoint import MAX_RAW, SCALE, format_raw, raw_from_digits
 from flawsim.gcode import parse_line
 from flawsim.tamper import transform_reduction, transform_relocation
-from conftest import PACKAGE_PATH
+from conftest import PACKAGE_PATH, REPO
 from test_fuzz_equivalence import random_document
 from test_tamper import random_command_line
 
@@ -177,6 +177,17 @@ def test_account_total_past_budget_names_its_line():
 def test_account_ignores_non_move_commands():
     report = account("M104 S200\nM73 P10\nT0\nG28 W\nG1 X5 E1\n")
     assert len(report.segments) == 1
+
+
+# the accounting edge documents the CLI ledger also runs: repeated
+# parameters, G92 on every axis, M82/M83 switches, retractions and G0 moves
+EDGE_TOTALS = {"duplicate_params": "5", "g92_axes": "9", "extrusion_modes": "4.375", "retract_travel_g0": "3.8"}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_TOTALS))
+def test_account_totals_the_edge_documents(name):
+    doc = (REPO / "tests" / "cli_edge" / f"{name}.gcode").read_text()
+    assert account(doc).total_extrusion.to_text() == EDGE_TOTALS[name]
 
 
 def test_mass_grams_conversion():

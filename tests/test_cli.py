@@ -17,7 +17,7 @@ from flawsim.cli import main
 from flawsim.memory import FlashImage, MemoryLayout, dump_ihex
 from flawsim.tamper import transform_reduction
 
-from conftest import FIXTURES, PACKAGE_PATH, REPO
+from conftest import FIXTURES, LEDGER, PACKAGE_PATH, REPO
 
 APP_HEX = str(FIXTURES / "hex" / "marlin_app.hex")
 BOOT_CLEAN_HEX = str(FIXTURES / "hex" / "boot_clean.hex")
@@ -392,34 +392,32 @@ def test_pipeline_names_the_bytes_a_full_ring_dropped(tmp_path, capsys):
 
 # --- the trace: one JSON line per stored byte, written as the stream runs --------
 
-UTF8_COMMENTS = "G21 ; caf\u00e9 \u20ac \U0001f5a8\nM73 P30 ; \u00fcber\nG1 X1 E5 ; \u00e9\nG1 X2 E6\nG1 X3 E7 ;\u00bd\n;\u00e9nde"
-
-
-@pytest.mark.parametrize("doc, argv, digest", [
-    ("clean_small.gcode", ["--reduce", "0.3"],
-     "578d3538fe9ea9a04098f5ede72a59df2e17aad3c3f3f9677c0bc2724d0c543f"),
-    ("clean_mixed_crlf.gcode", ["--relocate", "2"],
-     "6be36d9c7827b982bc4e4cb8025b3b77c37ac0a2377335ad1f0a052c1bbdfcc5"),
-    (UTF8_COMMENTS, ["--reduce", "0.3"],
-     "b815c9fbcc6c55b209de35317c51250cbaa54c3d80695cb00d6901cbb26a9bbb"),
-    ("clean_mixed_crlf.gcode", ["--relocate", "2", "--layout", {"rx_buffer_size": 32}],
-     "4759450d386ce87738620163278be59c7160fd683b55b054b0819dbbf720850b"),
+@pytest.mark.parametrize("doc, argv, case", [
+    (FIXTURES / "gcode" / "clean_small.gcode", ["--reduce", "0.3"],
+     "pipeline gcode/clean_small.gcode hex/marlin_app.hex --reduce 0.3"
+     " -o out/clean_small.0.gcode --trace out/clean_small.0.jsonl"),
+    (FIXTURES / "gcode" / "clean_mixed_crlf.gcode", ["--relocate", "2"],
+     "pipeline gcode/clean_mixed_crlf.gcode hex/marlin_app.hex --relocate 2"
+     " -o out/clean_mixed_crlf.1.gcode --trace out/clean_mixed_crlf.1.jsonl"),
+    (REPO / "tests" / "cli_edge" / "utf8_comments.gcode", ["--reduce", "0.3"],
+     "pipeline edge/utf8_comments.gcode hex/marlin_app.hex --reduce 0.3"
+     " -o out/utf8_comments.0.gcode --trace out/utf8_comments.0.jsonl"),
+    (FIXTURES / "gcode" / "clean_mixed_crlf.gcode", ["--relocate", "2", "--layout", {"page_size": 96, "rx_buffer_size": 32}],
+     "pipeline gcode/clean_mixed_crlf.gcode hex/marlin_app.hex --relocate 2 --layout layout_p96_r32.json"
+     " -o out/mixed.gcode --trace out/mixed.jsonl"),
 ], ids=["small reduce", "crlf relocate", "utf-8 comments", "32-byte ring wraps"])
-def test_pipeline_trace_bytes_are_pinned(tmp_path, capsys, doc, argv, digest):
+def test_pipeline_trace_bytes_are_pinned(tmp_path, capsys, doc, argv, case):
     # each line: the byte ("char", as json.dumps(chr(byte))), then the ring's
-    # head and tail and the parser state after the byte's step
-    path = FIXTURES / "gcode" / doc
-    if doc == UTF8_COMMENTS:
-        path = tmp_path / "utf8.gcode"
-        path.write_bytes(doc.encode())
+    # head and tail and the parser state after the byte's step; the digest is
+    # the one the CLI ledger keeps for the same traced pipeline
     if isinstance(argv[-1], dict):
         layout = tmp_path / "layout.json"
         layout.write_text(json.dumps(argv[-1]))
         argv = [*argv[:-1], layout]
     trace = tmp_path / "trace.jsonl"
-    code, _ = run(capsys, "pipeline", path, APP_HEX, *argv, "--trace", trace)
+    code, _ = run(capsys, "pipeline", doc, APP_HEX, *argv, "--trace", trace)
     assert code == 0
-    assert hashlib.sha256(trace.read_bytes()).hexdigest() == digest
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == LEDGER[case]["files"][case.split()[-1]]
 
 
 def test_pipeline_trace_has_no_line_for_a_dropped_byte(tmp_path, capsys):

@@ -21,3 +21,18 @@ def test_the_ledger_covers_every_command_and_outcome():
     assert {entry["exit"] for entry in pinned.values()} == {0, 2, 3}
     # every path is relative to the directory the cases run in
     assert not any(token.startswith("/") for argv in pinned for token in argv.split())
+    # the documents, traces and transcripts whose digests only the ledger keeps
+    for name in ["duplicate_params", "g92_axes", "extrusion_modes", "retract_travel_g0"]:
+        assert f"audit edge/{name}.gcode --csv" in pinned
+    assert "out/utf8_comments.0.jsonl" in pinned[
+        "pipeline edge/utf8_comments.gcode hex/marlin_app.hex --reduce 0.3"
+        " -o out/utf8_comments.0.gcode --trace out/utf8_comments.0.jsonl"]["files"]
+    assert "out/mixed.jsonl" in pinned[
+        "pipeline gcode/clean_mixed_crlf.gcode hex/marlin_app.hex --relocate 2 --layout layout_p96_r32.json"
+        " -o out/mixed.gcode --trace out/mixed.jsonl"]["files"]
+    assert LEDGER_TOOL["_LAYOUTS"]["layout_p96_r32.json"]["rx_buffer_size"] == 32
+    for size in [64, 128, 256]:
+        assert LEDGER_TOOL["_PAGE_LAYOUTS"][f"layout_p{size}.json"] == {"page_size": size}
+        for trojan in ["", "--trojan "]:
+            entry = pinned[f"flash-sim hex/marlin_app.hex {trojan}--layout layout_p{size}.json --transcript out/app.txt"]
+            assert list(entry["files"]) == ["out/app.txt"]

@@ -28,6 +28,8 @@ from flawsim.stk500 import (
 )
 from flawsim.uart import TrojanState
 
+from conftest import LEDGER
+
 LAYOUT = MemoryLayout()
 
 
@@ -682,27 +684,25 @@ def test_transcript_capture():
         assert raw[0] == 0x1B
 
 
-# sha256 of the wire transcript of installing marlin_app.hex, one per page
-# size, recorded before the client's per-chunk path was reworked; a trojan
-# session's wire bytes equal a clean one's
-INSTALL_TRANSCRIPT_SHA256 = {
-    64: "f323076b08db6796dbd1e3b831762c5ab77ef1c50a1d46aa614a9b5886248cfe",
-    128: "7c2161f1fad0e1552ff0ab61d49ce233f98a57aa793984e45e78259a896a7a31",
-    256: "afb87f5e26a51108e2580820f50d5fcf91fe8a81bc303740dd362143142b6ee7",
-}
-
-
 @pytest.mark.parametrize("page_size", [64, 128, 256])
 @pytest.mark.parametrize("trojan", [True, False])
 def test_install_transcript_is_pinned(hex_fixtures, page_size, trojan):
+    # the digest is the one the CLI ledger keeps for the clean install's
+    # flash-sim --transcript, hex lines per page size: a trojan session's
+    # wire bytes equal a clean one's
     layout = MemoryLayout(page_size=page_size)
     firmware = load_ihex(hex_fixtures["marlin_app.hex"], layout)
     transcript = []
     outcome = program_and_verify(firmware, fixtures.build_session(trojan=trojan, layout=layout), transcript)
-    digest = hashlib.sha256(b"".join(direction.encode() + raw for direction, raw in transcript))
-    assert digest.hexdigest() == INSTALL_TRANSCRIPT_SHA256[page_size]
+    lines = "".join(f"{direction} {raw.hex()}\n" for direction, raw in transcript)
+    case = f"flash-sim hex/marlin_app.hex --layout layout_p{page_size}.json --transcript out/app.txt"
+    assert hashlib.sha256(lines.encode()).hexdigest() == LEDGER[case]["files"]["out/app.txt"]
     assert outcome == VerifyOutcome(verified=True, mismatches=[(0x39E0, 0xCF, 0xC0)] if trojan else [])
     assert outcome.stored_differs == trojan
+    # request i carries sequence number i mod 256, and its response echoes it
+    sequences = [raw[1] for _, raw in transcript]
+    assert len(sequences) > 512
+    assert sequences == [i // 2 & 0xFF for i in range(len(sequences))]
 
 
 def test_pipe_transport_reads_at_most_seven_bytes():
@@ -873,6 +873,28 @@ def test_a_read_no_response_frame_carries_is_refused(size):
     with pytest.raises(ProtocolError, match=r"^command 0x14 failed: 14c0$"):
         client.read_flash(size)
     assert session.load_address == 0x100
+
+
+@pytest.mark.parametrize("call, arg, message", [
+    ("load_address", -1, "address -0x1 does not fit in 32 bits"),
+    ("load_address", 1 << 32, "address 0x100000000 does not fit in 32 bits"),
+    ("program_flash", bytes(0xFFFD), "page of 65533 bytes exceeds the 65532 bytes a frame carries"),
+    ("read_flash", -1, "read size -1 does not fit in 16 bits"),
+    ("read_flash", 0x10000, "read size 65536 does not fit in 16 bits"),
+], ids=["address-below-0", "address-past-32-bits", "page-past-frame", "read-below-0", "read-past-16-bits"])
+def test_a_request_no_field_or_frame_carries_is_refused_before_it_is_sent(call, arg, message):
+    transcript = []
+    client = ProgrammerClient(PipeTransport(BootSession(image=FlashImage(LAYOUT)), transcript=transcript))
+    with pytest.raises(ProtocolError, match=f"^{message}$"):
+        getattr(client, call)(arg)
+    assert transcript == [] and client.sequence == 0
+
+
+def test_the_widest_address_and_the_emptiest_read_reach_the_session():
+    client = ProgrammerClient(PipeTransport(BootSession(image=FlashImage(LAYOUT))))
+    assert client.read_flash(0) == b""
+    with pytest.raises(ProtocolError, match=r"^command 0x06 failed: 06c0$"):
+        client.load_address(0xFFFFFFFF)
 
 
 def test_a_read_may_end_at_the_last_flash_byte():

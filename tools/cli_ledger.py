@@ -4,7 +4,7 @@ lines prints and writes, as sha256 digests.
 
 Each case runs ``flawsim.cli.main`` in-process, in a scratch directory that
 holds copies of ``fixtures/gcode``, ``fixtures/hex`` and ``tests/cli_edge``
-and two layout files, so every path in an argv, and so in every message,
+and the layout files, so every path in an argv, and so in every message,
 is relative to it.  A case's entry records the digests of its stdout and
 its stderr bytes, its exit code, and the digest of each file it wrote
 (every file lands under ``out/``, which is emptied between cases).
@@ -36,6 +36,8 @@ LEDGER = REPO / "tests" / "cli_ledger.json"
 _INPUTS = {"gcode": REPO / "fixtures" / "gcode", "hex": REPO / "fixtures" / "hex", "edge": REPO / "tests" / "cli_edge"}
 # page sizes that do not divide boot_start, so the last page is short
 _LAYOUTS = {"layout_p200.json": {"page_size": 200}, "layout_p96_r32.json": {"page_size": 96, "rx_buffer_size": 32}}
+# the install transcript's page sizes, each installed clean and trojan
+_PAGE_LAYOUTS = {f"layout_p{size}.json": {"page_size": size} for size in (64, 128, 256)}
 _AUDIT_FLAGS = [
     [], ["--json"], ["--csv"], ["--detect"], ["--detect", "--json"],
     ["--detect", "--threshold", "1.2", "--json"],
@@ -65,11 +67,14 @@ def cases(workdir: Path) -> list[list[str]]:
         out.append(["flash-sim", image, "--trojan", "--transcript", f"out/{stem}.txt"])
         for mode in ("--find-sp", "--find-ringbuffer", "--audit-boot"):
             out += [["scan", image, mode], ["scan", image, mode, "--json"]]
+    for layout in _PAGE_LAYOUTS:
+        out.append(["flash-sim", _APP, "--layout", layout, "--transcript", "out/app.txt"])
+        out.append(["flash-sim", _APP, "--trojan", "--layout", layout, "--transcript", "out/app.txt"])
     for layout in _LAYOUTS:
         out.append(["flash-sim", _APP, "--trojan", "--layout", layout, "--transcript", "out/app.txt"])
         for policy in _POLICIES:
             out.append(["pipeline", "gcode/clean_mixed_crlf.gcode", _APP, *policy, "--layout", layout,
-                        "-o", "out/mixed.gcode"])
+                        "-o", "out/mixed.gcode", "--trace", "out/mixed.jsonl"])
     out.append(["pipeline", "gcode/clean_small.gcode", _APP, "--relocate", "3", "--window", "0", "100",
                 "-o", "out/small.gcode"])
     return out
@@ -99,7 +104,7 @@ def run_ledger(workdir: Path) -> dict[str, dict]:
     """Run every case in workdir (an empty directory) and return the ledger."""
     for name, source in _INPUTS.items():
         shutil.copytree(source, workdir / name)
-    for name, fields in _LAYOUTS.items():
+    for name, fields in {**_LAYOUTS, **_PAGE_LAYOUTS}.items():
         (workdir / name).write_text(json.dumps(fields))
     (workdir / "out").mkdir()
     cwd = os.getcwd()
