@@ -37,7 +37,7 @@ from . import avr, fixtures, memory, stk500, tamper
 from .errors import FlawsimError, ParseError
 from .memory import MemoryLayout
 from .policy import TamperPolicy
-from .uart import UartSimulation
+from .uart import SimStats, UartSimulation
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -225,6 +225,43 @@ def cmd_scan(args) -> int:
 _TRACE_CHAR = [json.dumps(chr(byte)).encode() for byte in range(256)]
 
 
+@dataclasses.dataclass(frozen=True)
+class ChainResult:
+    ring: avr.RingBufferInfo | None  # None when the interceptor is dormant
+    dormant: str | None  # the report line naming why, None when live
+    output: str  # the stream as the consumer printed it
+    stats: SimStats
+
+
+def run_chain(doc: str, session: stk500.BootSession, policy: TamperPolicy, trace: str | None = None) -> ChainResult:
+    """The chain after the install: liveness from sp_site, ring-buffer
+    discovery on the stored image, then doc streamed under the policy, off
+    when either step failed.  A trace path, opened only once the stream is
+    built, gets a JSON line per stored byte as the stream runs."""
+    ring = dormant = None
+    if session.sp_site is None:
+        dormant = "stack steal failed, interceptor dormant: no stack-pointer init was patched"
+    else:
+        try:
+            ring = avr.find_ring_buffer(session.image)
+        except avr.DormantAbort as exc:
+            dormant = f"ring-buffer discovery failed, interceptor dormant: {exc}"
+    sim = UartSimulation(policy if ring else TamperPolicy.off(), session.layout.rx_buffer_size, ring)
+    consumed = [] if trace else sim.feed(doc)
+    if trace:
+        with open(trace, "wb") as out:
+            for byte in doc.encode():
+                dropped = sim.stats.dropped
+                sim.feed_char(byte)
+                if sim.stats.dropped == dropped:
+                    out.write(b'{"char": %s, "head": %d, "tail": %d, "parser_state": %d}\n' % (
+                        _TRACE_CHAR[byte], sim.ring.head, sim.ring.tail, sim.trojan.parser_state))
+                    if byte == 0x0A:
+                        consumed += sim.drain()
+    consumed.append(sim.flush_residual())
+    return ChainResult(ring, dormant, "".join(consumed), sim.stats)
+
+
 def cmd_pipeline(args) -> int:
     layout = load_layout(args.layout)
     policy = _policy_from_args(args)
@@ -232,43 +269,22 @@ def cmd_pipeline(args) -> int:
     firmware = memory.load_ihex(_read_text(args.firmware), layout)
     session = fixtures.build_session(trojan=True, layout=layout)
     outcome = stk500.program_and_verify(firmware, session)
+    chain = run_chain(doc, session, policy, args.trace)
     lines = [f"install verified by naive tool: {outcome.verified} "
              f"(stored image differs: {outcome.stored_differs})"]
-    info = None
-    if session.sp_site is None:
-        lines.append("stack steal failed, interceptor dormant: no stack-pointer init was patched")
-    else:
-        try:
-            info = avr.find_ring_buffer(session.image)
-        except avr.DormantAbort as exc:
-            lines.append(f"ring-buffer discovery failed, interceptor dormant: {exc}")
-    if info is None:
-        policy = TamperPolicy.off()
-    sim = UartSimulation(policy, rx_buffer_size=layout.rx_buffer_size, ring_info=info)
-    consumed = [] if args.trace else sim.feed(doc)
-    if args.trace:  # feed, a byte at a time, writing a line per stored byte as it goes
-        with open(args.trace, "wb") as trace:
-            for byte in doc.encode():
-                dropped = sim.stats.dropped
-                sim.feed_char(byte)
-                if sim.stats.dropped == dropped:
-                    trace.write(b'{"char": %s, "head": %d, "tail": %d, "parser_state": %d}\n' % (
-                        _TRACE_CHAR[byte], sim.ring.head, sim.ring.tail, sim.trojan.parser_state))
-                    if byte == 0x0A:
-                        consumed += sim.drain()
-    consumed.append(sim.flush_residual())
-    output = "".join(consumed)
+    if chain.dormant:
+        lines.append(chain.dormant)
     if args.output:
-        _emit(output, args.output)
+        _emit(chain.output, args.output)
     before = audit_mod.account(doc)
-    after = audit_mod.account(output)
+    after = audit_mod.account(chain.output)
     percent = audit_mod.compare(before, after)
     lines += [
         f"sent:     {before.total_extrusion.to_text()} mm over {len(before.segments)} segments",
         f"printed:  {after.total_extrusion.to_text()} mm over {len(after.segments)} segments",
         f"material reduction: {percent:.2f}%",
-        f"stream edits: {sim.stats.edits} edited, {sim.stats.conversions} converted, "
-        f"{sim.stats.edits_skipped} skipped, {sim.stats.dropped} dropped",
+        f"stream edits: {chain.stats.edits} edited, {chain.stats.conversions} converted, "
+        f"{chain.stats.edits_skipped} skipped, {chain.stats.dropped} dropped",
     ]
     _emit("\n".join(lines) + "\n")
     return EXIT_OK

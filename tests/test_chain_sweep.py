@@ -1,6 +1,7 @@
-"""A seeded sweep of the whole attack chain, layer by layer as
-``flawsim pipeline`` runs it: install through a trojan session, liveness
-from ``sp_site``, ring-buffer discovery on the stored image, the stream.
+"""A seeded sweep of the whole attack chain as ``flawsim pipeline`` runs
+it: install through a trojan session, then ``run_chain`` (liveness from
+``sp_site``, ring-buffer discovery on the stored image, the stream), once
+untraced and once traced.
 
 Each scenario draws a 64 KiB layout (page size, ring size), a firmware
 (SP-init offset, often straddling a page edge, SPL immediate, ISR offset),
@@ -23,14 +24,13 @@ from flawsim.avr import (
     RingBufferInfo,
     enc_ldi,
     enc_out,
-    find_ring_buffer,
     words_to_bytes,
 )
+from flawsim.cli import run_chain
 from flawsim.memory import MemoryLayout
 from flawsim.policy import TamperPolicy
 from flawsim.stk500 import PipeTransport, ProgrammerClient, program_and_verify
 from flawsim.tamper import apply_policy
-from flawsim.uart import UartSimulation
 
 SCENARIOS = 150
 SPLS = (0x00, 0x0E, 0x0F, 0x10, 0x80, 0xFF)
@@ -69,7 +69,7 @@ def draw(index: int):
 
 
 @pytest.mark.parametrize("index", range(SCENARIOS))
-def test_the_chain_holds_its_invariants(index):
+def test_the_chain_holds_its_invariants(index, tmp_path):
     layout, firmware, sites, policy, doc = draw(index)
     site_offset, spl = sites[0]  # the lowest site is received whole first
     session = fixtures.build_session(trojan=True, layout=layout)
@@ -95,11 +95,13 @@ def test_the_chain_holds_its_invariants(index):
         assert session.sp_site is None
         assert session.image.data[: layout.boot_start] == firmware.data[: layout.boot_start]
 
-    info = None
-    if session.sp_site is not None:
-        info = find_ring_buffer(session.image)
+    chain = run_chain(doc, session, policy)
+    assert (chain.ring is not None) == (session.sp_site is not None)
+    assert (chain.dormant is None) == (chain.ring is not None)
+    if chain.ring is not None:
         tail = fixtures.RX_TAIL_ADDR
-        assert info == RingBufferInfo(fixtures.RX_HEAD_ADDR, tail, tail - layout.rx_buffer_size)
-    sim = UartSimulation(policy if info else TamperPolicy.off(), rx_buffer_size=layout.rx_buffer_size, ring_info=info)
-    stream = "".join(sim.feed(doc)) + sim.flush_residual()
-    assert stream == (apply_policy(doc, policy) if info else doc)
+        assert chain.ring == RingBufferInfo(fixtures.RX_HEAD_ADDR, tail, tail - layout.rx_buffer_size)
+    else:
+        assert chain.dormant == "stack steal failed, interceptor dormant: no stack-pointer init was patched"
+    assert chain.output == (apply_policy(doc, policy) if chain.ring else doc)
+    assert run_chain(doc, session, policy, str(tmp_path / "trace.jsonl")) == chain

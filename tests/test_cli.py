@@ -436,6 +436,16 @@ def test_pipeline_trace_has_no_line_for_a_dropped_byte(tmp_path, capsys):
                        for head, char in enumerate("G1 X43 E1 F8838", 1)]
 
 
+def test_a_ring_the_stream_cannot_hold_leaves_no_trace_file(tmp_path, capsys, gcode_file):
+    # the trace is opened only once the stream is built, and a 512-byte ring refuses to build
+    trace = tmp_path / "t.jsonl"
+    argv = ["pipeline", gcode_file, APP_HEX, "--reduce", "0.5", *layout_args(tmp_path, {"rx_buffer_size": 512}),
+            "--trace", trace]
+    assert main([str(a) for a in argv]) == 1
+    assert capsys.readouterr() == ("", "error: one-byte slot bookkeeping needs a ring of <= 256 bytes\n")
+    assert not trace.exists()
+
+
 @pytest.mark.parametrize("policy", [["--reduce", "0.3"], ["--relocate", "2"]], ids=["reduce", "relocate"])
 def test_a_traced_pipeline_prints_and_reports_what_an_untraced_one_does(tmp_path, capsys, policy):
     for doc in sorted((FIXTURES / "gcode").glob("*.gcode")):
@@ -688,7 +698,7 @@ def test_readme_tour_prints_what_it_says(tmp_path):
     env = {**os.environ, "PYTHONPATH": PACKAGE_PATH}
     done = subprocess.run([sys.executable, "-c", tour], cwd=tmp_path, env=env, capture_output=True, text=True)
     assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout == "['G1 X2 Y3 E2\\n']\n"
+    assert done.stdout == "0x02a3\nG1 X2 Y3 E2\n"
 
 
 def test_audit_report_formats_count_every_move(capsys):
